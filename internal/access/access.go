@@ -41,14 +41,16 @@ type Counters struct {
 // Store is the record store of a derived product: an index plus the
 // composed operation set.
 type Store struct {
-	idx      index.Index
+	idx      index.Seam
 	ops      Ops
 	counters Counters
 	// metrics observes per-operation latency when the Statistics feature
 	// is composed; nil otherwise (recording is then a no-op).
 	metrics *stats.Access
-	// tracer records record operations as root spans when the Tracing
-	// feature is composed; nil otherwise.
+	// tracer records record operations as spans when the Tracing
+	// feature is composed; nil otherwise. Each operation's In variant
+	// takes the caller's span as parent; the plain method is the same
+	// body with a nil parent, i.e. a root.
 	tracer *trace.Tracer
 }
 
@@ -60,12 +62,17 @@ func (s *Store) SetTracer(t *trace.Tracer) { s.tracer = t }
 
 // New composes a store from an index and an operation selection.
 func New(idx index.Index, ops Ops) *Store {
-	return &Store{idx: idx, ops: ops}
+	return &Store{idx: index.SeamOf(idx), ops: ops}
 }
 
 // Index returns the underlying index (used by the SQL engine and the
 // maintenance features).
-func (s *Store) Index() index.Index { return s.idx }
+func (s *Store) Index() index.Index { return s.idx.Index }
+
+// IndexSeam returns the index bound for span-holding callers: the
+// transaction manager and the SQL engine, which apply writes and probe
+// keys below the record API.
+func (s *Store) IndexSeam() index.Seam { return s.idx }
 
 // Ops returns the composed operation set.
 func (s *Store) Ops() Ops { return s.ops }
@@ -83,14 +90,17 @@ func (s *Store) Counters() Counters {
 
 // Put stores value under key, replacing any existing value (feature
 // Put).
-func (s *Store) Put(key, value []byte) error {
+func (s *Store) Put(key, value []byte) error { return s.PutIn(nil, key, value) }
+
+// PutIn is Put recorded under the caller's span.
+func (s *Store) PutIn(parent *trace.Span, key, value []byte) error {
 	if !s.ops.Put {
 		return fmt.Errorf("Put: %w", ErrNotComposed)
 	}
 	atomic.AddInt64(&s.counters.Puts, 1)
-	sp := s.tracer.Start(trace.LayerAccess, "put")
+	sp := s.tracer.Start(parent, trace.LayerAccess, "put")
 	start := s.metrics.Start()
-	err := s.idx.Insert(key, value)
+	err := s.idx.InsertIn(sp, key, value)
 	s.metrics.DonePut(start)
 	sp.Fail(err)
 	sp.End()
@@ -99,14 +109,17 @@ func (s *Store) Put(key, value []byte) error {
 
 // Get returns the value under key (feature Get). Missing keys return
 // ErrNotFound.
-func (s *Store) Get(key []byte) ([]byte, error) {
+func (s *Store) Get(key []byte) ([]byte, error) { return s.GetIn(nil, key) }
+
+// GetIn is Get recorded under the caller's span.
+func (s *Store) GetIn(parent *trace.Span, key []byte) ([]byte, error) {
 	if !s.ops.Get {
 		return nil, fmt.Errorf("Get: %w", ErrNotComposed)
 	}
 	atomic.AddInt64(&s.counters.Gets, 1)
-	sp := s.tracer.Start(trace.LayerAccess, "get")
+	sp := s.tracer.Start(parent, trace.LayerAccess, "get")
 	start := s.metrics.Start()
-	v, found, err := s.idx.Get(key)
+	v, found, err := s.idx.GetIn(sp, key)
 	s.metrics.DoneGet(start)
 	sp.Fail(err)
 	sp.End()
@@ -120,13 +133,16 @@ func (s *Store) Get(key []byte) ([]byte, error) {
 }
 
 // Remove deletes key (feature Remove). Missing keys return ErrNotFound.
-func (s *Store) Remove(key []byte) error {
+func (s *Store) Remove(key []byte) error { return s.RemoveIn(nil, key) }
+
+// RemoveIn is Remove recorded under the caller's span.
+func (s *Store) RemoveIn(parent *trace.Span, key []byte) error {
 	if !s.ops.Remove {
 		return fmt.Errorf("Remove: %w", ErrNotComposed)
 	}
 	atomic.AddInt64(&s.counters.Removes, 1)
-	sp := s.tracer.Start(trace.LayerAccess, "remove")
-	deleted, err := s.idx.Delete(key)
+	sp := s.tracer.Start(parent, trace.LayerAccess, "remove")
+	deleted, err := s.idx.DeleteIn(sp, key)
 	sp.Fail(err)
 	sp.End()
 	if err != nil {
@@ -140,13 +156,16 @@ func (s *Store) Remove(key []byte) error {
 
 // Update replaces the value of an existing key (feature Update).
 // Missing keys return ErrNotFound.
-func (s *Store) Update(key, value []byte) error {
+func (s *Store) Update(key, value []byte) error { return s.UpdateIn(nil, key, value) }
+
+// UpdateIn is Update recorded under the caller's span.
+func (s *Store) UpdateIn(parent *trace.Span, key, value []byte) error {
 	if !s.ops.Update {
 		return fmt.Errorf("Update: %w", ErrNotComposed)
 	}
 	atomic.AddInt64(&s.counters.Updates, 1)
-	sp := s.tracer.Start(trace.LayerAccess, "update")
-	ok, err := s.idx.Update(key, value)
+	sp := s.tracer.Start(parent, trace.LayerAccess, "update")
+	ok, err := s.idx.UpdateIn(sp, key, value)
 	sp.Fail(err)
 	sp.End()
 	if err != nil {
@@ -161,12 +180,17 @@ func (s *Store) Update(key, value []byte) error {
 // Scan visits entries in [from, to) (requires feature Get: scanning is
 // reading).
 func (s *Store) Scan(from, to []byte, fn func(key, value []byte) bool) error {
+	return s.ScanIn(nil, from, to, fn)
+}
+
+// ScanIn is Scan recorded under the caller's span.
+func (s *Store) ScanIn(parent *trace.Span, from, to []byte, fn func(key, value []byte) bool) error {
 	if !s.ops.Get {
 		return fmt.Errorf("Scan: %w", ErrNotComposed)
 	}
 	atomic.AddInt64(&s.counters.Scans, 1)
-	sp := s.tracer.Start(trace.LayerAccess, "scan")
-	err := s.idx.Scan(from, to, fn)
+	sp := s.tracer.Start(parent, trace.LayerAccess, "scan")
+	err := s.idx.ScanIn(sp, from, to, fn)
 	sp.Fail(err)
 	sp.End()
 	return err

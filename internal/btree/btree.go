@@ -25,7 +25,7 @@ import (
 // A Tree is not safe for concurrent use; in concurrent configurations
 // the transaction manager (Locking feature) serializes access.
 type Tree struct {
-	pager    storage.Pager
+	pager    storage.Seam
 	metaPage storage.PageID
 	root     storage.PageID
 	count    uint64
@@ -94,18 +94,18 @@ func (t *Tree) SetMetrics(m *stats.BTree) {
 	if m == nil {
 		return
 	}
-	if h, err := t.height(); err == nil {
+	if h, err := t.height(nil); err == nil {
 		m.ObserveHeight(h)
 	}
 }
 
 // height counts the levels on the leftmost root-to-leaf path (a leaf-only
 // tree has height 1).
-func (t *Tree) height() (int, error) {
+func (t *Tree) height(sp *trace.Span) (int, error) {
 	h := 1
 	id := t.root
 	for {
-		n, err := t.readNode(id)
+		n, err := t.readNode(sp, id)
 		if err != nil {
 			return 0, err
 		}
@@ -145,12 +145,12 @@ func Create(p storage.Pager) (*Tree, storage.PageID, error) {
 		return nil, 0, err
 	}
 	t := &Tree{
-		pager:    p,
+		pager:    storage.SeamOf(p),
 		metaPage: metaID,
 		root:     rootID,
 		maxEntry: maxEntrySize(p.PageSize()),
 	}
-	if err := t.writeMeta(); err != nil {
+	if err := t.writeMeta(nil); err != nil {
 		return nil, 0, err
 	}
 	return t, metaID, nil
@@ -166,7 +166,7 @@ func Open(p storage.Pager, metaID storage.PageID) (*Tree, error) {
 		return nil, fmt.Errorf("btree: page %d is not a tree meta page", metaID)
 	}
 	return &Tree{
-		pager:    p,
+		pager:    storage.SeamOf(p),
 		metaPage: metaID,
 		root:     storage.PageID(binary.LittleEndian.Uint32(buf[8:12])),
 		count:    binary.LittleEndian.Uint64(buf[12:20]),
@@ -174,12 +174,12 @@ func Open(p storage.Pager, metaID storage.PageID) (*Tree, error) {
 	}, nil
 }
 
-func (t *Tree) writeMeta() error {
+func (t *Tree) writeMeta(sp *trace.Span) error {
 	buf := make([]byte, t.pager.PageSize())
 	copy(buf, treeMetaMagic)
 	binary.LittleEndian.PutUint32(buf[8:12], uint32(t.root))
 	binary.LittleEndian.PutUint64(buf[12:20], t.count)
-	return t.pager.WritePage(t.metaPage, buf)
+	return t.pager.WriteIn(sp, t.metaPage, buf)
 }
 
 // Len returns the number of stored entries.
@@ -188,12 +188,14 @@ func (t *Tree) Len() uint64 { return t.count }
 // MetaPage returns the meta page ID (persist it to reopen the tree).
 func (t *Tree) MetaPage() storage.PageID { return t.metaPage }
 
-func (t *Tree) readNode(id storage.PageID) (node, error) {
+// readNode materializes a page; sp is the operation's span (nil when
+// none is open), the parent of the page access's own spans.
+func (t *Tree) readNode(sp *trace.Span, id storage.PageID) (node, error) {
 	if t.countVisits.Load() {
 		t.visits.Add(1)
 	}
 	buf := t.getBuf()
-	if err := t.pager.ReadPage(id, buf); err != nil {
+	if err := t.pager.ReadIn(sp, id, buf); err != nil {
 		t.bufs.Put(buf) //nolint:staticcheck
 		return node{}, err
 	}
@@ -204,13 +206,17 @@ func (t *Tree) readNode(id storage.PageID) (node, error) {
 	return n, nil
 }
 
-func (t *Tree) writeNode(n node) error { return t.pager.WritePage(n.id, n.buf) }
+func (t *Tree) writeNode(sp *trace.Span, n node) error { return t.pager.WriteIn(sp, n.id, n.buf) }
 
 // Get returns the value stored under key.
-func (t *Tree) Get(key []byte) ([]byte, bool, error) {
-	sp := t.tracer.Start(trace.LayerBTree, "get")
+func (t *Tree) Get(key []byte) ([]byte, bool, error) { return t.GetIn(nil, key) }
+
+// GetIn is Get recorded under the caller's span; a nil parent opens a
+// root. The In variants of the other operations follow the same rule.
+func (t *Tree) GetIn(parent *trace.Span, key []byte) ([]byte, bool, error) {
+	sp := t.tracer.Start(parent, trace.LayerBTree, "get")
 	defer sp.End()
-	n, err := t.descendToLeaf(key)
+	n, err := t.descendFrom(sp, t.root, key)
 	if err != nil {
 		sp.Fail(err)
 		return nil, false, err
@@ -225,17 +231,12 @@ func (t *Tree) Get(key []byte) ([]byte, bool, error) {
 	return val, true, nil
 }
 
-// descendToLeaf walks from the root to the leaf covering key.
-func (t *Tree) descendToLeaf(key []byte) (node, error) {
-	return t.descendFrom(t.root, key)
-}
-
 // descendFrom walks from an arbitrary root (a pinned version's root in
 // copy-on-write mode) to the leaf covering key.
-func (t *Tree) descendFrom(root storage.PageID, key []byte) (node, error) {
+func (t *Tree) descendFrom(sp *trace.Span, root storage.PageID, key []byte) (node, error) {
 	id := root
 	for {
-		n, err := t.readNode(id)
+		n, err := t.readNode(sp, id)
 		if err != nil {
 			return node{}, err
 		}
@@ -309,16 +310,19 @@ type splitResult struct {
 var ErrEmptyKey = errors.New("btree: empty key")
 
 // Insert stores value under key, overwriting any existing value.
-func (t *Tree) Insert(key, value []byte) error {
+func (t *Tree) Insert(key, value []byte) error { return t.InsertIn(nil, key, value) }
+
+// InsertIn is Insert recorded under the caller's span.
+func (t *Tree) InsertIn(parent *trace.Span, key, value []byte) error {
 	if len(key) == 0 {
 		return ErrEmptyKey
 	}
 	if leafCellSize(key, value) > t.maxEntry {
 		return fmt.Errorf("%w: %d > %d bytes", ErrKeyTooLarge, leafCellSize(key, value), t.maxEntry)
 	}
-	sp := t.tracer.Start(trace.LayerBTree, "insert")
+	sp := t.tracer.Start(parent, trace.LayerBTree, "insert")
 	defer sp.End()
-	newRoot, split, added, err := t.insertAt(t.root, key, value)
+	newRoot, split, added, err := t.insertAt(sp, t.root, key, value)
 	if err != nil {
 		sp.Fail(err)
 		return err
@@ -333,13 +337,13 @@ func (t *Tree) Insert(key, value []byte) error {
 		buf := make([]byte, t.pager.PageSize())
 		nr := node{buf: buf, id: newRootID}
 		rewriteInner(nr, t.root, []entry{{key: split.sep, child: split.right}})
-		if err := t.writeNode(nr); err != nil {
+		if err := t.writeNode(sp, nr); err != nil {
 			return err
 		}
 		t.root = newRootID
 		if t.metrics != nil {
 			t.metrics.RootSplit()
-			if h, err := t.height(); err == nil {
+			if h, err := t.height(sp); err == nil {
 				t.metrics.ObserveHeight(h)
 			}
 		}
@@ -347,7 +351,7 @@ func (t *Tree) Insert(key, value []byte) error {
 	if added {
 		t.count++
 	}
-	return t.writeMeta()
+	return t.writeMeta(sp)
 }
 
 // insertAt inserts into the subtree rooted at id and returns the
@@ -355,20 +359,20 @@ func (t *Tree) Insert(key, value []byte) error {
 // modified node is shadowed into a fresh page, so the parent must
 // re-point its child entry. Without copy-on-write the returned ID is
 // always id.
-func (t *Tree) insertAt(id storage.PageID, key, value []byte) (storage.PageID, *splitResult, bool, error) {
-	n, err := t.readNode(id)
+func (t *Tree) insertAt(sp *trace.Span, id storage.PageID, key, value []byte) (storage.PageID, *splitResult, bool, error) {
+	n, err := t.readNode(sp, id)
 	if err != nil {
 		return id, nil, false, err
 	}
 	if n.isLeaf() {
-		return t.insertLeaf(n, key, value)
+		return t.insertLeaf(sp, n, key, value)
 	}
 	ci := n.childIndexFor(key)
 	childID := n.leftChild()
 	if ci >= 0 {
 		childID = n.childAt(ci)
 	}
-	newChild, split, added, err := t.insertAt(childID, key, value)
+	newChild, split, added, err := t.insertAt(sp, childID, key, value)
 	if err != nil {
 		return id, nil, false, err
 	}
@@ -386,7 +390,7 @@ func (t *Tree) insertAt(id storage.PageID, key, value []byte) (storage.PageID, *
 		}
 	}
 	if split == nil {
-		return n.id, nil, added, t.writeNode(n)
+		return n.id, nil, added, t.writeNode(sp, n)
 	}
 	// Insert the separator for the new right child.
 	idx, found := n.search(split.sep)
@@ -396,7 +400,7 @@ func (t *Tree) insertAt(id storage.PageID, key, value []byte) (storage.PageID, *
 	}
 	if n.makeRoom(innerCellSize(split.sep)) {
 		n.insertInnerCell(idx, split.sep, split.right)
-		return n.id, nil, added, t.writeNode(n)
+		return n.id, nil, added, t.writeNode(sp, n)
 	}
 	// Inner split: rebuild both halves from the combined entry list.
 	t.metrics.InnerSplit()
@@ -411,16 +415,16 @@ func (t *Tree) insertAt(id storage.PageID, key, value []byte) (storage.PageID, *
 	right := node{buf: make([]byte, t.pager.PageSize()), id: rightID}
 	rewriteInner(right, promoted.child, es[mid+1:])
 	rewriteInner(n, n.leftChild(), es[:mid])
-	if err := t.writeNode(n); err != nil {
+	if err := t.writeNode(sp, n); err != nil {
 		return id, nil, false, err
 	}
-	if err := t.writeNode(right); err != nil {
+	if err := t.writeNode(sp, right); err != nil {
 		return id, nil, false, err
 	}
 	return n.id, &splitResult{sep: promoted.key, right: rightID}, added, nil
 }
 
-func (t *Tree) insertLeaf(n node, key, value []byte) (storage.PageID, *splitResult, bool, error) {
+func (t *Tree) insertLeaf(sp *trace.Span, n node, key, value []byte) (storage.PageID, *splitResult, bool, error) {
 	idx, found := n.search(key)
 	added := !found
 	var err error
@@ -432,7 +436,7 @@ func (t *Tree) insertLeaf(n node, key, value []byte) (storage.PageID, *splitResu
 	}
 	if n.makeRoom(leafCellSize(key, value)) {
 		n.insertLeafCell(idx, key, value)
-		return n.id, nil, added, t.writeNode(n)
+		return n.id, nil, added, t.writeNode(sp, n)
 	}
 	// Leaf split.
 	t.metrics.LeafSplit()
@@ -456,10 +460,10 @@ func (t *Tree) insertLeaf(n node, key, value []byte) (storage.PageID, *splitResu
 	if !t.cow {
 		n.setNextLeaf(rightID)
 	}
-	if err := t.writeNode(n); err != nil {
+	if err := t.writeNode(sp, n); err != nil {
 		return n.id, nil, false, err
 	}
-	if err := t.writeNode(right); err != nil {
+	if err := t.writeNode(sp, right); err != nil {
 		return n.id, nil, false, err
 	}
 	sep := append([]byte(nil), es[mid].key...)
@@ -488,22 +492,28 @@ func splitPoint(es []entry, size func(entry) int) int {
 
 // Update replaces the value of an existing key; it reports whether the
 // key was present.
-func (t *Tree) Update(key, value []byte) (bool, error) {
-	_, found, err := t.Get(key)
+func (t *Tree) Update(key, value []byte) (bool, error) { return t.UpdateIn(nil, key, value) }
+
+// UpdateIn is Update recorded under the caller's span.
+func (t *Tree) UpdateIn(parent *trace.Span, key, value []byte) (bool, error) {
+	_, found, err := t.GetIn(parent, key)
 	if err != nil || !found {
 		return false, err
 	}
-	return true, t.Insert(key, value)
+	return true, t.InsertIn(parent, key, value)
 }
 
 // Delete removes key and reports whether it was present.
-func (t *Tree) Delete(key []byte) (bool, error) {
+func (t *Tree) Delete(key []byte) (bool, error) { return t.DeleteIn(nil, key) }
+
+// DeleteIn is Delete recorded under the caller's span.
+func (t *Tree) DeleteIn(parent *trace.Span, key []byte) (bool, error) {
 	if len(key) == 0 {
 		return false, nil
 	}
-	sp := t.tracer.Start(trace.LayerBTree, "delete")
+	sp := t.tracer.Start(parent, trace.LayerBTree, "delete")
 	defer sp.End()
-	newRoot, deleted, err := t.deleteAt(t.root, key)
+	newRoot, deleted, err := t.deleteAt(sp, t.root, key)
 	if err != nil {
 		sp.Fail(err)
 		return false, err
@@ -513,14 +523,14 @@ func (t *Tree) Delete(key []byte) (bool, error) {
 	}
 	t.root = newRoot
 	t.count--
-	return true, t.writeMeta()
+	return true, t.writeMeta(sp)
 }
 
 // deleteAt removes key from the subtree rooted at id and returns the
 // subtree's (possibly new) root page — fresh when copy-on-write
 // shadowed the path, id itself otherwise.
-func (t *Tree) deleteAt(id storage.PageID, key []byte) (storage.PageID, bool, error) {
-	n, err := t.readNode(id)
+func (t *Tree) deleteAt(sp *trace.Span, id storage.PageID, key []byte) (storage.PageID, bool, error) {
+	n, err := t.readNode(sp, id)
 	if err != nil {
 		return id, false, err
 	}
@@ -533,7 +543,7 @@ func (t *Tree) deleteAt(id storage.PageID, key []byte) (storage.PageID, bool, er
 			return id, false, err
 		}
 		n.removeCell(idx)
-		return n.id, true, t.writeNode(n)
+		return n.id, true, t.writeNode(sp, n)
 	}
 	ci := n.childIndexFor(key)
 	childID := n.leftChild()
@@ -543,7 +553,7 @@ func (t *Tree) deleteAt(id storage.PageID, key []byte) (storage.PageID, bool, er
 	if childID == storage.InvalidPage {
 		return id, false, fmt.Errorf("btree: nil child in page %d: %w", n.id, ErrCorrupt)
 	}
-	newChild, deleted, err := t.deleteAt(childID, key)
+	newChild, deleted, err := t.deleteAt(sp, childID, key)
 	if err != nil || !deleted || newChild == childID {
 		return id, deleted, err
 	}
@@ -555,7 +565,7 @@ func (t *Tree) deleteAt(id storage.PageID, key []byte) (storage.PageID, bool, er
 	} else {
 		n.setChildAt(ci, newChild)
 	}
-	return n.id, true, t.writeNode(n)
+	return n.id, true, t.writeNode(sp, n)
 }
 
 // Scan calls fn for each entry with from <= key < to, in key order.
@@ -563,18 +573,23 @@ func (t *Tree) deleteAt(id storage.PageID, key []byte) (storage.PageID, bool, er
 // Returning false from fn stops the scan. Key and value slices are only
 // valid during the call.
 func (t *Tree) Scan(from, to []byte, fn func(key, value []byte) bool) error {
-	sp := t.tracer.Start(trace.LayerBTree, "scan")
+	return t.ScanIn(nil, from, to, fn)
+}
+
+// ScanIn is Scan recorded under the caller's span.
+func (t *Tree) ScanIn(parent *trace.Span, from, to []byte, fn func(key, value []byte) bool) error {
+	sp := t.tracer.Start(parent, trace.LayerBTree, "scan")
 	defer sp.End()
 	if t.cow {
 		// No leaf chain to follow in copy-on-write mode; descend instead.
-		return t.scanFrom(t.root, from, to, fn)
+		return t.scanFrom(sp, t.root, from, to, fn)
 	}
 	var n node
 	var err error
 	if from == nil {
-		n, err = t.leftmostLeaf()
+		n, err = t.leftmostLeaf(sp)
 	} else {
-		n, err = t.descendToLeaf(from)
+		n, err = t.descendFrom(sp, t.root, from)
 	}
 	if err != nil {
 		return err
@@ -599,17 +614,17 @@ func (t *Tree) Scan(from, to []byte, fn func(key, value []byte) bool) error {
 		if next == storage.InvalidPage {
 			return nil
 		}
-		n, err = t.readNode(next)
+		n, err = t.readNode(sp, next)
 		if err != nil {
 			return err
 		}
 	}
 }
 
-func (t *Tree) leftmostLeaf() (node, error) {
+func (t *Tree) leftmostLeaf(sp *trace.Span) (node, error) {
 	id := t.root
 	for {
-		n, err := t.readNode(id)
+		n, err := t.readNode(sp, id)
 		if err != nil {
 			return node{}, err
 		}
@@ -649,7 +664,7 @@ func (t *Tree) Compact() error {
 	}
 	t.root = rootID
 	t.count = 0
-	if err := t.writeMeta(); err != nil {
+	if err := t.writeMeta(nil); err != nil {
 		return err
 	}
 	for _, e := range all {
@@ -677,7 +692,7 @@ func (t *Tree) allPages() ([]storage.PageID, error) {
 	var out []storage.PageID
 	var walk func(id storage.PageID) error
 	walk = func(id storage.PageID) error {
-		n, err := t.readNode(id)
+		n, err := t.readNode(nil, id)
 		if err != nil {
 			return err
 		}
@@ -710,7 +725,7 @@ func (t *Tree) Verify() error {
 	var counted uint64
 	var check func(id storage.PageID, lo, hi []byte) error
 	check = func(id storage.PageID, lo, hi []byte) error {
-		n, err := t.readNode(id)
+		n, err := t.readNode(nil, id)
 		if err != nil {
 			return err
 		}
@@ -762,7 +777,7 @@ func (t *Tree) Verify() error {
 		// leave its left sibling's pointer stale): every leaf must carry
 		// an invalid next pointer instead.
 		for _, id := range leaves {
-			n, err := t.readNode(id)
+			n, err := t.readNode(nil, id)
 			if err != nil {
 				return err
 			}
@@ -773,7 +788,7 @@ func (t *Tree) Verify() error {
 		return nil
 	}
 	// The leaf chain must visit exactly the tree's leaves in order.
-	n, err := t.leftmostLeaf()
+	n, err := t.leftmostLeaf(nil)
 	if err != nil {
 		return err
 	}
@@ -792,7 +807,7 @@ func (t *Tree) Verify() error {
 		if next == storage.InvalidPage {
 			break
 		}
-		n, err = t.readNode(next)
+		n, err = t.readNode(nil, next)
 		if err != nil {
 			return err
 		}

@@ -497,7 +497,7 @@ func TestVerifyDetectsCorruption(t *testing.T) {
 		tr.Insert([]byte(fmt.Sprintf("k%02d", i)), []byte("v"))
 	}
 	// Corrupt the root's key ordering by swapping two offsets.
-	n, err := tr.readNode(tr.root)
+	n, err := tr.readNode(nil, tr.root)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -505,7 +505,7 @@ func TestVerifyDetectsCorruption(t *testing.T) {
 		o0, o1 := n.offset(0), n.offset(1)
 		n.setOffset(0, o1)
 		n.setOffset(1, o0)
-		if err := tr.writeNode(n); err != nil {
+		if err := tr.writeNode(nil, n); err != nil {
 			t.Fatal(err)
 		}
 		if err := tr.Verify(); !errors.Is(err, ErrCorrupt) {

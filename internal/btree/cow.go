@@ -24,6 +24,7 @@ import (
 	"fmt"
 
 	"famedb/internal/storage"
+	"famedb/internal/trace"
 )
 
 // EnableCopyOnWrite switches the tree to copy-on-write mutations. It
@@ -73,7 +74,7 @@ func (t *Tree) shadow(n node) (node, error) {
 // pinned snapshot. It takes no locks: in copy-on-write mode every page
 // reachable from a committed root is immutable while pinned.
 func (t *Tree) getFrom(root storage.PageID, key []byte) ([]byte, bool, error) {
-	n, err := t.descendFrom(root, key)
+	n, err := t.descendFrom(nil, root, key)
 	if err != nil {
 		return nil, false, err
 	}
@@ -94,16 +95,16 @@ var errScanStop = errors.New("btree: scan stop")
 // scanFrom calls fn for each entry with from <= key < to in the tree
 // rooted at root, in key order, by descending from the root (the leaf
 // chain does not exist in copy-on-write mode). Semantics match Scan.
-func (t *Tree) scanFrom(root storage.PageID, from, to []byte, fn func(key, value []byte) bool) error {
-	err := t.scanSubtree(root, from, to, fn)
+func (t *Tree) scanFrom(sp *trace.Span, root storage.PageID, from, to []byte, fn func(key, value []byte) bool) error {
+	err := t.scanSubtree(sp, root, from, to, fn)
 	if errors.Is(err, errScanStop) {
 		return nil
 	}
 	return err
 }
 
-func (t *Tree) scanSubtree(id storage.PageID, from, to []byte, fn func(key, value []byte) bool) error {
-	n, err := t.readNode(id)
+func (t *Tree) scanSubtree(sp *trace.Span, id storage.PageID, from, to []byte, fn func(key, value []byte) bool) error {
+	n, err := t.readNode(sp, id)
 	if err != nil {
 		return err
 	}
@@ -143,7 +144,7 @@ func (t *Tree) scanSubtree(id storage.PageID, from, to []byte, fn func(key, valu
 		if child == storage.InvalidPage {
 			return fmt.Errorf("btree: nil child in page %d: %w", n.id, ErrCorrupt)
 		}
-		if err := t.scanSubtree(child, from, to, fn); err != nil {
+		if err := t.scanSubtree(sp, child, from, to, fn); err != nil {
 			return err
 		}
 	}

@@ -236,7 +236,7 @@ func (s *Snapshot) Scan(from, to []byte, fn func(key, value []byte) bool) error 
 	if s.released.Load() {
 		return ErrSnapshotReleased
 	}
-	return s.vt.t.scanFrom(s.v.root, from, to, fn)
+	return s.vt.t.scanFrom(nil, s.v.root, from, to, fn)
 }
 
 // Release drops the pin; the version's pages become reclaimable once

@@ -290,7 +290,7 @@ type Stats struct {
 // latch itself is still shared by all pages — the ShardedBuffer feature
 // (ShardedManager) removes that bottleneck.
 type Manager struct {
-	base   storage.Pager
+	base   storage.Seam
 	sh     *shard
 	closed atomic.Bool
 	// metrics mirrors the counters into the Statistics feature's
@@ -321,7 +321,7 @@ func NewManager(base storage.Pager, capacity int, policy Policy, alloc Allocator
 	if capacity < 1 {
 		return nil, fmt.Errorf("buffer: capacity %d < 1", capacity)
 	}
-	return &Manager{base: base, sh: newShard(capacity, policy, alloc)}, nil
+	return &Manager{base: storage.SeamOf(base), sh: newShard(capacity, policy, alloc)}, nil
 }
 
 // PageSize implements storage.Pager.
@@ -355,26 +355,32 @@ func (m *Manager) Free(id storage.PageID) error {
 }
 
 // ReadPage implements storage.Pager.
-func (m *Manager) ReadPage(id storage.PageID, buf []byte) error {
+func (m *Manager) ReadPage(id storage.PageID, buf []byte) error { return m.ReadPageIn(nil, id, buf) }
+
+// ReadPageIn implements storage.SpanPager.
+func (m *Manager) ReadPageIn(parent *trace.Span, id storage.PageID, buf []byte) error {
 	if m.closed.Load() {
 		return errManagerClosed
 	}
-	sp := m.tracer.Start(trace.LayerBuffer, "read")
+	sp := m.tracer.Start(parent, trace.LayerBuffer, "read")
 	sp.Page(uint32(id))
-	err := m.sh.access(m.base, m.metrics, id, buf, false)
+	err := m.sh.access(sp, m.base, m.metrics, id, buf, false)
 	sp.Fail(err)
 	sp.End()
 	return err
 }
 
 // WritePage implements storage.Pager: write-allocate, write-back.
-func (m *Manager) WritePage(id storage.PageID, buf []byte) error {
+func (m *Manager) WritePage(id storage.PageID, buf []byte) error { return m.WritePageIn(nil, id, buf) }
+
+// WritePageIn implements storage.SpanPager.
+func (m *Manager) WritePageIn(parent *trace.Span, id storage.PageID, buf []byte) error {
 	if m.closed.Load() {
 		return errManagerClosed
 	}
-	sp := m.tracer.Start(trace.LayerBuffer, "write")
+	sp := m.tracer.Start(parent, trace.LayerBuffer, "write")
 	sp.Page(uint32(id))
-	err := m.sh.access(m.base, m.metrics, id, buf, true)
+	err := m.sh.access(sp, m.base, m.metrics, id, buf, true)
 	sp.Fail(err)
 	sp.End()
 	return err

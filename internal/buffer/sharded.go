@@ -125,7 +125,9 @@ func (s *shard) resident() int {
 }
 
 // access serves one read (write=false) or write-allocate (write=true).
-func (s *shard) access(base storage.Pager, m *stats.Buffer, id storage.PageID, buf []byte, write bool) error {
+// sp is the manager's span for this access: the parent of the shard's
+// wait spans and of the base-pager I/O a fault issues.
+func (s *shard) access(sp *trace.Span, base storage.Seam, m *stats.Buffer, id storage.PageID, buf []byte, write bool) error {
 	s.mu.Lock()
 	for {
 		if f, ok := s.frames[id]; ok {
@@ -147,7 +149,7 @@ func (s *shard) access(base storage.Pager, m *stats.Buffer, id storage.PageID, b
 			// gone from the map and this access runs its own fault.
 			done := f.done
 			s.mu.Unlock()
-			wsp := s.tr.Start(trace.LayerBuffer, "singleflight-wait")
+			wsp := s.tr.Start(sp, trace.LayerBuffer, "singleflight-wait")
 			wsp.Page(uint32(id))
 			<-done
 			wsp.End()
@@ -156,14 +158,14 @@ func (s *shard) access(base storage.Pager, m *stats.Buffer, id storage.PageID, b
 		}
 		if ch, ok := s.writeback[id]; ok {
 			s.mu.Unlock()
-			wsp := s.tr.Start(trace.LayerBuffer, "writeback-wait")
+			wsp := s.tr.Start(sp, trace.LayerBuffer, "writeback-wait")
 			wsp.Page(uint32(id))
 			<-ch
 			wsp.End()
 			s.mu.Lock()
 			continue
 		}
-		retry, err := s.fault(base, m, id, buf, write)
+		retry, err := s.fault(sp, base, m, id, buf, write)
 		if retry {
 			continue
 		}
@@ -176,7 +178,7 @@ func (s *shard) access(base storage.Pager, m *stats.Buffer, id storage.PageID, b
 // retry=true, where the latch is still held and the caller's access
 // loop must re-evaluate the page's state (the fault found it changed
 // while waiting for a free slot).
-func (s *shard) fault(base storage.Pager, m *stats.Buffer, id storage.PageID, buf []byte, write bool) (retry bool, err error) {
+func (s *shard) fault(sp *trace.Span, base storage.Seam, m *stats.Buffer, id storage.PageID, buf []byte, write bool) (retry bool, err error) {
 	// Make room. Only published frames can be evicted (the policy knows
 	// nothing else); when every slot is a placeholder, wait for one to
 	// publish.
@@ -231,7 +233,7 @@ func (s *shard) fault(base storage.Pager, m *stats.Buffer, id storage.PageID, bu
 		// Dirty victim: write it back outside the latch — only accesses
 		// to the victim page itself wait, on the writeback entry.
 		s.mu.Unlock()
-		werr := base.WritePage(victimID, victim.data)
+		werr := base.WriteIn(sp, victimID, victim.data)
 		s.mu.Lock()
 		delete(s.writeback, victimID)
 		close(victimCh)
@@ -249,7 +251,7 @@ func (s *shard) fault(base storage.Pager, m *stats.Buffer, id storage.PageID, bu
 			s.loaded++
 			s.abandonFault(id, f)
 			if !write {
-				return false, base.ReadPage(id, buf)
+				return false, base.ReadIn(sp, id, buf)
 			}
 			return false, werr
 		}
@@ -280,7 +282,7 @@ func (s *shard) fault(base storage.Pager, m *stats.Buffer, id storage.PageID, bu
 		return false, nil
 	}
 	s.mu.Unlock()
-	rerr := base.ReadPage(id, data)
+	rerr := base.ReadIn(sp, id, data)
 	if rerr == nil {
 		// data is still private to this fault; copy without the latch.
 		copy(buf, data)
@@ -384,7 +386,7 @@ func (s *shard) releaseWriteback(id storage.PageID, m *stats.Buffer, werr error)
 // flushPage writes back one page if it is resident and dirty, with the
 // base I/O outside the latch under a writeback claim; a pending write
 // of the same page is waited out first so images land in order.
-func (s *shard) flushPage(base storage.Pager, m *stats.Buffer, id storage.PageID) error {
+func (s *shard) flushPage(base storage.Seam, m *stats.Buffer, id storage.PageID) error {
 	s.mu.Lock()
 	for {
 		if ch, ok := s.writeback[id]; ok {
@@ -417,7 +419,7 @@ func (s *shard) flushPage(base storage.Pager, m *stats.Buffer, id storage.PageID
 // the written set is a consistent snapshot — at the price of stalling
 // the shard's traffic for the whole pass. This is the sequential
 // engine's semantics; the single-latch Manager syncs with it.
-func (s *shard) flushSharp(base storage.Pager, m *stats.Buffer) error {
+func (s *shard) flushSharp(base storage.Seam, m *stats.Buffer) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	// Drain outstanding eviction write-backs first: their pages must be
@@ -451,7 +453,7 @@ func (s *shard) flushSharp(base storage.Pager, m *stats.Buffer) error {
 // order). Traffic to the shard proceeds during the I/O — a fuzzy
 // checkpoint: pages re-dirtied behind the scan stay dirty for the next
 // pass. ShardedManager syncs with it.
-func (s *shard) flushFuzzy(base storage.Pager, m *stats.Buffer) error {
+func (s *shard) flushFuzzy(base storage.Seam, m *stats.Buffer) error {
 	s.mu.Lock()
 	ids := make([]storage.PageID, 0, len(s.frames))
 	for id, f := range s.frames {
@@ -510,7 +512,7 @@ const DefaultShards = 8
 // on different shards never contend, and Sync flushes shard by shard
 // instead of stopping the world.
 type ShardedManager struct {
-	base       storage.Pager
+	base       storage.Seam
 	shards     []*shard
 	shift      uint
 	policyName string
@@ -542,7 +544,7 @@ func NewShardedManager(base storage.Pager, capacity, shards int, newPolicy func(
 	for n > capacity {
 		n >>= 1
 	}
-	m := &ShardedManager{base: base, shift: uint(64 - bits.TrailingZeros(uint(n)))}
+	m := &ShardedManager{base: storage.SeamOf(base), shift: uint(64 - bits.TrailingZeros(uint(n)))}
 	for i := 0; i < n; i++ {
 		c := capacity / n
 		if i < capacity%n {
@@ -636,12 +638,17 @@ func (m *ShardedManager) Free(id storage.PageID) error {
 
 // ReadPage implements storage.Pager.
 func (m *ShardedManager) ReadPage(id storage.PageID, buf []byte) error {
+	return m.ReadPageIn(nil, id, buf)
+}
+
+// ReadPageIn implements storage.SpanPager.
+func (m *ShardedManager) ReadPageIn(parent *trace.Span, id storage.PageID, buf []byte) error {
 	if m.closed.Load() {
 		return errManagerClosed
 	}
-	sp := m.tracer.Start(trace.LayerBuffer, "read")
+	sp := m.tracer.Start(parent, trace.LayerBuffer, "read")
 	sp.Page(uint32(id))
-	err := m.shardFor(id).access(m.base, m.metrics, id, buf, false)
+	err := m.shardFor(id).access(sp, m.base, m.metrics, id, buf, false)
 	sp.Fail(err)
 	sp.End()
 	return err
@@ -649,12 +656,17 @@ func (m *ShardedManager) ReadPage(id storage.PageID, buf []byte) error {
 
 // WritePage implements storage.Pager: write-allocate, write-back.
 func (m *ShardedManager) WritePage(id storage.PageID, buf []byte) error {
+	return m.WritePageIn(nil, id, buf)
+}
+
+// WritePageIn implements storage.SpanPager.
+func (m *ShardedManager) WritePageIn(parent *trace.Span, id storage.PageID, buf []byte) error {
 	if m.closed.Load() {
 		return errManagerClosed
 	}
-	sp := m.tracer.Start(trace.LayerBuffer, "write")
+	sp := m.tracer.Start(parent, trace.LayerBuffer, "write")
 	sp.Page(uint32(id))
-	err := m.shardFor(id).access(m.base, m.metrics, id, buf, true)
+	err := m.shardFor(id).access(sp, m.base, m.metrics, id, buf, true)
 	sp.Fail(err)
 	sp.End()
 	return err

@@ -284,7 +284,7 @@ func Compose(cfg *core.Configuration, opts Options) (*Instance, error) {
 	inst.health.OnDegrade(func(reason error) {
 		inst.stats.Fault().Degrade(reason.Error())
 		if inst.tracer != nil {
-			sp := inst.tracer.Start(trace.LayerPager, "degrade")
+			sp := inst.tracer.Start(nil, trace.LayerPager, "degrade")
 			sp.Fail(reason)
 			sp.End()
 		}

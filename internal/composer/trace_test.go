@@ -181,6 +181,25 @@ func TestTraceRaceStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	byID := map[uint64]trace.SpanRecord{}
+	for _, r := range snap.Spans {
+		byID[r.ID] = r
+	}
+	// ownCommit asserts r hangs directly under the txn.commit root of
+	// transaction txn: a follower waits under its own commit, a leader
+	// drains — whoever's writes the batch carries — under the leader's.
+	ownCommit := func(r trace.SpanRecord, txn uint64) {
+		t.Helper()
+		p, ok := byID[r.Parent]
+		if !ok || p.Layer != trace.LayerTxn || p.Op != "commit" || p.Parent != 0 || p.Txn != txn {
+			t.Fatalf("txn.%s span %d (txn %d) hangs under %s.%s span %d of txn %d, want txn %d's own commit root",
+				r.Op, r.ID, r.Txn, p.Layer, p.Op, p.ID, p.Txn, txn)
+		}
+		if r.Root != p.ID {
+			t.Fatalf("txn.%s span %d names root %d, want its commit %d", r.Op, r.ID, r.Root, p.ID)
+		}
+	}
+	drained := map[uint64]bool{} // leader txn -> it drained at least one batch
 	var commitSpans, followerSpans int
 	for _, r := range snap.Spans {
 		if r.Layer != trace.LayerTxn {
@@ -191,6 +210,9 @@ func TestTraceRaceStress(t *testing.T) {
 			commitSpans++
 			if !committed[r.Txn] {
 				t.Fatalf("commit span names txn %d, which no worker committed", r.Txn)
+			}
+			if r.Parent != 0 {
+				t.Fatalf("commit span %d of txn %d has parent %d, want a root", r.ID, r.Txn, r.Parent)
 			}
 		case "follower-wait":
 			followerSpans++
@@ -203,9 +225,28 @@ func TestTraceRaceStress(t *testing.T) {
 			if r.Leader == r.Txn {
 				t.Fatalf("follower span %d claims to be its own leader", r.ID)
 			}
+			ownCommit(r, r.Txn)
 		case "drain":
 			if r.Batch < 1 {
 				t.Fatalf("drain span batch = %d", r.Batch)
+			}
+			if r.Leader != r.Txn {
+				t.Fatalf("drain span %d: txn %d, leader %d; a drain is its leader's", r.ID, r.Txn, r.Leader)
+			}
+			ownCommit(r, r.Leader)
+			drained[r.Leader] = true
+		}
+	}
+	for _, r := range snap.Spans {
+		if r.Layer == trace.LayerTxn && r.Op == "follower-wait" && !drained[r.Leader] {
+			t.Fatalf("follower of txn %d names leader %d, which drained no batch", r.Txn, r.Leader)
+		}
+		// The log and the index are written by the leader, inside its
+		// drain: nothing below a commit may hang off a follower's tree.
+		// (The closing Flush syncs the log outside any commit: a root.)
+		if (r.Layer == trace.LayerWAL || r.Layer == trace.LayerBTree) && r.Parent != 0 {
+			if p := byID[r.Parent]; p.Layer != trace.LayerTxn || p.Op != "drain" {
+				t.Fatalf("%s.%s span %d hangs under %s.%s, want a drain", r.Layer, r.Op, r.ID, p.Layer, p.Op)
 			}
 		}
 	}
@@ -255,5 +296,142 @@ func TestTraceRaceStress(t *testing.T) {
 		if want := first + uint64(i); r.Seq != want {
 			t.Fatalf("spans[%d].Seq = %d, want %d (oldest-first eviction violated)", i, r.Seq, want)
 		}
+	}
+}
+
+// TestTraceConcurrentOpsKeepTheirOwnTrees is the explicit-parenting
+// contract under concurrency (run under -race in CI): eight goroutines
+// commit at once, then read at once, and no span may land in another
+// operation's tree — every access.get tree has exactly the shape
+// access.get → btree.get → one buffer.read per tree level, and every
+// commit's tree holds only its own transaction.
+func TestTraceConcurrentOpsKeepTheirOwnTrees(t *testing.T) {
+	inst, err := ComposeProduct(Options{TraceSpans: 1 << 16, CachePages: 4096, GroupCommitBatch: 4},
+		"Linux", "BPlusTree", "BufferManager", "LRU", "DynamicAlloc",
+		"ShardedBuffer", "Put", "Get", "Transaction", "GroupCommit",
+		"Locking", "Statistics", "Tracing")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer inst.Close()
+
+	const workers, perWorker = 8, 60
+	key := func(w, i int) []byte { return []byte(fmt.Sprintf("w%d-k%04d", w, i)) }
+	each := func(fn func(w int) error) {
+		t.Helper()
+		var wg sync.WaitGroup
+		errs := make(chan error, workers)
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				if err := fn(w); err != nil {
+					errs <- err
+				}
+			}(w)
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatal(err)
+		}
+	}
+	// The tree is not safe for unsynchronized readers next to a
+	// committing leader, so puts and gets alternate in rounds; within a
+	// round all eight goroutines run the same kind of op concurrently.
+	for round := 0; round < 3; round++ {
+		lo, hi := round*perWorker/3, (round+1)*perWorker/3
+		each(func(w int) error {
+			for i := lo; i < hi; i++ {
+				tx := inst.Txn.Begin()
+				if err := tx.Put(key(w, i), []byte("v")); err != nil {
+					return err
+				}
+				if err := tx.Commit(); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		each(func(w int) error {
+			for i := 0; i < hi; i++ {
+				if _, err := inst.Store.Get(key(w, i)); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	}
+
+	snap, err := inst.Trace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Dropped != 0 {
+		t.Fatalf("ring dropped %d spans; the test needs every tree whole", snap.Dropped)
+	}
+	byID := map[uint64]trace.SpanRecord{}
+	for _, r := range snap.Spans {
+		byID[r.ID] = r
+	}
+	for _, r := range snap.Spans {
+		if r.Dur < 0 {
+			t.Fatalf("span %d: Dur = %d", r.ID, r.Dur)
+		}
+		// Root is the top of the span's own parent chain.
+		top := r
+		for top.Parent != 0 {
+			p, ok := byID[top.Parent]
+			if !ok {
+				t.Fatalf("span %d: parent %d was never recorded", top.ID, top.Parent)
+			}
+			top = p
+		}
+		if r.Root != top.ID {
+			t.Fatalf("%s.%s span %d names root %d, its parent chain ends at %d", r.Layer, r.Op, r.ID, r.Root, top.ID)
+		}
+	}
+	gets := 0
+	for _, tree := range snap.Trees() {
+		switch {
+		case tree.Root.Layer == trace.LayerAccess && tree.Root.Op == "get":
+			gets++
+			// access.get → btree.get → buffer.read per level; the cache
+			// holds the whole tree, so a miss adds at most a pager.read
+			// under its buffer.read.
+			var btreeGet trace.SpanRecord
+			reads := 0
+			for _, r := range tree.Spans {
+				p := byID[r.Parent]
+				switch {
+				case r.Layer == trace.LayerBTree && r.Op == "get" && r.Parent == tree.Root.ID && btreeGet.ID == 0:
+					btreeGet = r
+				case r.Layer == trace.LayerBuffer && r.Op == "read" && p.Layer == trace.LayerBTree:
+					reads++
+				case r.Layer == trace.LayerPager && r.Op == "read" && p.Layer == trace.LayerBuffer:
+				default:
+					t.Fatalf("access.get tree %d holds a stray %s.%s span %d under %s.%s",
+						tree.Root.ID, r.Layer, r.Op, r.ID, p.Layer, p.Op)
+				}
+			}
+			if btreeGet.ID == 0 || reads < 1 || reads > 4 {
+				t.Fatalf("access.get tree %d: btree.get=%d, %d buffer reads; want one descent of 1-4 levels",
+					tree.Root.ID, btreeGet.ID, reads)
+			}
+		case tree.Root.Layer == trace.LayerTxn && tree.Root.Op == "commit":
+			for _, r := range tree.Spans {
+				if r.Layer == trace.LayerTxn && r.Txn != tree.Root.Txn {
+					t.Fatalf("commit tree of txn %d holds txn.%s span %d of txn %d",
+						tree.Root.Txn, r.Op, r.ID, r.Txn)
+				}
+			}
+		}
+	}
+	want := 0
+	for round := 1; round <= 3; round++ {
+		want += workers * (round * perWorker / 3)
+	}
+	if gets != want {
+		t.Fatalf("%d access.get trees, want %d", gets, want)
 	}
 }

@@ -57,8 +57,11 @@ func FAMECore() []SourceSpec {
 			"MemFS.List", "MemFS.Stats", "NewMemFS",
 			"memFile.ReadAt", "memFile.WriteAt", "memFile.Size",
 			"memFile.Truncate", "memFile.Sync", "memFile.Close"),
-		funcs("internal/access/access.go", "New", "Store.Index", "Store.Ops",
-			"Store.Counters", "Store.Len"),
+		funcs("internal/access/access.go", "New", "Store.Index", "Store.IndexSeam",
+			"Store.Ops", "Store.Counters", "Store.Len"),
+		// The span seam every layer above the index holds it through.
+		funcs("internal/index/index.go", "SeamOf", "Seam.InsertIn", "Seam.GetIn",
+			"Seam.DeleteIn", "Seam.UpdateIn", "Seam.ScanIn"),
 	}
 }
 
@@ -85,26 +88,27 @@ func FAMESources() map[string][]SourceSpec {
 			funcs("internal/btree/btree.go",
 				"Create", "Open", "Tree.writeMeta", "Tree.Len", "Tree.MetaPage",
 				"Tree.readNode", "Tree.writeNode", "maxEntrySize",
-				"Tree.Insert", "Tree.insertAt", "Tree.insertLeaf",
+				"Tree.Insert", "Tree.InsertIn", "Tree.insertAt", "Tree.insertLeaf",
 				"Tree.leafEntries", "Tree.innerEntries", "splitPoint",
 				"leafCellSize2", "innerCellSize2"),
 			funcs("internal/index/index.go",
 				"CreateBTree", "OpenBTree", "BTree.Name", "BTree.Insert",
-				"BTree.Len", "BTree.Tree", "AllBTreeOps"),
+				"BTree.InsertIn", "BTree.Len", "BTree.Tree", "AllBTreeOps"),
 		},
 		"BTreeSearch": {
 			funcs("internal/btree/btree.go",
-				"Tree.Get", "Tree.descendToLeaf", "Tree.descendFrom",
-				"Tree.Scan", "Tree.leftmostLeaf"),
-			funcs("internal/index/index.go", "BTree.Get", "BTree.Scan"),
+				"Tree.Get", "Tree.GetIn", "Tree.descendFrom",
+				"Tree.Scan", "Tree.ScanIn", "Tree.leftmostLeaf"),
+			funcs("internal/index/index.go", "BTree.Get", "BTree.GetIn",
+				"BTree.Scan", "BTree.ScanIn"),
 		},
 		"BTreeUpdate": {
-			funcs("internal/btree/btree.go", "Tree.Update"),
-			funcs("internal/index/index.go", "BTree.Update"),
+			funcs("internal/btree/btree.go", "Tree.Update", "Tree.UpdateIn"),
+			funcs("internal/index/index.go", "BTree.Update", "BTree.UpdateIn"),
 		},
 		"BTreeRemove": {
-			funcs("internal/btree/btree.go", "Tree.Delete", "Tree.deleteAt"),
-			funcs("internal/index/index.go", "BTree.Delete"),
+			funcs("internal/btree/btree.go", "Tree.Delete", "Tree.DeleteIn", "Tree.deleteAt"),
+			funcs("internal/index/index.go", "BTree.Delete", "BTree.DeleteIn"),
 		},
 
 		// The Checksums feature: CRC32 page trailers sealed on write,
@@ -124,7 +128,8 @@ func FAMESources() map[string][]SourceSpec {
 			funcs("internal/buffer/buffer.go",
 				"NewManager", "Manager.PageSize", "Manager.Stats", "Manager.PolicyName",
 				"Manager.Resident", "Manager.Alloc", "Manager.Free",
-				"Manager.ReadPage", "Manager.WritePage", "Manager.FlushPage",
+				"Manager.ReadPage", "Manager.ReadPageIn", "Manager.WritePage",
+				"Manager.WritePageIn", "Manager.FlushPage",
 				"Manager.Sync", "Manager.Close"),
 			funcs("internal/buffer/sharded.go",
 				"newShard", "shard.snapshot", "shard.resident", "shard.access",
@@ -138,7 +143,8 @@ func FAMESources() map[string][]SourceSpec {
 			"ShardedManager.PageSize", "ShardedManager.PolicyName",
 			"ShardedManager.Stats", "ShardedManager.Resident",
 			"ShardedManager.Alloc", "ShardedManager.Free",
-			"ShardedManager.ReadPage", "ShardedManager.WritePage",
+			"ShardedManager.ReadPage", "ShardedManager.ReadPageIn",
+			"ShardedManager.WritePage", "ShardedManager.WritePageIn",
 			"ShardedManager.FlushPage", "ShardedManager.Sync",
 			"ShardedManager.Close")},
 		"LRU": {funcs("internal/buffer/buffer.go",
@@ -157,10 +163,11 @@ func FAMESources() map[string][]SourceSpec {
 			"StaticAllocator.FootprintRAM")},
 
 		// The four access operations (Fig. 2's put/get/remove/update).
-		"Put":    {funcs("internal/access/access.go", "Store.Put")},
-		"Get":    {funcs("internal/access/access.go", "Store.Get", "Store.Scan")},
-		"Remove": {funcs("internal/access/access.go", "Store.Remove")},
-		"Update": {funcs("internal/access/access.go", "Store.Update")},
+		"Put": {funcs("internal/access/access.go", "Store.Put", "Store.PutIn")},
+		"Get": {funcs("internal/access/access.go", "Store.Get", "Store.GetIn",
+			"Store.Scan", "Store.ScanIn")},
+		"Remove": {funcs("internal/access/access.go", "Store.Remove", "Store.RemoveIn")},
+		"Update": {funcs("internal/access/access.go", "Store.Update", "Store.UpdateIn")},
 
 		// Transactions with commit-protocol alternatives, the optional
 		// Locking feature (thread safety + the group-commit pipeline),
@@ -314,7 +321,8 @@ func BDBCore() []SourceSpec {
 		funcs("internal/buffer/buffer.go",
 			"NewManager", "Manager.PageSize", "Manager.Stats", "Manager.Resident",
 			"Manager.Alloc", "Manager.Free", "Manager.ReadPage",
-			"Manager.WritePage", "Manager.Sync", "Manager.Close",
+			"Manager.ReadPageIn", "Manager.WritePage", "Manager.WritePageIn",
+			"Manager.Sync", "Manager.Close",
 			"NewLRU", "LRU.Name", "LRU.Admitted", "LRU.Touched", "LRU.Removed",
 			"LRU.Victim", "LRU.pushFront", "LRU.unlink",
 			"NewDynamicAllocator", "DynamicAllocator.Name",
@@ -347,8 +355,9 @@ func BDBSources() map[string][]SourceSpec {
 			file("internal/btree/btree.go"),
 			funcs("internal/index/index.go",
 				"CreateBTree", "OpenBTree", "BTree.Name", "BTree.Insert",
-				"BTree.Get", "BTree.Delete", "BTree.Update", "BTree.Scan",
-				"BTree.Len", "BTree.Tree", "AllBTreeOps"),
+				"BTree.InsertIn", "BTree.Get", "BTree.GetIn", "BTree.Delete",
+				"BTree.DeleteIn", "BTree.Update", "BTree.UpdateIn", "BTree.Scan",
+				"BTree.ScanIn", "BTree.Len", "BTree.Tree", "AllBTreeOps"),
 		},
 		"Hash":  {file("internal/bdb/hash.go")},
 		"Queue": {file("internal/bdb/queue.go")},

@@ -16,6 +16,7 @@ import (
 
 	"famedb/internal/btree"
 	"famedb/internal/storage"
+	"famedb/internal/trace"
 )
 
 // ErrOpNotComposed is returned when an operation's feature was not
@@ -42,6 +43,74 @@ type Index interface {
 	Scan(from, to []byte, fn func(key, value []byte) bool) error
 	// Len returns the number of entries.
 	Len() (uint64, error)
+}
+
+// SpanIndex is the span-carrying side of an Index that records spans:
+// the same operations with the caller's span as the parent of whatever
+// the index records. BTree implements it; its plain methods are the
+// same bodies with a nil parent. List does not — page spans under a
+// List index are parentless roots.
+type SpanIndex interface {
+	InsertIn(parent *trace.Span, key, value []byte) error
+	GetIn(parent *trace.Span, key []byte) ([]byte, bool, error)
+	DeleteIn(parent *trace.Span, key []byte) (bool, error)
+	UpdateIn(parent *trace.Span, key, value []byte) (bool, error)
+	ScanIn(parent *trace.Span, from, to []byte, fn func(key, value []byte) bool) error
+}
+
+// Seam is an Index as a span-holding caller holds it: the Index plus
+// its SpanIndex side, asserted once at construction. Each In method
+// hands parent down when there is one to hand and the index takes it;
+// otherwise it is exactly the plain Index call.
+type Seam struct {
+	Index
+	in SpanIndex
+}
+
+// SeamOf binds idx for a span-holding caller.
+func SeamOf(idx Index) Seam {
+	in, _ := idx.(SpanIndex)
+	return Seam{Index: idx, in: in}
+}
+
+// InsertIn is Index.Insert under parent.
+func (s Seam) InsertIn(parent *trace.Span, key, value []byte) error {
+	if parent != nil && s.in != nil {
+		return s.in.InsertIn(parent, key, value)
+	}
+	return s.Index.Insert(key, value)
+}
+
+// GetIn is Index.Get under parent.
+func (s Seam) GetIn(parent *trace.Span, key []byte) ([]byte, bool, error) {
+	if parent != nil && s.in != nil {
+		return s.in.GetIn(parent, key)
+	}
+	return s.Index.Get(key)
+}
+
+// DeleteIn is Index.Delete under parent.
+func (s Seam) DeleteIn(parent *trace.Span, key []byte) (bool, error) {
+	if parent != nil && s.in != nil {
+		return s.in.DeleteIn(parent, key)
+	}
+	return s.Index.Delete(key)
+}
+
+// UpdateIn is Index.Update under parent.
+func (s Seam) UpdateIn(parent *trace.Span, key, value []byte) (bool, error) {
+	if parent != nil && s.in != nil {
+		return s.in.UpdateIn(parent, key, value)
+	}
+	return s.Index.Update(key, value)
+}
+
+// ScanIn is Index.Scan under parent.
+func (s Seam) ScanIn(parent *trace.Span, from, to []byte, fn func(key, value []byte) bool) error {
+	if parent != nil && s.in != nil {
+		return s.in.ScanIn(parent, from, to, fn)
+	}
+	return s.Index.Scan(from, to, fn)
 }
 
 // --- B+-tree adapter ---
@@ -102,38 +171,57 @@ func (b *BTree) PageVisits() int64 { return b.tree.PageVisits() }
 func (b *BTree) Name() string { return "BPlusTree" }
 
 // Insert implements Index.
-func (b *BTree) Insert(key, value []byte) error { return b.tree.Insert(key, value) }
+func (b *BTree) Insert(key, value []byte) error { return b.InsertIn(nil, key, value) }
+
+// InsertIn implements SpanIndex.
+func (b *BTree) InsertIn(parent *trace.Span, key, value []byte) error {
+	return b.tree.InsertIn(parent, key, value)
+}
 
 // Get implements Index.
-func (b *BTree) Get(key []byte) ([]byte, bool, error) {
+func (b *BTree) Get(key []byte) ([]byte, bool, error) { return b.GetIn(nil, key) }
+
+// GetIn implements SpanIndex.
+func (b *BTree) GetIn(parent *trace.Span, key []byte) ([]byte, bool, error) {
 	if !b.ops.Search {
 		return nil, false, fmt.Errorf("BTreeSearch: %w", ErrOpNotComposed)
 	}
-	return b.tree.Get(key)
+	return b.tree.GetIn(parent, key)
 }
 
 // Delete implements Index.
-func (b *BTree) Delete(key []byte) (bool, error) {
+func (b *BTree) Delete(key []byte) (bool, error) { return b.DeleteIn(nil, key) }
+
+// DeleteIn implements SpanIndex.
+func (b *BTree) DeleteIn(parent *trace.Span, key []byte) (bool, error) {
 	if !b.ops.Remove {
 		return false, fmt.Errorf("BTreeRemove: %w", ErrOpNotComposed)
 	}
-	return b.tree.Delete(key)
+	return b.tree.DeleteIn(parent, key)
 }
 
 // Update implements Index.
-func (b *BTree) Update(key, value []byte) (bool, error) {
+func (b *BTree) Update(key, value []byte) (bool, error) { return b.UpdateIn(nil, key, value) }
+
+// UpdateIn implements SpanIndex.
+func (b *BTree) UpdateIn(parent *trace.Span, key, value []byte) (bool, error) {
 	if !b.ops.Update {
 		return false, fmt.Errorf("BTreeUpdate: %w", ErrOpNotComposed)
 	}
-	return b.tree.Update(key, value)
+	return b.tree.UpdateIn(parent, key, value)
 }
 
 // Scan implements Index (ordered).
 func (b *BTree) Scan(from, to []byte, fn func(key, value []byte) bool) error {
+	return b.ScanIn(nil, from, to, fn)
+}
+
+// ScanIn implements SpanIndex.
+func (b *BTree) ScanIn(parent *trace.Span, from, to []byte, fn func(key, value []byte) bool) error {
 	if !b.ops.Search {
 		return fmt.Errorf("BTreeSearch: %w", ErrOpNotComposed)
 	}
-	return b.tree.Scan(from, to, fn)
+	return b.tree.ScanIn(parent, from, to, fn)
 }
 
 // Len implements Index.

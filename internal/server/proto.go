@@ -51,7 +51,7 @@ const (
 	replSnapBegin = byte(34) // (empty) snapshot resync starts
 	replSnapKV    = byte(35) // key value (one dump entry)
 	replSnapEnd   = byte(36) // raw WAL image
-	replAck       = byte(37) // uvarint acked replica WAL offset
+	replAck       = byte(37) // uvarint durable, uvarint applied replica WAL offset
 )
 
 // ErrProto is wrapped by every malformed-frame error.

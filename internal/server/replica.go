@@ -105,11 +105,14 @@ func StartReplica(cfg ReplicaConfig) (*Replica, error) {
 	return r, nil
 }
 
-// Offset returns the replica WAL's applied end offset.
-func (r *Replica) Offset() int64 { return r.cfg.Applier.End() }
+// Offset returns the WAL offset the replica's store reflects: shipped
+// bytes count once they are redone and their version is installed, not
+// when they become durable in the replica's log.
+func (r *Replica) Offset() int64 { return r.cfg.Applier.Applied() }
 
-// WaitFor polls until the replica WAL reaches at least target bytes or
-// the timeout expires, reporting success. A convenience for tests and
+// WaitFor polls until the replica has applied at least target WAL bytes
+// or the timeout expires, reporting success: on true, a read of the
+// replica sees every commit below target. A convenience for tests and
 // the CLI's catch-up wait.
 func (r *Replica) WaitFor(target int64, timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout)
@@ -230,8 +233,11 @@ func (r *Replica) session(conn net.Conn, forceSnap bool) (progress, nextSnap boo
 		conn.SetWriteDeadline(time.Now().Add(DefaultWriteTimeout))
 		return writeFrame(conn, typ, payload)
 	}
+	// An ack names the durable offset (what a reconnect resumes from)
+	// and the applied one (what the primary's lag gauge tracks).
 	ack := func() error {
-		return send(replAck, binary.AppendUvarint(nil, uint64(r.cfg.Applier.End())))
+		p := binary.AppendUvarint(nil, uint64(r.cfg.Applier.End()))
+		return send(replAck, binary.AppendUvarint(p, uint64(r.cfg.Applier.Applied())))
 	}
 	if err := send(replHello, encodeHello(hello{Offset: end, CRC: crc, ForceSnap: forceSnap})); err != nil {
 		return false, forceSnap

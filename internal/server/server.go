@@ -431,13 +431,19 @@ func (s *Server) serveRepl(conn net.Conn, payload []byte) {
 				conn.Close()
 				return
 			}
-			off, _, err := takeUvarint(p)
+			// [durable][applied]: lag is how far the replica's store
+			// trails, so the table keeps the applied offset.
+			_, rest, err := takeUvarint(p)
+			var applied uint64
+			if err == nil {
+				applied, _, err = takeUvarint(rest)
+			}
 			if err != nil {
 				conn.Close()
 				return
 			}
 			s.mu.Lock()
-			s.acked[sess] = int64(off)
+			s.acked[sess] = int64(applied)
 			s.mu.Unlock()
 			s.cfg.Metrics.Ack()
 			s.updateGauges()

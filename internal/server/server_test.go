@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -26,7 +27,11 @@ type node struct {
 	mgr *txn.Manager
 }
 
-func newNode(t *testing.T) *node {
+func newNode(t *testing.T) *node { return newNodeOver(t, nil) }
+
+// newNodeOver builds a node whose store sees the index through wrap
+// (nil: directly) — the seam tests use to hold the apply path open.
+func newNodeOver(t *testing.T, wrap func(index.Index) index.Index) *node {
 	t.Helper()
 	fs := osal.NewMemFS()
 	f, err := fs.Create("p.db")
@@ -37,9 +42,13 @@ func newNode(t *testing.T) *node {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx, _, err := index.CreateBTree(pf, index.AllBTreeOps())
+	bt, _, err := index.CreateBTree(pf, index.AllBTreeOps())
 	if err != nil {
 		t.Fatal(err)
+	}
+	var idx index.Index = bt
+	if wrap != nil {
+		idx = wrap(bt)
 	}
 	store := access.New(idx, access.AllOps())
 	mgr, err := txn.Open(fs, "wal.log", store, txn.Options{
@@ -361,6 +370,78 @@ func TestReplicationEndToEnd(t *testing.T) {
 		t.Fatal("surviving replica stopped streaming")
 	}
 	assertReplicated(t, primary, r1n)
+}
+
+// gateIndex holds every Insert at a gate, so a test can stop the
+// replica's redo between "chunk durable in the log" and "chunk applied
+// to the store".
+type gateIndex struct {
+	index.Index
+	entered chan struct{} // one token per Insert that reached the gate
+	release chan struct{} // closed to let Inserts through
+}
+
+func (g *gateIndex) Insert(key, value []byte) error {
+	select {
+	case g.entered <- struct{}{}:
+	default:
+	}
+	<-g.release
+	return g.Index.Insert(key, value)
+}
+
+// TestWaitForMeansApplied is the regression for the durable-vs-applied
+// ordering flake: a shipped chunk is durable in the replica's log
+// before it is redone, and WaitFor must not report the offset reached
+// until the redo and the version install are done — its callers go on
+// to read the replica's store.
+func TestWaitForMeansApplied(t *testing.T) {
+	primary, srv, _ := primaryNode(t, stats.New())
+	gate := &gateIndex{entered: make(chan struct{}, 1), release: make(chan struct{})}
+	rn := newNodeOver(t, func(idx index.Index) index.Index {
+		gate.Index = idx
+		return gate
+	})
+	ap := rn.mgr.ShipApplier()
+	r, err := StartReplica(ReplicaConfig{Addr: srv.Addr(), Applier: ap, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Stop()
+	// Runs before Stop and the node's Close, which would otherwise wait
+	// on an apply a failed assertion left at the gate.
+	open := sync.OnceFunc(func() { close(gate.release) })
+	defer open()
+
+	tx := primary.mgr.Begin()
+	tx.Put([]byte("k"), []byte("v"))
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	target := primary.mgr.WALEnd()
+
+	select {
+	case <-gate.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the shipped commit never reached the replica's redo")
+	}
+	// Redo is held open: the chunk is in the replica's log, not in its
+	// store.
+	if end := ap.End(); end < target {
+		t.Fatalf("replica log end %d < %d with redo in progress: the chunk must be durable first", end, target)
+	}
+	if r.WaitFor(target, 50*time.Millisecond) {
+		t.Fatalf("WaitFor(%d) returned while redo was still held open (offset %d)", target, r.Offset())
+	}
+	if _, found, _ := gate.Index.Get([]byte("k")); found {
+		t.Fatal("key visible before the gate opened")
+	}
+
+	open()
+	if !r.WaitFor(target, 5*time.Second) {
+		t.Fatalf("replica stuck at %d of %d after redo was released", r.Offset(), target)
+	}
+	assertReplicated(t, primary, rn)
 }
 
 func TestReplicaSnapshotResyncOnDivergence(t *testing.T) {

@@ -133,6 +133,9 @@ func TestShellTrace(t *testing.T) {
 	s.Execute(".trace dump")
 	if got := out.String(); !strings.Contains(got, "access.put") || !strings.Contains(got, "access.get") {
 		t.Errorf(".trace dump = %q, want span tree", got)
+	} else if !strings.Contains(got, "\n  btree.insert") || !strings.Contains(got, "\n    buffer.") ||
+		strings.Contains(got, "goro=") {
+		t.Errorf(".trace dump = %q, want layers nested by indentation and no goroutine ids", got)
 	}
 
 	out.Reset()

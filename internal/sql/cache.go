@@ -243,7 +243,7 @@ func (e *Engine) execCached(query string) (res *Result, handled bool, err error)
 	// then publish and run. Compile errors (unknown table/column, type
 	// conflicts) are real statement errors — report them.
 	e.latch.RLock()
-	c, cerr := e.compile(stmt)
+	c, cerr := e.compile(nil, stmt)
 	e.latch.RUnlock()
 	if cerr != nil {
 		return nil, true, cerr

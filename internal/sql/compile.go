@@ -50,7 +50,7 @@ type compiled struct {
 	// run executes the closures with bound arguments. The caller holds
 	// the statement latch in the verb's mode. ctr collects execution
 	// counters for QueryStats; nil disables counting.
-	run func(args []types.Value, ctr *execCounters) (*Result, error)
+	run func(sp *trace.Span, args []types.Value, ctr *execCounters) (*Result, error)
 }
 
 // Stmt is a prepared statement: parse and compile once, execute many.
@@ -76,7 +76,7 @@ func (e *Engine) Prepare(query string) (*Stmt, error) {
 		return nil, err
 	}
 	e.latch.RLock()
-	c, err := e.compile(stmt)
+	c, err := e.compile(nil, stmt)
 	e.latch.RUnlock()
 	if err != nil {
 		return nil, err
@@ -116,11 +116,12 @@ func (s *Stmt) Close() error {
 	return nil
 }
 
-// compile closure-compiles a parsed statement under a trace span. The
-// caller holds the statement latch (either mode): compilation reads
-// the catalog to resolve the table and schema.
-func (e *Engine) compile(stmt Statement) (*compiled, error) {
-	sp := e.cfg.Tracer.Start(trace.LayerSQL, "compile")
+// compile closure-compiles a parsed statement under a trace span
+// (parent is the statement recompiling a stale plan, nil for Prepare
+// and the plan cache). The caller holds the statement latch (either
+// mode): compilation reads the catalog to resolve the table and schema.
+func (e *Engine) compile(parent *trace.Span, stmt Statement) (*compiled, error) {
+	sp := e.cfg.Tracer.Start(parent, trace.LayerSQL, "compile")
 	c, err := e.compileStmt(stmt)
 	e.cfg.Metrics.Compile()
 	sp.Fail(err)
@@ -141,7 +142,7 @@ func (e *Engine) runCompiled(c *compiled, args []types.Value, onSwap func(*compi
 		t0 = time.Now().UnixNano()
 	}
 	m.Statement(c.verb)
-	sp := e.cfg.Tracer.Start(trace.LayerSQL, c.verb)
+	sp := e.cfg.Tracer.Start(nil, trace.LayerSQL, c.verb)
 	start := m.Start()
 	unlock := e.lockFor(c.verb)
 	var res *Result
@@ -152,7 +153,7 @@ func (e *Engine) runCompiled(c *compiled, args []types.Value, onSwap func(*compi
 		// cannot move again underneath us.
 		m.PlanInvalidate()
 		var nc *compiled
-		nc, err = e.compile(c.ast)
+		nc, err = e.compile(sp, c.ast)
 		if err == nil {
 			nc.shape = c.shape // the profile key survives recompilation
 			c = nc
@@ -162,7 +163,7 @@ func (e *Engine) runCompiled(c *compiled, args []types.Value, onSwap func(*compi
 		}
 	}
 	if err == nil {
-		res, err = c.run(args, ctr)
+		res, err = c.run(sp, args, ctr)
 	}
 	unlock()
 	m.Done(start)
@@ -208,8 +209,8 @@ func (e *Engine) compileStmt(stmt Statement) (*compiled, error) {
 			return nil, err
 		}
 		return &compiled{verb: verb, ast: stmt, epoch: epochAlways,
-			run: func(_ []types.Value, ctr *execCounters) (*Result, error) {
-				return e.dispatch(stmt, ctr)
+			run: func(sp *trace.Span, _ []types.Value, ctr *execCounters) (*Result, error) {
+				return e.dispatch(sp, stmt, ctr)
 			}}, nil
 	}
 	return nil, fmt.Errorf("sql: unhandled statement %T", stmt)
@@ -407,7 +408,7 @@ func (e *Engine) compileSelect(s Select) (*compiled, error) {
 
 	// scan is the general driver: bounded or full scan, streaming
 	// through the fused predicate and projection.
-	scan := func(args []types.Value, ctr *execCounters) (*Result, error) {
+	scan := func(sp *trace.Span, args []types.Value, ctr *execCounters) (*Result, error) {
 		n, err := limit(args)
 		if err != nil {
 			return nil, err
@@ -420,7 +421,7 @@ func (e *Engine) compileSelect(s Select) (*compiled, error) {
 		if oi < 0 {
 			var out [][]types.Value
 			t0 := ctr.now()
-			err := scanWhere(t, lo, hi, mask, ctr, wrap, func(_ []byte, row []types.Value) bool {
+			err := scanWhere(sp, t, lo, hi, mask, ctr, wrap, func(_ []byte, row []types.Value) bool {
 				if n >= 0 && len(out) >= n {
 					return false
 				}
@@ -435,7 +436,7 @@ func (e *Engine) compileSelect(s Select) (*compiled, error) {
 		}
 		var rows [][]types.Value
 		t0 := ctr.now()
-		err = scanWhere(t, lo, hi, mask, ctr, wrap, func(_ []byte, row []types.Value) bool {
+		err = scanWhere(sp, t, lo, hi, mask, ctr, wrap, func(_ []byte, row []types.Value) bool {
 			rows = append(rows, row)
 			return true
 		})
@@ -466,12 +467,12 @@ func (e *Engine) compileSelect(s Select) (*compiled, error) {
 		s.Where[0].Column == t.schema[t.pk].Name {
 		keyOf := compileOperand(Operand{Value: s.Where[0].Value, Param: s.Where[0].Param})
 		pkKind := t.schema[t.pk].Kind
-		run = func(args []types.Value, ctr *execCounters) (*Result, error) {
+		run = func(sp *trace.Span, args []types.Value, ctr *execCounters) (*Result, error) {
 			v, cerr := coerce(keyOf(args), pkKind)
 			if cerr != nil {
 				// Un-coercible key (e.g. a float bound on an int key):
 				// fall back to the scan driver, same as the planner.
-				return scan(args, ctr)
+				return scan(sp, args, ctr)
 			}
 			n, err := limit(args)
 			if err != nil {
@@ -480,7 +481,7 @@ func (e *Engine) compileSelect(s Select) (*compiled, error) {
 			defer ctr.trackPages(t)()
 			m.Plan("point-lookup")
 			ctr.setPlan("point-lookup")
-			rec, err := t.store.Get(types.EncodeKey(v))
+			rec, err := t.store.GetIn(sp, types.EncodeKey(v))
 			if errors.Is(err, access.ErrNotFound) {
 				return &Result{Columns: outCols, Plan: "point-lookup"}, nil
 			}
@@ -508,7 +509,7 @@ func (e *Engine) compileSelect(s Select) (*compiled, error) {
 // aggregate evaluator (still zero-parse, zero table resolution).
 func (e *Engine) compileAggregates(t *table, s Select) (*compiled, error) {
 	limit := compileLimit(s)
-	run := func(args []types.Value, ctr *execCounters) (*Result, error) {
+	run := func(sp *trace.Span, args []types.Value, ctr *execCounters) (*Result, error) {
 		bs := s
 		bs.Where = bindConds(s.Where, args)
 		n, err := limit(args)
@@ -517,7 +518,7 @@ func (e *Engine) compileAggregates(t *table, s Select) (*compiled, error) {
 		}
 		bs.Limit, bs.LimitParam = n, 0
 		defer ctr.trackPages(t)()
-		return e.execAggregates(t, bs, ctr)
+		return e.execAggregates(sp, t, bs, ctr)
 	}
 	return &compiled{verb: "select", ast: s, epoch: e.epoch.Load(), run: run}, nil
 }
@@ -562,7 +563,7 @@ func (e *Engine) compileInsert(s Insert) (*compiled, error) {
 				name: cols[i], get: compileOperand(o)}
 		}
 	}
-	run := func(args []types.Value, ctr *execCounters) (*Result, error) {
+	run := func(sp *trace.Span, args []types.Value, ctr *execCounters) (*Result, error) {
 		defer ctr.trackPages(t)()
 		affected := 0
 		for _, slots := range rows {
@@ -574,7 +575,7 @@ func (e *Engine) compileInsert(s Insert) (*compiled, error) {
 				}
 				row[sl.dst] = cv
 			}
-			if err := e.insertRow(t, row); err != nil {
+			if err := e.insertRow(sp, t, row); err != nil {
 				return nil, err
 			}
 			affected++
@@ -612,7 +613,7 @@ func (e *Engine) compileUpdate(s Update) (*compiled, error) {
 	}
 	bounds := e.compileBounds(t, s.Where)
 	m := e.cfg.Metrics
-	run := func(args []types.Value, ctr *execCounters) (*Result, error) {
+	run := func(sp *trace.Span, args []types.Value, ctr *execCounters) (*Result, error) {
 		setIdx := make(map[int]types.Value, len(assigns))
 		for _, a := range assigns {
 			cv, err := coerce(a.get(args), a.kind)
@@ -625,13 +626,13 @@ func (e *Engine) compileUpdate(s Update) (*compiled, error) {
 		lo, hi, plan := bounds(args)
 		m.Plan(plan)
 		ctr.setPlan(plan)
-		keys, rows, err := collectMatching(t, lo, hi, pred, args, ctr)
+		keys, rows, err := collectMatching(sp, t, lo, hi, pred, args, ctr)
 		if err != nil {
 			return nil, err
 		}
 		affected := 0
 		for i, row := range rows {
-			if err := e.applyUpdate(t, keys[i], row, setIdx); err != nil {
+			if err := e.applyUpdate(sp, t, keys[i], row, setIdx); err != nil {
 				return nil, err
 			}
 			affected++
@@ -654,17 +655,17 @@ func (e *Engine) compileDelete(s Delete) (*compiled, error) {
 	}
 	bounds := e.compileBounds(t, s.Where)
 	m := e.cfg.Metrics
-	run := func(args []types.Value, ctr *execCounters) (*Result, error) {
+	run := func(sp *trace.Span, args []types.Value, ctr *execCounters) (*Result, error) {
 		defer ctr.trackPages(t)()
 		lo, hi, plan := bounds(args)
 		m.Plan(plan)
 		ctr.setPlan(plan)
-		keys, _, err := collectMatching(t, lo, hi, pred, args, ctr)
+		keys, _, err := collectMatching(sp, t, lo, hi, pred, args, ctr)
 		if err != nil {
 			return nil, err
 		}
 		for _, k := range keys {
-			if err := t.store.Remove(k); err != nil {
+			if err := t.store.RemoveIn(sp, k); err != nil {
 				return nil, err
 			}
 		}
@@ -675,12 +676,12 @@ func (e *Engine) compileDelete(s Delete) (*compiled, error) {
 
 // collectMatching materializes matching keys and rows through the
 // shared streaming pipeline, for the mutating compiled plans.
-func collectMatching(t *table, lo, hi []byte, pred rowPred, args []types.Value, ctr *execCounters) (keys [][]byte, rows [][]types.Value, err error) {
+func collectMatching(sp *trace.Span, t *table, lo, hi []byte, pred rowPred, args []types.Value, ctr *execCounters) (keys [][]byte, rows [][]types.Value, err error) {
 	// No mask: UPDATE rewrites whole rows and DELETE is key-driven, so
 	// every column must materialize.
 	wrap := func(row []types.Value) bool { return pred == nil || pred(row, args) }
 	t0 := ctr.now()
-	err = scanWhere(t, lo, hi, nil, ctr, wrap, func(k []byte, row []types.Value) bool {
+	err = scanWhere(sp, t, lo, hi, nil, ctr, wrap, func(k []byte, row []types.Value) bool {
 		keys = append(keys, append([]byte(nil), k...))
 		rows = append(rows, row)
 		return true

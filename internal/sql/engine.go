@@ -101,7 +101,7 @@ type Config struct {
 // Engine executes SQL statements.
 type Engine struct {
 	cfg     Config
-	catalog index.Index
+	catalog index.Seam
 	meta    storage.PageID
 
 	// latch is the statement-level lock: SELECTs (and compilation)
@@ -155,7 +155,7 @@ func Open(cfg Config, meta storage.PageID) (*Engine, error) {
 }
 
 func initEngine(cfg Config, cat index.Index, meta storage.PageID) *Engine {
-	e := &Engine{cfg: cfg, catalog: cat, meta: meta, tables: map[string]*table{}}
+	e := &Engine{cfg: cfg, catalog: index.SeamOf(cat), meta: meta, tables: map[string]*table{}}
 	if cfg.Compiled {
 		e.cache = newPlanCache(cfg.PlanCacheSize)
 	}
@@ -318,10 +318,10 @@ func (e *Engine) execStmt(stmt Statement, verb, shape string) (*Result, error) {
 		t0 = time.Now().UnixNano()
 	}
 	m.Statement(verb)
-	sp := e.cfg.Tracer.Start(trace.LayerSQL, verb)
+	sp := e.cfg.Tracer.Start(nil, trace.LayerSQL, verb)
 	start := m.Start()
 	unlock := e.lockFor(verb)
-	res, err := e.dispatch(stmt, ctr)
+	res, err := e.dispatch(sp, stmt, ctr)
 	unlock()
 	m.Done(start)
 	sp.Fail(err)
@@ -355,24 +355,25 @@ func (e *Engine) lockFor(verb string) func() {
 	return e.latch.Unlock
 }
 
-// dispatch executes a statement with the latch already held. ctr
+// dispatch executes a statement with the latch already held. sp is
+// the statement's span, the parent of every store call it makes; ctr
 // collects execution counters for QueryStats; nil disables counting.
-func (e *Engine) dispatch(stmt Statement, ctr *execCounters) (*Result, error) {
+func (e *Engine) dispatch(sp *trace.Span, stmt Statement, ctr *execCounters) (*Result, error) {
 	switch s := stmt.(type) {
 	case CreateTable:
-		return e.execCreate(s)
+		return e.execCreate(sp, s)
 	case DropTable:
-		return e.execDrop(s)
+		return e.execDrop(sp, s)
 	case Insert:
-		return e.execInsert(s, ctr)
+		return e.execInsert(sp, s, ctr)
 	case Select:
-		return e.execSelect(s, ctr)
+		return e.execSelect(sp, s, ctr)
 	case Update:
-		return e.execUpdate(s, ctr)
+		return e.execUpdate(sp, s, ctr)
 	case Delete:
-		return e.execDelete(s, ctr)
+		return e.execDelete(sp, s, ctr)
 	case Explain:
-		return e.execExplain(s, ctr)
+		return e.execExplain(sp, s, ctr)
 	}
 	return nil, fmt.Errorf("sql: unhandled statement %T", stmt)
 }
@@ -420,8 +421,8 @@ func decodeTableMeta(rec []byte) (*table, error) {
 	return t, nil
 }
 
-func (e *Engine) saveTableMeta(t *table) error {
-	return e.catalog.Insert(catalogKey(t.name), encodeTableMeta(t))
+func (e *Engine) saveTableMeta(sp *trace.Span, t *table) error {
+	return e.catalog.InsertIn(sp, catalogKey(t.name), encodeTableMeta(t))
 }
 
 // openTable resolves a table, faulting it in from the catalog on first
@@ -501,8 +502,8 @@ func (e *Engine) Tables() ([]string, error) {
 
 // --- DDL ---
 
-func (e *Engine) execCreate(s CreateTable) (*Result, error) {
-	if _, found, err := e.catalog.Get(catalogKey(s.Table)); err != nil {
+func (e *Engine) execCreate(sp *trace.Span, s CreateTable) (*Result, error) {
+	if _, found, err := e.catalog.GetIn(sp, catalogKey(s.Table)); err != nil {
 		return nil, err
 	} else if found {
 		return nil, fmt.Errorf("%w: %s", ErrTableExists, s.Table)
@@ -521,7 +522,7 @@ func (e *Engine) execCreate(s CreateTable) (*Result, error) {
 	t.store = access.New(idx, e.cfg.Ops)
 	t.store.SetTracer(e.cfg.Tracer)
 	e.armVisitCounter(t, idx)
-	if err := e.saveTableMeta(t); err != nil {
+	if err := e.saveTableMeta(sp, t); err != nil {
 		return nil, err
 	}
 	e.tmu.Lock()
@@ -531,11 +532,11 @@ func (e *Engine) execCreate(s CreateTable) (*Result, error) {
 	return &Result{}, nil
 }
 
-func (e *Engine) execDrop(s DropTable) (*Result, error) {
+func (e *Engine) execDrop(sp *trace.Span, s DropTable) (*Result, error) {
 	if _, err := e.openTable(s.Table); err != nil {
 		return nil, err
 	}
-	if _, err := e.catalog.Delete(catalogKey(s.Table)); err != nil {
+	if _, err := e.catalog.DeleteIn(sp, catalogKey(s.Table)); err != nil {
 		return nil, err
 	}
 	e.tmu.Lock()
@@ -589,27 +590,27 @@ func resolveInsert(t *table, s Insert) (cols []string, colIdx []int, err error) 
 
 // insertRow stores one fully assigned row, enforcing primary-key
 // uniqueness and advancing the hidden rowid for tables without one.
-func (e *Engine) insertRow(t *table, row []types.Value) error {
+func (e *Engine) insertRow(sp *trace.Span, t *table, row []types.Value) error {
 	key := t.rowKey(row, t.nextRow)
 	if t.pk >= 0 {
 		// Primary keys must be unique.
-		if _, found, err := t.store.Index().Get(key); err != nil {
+		if _, found, err := t.store.IndexSeam().GetIn(sp, key); err != nil {
 			return err
 		} else if found {
 			return fmt.Errorf("%w: %s", ErrDuplicateKey, row[t.pk])
 		}
 	}
-	if err := t.store.Put(key, types.EncodeRow(row)); err != nil {
+	if err := t.store.PutIn(sp, key, types.EncodeRow(row)); err != nil {
 		return err
 	}
 	if t.pk < 0 {
 		t.nextRow++
-		return e.saveTableMeta(t)
+		return e.saveTableMeta(sp, t)
 	}
 	return nil
 }
 
-func (e *Engine) execInsert(s Insert, ctr *execCounters) (*Result, error) {
+func (e *Engine) execInsert(sp *trace.Span, s Insert, ctr *execCounters) (*Result, error) {
 	t, err := e.openTable(s.Table)
 	if err != nil {
 		return nil, err
@@ -640,7 +641,7 @@ func (e *Engine) execInsert(s Insert, ctr *execCounters) (*Result, error) {
 					t.schema[i].Name)
 			}
 		}
-		if err := e.insertRow(t, row); err != nil {
+		if err := e.insertRow(sp, t, row); err != nil {
 			return nil, err
 		}
 		affected++
@@ -718,11 +719,11 @@ func bytesCompare(a, b []byte) int {
 // generic rows after the scan. Compiled plans know the needed column
 // set at compile time and pass it here so unreferenced string columns
 // are never copied out of the page.
-func scanWhere(t *table, lo, hi []byte, mask []bool, ctr *execCounters,
+func scanWhere(sp *trace.Span, t *table, lo, hi []byte, mask []bool, ctr *execCounters,
 	pred func(row []types.Value) bool,
 	visit func(key []byte, row []types.Value) bool) error {
 	var rowErr error
-	err := t.store.Scan(lo, hi, func(k, v []byte) bool {
+	err := t.store.ScanIn(sp, lo, hi, func(k, v []byte) bool {
 		ctr.scanned()
 		row, derr := types.DecodeRowMask(v, mask)
 		if derr != nil {
@@ -744,7 +745,7 @@ func scanWhere(t *table, lo, hi []byte, mask []bool, ctr *execCounters,
 // scanMatching collects matching rows with copies of their keys, for
 // the mutating statements that must finish the scan before touching the
 // tree. SELECTs stream through scanWhere instead.
-func (e *Engine) scanMatching(t *table, where []Condition, ctr *execCounters) (keys [][]byte, rows [][]types.Value, plan string, err error) {
+func (e *Engine) scanMatching(sp *trace.Span, t *table, where []Condition, ctr *execCounters) (keys [][]byte, rows [][]types.Value, plan string, err error) {
 	for _, c := range where {
 		if columnIndex(t.schema, c.Column) < 0 {
 			return nil, nil, "", fmt.Errorf("%w: %s", ErrNoColumn, c.Column)
@@ -754,7 +755,7 @@ func (e *Engine) scanMatching(t *table, where []Condition, ctr *execCounters) (k
 	e.cfg.Metrics.Plan(plan)
 	ctr.setPlan(plan)
 	t0 := ctr.now()
-	err = scanWhere(t, lo, hi, nil, ctr,
+	err = scanWhere(sp, t, lo, hi, nil, ctr,
 		func(row []types.Value) bool { return matches(where, t.schema, row) },
 		func(k []byte, row []types.Value) bool {
 			keys = append(keys, append([]byte(nil), k...))
@@ -765,14 +766,14 @@ func (e *Engine) scanMatching(t *table, where []Condition, ctr *execCounters) (k
 	return keys, rows, plan, err
 }
 
-func (e *Engine) execSelect(s Select, ctr *execCounters) (*Result, error) {
+func (e *Engine) execSelect(sp *trace.Span, s Select, ctr *execCounters) (*Result, error) {
 	t, err := e.openTable(s.Table)
 	if err != nil {
 		return nil, err
 	}
 	defer ctr.trackPages(t)()
 	if len(s.Aggregates) > 0 {
-		return e.execAggregates(t, s, ctr)
+		return e.execAggregates(sp, t, s, ctr)
 	}
 	outCols, proj, err := resolveProjection(t, s.Columns)
 	if err != nil {
@@ -792,7 +793,7 @@ func (e *Engine) execSelect(s Select, ctr *execCounters) (*Result, error) {
 		// scan as soon as LIMIT is satisfied.
 		var out [][]types.Value
 		t0 := ctr.now()
-		err := scanWhere(t, lo, hi, nil, ctr, pred, func(_ []byte, row []types.Value) bool {
+		err := scanWhere(sp, t, lo, hi, nil, ctr, pred, func(_ []byte, row []types.Value) bool {
 			if s.Limit >= 0 && len(out) >= s.Limit {
 				return false
 			}
@@ -812,7 +813,7 @@ func (e *Engine) execSelect(s Select, ctr *execCounters) (*Result, error) {
 	// ORDER BY materializes only the matching rows, then sorts.
 	var rows [][]types.Value
 	t0 := ctr.now()
-	err = scanWhere(t, lo, hi, nil, ctr, pred, func(_ []byte, row []types.Value) bool {
+	err = scanWhere(sp, t, lo, hi, nil, ctr, pred, func(_ []byte, row []types.Value) bool {
 		rows = append(rows, row)
 		return true
 	})
@@ -880,7 +881,7 @@ var ErrEmptyAggregate = errors.New("sql: aggregate over zero rows")
 // by one column. COUNT of zero rows is 0; the other aggregates need at
 // least one row per group (groups are never empty by construction, so
 // this only bites the ungrouped zero-row case).
-func (e *Engine) execAggregates(t *table, s Select, ctr *execCounters) (*Result, error) {
+func (e *Engine) execAggregates(sp *trace.Span, t *table, s Select, ctr *execCounters) (*Result, error) {
 	for _, a := range s.Aggregates {
 		if a.Column == "*" {
 			continue
@@ -904,7 +905,7 @@ func (e *Engine) execAggregates(t *table, s Select, ctr *execCounters) (*Result,
 	if s.OrderBy != "" && s.OrderBy != s.GroupBy {
 		return nil, errors.New("sql: aggregates can only be ordered by the grouping column")
 	}
-	_, rows, plan, err := e.scanMatching(t, s.Where, ctr)
+	_, rows, plan, err := e.scanMatching(sp, t, s.Where, ctr)
 	if err != nil {
 		return nil, err
 	}
@@ -1013,7 +1014,7 @@ func aggRow(t *table, aggs []Aggregate, rows [][]types.Value) ([]types.Value, er
 
 // applyUpdate rewrites one matched row with the assignments, moving the
 // record when the primary key changed.
-func (e *Engine) applyUpdate(t *table, key []byte, row []types.Value, setIdx map[int]types.Value) error {
+func (e *Engine) applyUpdate(sp *trace.Span, t *table, key []byte, row []types.Value, setIdx map[int]types.Value) error {
 	newRow := append([]types.Value(nil), row...)
 	for ci, v := range setIdx {
 		newRow[ci] = v
@@ -1021,20 +1022,20 @@ func (e *Engine) applyUpdate(t *table, key []byte, row []types.Value, setIdx map
 	pkChanged := t.pk >= 0 && types.Compare(row[t.pk], newRow[t.pk]) != 0
 	if pkChanged {
 		newKey := types.EncodeKey(newRow[t.pk])
-		if _, found, err := t.store.Index().Get(newKey); err != nil {
+		if _, found, err := t.store.IndexSeam().GetIn(sp, newKey); err != nil {
 			return err
 		} else if found {
 			return fmt.Errorf("%w: %s", ErrDuplicateKey, newRow[t.pk])
 		}
-		if err := t.store.Remove(key); err != nil {
+		if err := t.store.RemoveIn(sp, key); err != nil {
 			return err
 		}
-		return t.store.Put(newKey, types.EncodeRow(newRow))
+		return t.store.PutIn(sp, newKey, types.EncodeRow(newRow))
 	}
-	return t.store.Update(key, types.EncodeRow(newRow))
+	return t.store.UpdateIn(sp, key, types.EncodeRow(newRow))
 }
 
-func (e *Engine) execUpdate(s Update, ctr *execCounters) (*Result, error) {
+func (e *Engine) execUpdate(sp *trace.Span, s Update, ctr *execCounters) (*Result, error) {
 	t, err := e.openTable(s.Table)
 	if err != nil {
 		return nil, err
@@ -1052,13 +1053,13 @@ func (e *Engine) execUpdate(s Update, ctr *execCounters) (*Result, error) {
 		}
 		setIdx[i] = cv
 	}
-	keys, rows, _, err := e.scanMatching(t, s.Where, ctr)
+	keys, rows, _, err := e.scanMatching(sp, t, s.Where, ctr)
 	if err != nil {
 		return nil, err
 	}
 	affected := 0
 	for i, row := range rows {
-		if err := e.applyUpdate(t, keys[i], row, setIdx); err != nil {
+		if err := e.applyUpdate(sp, t, keys[i], row, setIdx); err != nil {
 			return nil, err
 		}
 		affected++
@@ -1066,18 +1067,18 @@ func (e *Engine) execUpdate(s Update, ctr *execCounters) (*Result, error) {
 	return &Result{Affected: affected}, nil
 }
 
-func (e *Engine) execDelete(s Delete, ctr *execCounters) (*Result, error) {
+func (e *Engine) execDelete(sp *trace.Span, s Delete, ctr *execCounters) (*Result, error) {
 	t, err := e.openTable(s.Table)
 	if err != nil {
 		return nil, err
 	}
 	defer ctr.trackPages(t)()
-	keys, _, _, err := e.scanMatching(t, s.Where, ctr)
+	keys, _, _, err := e.scanMatching(sp, t, s.Where, ctr)
 	if err != nil {
 		return nil, err
 	}
 	for _, k := range keys {
-		if err := t.store.Remove(k); err != nil {
+		if err := t.store.RemoveIn(sp, k); err != nil {
 			return nil, err
 		}
 	}

@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"famedb/internal/access"
+	"famedb/internal/trace"
 	"famedb/internal/types"
 )
 
@@ -41,12 +42,12 @@ type planInfo struct {
 // execExplain runs EXPLAIN through the interpreted executor. The
 // statement latch is held exclusively ("explain" verb): ANALYZE may
 // execute DML.
-func (e *Engine) execExplain(s Explain, ctr *execCounters) (*Result, error) {
+func (e *Engine) execExplain(sp *trace.Span, s Explain, ctr *execCounters) (*Result, error) {
 	if e.cfg.Query == nil {
 		return nil, fmt.Errorf("sql: EXPLAIN needs the QueryStats feature: %w",
 			access.ErrNotComposed)
 	}
-	return e.explainCore(s, innerShape(ctr), "interpreted", ctr)
+	return e.explainCore(sp, s, innerShape(ctr), "interpreted", ctr)
 }
 
 // compileExplain compiles EXPLAIN for the prepared-statement surface.
@@ -65,9 +66,9 @@ func (e *Engine) compileExplain(s Explain) (*compiled, error) {
 	c := &compiled{verb: "explain", ast: s, epoch: e.epoch.Load()}
 	// The run closure late-binds c: the profile shape is assigned to the
 	// compiled plan only after compileStmt returns.
-	c.run = func(args []types.Value, ctr *execCounters) (*Result, error) {
+	c.run = func(sp *trace.Span, args []types.Value, ctr *execCounters) (*Result, error) {
 		bound := Explain{Stmt: bindStmt(s.Stmt, args), Analyze: s.Analyze}
-		return e.explainCore(bound, stripExplainPrefix(c.shape), "prepared", ctr)
+		return e.explainCore(sp, bound, stripExplainPrefix(c.shape), "prepared", ctr)
 	}
 	return c, nil
 }
@@ -95,7 +96,7 @@ func stripExplainPrefix(shape string) string {
 // source names the driver the EXPLAIN arrived through; ctr is the
 // EXPLAIN statement's own counter set, which absorbs the inner
 // execution's work so the explain shape's profile stays truthful.
-func (e *Engine) explainCore(s Explain, shape, source string, ctr *execCounters) (*Result, error) {
+func (e *Engine) explainCore(sp *trace.Span, s Explain, shape, source string, ctr *execCounters) (*Result, error) {
 	info, err := e.describeStmt(s.Stmt)
 	if err != nil {
 		return nil, err
@@ -106,7 +107,7 @@ func (e *Engine) explainCore(s Explain, shape, source string, ctr *execCounters)
 	if s.Analyze {
 		exec = &execCounters{}
 		t0 := time.Now().UnixNano()
-		res, err := e.dispatch(s.Stmt, exec)
+		res, err := e.dispatch(sp, s.Stmt, exec)
 		if err != nil {
 			return nil, err
 		}

@@ -25,6 +25,7 @@ import (
 	"sync"
 
 	"famedb/internal/stats"
+	"famedb/internal/trace"
 )
 
 // ChecksumSize is the per-page trailer cost of the Checksums feature.
@@ -106,13 +107,16 @@ func (cp *ChecksumPager) verify(id PageID, phys []byte) error {
 
 // ReadPage implements Pager: the physical page is read and its trailer
 // verified before the logical payload is handed to the caller.
-func (cp *ChecksumPager) ReadPage(id PageID, buf []byte) error {
+func (cp *ChecksumPager) ReadPage(id PageID, buf []byte) error { return cp.ReadPageIn(nil, id, buf) }
+
+// ReadPageIn implements SpanPager, forwarding parent to the page file.
+func (cp *ChecksumPager) ReadPageIn(parent *trace.Span, id PageID, buf []byte) error {
 	if len(buf) != cp.logical {
 		return fmt.Errorf("storage: buffer size %d != page size %d", len(buf), cp.logical)
 	}
 	phys := cp.scratch.Get().([]byte)
 	defer cp.scratch.Put(phys)
-	if err := cp.base.ReadPage(id, phys); err != nil {
+	if err := cp.base.ReadPageIn(parent, id, phys); err != nil {
 		return err
 	}
 	if err := cp.verify(id, phys); err != nil {
@@ -124,7 +128,10 @@ func (cp *ChecksumPager) ReadPage(id PageID, buf []byte) error {
 
 // WritePage implements Pager: the logical payload is sealed with its
 // CRC32 trailer and written as one physical page.
-func (cp *ChecksumPager) WritePage(id PageID, buf []byte) error {
+func (cp *ChecksumPager) WritePage(id PageID, buf []byte) error { return cp.WritePageIn(nil, id, buf) }
+
+// WritePageIn implements SpanPager, forwarding parent to the page file.
+func (cp *ChecksumPager) WritePageIn(parent *trace.Span, id PageID, buf []byte) error {
 	if len(buf) != cp.logical {
 		return fmt.Errorf("storage: buffer size %d != page size %d", len(buf), cp.logical)
 	}
@@ -132,7 +139,7 @@ func (cp *ChecksumPager) WritePage(id PageID, buf []byte) error {
 	defer cp.scratch.Put(phys)
 	copy(phys, buf)
 	binary.LittleEndian.PutUint32(phys[cp.logical:], crc32.ChecksumIEEE(buf))
-	return cp.base.WritePage(id, phys)
+	return cp.base.WritePageIn(parent, id, phys)
 }
 
 // VerifyReport summarizes a scrub pass over the page file.

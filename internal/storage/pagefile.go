@@ -45,6 +45,48 @@ type Pager interface {
 	Close() error
 }
 
+// SpanPager is the span-carrying side of a Pager that records spans or
+// forwards them to one that does: the same page calls with the caller's
+// span as the parent of whatever the pager records. PageFile, the
+// buffer managers and the checksum and retry pagers implement it; their
+// plain ReadPage/WritePage are the same bodies with a nil parent.
+type SpanPager interface {
+	ReadPageIn(parent *trace.Span, id PageID, buf []byte) error
+	WritePageIn(parent *trace.Span, id PageID, buf []byte) error
+}
+
+// Seam is a Pager as the layer above it holds it: the Pager plus its
+// SpanPager side, asserted once at construction. A pager that is not a
+// SpanPager (a decorator written without tracing in mind) still works:
+// spans recorded below it become parentless roots.
+type Seam struct {
+	Pager
+	in SpanPager
+}
+
+// SeamOf binds p for a span-holding caller.
+func SeamOf(p Pager) Seam {
+	in, _ := p.(SpanPager)
+	return Seam{Pager: p, in: in}
+}
+
+// ReadIn reads a page, handing parent down when there is one to hand
+// and the pager takes it; otherwise it is exactly Pager.ReadPage.
+func (s Seam) ReadIn(parent *trace.Span, id PageID, buf []byte) error {
+	if parent != nil && s.in != nil {
+		return s.in.ReadPageIn(parent, id, buf)
+	}
+	return s.Pager.ReadPage(id, buf)
+}
+
+// WriteIn is ReadIn's counterpart for Pager.WritePage.
+func (s Seam) WriteIn(parent *trace.Span, id PageID, buf []byte) error {
+	if parent != nil && s.in != nil {
+		return s.in.WritePageIn(parent, id, buf)
+	}
+	return s.Pager.WritePage(id, buf)
+}
+
 const (
 	fileMagic   = "FAMEPG01"
 	headerSize  = 8 + 4 + 4 + 4 // magic + pageSize + pageCount + freeHead
@@ -250,7 +292,10 @@ func (pf *PageFile) FreePages() ([]PageID, error) {
 }
 
 // ReadPage implements Pager.
-func (pf *PageFile) ReadPage(id PageID, buf []byte) error {
+func (pf *PageFile) ReadPage(id PageID, buf []byte) error { return pf.ReadPageIn(nil, id, buf) }
+
+// ReadPageIn implements SpanPager.
+func (pf *PageFile) ReadPageIn(parent *trace.Span, id PageID, buf []byte) error {
 	pf.mu.Lock()
 	defer pf.mu.Unlock()
 	if err := pf.check("read", id); err != nil {
@@ -260,7 +305,7 @@ func (pf *PageFile) ReadPage(id PageID, buf []byte) error {
 		return fmt.Errorf("storage: buffer size %d != page size %d", len(buf), pf.pageSize)
 	}
 	pf.metrics.Read()
-	sp := pf.tracer.Start(trace.LayerPager, "read")
+	sp := pf.tracer.Start(parent, trace.LayerPager, "read")
 	sp.Page(uint32(id))
 	if _, err := pf.f.ReadAt(buf, pf.offset(id)); err != nil {
 		sp.Fail(err)
@@ -272,7 +317,10 @@ func (pf *PageFile) ReadPage(id PageID, buf []byte) error {
 }
 
 // WritePage implements Pager.
-func (pf *PageFile) WritePage(id PageID, buf []byte) error {
+func (pf *PageFile) WritePage(id PageID, buf []byte) error { return pf.WritePageIn(nil, id, buf) }
+
+// WritePageIn implements SpanPager.
+func (pf *PageFile) WritePageIn(parent *trace.Span, id PageID, buf []byte) error {
 	pf.mu.Lock()
 	defer pf.mu.Unlock()
 	if err := pf.check("write", id); err != nil {
@@ -282,7 +330,7 @@ func (pf *PageFile) WritePage(id PageID, buf []byte) error {
 		return fmt.Errorf("storage: buffer size %d != page size %d", len(buf), pf.pageSize)
 	}
 	pf.metrics.Write()
-	sp := pf.tracer.Start(trace.LayerPager, "write")
+	sp := pf.tracer.Start(parent, trace.LayerPager, "write")
 	sp.Page(uint32(id))
 	if _, err := pf.f.WriteAt(buf, pf.offset(id)); err != nil {
 		sp.Fail(err)
@@ -311,7 +359,7 @@ func (pf *PageFile) syncLocked() error {
 		}
 	}
 	pf.metrics.Sync()
-	sp := pf.tracer.Start(trace.LayerPager, "sync")
+	sp := pf.tracer.Start(nil, trace.LayerPager, "sync")
 	err := pf.f.Sync()
 	sp.Fail(err)
 	sp.End()

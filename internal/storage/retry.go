@@ -18,6 +18,7 @@ import (
 
 	"famedb/internal/osal"
 	"famedb/internal/stats"
+	"famedb/internal/trace"
 )
 
 // RetryPolicy bounds how hard the engine fights transient faults.
@@ -162,7 +163,7 @@ func (e *degradedError) Unwrap() error { return e.reason }
 // gate. It composes above ChecksumPager (so a retried read re-verifies
 // the trailer) and below the buffer pools.
 type RetryPager struct {
-	base   Pager
+	base   Seam
 	policy RetryPolicy
 	health *Health
 	// metrics observes transients and retries when Statistics is
@@ -173,7 +174,7 @@ type RetryPager struct {
 // NewRetryPager wraps base. health may be nil (no degraded gate — every
 // exhaustion just returns its error).
 func NewRetryPager(base Pager, policy RetryPolicy, health *Health) *RetryPager {
-	return &RetryPager{base: base, policy: policy, health: health}
+	return &RetryPager{base: SeamOf(base), policy: policy, health: health}
 }
 
 // SetMetrics attaches the Statistics feature's fault counters.
@@ -183,7 +184,7 @@ func (rp *RetryPager) SetMetrics(m *stats.Fault) { rp.metrics = m }
 func (rp *RetryPager) Health() *Health { return rp.health }
 
 // Base returns the wrapped pager.
-func (rp *RetryPager) Base() Pager { return rp.base }
+func (rp *RetryPager) Base() Pager { return rp.base.Pager }
 
 // Retry runs fn under the policy: transient errors are retried with
 // doubling backoff; exhaustion poisons health. Exported so the WAL can
@@ -242,17 +243,23 @@ func (rp *RetryPager) Free(id PageID) error {
 
 // ReadPage implements Pager: never gated — degraded mode keeps serving
 // reads — but transient read errors are retried.
-func (rp *RetryPager) ReadPage(id PageID, buf []byte) error {
-	return rp.retry("read", func() error { return rp.base.ReadPage(id, buf) })
+func (rp *RetryPager) ReadPage(id PageID, buf []byte) error { return rp.ReadPageIn(nil, id, buf) }
+
+// ReadPageIn implements SpanPager, forwarding parent to the base pager.
+func (rp *RetryPager) ReadPageIn(parent *trace.Span, id PageID, buf []byte) error {
+	return rp.retry("read", func() error { return rp.base.ReadIn(parent, id, buf) })
 }
 
 // WritePage implements Pager: gated by degraded mode, retried on
 // transient faults.
-func (rp *RetryPager) WritePage(id PageID, buf []byte) error {
+func (rp *RetryPager) WritePage(id PageID, buf []byte) error { return rp.WritePageIn(nil, id, buf) }
+
+// WritePageIn implements SpanPager, forwarding parent to the base pager.
+func (rp *RetryPager) WritePageIn(parent *trace.Span, id PageID, buf []byte) error {
 	if err := rp.health.Err(); err != nil {
 		return err
 	}
-	return rp.retry("write", func() error { return rp.base.WritePage(id, buf) })
+	return rp.retry("write", func() error { return rp.base.WriteIn(parent, id, buf) })
 }
 
 // Sync implements Pager: gated by degraded mode, retried on transient

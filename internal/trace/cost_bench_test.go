@@ -2,27 +2,23 @@ package trace
 
 import "testing"
 
-func BenchmarkGid(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		gid()
-	}
-}
-
 func BenchmarkSpan(b *testing.B) {
 	t := New(Config{})
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sp := t.Start(LayerAccess, "get")
+		sp := t.Start(nil, LayerAccess, "get")
 		sp.End()
 	}
 }
 
 func BenchmarkSpanNested(b *testing.B) {
 	t := New(Config{})
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sp := t.Start(LayerAccess, "get")
-		c := t.Start(LayerBTree, "get")
+		sp := t.Start(nil, LayerAccess, "get")
+		c := t.Start(sp, LayerBTree, "get")
 		c.End()
 		sp.End()
 	}
@@ -32,7 +28,7 @@ func BenchmarkSpanNil(b *testing.B) {
 	var t *Tracer
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sp := t.Start(LayerAccess, "get")
+		sp := t.Start(nil, LayerAccess, "get")
 		sp.End()
 	}
 }

@@ -96,8 +96,8 @@ type chromeEvent struct {
 }
 
 // WriteChrome exports the ring's spans as Chrome trace_event JSON.
-// Goroutines map to threads, so group-commit leader/follower handoff
-// shows up as parallel tracks.
+// Each operation (root span) is its own thread lane; group-commit
+// leader/follower handoff shows in the batch/leader args.
 func (s Snapshot) WriteChrome(w io.Writer) error {
 	events := make([]chromeEvent, 0, len(s.Spans))
 	for _, r := range s.Spans {
@@ -128,7 +128,7 @@ func (s Snapshot) WriteChrome(w io.Writer) error {
 			Ts:   float64(r.Start) / 1e3,
 			Dur:  float64(r.Dur) / 1e3,
 			Pid:  1,
-			Tid:  r.Goro,
+			Tid:  r.Root,
 			Args: args,
 		})
 	}
@@ -184,7 +184,7 @@ func formatRecord(r SpanRecord, depth int) string {
 	for i := 0; i < depth; i++ {
 		s += "  "
 	}
-	s += fmt.Sprintf("%s.%s %v goro=%d", r.Layer, r.Op, time.Duration(r.Dur), r.Goro)
+	s += fmt.Sprintf("%s.%s %v", r.Layer, r.Op, time.Duration(r.Dur))
 	if r.Page != 0 {
 		s += fmt.Sprintf(" page=%d", r.Page)
 	}

@@ -8,32 +8,26 @@ import (
 // ring is the fixed-capacity completed-span recorder. Every slot is
 // preallocated at construction; recording copies the SpanRecord into
 // slot (ticket mod capacity) under that slot's stripe lock, so the hot
-// path never allocates and contention is spread across stripes.
+// path never allocates. Stripes interleave (slot mod stripes), so
+// recorders holding neighbouring tickets take different locks.
 //
 // A single global atomic ticket orders admissions: record i lands in
 // slot i%cap, so once the ring is full each new span overwrites exactly
 // the oldest surviving record — eviction is strictly oldest-first by
 // construction, not by policy.
 type ring struct {
-	slots     []SpanRecord
-	stripes   []sync.Mutex
-	perStripe int
-	ticket    atomic.Uint64
+	slots   []SpanRecord
+	stripes []sync.Mutex
+	ticket  atomic.Uint64
 }
 
 func newRing(capacity, stripes int) *ring {
 	if stripes > capacity {
 		stripes = capacity
 	}
-	// Round capacity up to a stripe multiple so the slot→stripe map is
-	// a plain division.
-	if rem := capacity % stripes; rem != 0 {
-		capacity += stripes - rem
-	}
 	return &ring{
-		slots:     make([]SpanRecord, capacity),
-		stripes:   make([]sync.Mutex, stripes),
-		perStripe: capacity / stripes,
+		slots:   make([]SpanRecord, capacity),
+		stripes: make([]sync.Mutex, stripes),
 	}
 }
 
@@ -42,7 +36,7 @@ func (r *ring) record(rec *SpanRecord) {
 	seq := r.ticket.Add(1) - 1
 	rec.Seq = seq
 	slot := seq % uint64(len(r.slots))
-	st := &r.stripes[int(slot)/r.perStripe]
+	st := &r.stripes[slot%uint64(len(r.stripes))]
 	st.Lock()
 	r.slots[slot] = *rec
 	st.Unlock()

@@ -15,6 +15,11 @@
 // a product derived without Tracing pays a single branch and no
 // allocation on the hot path.
 //
+// Parenting is explicit: Start takes the parent span, and every layer
+// hands its own span to the calls it makes. A nil parent opens a root.
+// Nothing is looked up per goroutine, so a span costs two monotonic
+// clock reads, a pooled handle and one ring-slot copy.
+//
 // Memory is bounded, embedded-friendly: completed spans land in a
 // fixed-capacity lock-striped ring buffer of preallocated slots
 // (ring.go), live spans come from a sync.Pool, and the slow-op log
@@ -25,7 +30,6 @@
 package trace
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -59,11 +63,11 @@ type SpanRecord struct {
 	// Layer and Op locate the span in the engine ("buffer"/"read").
 	Layer string `json:"layer"`
 	Op    string `json:"op"`
-	// Start is UnixNano; Dur is wall time in nanoseconds.
+	// Start is a UnixNano wall timestamp for export; Dur is elapsed
+	// nanoseconds on the monotonic clock, so a wall-clock step can
+	// neither make it negative nor fire the slow-op log.
 	Start int64 `json:"start_ns"`
 	Dur   int64 `json:"dur_ns"`
-	// Goro is the recording goroutine, for leader/follower attribution.
-	Goro uint64 `json:"goro"`
 	// Page and Txn attribute the span to a page or transaction; 0 when
 	// not applicable.
 	Page uint32 `json:"page,omitempty"`
@@ -82,15 +86,20 @@ type SpanRecord struct {
 }
 
 // Span is a live, unfinished span handle. Handles are pooled; after End
-// the handle must not be touched again. All methods are safe on nil, so
-// call sites need no feature conditionals.
+// the handle must not be touched again, and a span must End before the
+// parent it was started from does. All methods are safe on nil, so call
+// sites need no feature conditionals.
 type Span struct {
-	rec    SpanRecord
-	tr     *Tracer
-	parent *Span
-	root   *Span
+	rec  SpanRecord
+	tr   *Tracer
+	root *Span
 	// kids accumulates completed descendant records on root handles so
-	// the slow-op log can keep whole trees; bounded by slowTreeCap.
+	// the slow-op log can keep whole trees; bounded by slowTreeCap. The
+	// engine ends every descendant on the goroutine that owns the root
+	// (a group-commit leader's drain hangs under the leader's commit,
+	// never under a follower's), so kidsMu is uncontended there; it
+	// exists for callers that hand a parent to another goroutine.
+	kidsMu   sync.Mutex
 	kids     []SpanRecord
 	kidsDrop int
 }
@@ -115,8 +124,7 @@ type Config struct {
 	// Capacity is the ring buffer's span count (default 4096); memory
 	// is Capacity * sizeof(SpanRecord), preallocated.
 	Capacity int
-	// Stripes is the ring's lock-stripe count (default 8, rounded up to
-	// a power of two).
+	// Stripes is the ring's lock-stripe count (default 8).
 	Stripes int
 	// SlowThreshold marks root spans at least this long as slow ops
 	// (default 1ms).
@@ -129,25 +137,18 @@ type Config struct {
 	Disabled bool
 }
 
-// glsStripes stripes the goroutine-local span stacks; must be a power
-// of two.
-const glsStripes = 64
-
-// glsStripe holds the current (innermost live) span per goroutine for
-// one stripe of goroutine IDs.
-type glsStripe struct {
-	mu sync.Mutex
-	m  map[uint64]*Span
-}
-
 // Tracer records spans for one composed product.
 type Tracer struct {
 	enabled atomic.Bool
 	ids     atomic.Uint64
 	ring    *ring
 	slow    *slowLog
-	gls     [glsStripes]glsStripe
 	pool    sync.Pool
+	// base carries the monotonic reading every span's clock is taken
+	// against; wall is the same instant as UnixNano, so base-relative
+	// readings export as wall timestamps.
+	base time.Time
+	wall int64
 	// bounds, when set, are the Statistics latency-histogram bucket
 	// bounds; each recorded span then carries the bucket its duration
 	// landed in (the stats/trace bridge).
@@ -174,9 +175,8 @@ func New(cfg Config) *Tracer {
 		slow: newSlowLog(cfg.SlowThreshold.Nanoseconds(), cfg.SlowOps),
 	}
 	t.pool.New = func() any { return new(Span) }
-	for i := range t.gls {
-		t.gls[i].m = map[uint64]*Span{}
-	}
+	t.base = time.Now()
+	t.wall = t.base.UnixNano()
 	t.enabled.Store(!cfg.Disabled)
 	return t
 }
@@ -201,62 +201,29 @@ func (t *Tracer) SetLatencyBounds(bounds []int64) {
 	}
 }
 
-// gidBufs pools the small stacks runtime.Stack parses the goroutine ID
-// from, keeping Start allocation-free.
-var gidBufs = sync.Pool{
-	New: func() any { b := make([]byte, 64); return &b },
-}
+// now reads the monotonic clock as a wall-anchored UnixNano value:
+// differences of two readings are monotonic durations.
+func (t *Tracer) now() int64 { return t.wall + int64(time.Since(t.base)) }
 
-// gid returns the current goroutine's ID, parsed from the first
-// runtime.Stack line ("goroutine N [running]:"). This is the measured
-// cost of implicit span parenting — part of the Tracing feature's
-// latency footprint that benchmark B4 quantifies.
-func gid() uint64 {
-	bp := gidBufs.Get().(*[]byte)
-	buf := *bp
-	n := runtime.Stack(buf, false)
-	var id uint64
-	// Skip "goroutine " (10 bytes), accumulate digits.
-	for i := 10; i < n; i++ {
-		c := buf[i]
-		if c < '0' || c > '9' {
-			break
-		}
-		id = id*10 + uint64(c-'0')
-	}
-	gidBufs.Put(bp)
-	return id
-}
-
-// Start opens a span in the given layer. The parent is the goroutine's
-// innermost live span, so synchronous call chains nest automatically
-// without threading a context through every layer API. Returns nil when
-// the tracer is nil or disabled.
-func (t *Tracer) Start(layer, op string) *Span {
+// Start opens a span in the given layer under parent; a nil parent
+// opens a root. Returns nil when the tracer is nil or disabled.
+func (t *Tracer) Start(parent *Span, layer, op string) *Span {
 	if t == nil || !t.enabled.Load() {
 		return nil
 	}
 	sp := t.pool.Get().(*Span)
 	sp.tr = t
-	sp.rec = SpanRecord{ID: t.ids.Add(1), Layer: layer, Op: op, Bucket: -1}
-	g := gid()
-	sp.rec.Goro = g
-	st := &t.gls[g&(glsStripes-1)]
-	st.mu.Lock()
-	if cur := st.m[g]; cur != nil {
-		sp.parent = cur
-		sp.root = cur.root
-		sp.rec.Parent = cur.rec.ID
-		sp.rec.Root = cur.root.rec.ID
-	} else {
-		sp.root = sp
-		sp.rec.Root = sp.rec.ID
+	id := t.ids.Add(1)
+	sp.rec = SpanRecord{ID: id, Root: id, Layer: layer, Op: op, Bucket: -1}
+	sp.root = sp
+	if parent != nil {
+		sp.root = parent.root
+		sp.rec.Parent = parent.rec.ID
+		sp.rec.Root = parent.root.rec.ID
 	}
-	st.m[g] = sp
-	st.mu.Unlock()
 	// Clock read last, so the span charges as little tracer overhead as
 	// possible to the operation itself.
-	sp.rec.Start = time.Now().UnixNano()
+	sp.rec.Start = t.now()
 	return sp
 }
 
@@ -292,48 +259,39 @@ func (sp *Span) Fail(err error) {
 	}
 }
 
-// End completes the span: it leaves the goroutine's span stack, is
-// copied into the ring, and — for roots past the slow threshold — its
-// whole tree is offered to the slow-op log. The handle returns to the
-// pool; it must not be used afterwards. Safe on nil.
+// End completes the span: it is copied into the ring and — for roots
+// past the slow threshold — its whole tree is offered to the slow-op
+// log. The handle returns to the pool; it must not be used afterwards.
+// Safe on nil.
 func (sp *Span) End() {
 	if sp == nil {
 		return
 	}
-	sp.rec.Dur = time.Now().UnixNano() - sp.rec.Start
 	t := sp.tr
-	g := sp.rec.Goro
-	st := &t.gls[g&(glsStripes-1)]
-	st.mu.Lock()
-	if st.m[g] == sp {
-		if sp.parent != nil {
-			st.m[g] = sp.parent
-		} else {
-			delete(st.m, g)
-		}
-	}
-	st.mu.Unlock()
+	sp.rec.Dur = t.now() - sp.rec.Start
 	if t.bounds != nil {
 		sp.rec.Bucket = bucketOf(t.bounds, sp.rec.Dur)
 	}
 	t.ring.record(&sp.rec)
 	if root := sp.root; root != sp {
-		// Completed descendant: remember it on the root for the slow-op
-		// log. The root is an ancestor on this goroutine's stack, so it
-		// is still live and only this goroutine appends.
+		// Completed descendant: remember it on the (still live) root for
+		// the slow-op log.
+		root.kidsMu.Lock()
 		if len(root.kids) < slowTreeCap {
 			root.kids = append(root.kids, sp.rec)
 		} else {
 			root.kidsDrop++
 		}
-	} else if sp.rec.Dur >= t.slow.threshold {
-		t.slow.add(sp.rec, sp.kids, sp.kidsDrop)
+		root.kidsMu.Unlock()
+	} else {
+		if sp.rec.Dur >= t.slow.threshold {
+			t.slow.add(sp.rec, sp.kids, sp.kidsDrop)
+		}
+		sp.kids = sp.kids[:0]
+		sp.kidsDrop = 0
 	}
 	sp.tr = nil
-	sp.parent = nil
 	sp.root = nil
-	sp.kids = sp.kids[:0]
-	sp.kidsDrop = 0
 	t.pool.Put(sp)
 }
 

@@ -15,7 +15,7 @@ func TestNilTracerIsFreeAndAllocationFree(t *testing.T) {
 		t.Fatal("nil tracer reports enabled")
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
-		sp := tr.Start(LayerAccess, "get")
+		sp := tr.Start(nil, LayerAccess, "get")
 		sp.Page(7)
 		sp.Txn(9)
 		sp.Handoff(3, 1)
@@ -35,13 +35,13 @@ func TestDisabledTracerRecordsNothing(t *testing.T) {
 	if tr.Enabled() {
 		t.Fatal("disabled tracer reports enabled")
 	}
-	sp := tr.Start(LayerAccess, "get")
+	sp := tr.Start(nil, LayerAccess, "get")
 	if sp != nil {
 		t.Fatal("disabled tracer handed out a span")
 	}
 	sp.End()
 	tr.SetEnabled(true)
-	if sp := tr.Start(LayerAccess, "get"); sp == nil {
+	if sp := tr.Start(nil, LayerAccess, "get"); sp == nil {
 		t.Fatal("re-enabled tracer returned nil span")
 	} else {
 		sp.End()
@@ -51,16 +51,16 @@ func TestDisabledTracerRecordsNothing(t *testing.T) {
 	}
 }
 
-func TestSpanParentingNestsSynchronousCalls(t *testing.T) {
+func TestSpanParentingFollowsTheExplicitParent(t *testing.T) {
 	tr := New(Config{})
-	root := tr.Start(LayerSQL, "insert")
-	child := tr.Start(LayerAccess, "put")
-	grand := tr.Start(LayerBTree, "insert")
+	root := tr.Start(nil, LayerSQL, "insert")
+	child := tr.Start(root, LayerAccess, "put")
+	grand := tr.Start(child, LayerBTree, "insert")
 	grand.End()
 	child.End()
-	// A sibling opened after the first child ended still parents to the
-	// root, not the finished sibling.
-	sib := tr.Start(LayerBuffer, "write")
+	// A sibling started from the root after the first child ended
+	// parents to the root, not the finished sibling.
+	sib := tr.Start(root, LayerBuffer, "write")
 	sib.End()
 	root.End()
 
@@ -84,21 +84,133 @@ func TestSpanParentingNestsSynchronousCalls(t *testing.T) {
 	}
 }
 
+// TestSpansOnDifferentGoroutinesDoNotNest: nothing is inherited from
+// the goroutine. Two goroutines' concurrent operations never share a
+// root, however their spans interleave — and a child started from an
+// explicit parent on another goroutine links to that parent.
 func TestSpansOnDifferentGoroutinesDoNotNest(t *testing.T) {
 	tr := New(Config{})
-	root := tr.Start(LayerSQL, "select")
+	const workers, ops = 2, 200
 	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		sp := tr.Start(LayerBuffer, "read")
-		sp.End()
-	}()
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < ops; i++ {
+				root := tr.Start(nil, LayerSQL, "select")
+				root.Txn(uint64(w + 1)) // tags the tree with its worker
+				kid := tr.Start(root, LayerBuffer, "read")
+				kid.Txn(uint64(w + 1))
+				kid.End()
+				root.End()
+			}
+		}(w)
+	}
+	wg.Wait()
+	snap := tr.Snapshot()
+	if len(snap.Spans) != workers*ops*2 {
+		t.Fatalf("recorded %d spans, want %d", len(snap.Spans), workers*ops*2)
+	}
+	owner := map[uint64]uint64{} // root id -> worker
+	for _, r := range snap.Spans {
+		if r.ID == r.Root {
+			owner[r.ID] = r.Txn
+		}
+	}
+	if len(owner) != workers*ops {
+		t.Fatalf("%d roots, want one per operation (%d)", len(owner), workers*ops)
+	}
+	for _, r := range snap.Spans {
+		if owner[r.Root] != r.Txn {
+			t.Fatalf("span %d of worker %d grouped under worker %d's root %d", r.ID, r.Txn, owner[r.Root], r.Root)
+		}
+	}
+
+	tr = New(Config{SlowThreshold: time.Nanosecond})
+	root := tr.Start(nil, LayerSQL, "select")
+	rootID := root.ID()
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sp := tr.Start(root, LayerBuffer, "read")
+			sp.End()
+		}()
+	}
 	wg.Wait()
 	root.End()
-	for _, r := range tr.Snapshot().Spans {
-		if r.Layer == LayerBuffer && r.Parent != 0 {
-			t.Fatalf("span on another goroutine inherited parent %d", r.Parent)
+	snap = tr.Snapshot()
+	for _, r := range snap.Spans {
+		if r.Layer == LayerBuffer && (r.Parent != rootID || r.Root != rootID) {
+			t.Fatalf("handed-over child: parent=%d root=%d, want both %d", r.Parent, r.Root, rootID)
+		}
+	}
+	if len(snap.Slow) != 1 || len(snap.Slow[0].Spans) != 4 {
+		t.Fatalf("slow tree kept %+v, want the root with its 4 handed-over children", snap.Slow)
+	}
+}
+
+// TestSpanPathDoesNotAllocate pins the hot path's cost contract: root,
+// child and End allocate nothing on an enabled tracer, a disabled one,
+// and a nil one.
+func TestSpanPathDoesNotAllocate(t *testing.T) {
+	var nilTracer *Tracer
+	for name, tr := range map[string]*Tracer{
+		"enabled":  New(Config{}),
+		"disabled": New(Config{Disabled: true}),
+		"nil":      nilTracer,
+	} {
+		allocs := testing.AllocsPerRun(1000, func() {
+			sp := tr.Start(nil, LayerAccess, "get")
+			c := tr.Start(sp, LayerBTree, "get")
+			c.Page(3)
+			c.End()
+			sp.End()
+		})
+		if allocs != 0 {
+			t.Errorf("%s tracer: span path allocates %.1f per op, want 0", name, allocs)
+		}
+	}
+}
+
+// TestDurationsAreMonotonic: Dur comes off the monotonic clock, so it
+// is never negative under concurrent load, and Start still exports as a
+// wall timestamp.
+func TestDurationsAreMonotonic(t *testing.T) {
+	tr := New(Config{Capacity: 1 << 15})
+	before := time.Now().UnixNano()
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 1000; i++ {
+				sp := tr.Start(nil, LayerAccess, "get")
+				c := tr.Start(sp, LayerBTree, "get")
+				c.End()
+				sp.End()
+			}
+		}()
+	}
+	wg.Wait()
+	after := time.Now().UnixNano()
+	byID := map[uint64]SpanRecord{}
+	spans := tr.Snapshot().Spans
+	for _, r := range spans {
+		byID[r.ID] = r
+	}
+	// The wall clock may be stepped between the tracer's anchor and
+	// now; a minute of slack still tells a UnixNano from a bare offset.
+	const slack = int64(time.Minute)
+	for _, r := range spans {
+		if r.Dur < 0 {
+			t.Fatalf("span %d: Dur = %d", r.ID, r.Dur)
+		}
+		if r.Start < before-slack || r.Start > after+slack {
+			t.Fatalf("span %d: Start %d is not a wall timestamp in [%d, %d]", r.ID, r.Start, before, after)
+		}
+		if p, ok := byID[r.Parent]; ok && (r.Start < p.Start || r.Start+r.Dur > p.Start+p.Dur) {
+			t.Fatalf("child %d [%d+%d] outside parent %d [%d+%d]", r.ID, r.Start, r.Dur, p.ID, p.Start, p.Dur)
 		}
 	}
 }
@@ -107,7 +219,7 @@ func TestRingEvictsStrictlyOldestFirst(t *testing.T) {
 	tr := New(Config{Capacity: 64, Stripes: 4})
 	const total = 200
 	for i := 0; i < total; i++ {
-		tr.Start(LayerPager, "write").End()
+		tr.Start(nil, LayerPager, "write").End()
 	}
 	capacity, occ, recorded, dropped, _, _ := tr.RingStats()
 	if capacity != 64 || occ != 64 {
@@ -134,8 +246,8 @@ func TestSlowLogKeepsWorstTrees(t *testing.T) {
 	tr := New(Config{SlowThreshold: time.Nanosecond, SlowOps: 2})
 	durs := []time.Duration{3 * time.Millisecond, time.Millisecond, 5 * time.Millisecond}
 	for _, d := range durs {
-		sp := tr.Start(LayerSQL, "insert")
-		kid := tr.Start(LayerAccess, "put")
+		sp := tr.Start(nil, LayerSQL, "insert")
+		kid := tr.Start(sp, LayerAccess, "put")
 		kid.End()
 		sp.rec.Start -= d.Nanoseconds() // backdate instead of sleeping
 		sp.End()
@@ -160,7 +272,7 @@ func TestSlowLogKeepsWorstTrees(t *testing.T) {
 
 func TestLatencyBoundsBridgeSetsBucket(t *testing.T) {
 	tr := New(Config{})
-	sp := tr.Start(LayerAccess, "get")
+	sp := tr.Start(nil, LayerAccess, "get")
 	sp.End()
 	if got := tr.Snapshot().Spans[0].Bucket; got != -1 {
 		t.Fatalf("bucket without bounds = %d, want -1", got)
@@ -168,7 +280,7 @@ func TestLatencyBoundsBridgeSetsBucket(t *testing.T) {
 
 	tr = New(Config{})
 	tr.SetLatencyBounds([]int64{1_000, 1_000_000, 1_000_000_000})
-	sp = tr.Start(LayerAccess, "get")
+	sp = tr.Start(nil, LayerAccess, "get")
 	sp.rec.Start -= (2 * time.Millisecond).Nanoseconds()
 	sp.End()
 	if got := tr.Snapshot().Spans[0].Bucket; got != 2 {
@@ -181,9 +293,9 @@ func TestLatencyBoundsBridgeSetsBucket(t *testing.T) {
 
 func TestExporters(t *testing.T) {
 	tr := New(Config{SlowThreshold: time.Nanosecond})
-	sp := tr.Start(LayerAccess, "put")
+	sp := tr.Start(nil, LayerAccess, "put")
 	sp.Page(3)
-	kid := tr.Start(LayerPager, "write")
+	kid := tr.Start(sp, LayerPager, "write")
 	kid.End()
 	sp.rec.Start -= time.Millisecond.Nanoseconds()
 	sp.End()
@@ -217,6 +329,13 @@ func TestExporters(t *testing.T) {
 	if ph := chrome.TraceEvents[0]["ph"]; ph != "X" {
 		t.Fatalf(`chrome event ph = %v, want "X"`, ph)
 	}
+	// One lane per operation: every event's tid is its root's id.
+	for _, ev := range chrome.TraceEvents {
+		args := ev["args"].(map[string]any)
+		if ev["tid"] != args["root"] {
+			t.Fatalf("chrome event %v: tid %v, want its root %v", ev["name"], ev["tid"], args["root"])
+		}
+	}
 
 	buf.Reset()
 	if err := snap.WriteText(&buf); err != nil {
@@ -230,6 +349,9 @@ func TestExporters(t *testing.T) {
 	if !strings.Contains(text, "  pager.write") {
 		t.Fatalf("child span not indented:\n%s", text)
 	}
+	if strings.Contains(text, "goro=") {
+		t.Fatalf("text export still names a goroutine:\n%s", text)
+	}
 
 	buf.Reset()
 	if err := snap.WriteSlow(&buf); err != nil {
@@ -242,10 +364,10 @@ func TestExporters(t *testing.T) {
 
 func TestTreesRegroupsByRoot(t *testing.T) {
 	tr := New(Config{})
-	a := tr.Start(LayerSQL, "insert")
-	tr.Start(LayerAccess, "put").End()
+	a := tr.Start(nil, LayerSQL, "insert")
+	tr.Start(a, LayerAccess, "put").End()
 	a.End()
-	b := tr.Start(LayerSQL, "select")
+	b := tr.Start(nil, LayerSQL, "select")
 	b.End()
 	trees := tr.Snapshot().Trees()
 	if len(trees) != 2 {

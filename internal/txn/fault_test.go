@@ -162,7 +162,7 @@ func TestGroupSyncFaultFailsWholeBatch(t *testing.T) {
 	// The batch body is ONE coalesced WriteAt (op 1); fail the Sync
 	// (op 2).
 	logFS.FailAfter(2)
-	m.gc.drain(b, 0)
+	m.gc.drain(nil, b, 0)
 	<-b.done
 	for i, err := range b.errs {
 		if !errors.Is(err, osal.ErrInjected) {

@@ -76,8 +76,11 @@ func newGroupCommit(m *Manager, batchLimit int) *groupCommit {
 }
 
 // commit runs one transaction through the pipeline and returns once its
-// outcome is decided (durable per protocol and applied, or failed).
-func (g *groupCommit) commit(t *Txn) error {
+// outcome is decided (durable per protocol and applied, or failed). sp
+// is the transaction's commit span: a follower's wait hangs under its
+// own, a leader's drains — whoever's transactions they carry — under
+// the leader's.
+func (g *groupCommit) commit(sp *trace.Span, t *Txn) error {
 	// Encode outside every lock; staging is then a memcpy.
 	scratch := getScratch()
 	buf, records := t.encodeWriteSet(*scratch)
@@ -116,12 +119,12 @@ func (g *groupCommit) commit(t *Txn) error {
 	putScratch(scratch)
 
 	if lead {
-		g.lead(t.id)
+		g.lead(sp, t.id)
 		// The leader's own batch was drained by the loop above (it
 		// cannot exit while any batch is open or ready).
 	} else {
 		stall := g.m.opts.Metrics.StartStall()
-		wsp := g.m.opts.Tracer.Start(trace.LayerTxn, "follower-wait")
+		wsp := g.m.opts.Tracer.Start(sp, trace.LayerTxn, "follower-wait")
 		wsp.Txn(t.id)
 		<-b.done
 		// The batch is fully drained once done closes; its size and
@@ -138,7 +141,7 @@ func (g *groupCommit) commit(t *Txn) error {
 // lead drains batches FIFO until none remain, then steps down.
 // leaderID is the draining committer's transaction, recorded on every
 // batch it drains for follower span attribution.
-func (g *groupCommit) lead(leaderID uint64) {
+func (g *groupCommit) lead(commit *trace.Span, leaderID uint64) {
 	for {
 		g.mu.Lock()
 		var b *gcBatch
@@ -155,22 +158,22 @@ func (g *groupCommit) lead(leaderID uint64) {
 			return
 		}
 		g.mu.Unlock()
-		g.drain(b, leaderID)
+		g.drain(commit, b, leaderID)
 	}
 }
 
 // drain makes one batch durable and applies it: ONE WriteAt, at most
 // ONE Sync, then the store apply under Manager.mu.
-func (g *groupCommit) drain(b *gcBatch, leaderID uint64) {
+func (g *groupCommit) drain(commit *trace.Span, b *gcBatch, leaderID uint64) {
 	m := g.m
 	b.leaderID = leaderID
-	sp := m.opts.Tracer.Start(trace.LayerTxn, "drain")
+	sp := m.opts.Tracer.Start(commit, trace.LayerTxn, "drain")
 	sp.Txn(leaderID)
 	sp.Handoff(len(b.txns), leaderID)
 	defer sp.End()
 	base := m.wal.offset()
 	commits := len(b.txns)
-	err := m.wal.appendEncoded(b.buf, b.records, commits)
+	err := m.wal.appendEncoded(sp, b.buf, b.records, commits)
 	if err == nil {
 		// A multi-transaction batch syncs before waking its followers:
 		// Commit returning implies the group is durable. A singleton
@@ -181,7 +184,7 @@ func (g *groupCommit) drain(b *gcBatch, leaderID uint64) {
 		needSync := commits > 1 || g.deferred >= g.max
 		g.mu.Unlock()
 		if needSync {
-			if err = m.wal.Sync(); err == nil {
+			if err = m.wal.syncIn(sp); err == nil {
 				g.clearDeferred()
 			}
 		}
@@ -203,7 +206,7 @@ func (g *groupCommit) drain(b *gcBatch, leaderID uint64) {
 		}
 	} else {
 		for i, t := range b.txns {
-			b.errs[i] = m.applyLocked(t)
+			b.errs[i] = m.applyLocked(sp, t)
 		}
 		// One version per batch: the leader publishes the batch's final
 		// root with a single atomic swap while still holding m.mu, so

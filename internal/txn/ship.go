@@ -31,6 +31,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"sync/atomic"
 )
 
 // Ship errors. Both force the caller into a full snapshot resync.
@@ -156,6 +157,12 @@ type ShipApplier struct {
 	// record arrives, mirroring recovery; batches normally carry whole
 	// transactions so it drains every chunk.
 	pending map[uint64][]shipOp
+	// applied is the log offset the store reflects: published only
+	// after a chunk's records are redone and their version installed.
+	// The log's end offset runs ahead of it — bytes are durable before
+	// they are applied — so the handshake and acks read End, and anyone
+	// about to read the store reads Applied.
+	applied atomic.Int64
 }
 
 type shipOp struct {
@@ -187,11 +194,18 @@ func (m *Manager) ShipApplier() *ShipApplier {
 		}
 		return nil
 	})
+	// Recovery redid every committed record the log holds.
+	a.applied.Store(m.wal.offset())
 	return a
 }
 
-// End returns the replica log's current end offset.
+// End returns the replica log's current end offset: everything below it
+// is durable, not necessarily applied yet.
 func (a *ShipApplier) End() int64 { return a.m.wal.offset() }
+
+// Applied returns the log offset the store reflects. It trails End
+// while a chunk is being redone and is 0 during a snapshot install.
+func (a *ShipApplier) Applied() int64 { return a.applied.Load() }
 
 // PrefixCRC returns the handshake pair (end, CRC of [0, end)).
 func (a *ShipApplier) PrefixCRC() (int64, uint32, error) {
@@ -264,12 +278,17 @@ func (a *ShipApplier) Apply(base int64, buf []byte) error {
 	if err := w.f.Sync(); err != nil {
 		return err
 	}
+	end = base + int64(len(buf))
 	w.mu.Lock()
-	w.end = base + int64(len(buf))
-	w.syncedTo = w.end
+	w.end = end
+	w.syncedTo = end
 	w.mu.Unlock()
 	a.redo(recs)
-	return m.installVersion()
+	if err := m.installVersion(); err != nil {
+		return err
+	}
+	a.applied.Store(end)
+	return nil
 }
 
 // decodeChunk splits a shipped chunk into records, failing unless the
@@ -343,6 +362,9 @@ func (a *ShipApplier) InstallSnapshot(snap *ShipSnap) error {
 	m := a.m
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	// The store is about to be torn down and rebuilt: it reflects no
+	// offset until the install completes.
+	a.applied.Store(0)
 	// 1. Durable marker: from here until removal, a crash means resync.
 	mf, err := m.fs.Create(a.resyncMarker())
 	if err != nil {
@@ -414,6 +436,7 @@ func (a *ShipApplier) InstallSnapshot(snap *ShipSnap) error {
 	if err := m.installVersion(); err != nil {
 		return err
 	}
+	a.applied.Store(int64(len(snap.WALImage)))
 	// 6. Done: drop the marker.
 	return m.fs.Remove(a.resyncMarker())
 }

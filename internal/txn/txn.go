@@ -22,7 +22,7 @@ type Protocol interface {
 	// commit record) were appended. Only the unpipelined commit path
 	// uses it; with Locking composed the group-commit pipeline decides
 	// durability from BatchLimit instead.
-	OnCommit(w *WAL) error
+	OnCommit(parent *trace.Span, w *WAL) error
 	// Flush forces durability of everything appended so far.
 	Flush(w *WAL) error
 	// BatchLimit returns how many transactions the pipelined
@@ -40,7 +40,7 @@ type Force struct{}
 func (Force) Name() string { return "ForceCommit" }
 
 // OnCommit implements Protocol.
-func (Force) OnCommit(w *WAL) error { return w.Sync() }
+func (Force) OnCommit(parent *trace.Span, w *WAL) error { return w.syncIn(parent) }
 
 // Flush implements Protocol.
 func (Force) Flush(w *WAL) error { return w.Sync() }
@@ -62,7 +62,7 @@ type Group struct {
 func (g *Group) Name() string { return "GroupCommit" }
 
 // OnCommit implements Protocol.
-func (g *Group) OnCommit(w *WAL) error {
+func (g *Group) OnCommit(parent *trace.Span, w *WAL) error {
 	n := g.BatchSize
 	if n <= 0 {
 		n = 8
@@ -70,7 +70,7 @@ func (g *Group) OnCommit(w *WAL) error {
 	g.pending++
 	if g.pending >= n {
 		g.pending = 0
-		return w.Sync()
+		return w.syncIn(parent)
 	}
 	return nil
 }
@@ -434,17 +434,18 @@ func (t *Txn) encodeWriteSet(dst []byte) ([]byte, int) {
 	return dst, len(t.writes) + 1
 }
 
-// applyLocked installs a logged-and-durable write set into the store.
-// The caller holds m.mu.
-func (m *Manager) applyLocked(t *Txn) error {
-	idx := m.store.Index()
+// applyLocked installs a logged-and-durable write set into the store,
+// recording the index work under sp (the commit or drain span). The
+// caller holds m.mu.
+func (m *Manager) applyLocked(sp *trace.Span, t *Txn) error {
+	idx := m.store.IndexSeam()
 	for _, w := range t.writes {
 		if w.remove {
-			if _, err := idx.Delete(w.key); err != nil {
+			if _, err := idx.DeleteIn(sp, w.key); err != nil {
 				return err
 			}
 		} else {
-			if err := idx.Insert(w.key, w.value); err != nil {
+			if err := idx.InsertIn(sp, w.key, w.value); err != nil {
 				return err
 			}
 		}
@@ -476,7 +477,7 @@ func (t *Txn) Commit() error {
 		m.opts.Metrics.DoneCommit(start)
 		return nil
 	}
-	sp := m.opts.Tracer.Start(trace.LayerTxn, "commit")
+	sp := m.opts.Tracer.Start(nil, trace.LayerTxn, "commit")
 	sp.Txn(t.id)
 	defer sp.End()
 	// Degraded read-only mode refuses the commit before any log I/O.
@@ -485,7 +486,7 @@ func (t *Txn) Commit() error {
 		return err
 	}
 	if m.gc != nil {
-		err := m.gc.commit(t)
+		err := m.gc.commit(sp, t)
 		if err == nil {
 			m.opts.Metrics.DoneCommit(start)
 		}
@@ -502,18 +503,18 @@ func (t *Txn) Commit() error {
 	// protocol decides durability, and only then the store changes.
 	scratch := getScratch()
 	buf, records := t.encodeWriteSet(*scratch)
-	err := m.wal.appendEncoded(buf, records, 1)
+	err := m.wal.appendEncoded(sp, buf, records, 1)
 	*scratch = buf
 	putScratch(scratch)
 	if err != nil {
 		sp.Fail(err)
 		return err
 	}
-	if err := m.opts.Protocol.OnCommit(m.wal); err != nil {
+	if err := m.opts.Protocol.OnCommit(sp, m.wal); err != nil {
 		sp.Fail(err)
 		return err
 	}
-	if err := m.applyLocked(t); err != nil {
+	if err := m.applyLocked(sp, t); err != nil {
 		sp.Fail(err)
 		return err
 	}

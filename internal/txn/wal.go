@@ -170,14 +170,14 @@ func openWAL(fs osal.FS, name string) (*WAL, error) {
 // frames, commits of which are commit records) in ONE WriteAt. The end
 // offset only advances on success, so a failed write leaves no hole:
 // the torn tail is truncated away by the next recovery scan.
-func (w *WAL) appendEncoded(buf []byte, records, commits int) error {
+func (w *WAL) appendEncoded(parent *trace.Span, buf []byte, records, commits int) error {
 	if len(buf) == 0 {
 		return nil
 	}
 	w.mu.Lock()
 	end := w.end
 	w.mu.Unlock()
-	sp := w.tracer.Start(trace.LayerWAL, "append")
+	sp := w.tracer.Start(parent, trace.LayerWAL, "append")
 	if err := storage.Retry(w.retry, w.health, w.fault, "wal-append", func() error {
 		_, err := w.f.WriteAt(buf, end)
 		return err
@@ -210,7 +210,7 @@ func (w *WAL) append(r logRecord) error {
 	if r.typ == recCommit {
 		commits = 1
 	}
-	err := w.appendEncoded(buf, 1, commits)
+	err := w.appendEncoded(nil, buf, 1, commits)
 	*scratch = buf
 	putScratch(scratch)
 	return err
@@ -271,7 +271,10 @@ func decodeRecord(payload []byte) (logRecord, error) {
 }
 
 // Sync makes all appended records durable.
-func (w *WAL) Sync() error {
+func (w *WAL) Sync() error { return w.syncIn(nil) }
+
+// syncIn is Sync recorded under the committing span.
+func (w *WAL) syncIn(parent *trace.Span) error {
 	w.mu.Lock()
 	if w.syncedTo == w.end {
 		w.mu.Unlock()
@@ -280,7 +283,7 @@ func (w *WAL) Sync() error {
 	end := w.end
 	batch := w.commitsSince
 	w.mu.Unlock()
-	sp := w.tracer.Start(trace.LayerWAL, "sync")
+	sp := w.tracer.Start(parent, trace.LayerWAL, "sync")
 	if err := storage.Retry(w.retry, w.health, w.fault, "wal-sync", func() error {
 		return w.f.Sync()
 	}); err != nil {
