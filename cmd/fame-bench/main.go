@@ -50,17 +50,15 @@
 //
 // -out names the machine-readable reports with a literal "N" standing
 // for the benchmark number: -out BENCH_N.json writes BENCH_1.json ..
-// BENCH_5.json for whichever of B1..B5 run; -out "" suppresses them.
-// The former per-benchmark flags -json/-json2/-json3 remain as
-// deprecated aliases and, when set explicitly, override -out for their
-// benchmark. -stats dumps the Prometheus text exposition of a full
-// instrumented run.
+// BENCH_10.json for whichever of B1..B10 run, all in the one report
+// schema (EXPERIMENTS.md); -out "" suppresses them. An id -run does not
+// know is an error that lists the valid ids. -stats dumps the Prometheus
+// text exposition of a full instrumented run.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 
@@ -68,212 +66,66 @@ import (
 )
 
 func main() {
-	run := flag.String("run", "E1,E2,E3,E4,E5,E6,E7,B1,B2,B3,B4,B5,B6,B7,B8,B9,B10,CP", "comma-separated experiment ids")
+	experiments := bench.Experiments()
+	var ids []string
+	known := map[string]bool{}
+	for _, e := range experiments {
+		ids = append(ids, e.ID)
+		known[e.ID] = true
+	}
+	run := flag.String("run", strings.Join(ids, ","), "comma-separated experiment ids")
 	ops := flag.Int("ops", 200000, "operations per measured engine run")
 	outPattern := flag.String("out", "BENCH_N.json", "file pattern for the B benchmarks' machine-readable reports; a literal N becomes the benchmark number, empty suppresses them")
-	jsonPath := flag.String("json", "", "deprecated: file for B1's report (overrides -out for B1)")
-	json2Path := flag.String("json2", "", "deprecated: file for B2's report (overrides -out for B2)")
-	json3Path := flag.String("json3", "", "deprecated: file for B3's report (overrides -out for B3)")
 	statsDump := flag.Bool("stats", false, "dump Prometheus metrics of a full instrumented run")
 	flag.Parse()
 
-	// The deprecated per-benchmark flags win only when set explicitly,
-	// so plain invocations follow the -out convention.
-	legacy := map[string]*string{}
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "json":
-			legacy["B1"] = jsonPath
-		case "json2":
-			legacy["B2"] = json2Path
-		case "json3":
-			legacy["B3"] = json3Path
-		}
-	})
-	outPath := func(id string) string {
-		if p, ok := legacy[id]; ok {
-			return *p
-		}
-		if *outPattern == "" {
-			return ""
-		}
-		// Replace the LAST "N" so names like BENCH_N.json keep their
-		// prefix intact.
-		if i := strings.LastIndex(*outPattern, "N"); i >= 0 {
-			return (*outPattern)[:i] + id[1:] + (*outPattern)[i+1:]
-		}
-		return *outPattern
-	}
-
-	want := map[string]bool{}
-	for _, id := range strings.Split(*run, ",") {
-		want[strings.TrimSpace(strings.ToUpper(id))] = true
-	}
 	fail := func(id string, err error) {
 		fmt.Fprintf(os.Stderr, "fame-bench: %s: %v\n", id, err)
 		os.Exit(1)
 	}
-	writeReport := func(id, path string, write func(io.Writer) error) {
-		if path == "" {
-			return
+	want := map[string]bool{}
+	for _, id := range strings.Split(*run, ",") {
+		id = strings.TrimSpace(strings.ToUpper(id))
+		if !known[id] {
+			fail("-run", fmt.Errorf("unknown experiment %q; valid ids: %s", id, strings.Join(ids, ",")))
+		}
+		want[id] = true
+	}
+
+	fmt.Println(bench.HostEnv())
+	fmt.Println()
+	for _, e := range experiments {
+		if !want[e.ID] {
+			continue
+		}
+		text, report, err := e.Run(*ops)
+		if text != "" {
+			fmt.Println(text)
+		}
+		if err != nil {
+			fail(e.ID, err)
+		}
+		if report == nil || *outPattern == "" {
+			continue
+		}
+		// Replace the LAST "N" so names like BENCH_N.json keep their
+		// prefix intact.
+		path := *outPattern
+		if i := strings.LastIndex(path, "N"); i >= 0 {
+			path = path[:i] + e.ID[1:] + path[i+1:]
 		}
 		f, err := os.Create(path)
 		if err != nil {
-			fail(id, err)
+			fail(e.ID, err)
 		}
-		if err := write(f); err != nil {
+		if err := bench.WriteJSON(f, report); err != nil {
 			f.Close()
-			fail(id, err)
+			fail(e.ID, err)
 		}
 		if err := f.Close(); err != nil {
-			fail(id, err)
+			fail(e.ID, err)
 		}
 		fmt.Printf("wrote %s\n", path)
-	}
-
-	if want["E1"] {
-		rows, err := bench.E1()
-		if err != nil {
-			fail("E1", err)
-		}
-		fmt.Println(bench.FormatE1(rows))
-	}
-	if want["E2"] {
-		rows, err := bench.E2(*ops)
-		if err != nil {
-			fail("E2", err)
-		}
-		fmt.Println(bench.FormatE2(rows))
-	}
-	if want["E3"] {
-		r, err := bench.E3(*ops)
-		if err != nil {
-			fail("E3", err)
-		}
-		fmt.Println(bench.FormatE3(r))
-	}
-	if want["E4"] {
-		rows, variants, err := bench.E4(*ops / 4)
-		if err != nil {
-			fail("E4", err)
-		}
-		fmt.Println(bench.FormatE4(rows, variants))
-	}
-	if want["E5"] {
-		rows, examined, derivable, err := bench.E5()
-		if err != nil {
-			fail("E5", err)
-		}
-		fmt.Println(bench.FormatE5(rows, examined, derivable))
-	}
-	if want["E6"] {
-		r, err := bench.E6(*ops / 10)
-		if err != nil {
-			fail("E6", err)
-		}
-		fmt.Println(bench.FormatE6(r))
-	}
-	if want["E7"] {
-		r, err := bench.E7()
-		if err != nil {
-			fail("E7", err)
-		}
-		fmt.Println(bench.FormatE7(r))
-	}
-	if want["B1"] {
-		r, err := bench.B1(*ops/4, 23)
-		if err != nil {
-			fail("B1", err)
-		}
-		fmt.Println(bench.FormatB1(r))
-		writeReport("B1", outPath("B1"), r.WriteJSON)
-	}
-	if want["B2"] {
-		r, err := bench.B2(*ops/4, 23)
-		if err != nil {
-			fail("B2", err)
-		}
-		fmt.Println(bench.FormatB2(r))
-		writeReport("B2", outPath("B2"), r.WriteJSON)
-	}
-	if want["B3"] {
-		r, err := bench.B3(*ops/40, 23)
-		if err != nil {
-			fail("B3", err)
-		}
-		fmt.Println(bench.FormatB3(r))
-		writeReport("B3", outPath("B3"), r.WriteJSON)
-	}
-	if want["B4"] {
-		r, err := bench.B4(*ops/4, 23)
-		if err != nil {
-			fail("B4", err)
-		}
-		fmt.Println(bench.FormatB4(r))
-		writeReport("B4", outPath("B4"), r.WriteJSON)
-	}
-	if want["B5"] {
-		r, err := bench.B5(*ops/4, 23)
-		if err != nil {
-			fail("B5", err)
-		}
-		fmt.Println(bench.FormatB5(r))
-		writeReport("B5", outPath("B5"), r.WriteJSON)
-	}
-	if want["B6"] {
-		r, err := bench.B6(*ops/4, 23)
-		if err != nil {
-			fail("B6", err)
-		}
-		fmt.Println(bench.FormatB6(r))
-		writeReport("B6", outPath("B6"), r.WriteJSON)
-	}
-	if want["B7"] {
-		r, err := bench.B7(*ops/4, 23)
-		if err != nil {
-			fail("B7", err)
-		}
-		fmt.Println(bench.FormatB7(r))
-		writeReport("B7", outPath("B7"), r.WriteJSON)
-	}
-	if want["B8"] {
-		r, err := bench.B8(*ops/4, 23)
-		if err != nil {
-			fail("B8", err)
-		}
-		fmt.Println(bench.FormatB8(r))
-		writeReport("B8", outPath("B8"), r.WriteJSON)
-	}
-	if want["B9"] {
-		r, err := bench.B9(*ops/4, 23)
-		if err != nil {
-			fail("B9", err)
-		}
-		fmt.Println(bench.FormatB9(r))
-		writeReport("B9", outPath("B9"), r.WriteJSON)
-	}
-	if want["B10"] {
-		r, err := bench.B10(*ops/8, 23)
-		if err != nil {
-			fail("B10", err)
-		}
-		fmt.Println(bench.FormatB10(r))
-		if !r.Ok() {
-			fail("B10", fmt.Errorf("replica convergence or crash-point invariants violated"))
-		}
-		writeReport("B10", outPath("B10"), r.WriteJSON)
-	}
-	if want["CP"] {
-		for _, torn := range []bool{false, true} {
-			r, err := bench.CrashPoints(bench.CrashPointConfig{Commits: 8, Torn: torn, Seed: 23})
-			if err != nil {
-				fail("CP", err)
-			}
-			fmt.Println(bench.FormatCrashPoints(r))
-			if !r.Ok() {
-				fail("CP", fmt.Errorf("%d crash points violated invariants", len(r.Failures)))
-			}
-		}
 	}
 	if *statsDump {
 		text, err := bench.StatsDump(*ops / 4)

@@ -26,10 +26,8 @@ package bench
 // back clean.
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"strings"
 	"time"
 
@@ -296,11 +294,4 @@ func FormatCrashPoints(r *CrashPointReport) string {
 		fmt.Fprintln(&b, "  all invariants held at every crash point")
 	}
 	return b.String()
-}
-
-// WriteJSON emits the machine-readable harness report.
-func (r *CrashPointReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
 }
