@@ -28,7 +28,7 @@
 // writers rewrite the scanned keys, closing the loop both ways (the
 // deriver selects MVCC under a read-latency objective and prices it
 // out under a tight ROM budget). B8 runs the CompiledQueries benchmark
-// — interpreted vs plan-cached vs prepared execution of point lookups,
+// — uncached vs plan-cached vs prepared execution of point lookups,
 // range scans and filtered scans at 1/4/16 goroutines, closing the
 // loop both ways (the deriver selects CompiledQueries under a
 // statement-latency objective and prices it out under a tight ROM

@@ -116,7 +116,7 @@ func TestSQLViaFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Rows) != 1 || r.Rows[0][0].Str != "two" || r.Plan != "index-scan" {
+	if len(r.Rows) != 1 || r.Rows[0][0].Str != "two" || r.Plan != "point-lookup" {
 		t.Fatalf("result = %+v", r)
 	}
 }

@@ -145,13 +145,9 @@ func exerciseProduct(t *testing.T, db *DB) {
 		}
 		wantPlan := "full-scan"
 		if db.Has("Optimizer") && db.Has("BPlusTree") {
-			// A single pk-equality: the interpreted planner picks the
-			// index range; the CompiledQueries closure compiler fuses it
-			// further into a direct point lookup.
-			wantPlan = "index-scan"
-			if db.Has("CompiledQueries") {
-				wantPlan = "point-lookup"
-			}
+			// A single pk-equality is one index Get on every product
+			// that can choose access paths.
+			wantPlan = "point-lookup"
 		}
 		if r.Plan != wantPlan {
 			t.Fatalf("plan = %s, want %s", r.Plan, wantPlan)

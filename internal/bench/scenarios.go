@@ -1124,7 +1124,7 @@ var sqlPrepared = map[string]string{
 }
 
 // sqlText builds goroutine g's i-th statement of one workload as SQL
-// text with literals — what the interpreted and plan-cached modes
+// text with literals — what the uncached and plan-cached modes
 // execute.
 func sqlText(workload string, g, i int) string {
 	k := (g*2654435761 + i*97) % sqlRows
@@ -1157,17 +1157,18 @@ func sqlArgs(workload string, g, i int) []types.Value {
 // ---------------------------------------------------------------------
 // B8: the CompiledQueries feature's statement latency.
 //
-// Two otherwise identical SQL products — one interpreting every
-// statement (parse, plan, execute), one composing CompiledQueries — run
-// the same read workloads over a preloaded table: point lookups by
-// primary key, bounded range scans, and filtered full scans over a
-// non-indexed column. The compiled product is measured twice: on the
+// Two otherwise identical SQL products — one building a plan for every
+// statement (parse, compile, run once), one composing CompiledQueries,
+// which keeps plans — run the same read workloads over a preloaded
+// table: point lookups by primary key, bounded range scans, and
+// filtered full scans over a non-indexed column. The compiled product is measured twice: on the
 // unprepared Exec path, where the shape-keyed plan cache normalizes
 // each statement's literals away and reuses a compiled plan (clients
 // still pay for building the SQL string), and on the prepared path,
 // where one shared *Stmt executes closure-compiled plans with bound
-// arguments — zero parsing, zero planning, and for the pk-equality
-// shape a fused point lookup. Each (workload, mode) cell is swept at
+// arguments — zero parsing, zero compiling. The pk-equality shape is a
+// point lookup in every mode; what differs is what stands in front of
+// it. Each (workload, mode) cell is swept at
 // 1, 4 and 16 goroutines; the prepared cells share a single *Stmt
 // across all goroutines, exercising the statement latch.
 //
@@ -1177,15 +1178,15 @@ func sqlArgs(workload string, g, i int) []types.Value {
 // statement-latency weight, and the greedy deriver minimizing measured
 // statement latency selects CompiledQueries on its own. The ROM side
 // prices it right back out: under a budget that fits the SQL base
-// product but not the closure compiler and plan cache, requiring
-// CompiledQueries makes derivation infeasible.
+// product but not the prepared-statement surface and plan cache,
+// requiring CompiledQueries makes derivation infeasible.
 func b8(ops int) Scenario {
 	ops = atLeast(ops, 2048)
 	// The three execution modes of the sweep.
 	const (
-		interpreted = "interpreted" // no CompiledQueries: parse+plan every Exec
-		cached      = "cached"      // CompiledQueries, unprepared Exec: plan-cache hits
-		prepared    = "prepared"    // CompiledQueries, shared Stmt.Exec: zero-parse
+		uncached = "uncached" // no CompiledQueries: parse+compile every Exec
+		cached   = "cached"   // CompiledQueries, unprepared Exec: plan-cache hits
+		prepared = "prepared" // CompiledQueries, shared Stmt.Exec: zero-parse
 	)
 	var sweep []Position
 	for _, workload := range sqlWorkloads {
@@ -1195,7 +1196,7 @@ func b8(ops int) Scenario {
 	}
 	compiled := sqlProduct("CompiledQueries")
 	return Scenario{
-		Title:    "CompiledQueries: interpreted vs plan-cached vs prepared execution",
+		Title:    "CompiledQueries: uncached vs plan-cached vs prepared execution",
 		Feature:  "CompiledQueries",
 		Property: nfp.LatencyP50,
 		// The stakeholder's functional requirements are the optimized SQL
@@ -1214,7 +1215,7 @@ func b8(ops int) Scenario {
 			"point_lookups", "index_scans", "full_scans"},
 		Compare: []string{"ops_per_sec"},
 		Variants: []Variant{
-			{Name: interpreted, Features: sqlProduct()},
+			{Name: uncached, Features: sqlProduct()},
 			{Name: cached, Features: compiled, With: true},
 			{Name: prepared, Features: compiled, With: true},
 		},
@@ -1287,7 +1288,7 @@ func b8(ops int) Scenario {
 		},
 		// Feed the loop at the acceptance cell: point lookups at 16
 		// goroutines, one measurement per variant, differing only in the
-		// CompiledQueries feature — interpreted execution for the base
+		// CompiledQueries feature — uncached execution for the base
 		// product, prepared execution for the compiled one.
 		Feed: func(c Cell, m Metrics) map[nfp.Property]float64 {
 			if c.Pos.Labels[0] != sqlPoint || c.Pos.Workers != 16 || c.Variant.Name == cached {

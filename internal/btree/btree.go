@@ -158,15 +158,23 @@ func Create(p storage.Pager) (*Tree, storage.PageID, error) {
 
 // Open loads a tree from its meta page.
 func Open(p storage.Pager, metaID storage.PageID) (*Tree, error) {
+	return OpenIn(nil, p, metaID)
+}
+
+// OpenIn is Open for a caller that holds a span: the meta-page read
+// records under sp (a statement faulting its table in) instead of as a
+// root of its own.
+func OpenIn(sp *trace.Span, p storage.Pager, metaID storage.PageID) (*Tree, error) {
+	pager := storage.SeamOf(p)
 	buf := make([]byte, p.PageSize())
-	if err := p.ReadPage(metaID, buf); err != nil {
+	if err := pager.ReadIn(sp, metaID, buf); err != nil {
 		return nil, err
 	}
 	if string(buf[:8]) != treeMetaMagic {
 		return nil, fmt.Errorf("btree: page %d is not a tree meta page", metaID)
 	}
 	return &Tree{
-		pager:    storage.SeamOf(p),
+		pager:    pager,
 		metaPage: metaID,
 		root:     storage.PageID(binary.LittleEndian.Uint32(buf[8:12])),
 		count:    binary.LittleEndian.Uint64(buf[12:20]),

@@ -619,8 +619,8 @@ func instrumentFactory(base sql.IndexFactory, reg *stats.Registry, tr *trace.Tra
 		}
 		return idx, meta, err
 	}
-	wrapped.Open = func(p storage.Pager, meta storage.PageID) (index.Index, error) {
-		idx, err := base.Open(p, meta)
+	wrapped.Open = func(sp *trace.Span, p storage.Pager, meta storage.PageID) (index.Index, error) {
+		idx, err := base.Open(sp, p, meta)
 		if err == nil {
 			observe(idx)
 		}

@@ -73,8 +73,8 @@ func TestComposeFullProduct(t *testing.T) {
 	if err != nil || len(r.Rows) != 1 || r.Rows[0][0].Str != "two" {
 		t.Fatalf("SQL = %v, %v", r, err)
 	}
-	if r.Plan != "index-scan" {
-		t.Fatalf("plan = %q, want index-scan with Optimizer", r.Plan)
+	if r.Plan != "point-lookup" {
+		t.Fatalf("plan = %q, want point-lookup with Optimizer", r.Plan)
 	}
 	if _, ok := inst.CacheStats(); !ok {
 		t.Fatal("buffer manager missing")

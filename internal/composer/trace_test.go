@@ -435,3 +435,89 @@ func TestTraceConcurrentOpsKeepTheirOwnTrees(t *testing.T) {
 		t.Fatalf("%d access.get trees, want %d", gets, want)
 	}
 }
+
+// TestTraceFirstStatementAfterReopenIsOneTree pins the SQL layer's span
+// parenting on the one path that used to escape it: the first statement
+// on a reopened product faults the table in from the catalog, and that
+// read must land under the statement, not as a root of its own. A
+// product that keeps plans (CompiledQueries) records the plan-cache
+// miss's compile as a second sql root; below the sql layer nothing may
+// be parentless on either product.
+func TestTraceFirstStatementAfterReopenIsOneTree(t *testing.T) {
+	base := []string{"Linux", "BPlusTree", "BufferManager", "LRU", "DynamicAlloc",
+		"Put", "Get", "SQLEngine", "Optimizer", "Tracing"}
+	for _, tc := range []struct {
+		name      string
+		features  []string
+		wantRoots int
+	}{
+		{"SQLEngine", base, 1},
+		{"CompiledQueries", append(append([]string(nil), base...), "CompiledQueries"), 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fs := osal.NewMemFS()
+			inst, err := ComposeProduct(Options{FS: fs}, tc.features...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, q := range []string{
+				"CREATE TABLE t (id INT PRIMARY KEY, v TEXT)",
+				"INSERT INTO t VALUES (1, 'one'), (2, 'two')",
+			} {
+				if _, err := inst.SQL.Exec(q); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := inst.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			inst, err = ComposeProduct(Options{FS: fs}, tc.features...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer inst.Close()
+			before, err := inst.Trace()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var opened uint64 // spans of the reopen itself are not the statement's
+			for _, r := range before.Spans {
+				if r.Seq > opened {
+					opened = r.Seq
+				}
+			}
+			r, err := inst.SQL.Exec("SELECT v FROM t WHERE id = 2")
+			if err != nil || len(r.Rows) != 1 || r.Rows[0][0].Str != "two" {
+				t.Fatalf("SELECT after reopen = %v, %v", r, err)
+			}
+			snap, err := inst.Trace()
+			if err != nil {
+				t.Fatal(err)
+			}
+			roots, lower := 0, 0
+			for _, r := range snap.Spans {
+				if r.Seq <= opened {
+					continue
+				}
+				if r.Layer != trace.LayerSQL {
+					lower++
+				}
+				if r.Parent != 0 {
+					continue
+				}
+				roots++
+				if r.Layer != trace.LayerSQL {
+					t.Errorf("parentless %s.%s span %d: every span of a statement belongs under its sql root",
+						r.Layer, r.Op, r.ID)
+				}
+			}
+			if roots != tc.wantRoots {
+				t.Errorf("statement recorded %d root spans, want %d", roots, tc.wantRoots)
+			}
+			if lower == 0 {
+				t.Error("statement recorded no spans below the sql layer; the catalog read is missing")
+			}
+		})
+	}
+}

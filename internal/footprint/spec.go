@@ -86,13 +86,13 @@ func FAMESources() map[string][]SourceSpec {
 		"BPlusTree": {
 			file("internal/btree/node.go"),
 			funcs("internal/btree/btree.go",
-				"Create", "Open", "Tree.writeMeta", "Tree.Len", "Tree.MetaPage",
+				"Create", "Open", "OpenIn", "Tree.writeMeta", "Tree.Len", "Tree.MetaPage",
 				"Tree.readNode", "Tree.writeNode", "maxEntrySize",
 				"Tree.Insert", "Tree.InsertIn", "Tree.insertAt", "Tree.insertLeaf",
 				"Tree.leafEntries", "Tree.innerEntries", "splitPoint",
 				"leafCellSize2", "innerCellSize2"),
 			funcs("internal/index/index.go",
-				"CreateBTree", "OpenBTree", "BTree.Name", "BTree.Insert",
+				"CreateBTree", "OpenBTree", "OpenBTreeIn", "BTree.Name", "BTree.Insert",
 				"BTree.InsertIn", "BTree.Len", "BTree.Tree", "AllBTreeOps"),
 		},
 		"BTreeSearch": {
@@ -197,34 +197,37 @@ func FAMESources() map[string][]SourceSpec {
 		"Locking":  {file("internal/txn/groupcommit.go")},
 		"Recovery": {funcs("internal/txn/txn.go", "Manager.recover")},
 
-		// The query stack.
+		// The query stack. There is one SQL executor — statements compile
+		// to closure chains (compile.go) that engine.go latches, traces
+		// and runs — and every SQL product carries it.
 		"SQLEngine": {
 			file("internal/sql/lexer.go"),
 			file("internal/sql/ast.go"),
 			file("internal/sql/parser.go"),
+			file("internal/sql/compile.go"),
 			funcs("internal/sql/engine.go",
 				"Create", "Open", "initEngine", "Engine.Meta", "Engine.Exec",
-				"Engine.execStmt", "Engine.lockFor", "Engine.dispatch",
+				"Engine.runCompiled", "Engine.lockFor",
 				"catalogKey", "encodeTableMeta", "decodeTableMeta",
 				"Engine.saveTableMeta", "Engine.openTable", "Engine.Tables",
 				"Engine.execCreate", "Engine.execDrop", "coerce", "table.rowKey",
-				"resolveInsert", "Engine.insertRow", "Engine.execInsert",
-				"scanWhere", "Engine.scanMatching", "Engine.execSelect",
+				"resolveInsert", "Engine.insertRow", "scanWhere",
 				"resolveProjection", "projectRow", "sortRows",
-				"Engine.execAggregates", "aggRow", "Engine.applyUpdate",
-				"Engine.execUpdate", "Engine.execDelete",
-				"BTreeFactory", "ListFactory"),
+				"resolveAggregates", "execAggregates", "aggRow",
+				"Engine.applyUpdate", "BTreeFactory", "ListFactory"),
 		},
-		"Optimizer": {funcs("internal/sql/engine.go",
-			"Engine.planScan", "bytesCompare")},
+		// The Optimizer feature: the bounded-range and point-lookup access
+		// paths. Without it every plan's access path is the full scan.
+		"Optimizer": {file("internal/sql/optimizer.go")},
 
-		// The CompiledQueries feature: prepared statements, the closure
-		// compiler, and the shape-keyed plan cache. Only CompiledQueries
-		// maps these two files (CI guards that), so a product derived
-		// without it parses and plans every statement and carries neither
-		// the compiler nor the cache.
+		// The CompiledQueries feature: plans that are kept — the
+		// prepared-statement surface and the shape-keyed plan cache. Only
+		// CompiledQueries maps these two files and it maps nothing of the
+		// executor (CI guards both), so a product derived without it
+		// compiles a plan per statement and carries neither Prepare nor
+		// the cache.
 		"CompiledQueries": {
-			file("internal/sql/compile.go"),
+			file("internal/sql/prepare.go"),
 			file("internal/sql/cache.go"),
 		},
 
@@ -354,7 +357,7 @@ func BDBSources() map[string][]SourceSpec {
 			file("internal/btree/node.go"),
 			file("internal/btree/btree.go"),
 			funcs("internal/index/index.go",
-				"CreateBTree", "OpenBTree", "BTree.Name", "BTree.Insert",
+				"CreateBTree", "OpenBTree", "OpenBTreeIn", "BTree.Name", "BTree.Insert",
 				"BTree.InsertIn", "BTree.Get", "BTree.GetIn", "BTree.Delete",
 				"BTree.DeleteIn", "BTree.Update", "BTree.UpdateIn", "BTree.Scan",
 				"BTree.ScanIn", "BTree.Len", "BTree.Tree", "AllBTreeOps"),

@@ -147,7 +147,12 @@ func CreateBTree(p storage.Pager, ops BTreeOps) (*BTree, storage.PageID, error) 
 
 // OpenBTree opens an existing B+-tree index.
 func OpenBTree(p storage.Pager, meta storage.PageID, ops BTreeOps) (*BTree, error) {
-	t, err := btree.Open(p, meta)
+	return OpenBTreeIn(nil, p, meta, ops)
+}
+
+// OpenBTreeIn is OpenBTree with the meta-page read recorded under sp.
+func OpenBTreeIn(sp *trace.Span, p storage.Pager, meta storage.PageID, ops BTreeOps) (*BTree, error) {
+	t, err := btree.OpenIn(sp, p, meta)
 	if err != nil {
 		return nil, err
 	}

@@ -32,7 +32,7 @@ func TestShellExplainAndQueries(t *testing.T) {
 
 	s.Execute(".explain SELECT v FROM t WHERE id = 1")
 	got := out.String()
-	for _, want := range []string{"explain select on t", "access:", "source: interpreted"} {
+	for _, want := range []string{"explain select on t", "access:", "source: exec"} {
 		if !strings.Contains(got, want) {
 			t.Fatalf(".explain output missing %q:\n%s", want, got)
 		}

@@ -74,26 +74,8 @@ type Condition struct {
 	Param  int
 }
 
-// rhs returns the condition's right-hand side given bound arguments.
-func (c Condition) rhs(args []types.Value) types.Value {
-	if c.Param > 0 {
-		return args[c.Param-1]
-	}
-	return c.Value
-}
-
-// bindConds resolves placeholder conditions against bound arguments,
-// returning a literal-only predicate for the interpreted executor.
-func bindConds(conds []Condition, args []types.Value) []Condition {
-	if len(args) == 0 {
-		return conds
-	}
-	out := make([]Condition, len(conds))
-	for i, c := range conds {
-		out[i] = Condition{Column: c.Column, Op: c.Op, Value: c.rhs(args)}
-	}
-	return out
-}
+// rhs returns the condition's right-hand side as an operand.
+func (c Condition) rhs() Operand { return Operand{Value: c.Value, Param: c.Param} }
 
 // AggFunc is an aggregate function name.
 type AggFunc string
@@ -112,6 +94,9 @@ type Aggregate struct {
 	Func   AggFunc
 	Column string // "*" only for COUNT
 }
+
+// String renders the aggregate as it heads its result column.
+func (a Aggregate) String() string { return fmt.Sprintf("%s(%s)", a.Func, a.Column) }
 
 // Select is SELECT ... FROM .... A select list is either plain columns
 // (possibly *) or aggregates, not a mix.
@@ -181,21 +166,6 @@ func stmtVerb(s Statement) (string, error) {
 		return "explain", nil
 	}
 	return "", fmt.Errorf("sql: unhandled statement %T", s)
-}
-
-// matches evaluates a conjunction of literal-only conditions against a
-// row. Placeholder conditions must be bound (bindConds) first.
-func matches(conds []Condition, schema []ColumnDef, row []types.Value) bool {
-	for _, c := range conds {
-		idx := columnIndex(schema, c.Column)
-		if idx < 0 {
-			return false
-		}
-		if !opHolds(c.Op, types.Compare(row[idx], c.Value)) {
-			return false
-		}
-	}
-	return true
 }
 
 // opHolds applies a comparison operator to a three-way compare result.

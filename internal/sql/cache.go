@@ -6,8 +6,8 @@
 // id = 7" and "... id = 9" share one cached plan. The cache is bounded
 // (LRU per shard) and striped eight ways so concurrent Execs on
 // different shapes do not contend on one lock. DDL does not flush the
-// cache eagerly: compiled plans pin the engine's DDL epoch and
-// recompile lazily on their next execution (see compile.go).
+// cache eagerly: kept plans pin the engine's DDL epoch and recompile
+// lazily on their next execution (see prepare.go).
 package sql
 
 import (
@@ -211,8 +211,8 @@ func (pc *planCache) len() int {
 
 // execCached tries to run a statement through the plan cache. handled
 // is false when the statement bypassed the cache (DDL, lex error,
-// explicit placeholders, or a shape that failed to compile cleanly) and
-// the caller should fall through to the interpreted path.
+// explicit placeholders, or a shape that does not parse) and Exec
+// should build a one-shot plan instead.
 func (e *Engine) execCached(query string) (res *Result, handled bool, err error) {
 	shape, args, ok := normalize(query)
 	if !ok {
@@ -233,7 +233,7 @@ func (e *Engine) execCached(query string) (res *Result, handled bool, err error)
 	stmt, _, perr := parse(shape)
 	if perr != nil {
 		// The shape does not parse (so the original cannot either); let
-		// the interpreted path report the error against the user's text.
+		// Exec report the error against the user's text.
 		return nil, false, nil
 	}
 	if _, verr := stmtVerb(stmt); verr != nil {

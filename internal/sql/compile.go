@@ -1,39 +1,33 @@
-// Closure-compiled query execution: the CompiledQueries feature.
+// The executor: every statement compiles to a chain of closures and
+// runs through it — there is no second, interpreting path.
 //
-// Engine.Prepare parses and plans a statement ONCE and compiles the
-// plan into chained closures — predicate terms with their column
-// indexes and comparison operators resolved, projection index vectors,
-// key encoders, and the access-path decision (point lookup via the
-// primary key, bounded range scan on ordered indexes, or full scan) —
-// so Stmt.Exec only binds arguments and runs the closures: zero parse,
-// zero plan. This is the Go analog of JIT-compiling queries in an
-// embedded engine, and it fits the product-line philosophy: a compiled
-// plan is a tailor-made variant of the executor, specialized for one
-// statement shape over one table schema.
-//
-// Compiled plans pin the engine's DDL epoch. DROP/CREATE TABLE bumps
-// it, and a stale plan transparently recompiles (under the statement
-// latch) before running — so a table recreated with a different schema
-// can never be read through a stale plan.
+// compileStmt resolves once what does not depend on the operands:
+// predicate terms with their column indexes and comparison operators,
+// projection index vectors and the decode mask, key encoders, and the
+// access-path closure (full scan; with the Optimizer feature a bounded
+// range scan or point lookup on ordered indexes). Running a plan only
+// binds operands — literals on the one-shot Exec path, arguments on the
+// plan-cache and prepared paths — so a plan is a tailor-made variant of
+// the executor, specialized for one statement shape over one table
+// schema. Exec builds a plan and drops it; the CompiledQueries feature
+// (prepare.go, cache.go) is what keeps plans.
 package sql
 
 import (
-	"errors"
 	"fmt"
-	"sync/atomic"
-	"time"
 
-	"famedb/internal/access"
 	"famedb/internal/stats"
 	"famedb/internal/trace"
 	"famedb/internal/types"
 )
 
-// ErrStmtClosed is returned by Exec on a closed prepared statement.
-var ErrStmtClosed = errors.New("sql: prepared statement is closed")
-
 // epochAlways marks plans that can never go stale (DDL itself).
 const epochAlways = ^uint64(0)
+
+// runFn executes a plan's closures with bound arguments. The caller
+// holds the statement latch in the verb's mode. ctr collects execution
+// counters for QueryStats; nil disables counting.
+type runFn func(sp *trace.Span, args []types.Value, ctr *execCounters) (*Result, error)
 
 // compiled is one closure-compiled plan: the chain of closures plus
 // what runCompiled needs to wrap, latch and invalidate it.
@@ -44,191 +38,64 @@ type compiled struct {
 	// feature); empty when profiling is off, which also disables the
 	// per-execution counters.
 	shape string
-	// epoch is the engine DDL epoch the plan was compiled under; the
+	// prepared marks a plan a Stmt holds; EXPLAIN's provenance names the
+	// surface it arrived through.
+	prepared bool
+	// epoch is the engine DDL epoch the plan was compiled under; a kept
 	// plan is stale (and recompiles) once the engine's moves.
 	epoch uint64
-	// run executes the closures with bound arguments. The caller holds
-	// the statement latch in the verb's mode. ctr collects execution
-	// counters for QueryStats; nil disables counting.
-	run func(sp *trace.Span, args []types.Value, ctr *execCounters) (*Result, error)
+	run   runFn
+	desc  planDesc
 }
 
-// Stmt is a prepared statement: parse and compile once, execute many.
-// One Stmt is safe for concurrent Exec from multiple goroutines.
-type Stmt struct {
-	e       *Engine
-	query   string
-	nparams int
-	plan    atomic.Pointer[compiled]
-	closed  atomic.Bool
+// planDesc is what a plan says about itself. EXPLAIN renders it instead
+// of re-deriving the planner's decisions, so it cannot disagree with
+// the plan that runs.
+type planDesc struct {
+	t *table // nil for DDL
+	// access names the access path the plan takes for given operands;
+	// nil for statements that scan nothing.
+	access interface {
+		path(args []types.Value) string
+	}
+	nPred int      // fused predicate terms
+	cols  []string // SELECT's projected columns
+	nMask int      // columns the decode mask materializes; 0 = all
 }
 
-// Prepare parses, plans and closure-compiles one statement (feature
-// CompiledQueries). The returned Stmt executes with zero parsing and
-// zero planning; `?` placeholders bind positionally at Exec.
-func (e *Engine) Prepare(query string) (*Stmt, error) {
-	if !e.cfg.Compiled {
-		return nil, fmt.Errorf("sql: Prepare needs the CompiledQueries feature: %w",
-			access.ErrNotComposed)
-	}
-	stmt, nparams, err := parse(query)
-	if err != nil {
-		return nil, err
-	}
-	e.latch.RLock()
-	c, err := e.compile(nil, stmt)
-	e.latch.RUnlock()
-	if err != nil {
-		return nil, err
-	}
-	if e.cfg.Query != nil {
-		c.shape, _ = shapeOf(query)
-	}
-	e.cfg.Metrics.Prepare()
-	s := &Stmt{e: e, query: query, nparams: nparams}
-	s.plan.Store(c)
-	return s, nil
-}
-
-// NumParams returns the number of `?` placeholders.
-func (s *Stmt) NumParams() int { return s.nparams }
-
-// Query returns the statement's SQL text.
-func (s *Stmt) Query() string { return s.query }
-
-// Exec binds args to the placeholders and runs the compiled plan —
-// no parsing, no planning. If DDL has invalidated the plan it is
-// recompiled transparently first.
-func (s *Stmt) Exec(args ...types.Value) (*Result, error) {
-	if s.closed.Load() {
-		return nil, ErrStmtClosed
-	}
-	if len(args) != s.nparams {
-		return nil, fmt.Errorf("sql: statement wants %d arguments, got %d", s.nparams, len(args))
-	}
-	c := s.plan.Load()
-	return s.e.runCompiled(c, args, func(nc *compiled) { s.plan.Store(nc) })
-}
-
-// Close retires the statement; further Execs fail with ErrStmtClosed.
-func (s *Stmt) Close() error {
-	s.closed.Store(true)
-	return nil
-}
-
-// compile closure-compiles a parsed statement under a trace span
-// (parent is the statement recompiling a stale plan, nil for Prepare
-// and the plan cache). The caller holds the statement latch (either
-// mode): compilation reads the catalog to resolve the table and schema.
-func (e *Engine) compile(parent *trace.Span, stmt Statement) (*compiled, error) {
-	sp := e.cfg.Tracer.Start(parent, trace.LayerSQL, "compile")
-	c, err := e.compileStmt(stmt)
-	e.cfg.Metrics.Compile()
-	sp.Fail(err)
-	sp.End()
-	return c, err
-}
-
-// runCompiled executes a compiled plan under the statement latch with
-// the metrics/trace wrapper, recompiling first when DDL has moved the
-// epoch; onSwap publishes the fresh plan (into the Stmt or the cache).
-func (e *Engine) runCompiled(c *compiled, args []types.Value, onSwap func(*compiled)) (*Result, error) {
-	m := e.cfg.Metrics
-	q := e.cfg.Query
-	var ctr *execCounters
-	var t0 int64
-	if q != nil && c.shape != "" {
-		ctr = &execCounters{shape: c.shape}
-		t0 = time.Now().UnixNano()
-	}
-	m.Statement(c.verb)
-	sp := e.cfg.Tracer.Start(nil, trace.LayerSQL, c.verb)
-	start := m.Start()
-	unlock := e.lockFor(c.verb)
-	var res *Result
-	var err error
-	if c.epoch != epochAlways && c.epoch != e.epoch.Load() {
-		// DDL invalidated the plan: recompile against the current
-		// catalog before running. The latch is held, so the epoch
-		// cannot move again underneath us.
-		m.PlanInvalidate()
-		var nc *compiled
-		nc, err = e.compile(sp, c.ast)
-		if err == nil {
-			nc.shape = c.shape // the profile key survives recompilation
-			c = nc
-			if onSwap != nil {
-				onSwap(nc)
-			}
-		}
-	}
-	if err == nil {
-		res, err = c.run(sp, args, ctr)
-	}
-	unlock()
-	m.Done(start)
-	sp.Fail(err)
-	spanID := sp.ID() // must precede End: span handles are pooled
-	sp.End()
-	if ctr != nil {
-		q.Observe(stats.QueryExec{
-			Shape:        c.shape,
-			Verb:         c.verb,
-			Plan:         ctr.plan,
-			DurNs:        time.Now().UnixNano() - t0,
-			RowsScanned:  ctr.rowsScanned,
-			RowsReturned: rowsOut(res),
-			PagesVisited: ctr.pagesVisited,
-			TraceRoot:    spanID,
-			Err:          err,
-		})
-	}
-	return res, err
-}
-
-// compileStmt builds the closure chain for one statement. Caller holds
-// the statement latch.
-func (e *Engine) compileStmt(stmt Statement) (*compiled, error) {
+// compileStmt builds the closure chain for one statement. sp parents
+// the catalog read of a table's first use. Caller holds the statement
+// latch (either mode): compilation reads the catalog to resolve the
+// table and schema.
+func (e *Engine) compileStmt(sp *trace.Span, stmt Statement) (*compiled, error) {
 	switch s := stmt.(type) {
 	case Select:
-		return e.compileSelect(s)
+		return e.compileSelect(sp, s)
 	case Insert:
-		return e.compileInsert(s)
+		return e.compileInsert(sp, s)
 	case Update:
-		return e.compileUpdate(s)
+		return e.compileUpdate(sp, s)
 	case Delete:
-		return e.compileDelete(s)
+		return e.compileDelete(sp, s)
 	case Explain:
-		return e.compileExplain(s)
-	case CreateTable, DropTable:
-		// DDL "compiles" to the interpreted executor: re-execution
-		// still skips the parser, and DDL can never go stale (it IS
-		// what moves the epoch).
-		verb, err := stmtVerb(stmt)
-		if err != nil {
-			return nil, err
-		}
-		return &compiled{verb: verb, ast: stmt, epoch: epochAlways,
-			run: func(sp *trace.Span, _ []types.Value, ctr *execCounters) (*Result, error) {
-				return e.dispatch(sp, stmt, ctr)
+		return e.compileExplain(sp, s)
+	case CreateTable:
+		// DDL has nothing to resolve ahead of time and can never go
+		// stale: it IS what moves the epoch.
+		return &compiled{verb: "create", ast: s, epoch: epochAlways,
+			run: func(sp *trace.Span, _ []types.Value, _ *execCounters) (*Result, error) {
+				return e.execCreate(sp, s)
+			}}, nil
+	case DropTable:
+		return &compiled{verb: "drop", ast: s, epoch: epochAlways,
+			run: func(sp *trace.Span, _ []types.Value, _ *execCounters) (*Result, error) {
+				return e.execDrop(sp, s)
 			}}, nil
 	}
 	return nil, fmt.Errorf("sql: unhandled statement %T", stmt)
 }
 
 // --- compiled operands and predicates ---
-
-// valueFn resolves one operand against the bound arguments.
-type valueFn func(args []types.Value) types.Value
-
-func compileOperand(o Operand) valueFn {
-	if o.Param > 0 {
-		i := o.Param - 1
-		return func(args []types.Value) types.Value { return args[i] }
-	}
-	v := o.Value
-	return func([]types.Value) types.Value { return v }
-}
 
 // rowPred is a compiled predicate term: column index and operator are
 // resolved at compile time, only the comparison runs per row.
@@ -246,10 +113,9 @@ func compilePred(schema []ColumnDef, where []Condition) (rowPred, error) {
 		if idx < 0 {
 			return nil, fmt.Errorf("%w: %s", ErrNoColumn, c.Column)
 		}
-		get := compileOperand(Operand{Value: c.Value, Param: c.Param})
-		op := c.Op
+		op, rhs := c.Op, c.rhs()
 		terms[i] = func(row, args []types.Value) bool {
-			return opHolds(op, types.Compare(row[idx], get(args)))
+			return opHolds(op, types.Compare(row[idx], rhs.resolve(args)))
 		}
 	}
 	if len(terms) == 1 {
@@ -265,112 +131,125 @@ func compilePred(schema []ColumnDef, where []Condition) (rowPred, error) {
 	}, nil
 }
 
-// boundsFn computes scan bounds from the bound arguments: the compiled
-// counterpart of planScan, with the primary-key conditions preselected
-// at compile time so only key encoding runs per execution.
+// boundsFn computes scan bounds and the access-path label from the
+// bound arguments.
 type boundsFn func(args []types.Value) (lo, hi []byte, plan string)
 
-// pkCond is one primary-key condition kept for bounds computation.
-type pkCond struct {
-	op  CompareOp
-	get valueFn
+func fullScan([]types.Value) (lo, hi []byte, plan string) { return nil, nil, "full-scan" }
+
+// scanPlan is what every scanning statement compiles the same way: the
+// fused predicate and the access-path closure over one table.
+type scanPlan struct {
+	t      *table
+	pred   rowPred
+	bounds boundsFn
+	m      *stats.SQL
 }
 
-// compileBounds builds the access-path closure for a predicate over t.
-func (e *Engine) compileBounds(t *table, where []Condition) boundsFn {
-	fullScan := func([]types.Value) ([]byte, []byte, string) { return nil, nil, "full-scan" }
-	if !e.cfg.Optimizer || !e.cfg.Factory.Ordered || t.pk < 0 {
-		return fullScan
+func (e *Engine) compileScan(t *table, where []Condition) (scanPlan, error) {
+	pred, err := compilePred(t.schema, where)
+	if err != nil {
+		return scanPlan{}, err
 	}
-	pkName := t.schema[t.pk].Name
-	pkKind := t.schema[t.pk].Kind
-	var conds []pkCond
-	for _, c := range where {
-		if c.Column == pkName {
-			conds = append(conds, pkCond{op: c.Op, get: compileOperand(Operand{Value: c.Value, Param: c.Param})})
-		}
+	bounds := boundsFn(fullScan)
+	if e.cfg.Optimizer {
+		bounds = e.compileBounds(t, where)
 	}
-	if len(conds) == 0 {
-		return fullScan
-	}
-	return func(args []types.Value) (lo, hi []byte, plan string) {
-		plan = "full-scan"
-		for _, c := range conds {
-			v, err := coerce(c.get(args), pkKind)
-			if err != nil {
-				continue // un-coercible bound: contributes no range
-			}
-			key := types.EncodeKey(v)
-			switch c.op {
-			case OpEq:
-				lo = key
-				hi = append(append([]byte(nil), key...), 0)
-				return lo, hi, "index-scan"
-			case OpGt, OpGe:
-				if lo == nil || bytesCompare(key, lo) > 0 {
-					lo = key
-					if c.op == OpGt {
-						lo = append(append([]byte(nil), key...), 0)
-					}
-					plan = "index-scan"
-				}
-			case OpLt, OpLe:
-				if hi == nil || bytesCompare(key, hi) < 0 {
-					hi = key
-					if c.op == OpLe {
-						hi = append(append([]byte(nil), key...), 0)
-					}
-					plan = "index-scan"
-				}
-			}
-		}
-		return lo, hi, plan
-	}
+	return scanPlan{t: t, pred: pred, bounds: bounds, m: e.cfg.Metrics}, nil
 }
 
-// limitFn resolves LIMIT per execution (it may be a placeholder).
-type limitFn func(args []types.Value) (int, error)
+// path reports the access path the scan takes for args.
+func (p *scanPlan) path(args []types.Value) string {
+	_, _, plan := p.bounds(args)
+	return plan
+}
 
-func compileLimit(s Select) limitFn {
-	if s.LimitParam > 0 {
-		i := s.LimitParam - 1
-		return func(args []types.Value) (int, error) {
-			v := args[i]
-			if v.Kind != types.KindInt || v.Int < 0 {
-				return 0, fmt.Errorf("sql: bad LIMIT argument %v", v)
-			}
-			return int(v.Int), nil
-		}
+// scan streams the rows the plan selects for args to visit, through
+// the shared pipeline, and returns the access path it took.
+func (p *scanPlan) scan(sp *trace.Span, args []types.Value, mask []bool, ctr *execCounters,
+	visit func(key []byte, row []types.Value) bool) (plan string, err error) {
+	lo, hi, plan := p.bounds(args)
+	p.m.Plan(plan)
+	ctr.setPlan(plan)
+	pred := func(row []types.Value) bool { return p.pred == nil || p.pred(row, args) }
+	t0 := ctr.now()
+	err = scanWhere(sp, p.t, lo, hi, mask, ctr, pred, visit)
+	ctr.addScan(t0)
+	return plan, err
+}
+
+// collect materializes the matching rows with copies of their keys, for
+// the mutating statements, which must finish the scan before touching
+// the tree, and for aggregates. SELECTs stream through scan instead.
+func (p *scanPlan) collect(sp *trace.Span, args []types.Value, ctr *execCounters) (keys [][]byte, rows [][]types.Value, plan string, err error) {
+	// No mask: UPDATE rewrites whole rows and DELETE is key-driven, so
+	// every column must materialize.
+	plan, err = p.scan(sp, args, nil, ctr, func(k []byte, row []types.Value) bool {
+		keys = append(keys, append([]byte(nil), k...))
+		rows = append(rows, row)
+		return true
+	})
+	return keys, rows, plan, err
+}
+
+// rowLimit is a SELECT's LIMIT: a literal count (-1 = none) or, when
+// param is set, the placeholder to read it from at each execution.
+type rowLimit struct{ n, param int }
+
+func limitOf(s Select) rowLimit { return rowLimit{n: s.Limit, param: s.LimitParam} }
+
+func (l rowLimit) bind(args []types.Value) (int, error) {
+	if l.param == 0 {
+		return l.n, nil
 	}
-	n := s.Limit
-	return func([]types.Value) (int, error) { return n, nil }
+	v := args[l.param-1]
+	if v.Kind != types.KindInt || v.Int < 0 {
+		return 0, fmt.Errorf("sql: bad LIMIT argument %v", v)
+	}
+	return int(v.Int), nil
 }
 
 // --- compiled statements ---
 
-// compileSelect specializes a SELECT: projection indexes, fused
-// predicate, ORDER BY column and the access path are all resolved once.
-// Single-equality lookups on the primary key compile to a direct index
-// Get — the point-lookup fast path.
-func (e *Engine) compileSelect(s Select) (*compiled, error) {
-	t, err := e.openTable(s.Table)
+// selectPlan is a specialized SELECT: projection indexes, decode mask,
+// fused predicate, ORDER BY column and the access path, all resolved
+// once.
+type selectPlan struct {
+	scanPlan
+	cols    []string
+	proj    []int
+	project func(row []types.Value, proj []int) []types.Value
+	mask    []bool
+	oi      int // ORDER BY column; -1 = scan order
+	desc    bool
+	limit   rowLimit
+	// point is set (by the Optimizer) when the whole predicate is one
+	// primary-key equality; pointKey is then the key operand of a point
+	// lookup.
+	point    bool
+	pointKey Operand
+}
+
+func (e *Engine) compileSelect(sp *trace.Span, s Select) (*compiled, error) {
+	t, err := e.openTable(sp, s.Table)
 	if err != nil {
 		return nil, err
 	}
 	if len(s.Aggregates) > 0 {
 		return e.compileAggregates(t, s)
 	}
-	outCols, proj, err := resolveProjection(t, s.Columns)
+	cols, proj, err := resolveProjection(t, s.Columns)
 	if err != nil {
 		return nil, err
 	}
-	pred, err := compilePred(t.schema, s.Where)
+	scan, err := e.compileScan(t, s.Where)
 	if err != nil {
 		return nil, err
 	}
-	oi := -1
+	p := &selectPlan{scanPlan: scan, cols: cols, proj: proj, project: projectRow,
+		oi: -1, desc: s.Desc, limit: limitOf(s)}
 	if s.OrderBy != "" {
-		if oi = columnIndex(t.schema, s.OrderBy); oi < 0 {
+		if p.oi = columnIndex(t.schema, s.OrderBy); p.oi < 0 {
 			return nil, fmt.Errorf("%w: %s", ErrNoColumn, s.OrderBy)
 		}
 	}
@@ -379,154 +258,121 @@ func (e *Engine) compileSelect(s Select) (*compiled, error) {
 	for i, pi := range proj {
 		identity = identity && pi == i
 	}
-	project := projectRow
+	desc := planDesc{t: t, access: p, nPred: len(s.Where), cols: cols}
 	if identity {
-		project = func(row []types.Value, _ []int) []types.Value { return row }
-	}
-	limit := compileLimit(s)
-	bounds := e.compileBounds(t, s.Where)
-	m := e.cfg.Metrics
-
-	// The needed column set is known at compile time: projection,
-	// predicate and sort columns. Everything else is decoded without
-	// materializing — unreferenced string columns never leave the page.
-	// (The interpreted executor cannot do this: it resolves projection
-	// against generic rows.)
-	var mask []bool
-	if !identity {
-		mask = make([]bool, len(t.schema))
+		p.project = func(row []types.Value, _ []int) []types.Value { return row }
+	} else {
+		// The needed column set is known at compile time: projection,
+		// predicate and sort columns. Everything else is decoded without
+		// materializing — unreferenced string columns never leave the page.
+		p.mask = make([]bool, len(t.schema))
 		for _, pi := range proj {
-			mask[pi] = true
+			p.mask[pi] = true
 		}
 		for _, c := range s.Where {
-			mask[columnIndex(t.schema, c.Column)] = true
+			p.mask[columnIndex(t.schema, c.Column)] = true
 		}
-		if oi >= 0 {
-			mask[oi] = true
+		if p.oi >= 0 {
+			p.mask[p.oi] = true
+		}
+		for _, need := range p.mask {
+			if need {
+				desc.nMask++
+			}
 		}
 	}
-
-	// scan is the general driver: bounded or full scan, streaming
-	// through the fused predicate and projection.
-	scan := func(sp *trace.Span, args []types.Value, ctr *execCounters) (*Result, error) {
-		n, err := limit(args)
-		if err != nil {
-			return nil, err
-		}
-		defer ctr.trackPages(t)()
-		lo, hi, plan := bounds(args)
-		m.Plan(plan)
-		ctr.setPlan(plan)
-		wrap := func(row []types.Value) bool { return pred == nil || pred(row, args) }
-		if oi < 0 {
-			var out [][]types.Value
-			t0 := ctr.now()
-			err := scanWhere(sp, t, lo, hi, mask, ctr, wrap, func(_ []byte, row []types.Value) bool {
-				if n >= 0 && len(out) >= n {
-					return false
-				}
-				out = append(out, project(row, proj))
-				return true
-			})
-			ctr.addScan(t0)
-			if err != nil {
-				return nil, err
-			}
-			return &Result{Columns: outCols, Rows: out, Plan: plan}, nil
-		}
-		var rows [][]types.Value
-		t0 := ctr.now()
-		err = scanWhere(sp, t, lo, hi, mask, ctr, wrap, func(_ []byte, row []types.Value) bool {
-			rows = append(rows, row)
-			return true
-		})
-		ctr.addScan(t0)
-		if err != nil {
-			return nil, err
-		}
-		t1 := ctr.now()
-		sortRows(rows, oi, s.Desc)
-		ctr.addSort(t1)
-		if n >= 0 && len(rows) > n {
-			rows = rows[:n]
-		}
-		out := make([][]types.Value, len(rows))
-		for i, row := range rows {
-			out[i] = project(row, proj)
-		}
-		return &Result{Columns: outCols, Rows: out, Plan: plan}, nil
+	if e.cfg.Optimizer {
+		e.compilePointLookup(p, s.Where)
 	}
-
-	run := scan
-	// Point-lookup fast path: a single equality on the primary key over
-	// an ordered index compiles to one index Get — no iterator, no
-	// scan setup. Gated on the Optimizer feature like every access-path
-	// choice.
-	if e.cfg.Optimizer && e.cfg.Factory.Ordered && t.pk >= 0 &&
-		len(s.Where) == 1 && s.Where[0].Op == OpEq &&
-		s.Where[0].Column == t.schema[t.pk].Name {
-		keyOf := compileOperand(Operand{Value: s.Where[0].Value, Param: s.Where[0].Param})
-		pkKind := t.schema[t.pk].Kind
-		run = func(sp *trace.Span, args []types.Value, ctr *execCounters) (*Result, error) {
-			v, cerr := coerce(keyOf(args), pkKind)
-			if cerr != nil {
-				// Un-coercible key (e.g. a float bound on an int key):
-				// fall back to the scan driver, same as the planner.
-				return scan(sp, args, ctr)
-			}
-			n, err := limit(args)
-			if err != nil {
-				return nil, err
-			}
-			defer ctr.trackPages(t)()
-			m.Plan("point-lookup")
-			ctr.setPlan("point-lookup")
-			rec, err := t.store.GetIn(sp, types.EncodeKey(v))
-			if errors.Is(err, access.ErrNotFound) {
-				return &Result{Columns: outCols, Plan: "point-lookup"}, nil
-			}
-			if err != nil {
-				return nil, err
-			}
-			ctr.scanned()
-			row, err := types.DecodeRow(rec)
-			if err != nil {
-				return nil, err
-			}
-			res := &Result{Columns: outCols, Plan: "point-lookup"}
-			if n != 0 && (pred == nil || pred(row, args)) {
-				ctr.matched()
-				res.Rows = [][]types.Value{project(row, proj)}
-			}
-			return res, nil
-		}
-	}
-	return &compiled{verb: "select", ast: s, epoch: e.epoch.Load(), run: run}, nil
+	return &compiled{verb: "select", ast: s, epoch: e.epoch.Load(), run: p.run, desc: desc}, nil
 }
 
-// compileAggregates resolves the table and validates the aggregate
-// list once; execution binds the predicate and delegates to the
-// aggregate evaluator (still zero-parse, zero table resolution).
-func (e *Engine) compileAggregates(t *table, s Select) (*compiled, error) {
-	limit := compileLimit(s)
-	run := func(sp *trace.Span, args []types.Value, ctr *execCounters) (*Result, error) {
-		bs := s
-		bs.Where = bindConds(s.Where, args)
-		n, err := limit(args)
+// run is the general SELECT driver: bounded or full scan, streaming
+// through the fused predicate and projection.
+func (p *selectPlan) run(sp *trace.Span, args []types.Value, ctr *execCounters) (*Result, error) {
+	n, err := p.limit.bind(args)
+	if err != nil {
+		return nil, err
+	}
+	defer ctr.trackPages(p.t)()
+	if key, ok := p.pointKeyFor(args); ok {
+		return p.pointLookup(sp, key, n, args, ctr)
+	}
+	if p.oi < 0 {
+		// Stream: project each matching row as it arrives and stop the
+		// scan as soon as LIMIT is satisfied.
+		var out [][]types.Value
+		plan, err := p.scan(sp, args, p.mask, ctr, func(_ []byte, row []types.Value) bool {
+			if n >= 0 && len(out) >= n {
+				return false
+			}
+			out = append(out, p.project(row, p.proj))
+			return true
+		})
 		if err != nil {
 			return nil, err
 		}
-		bs.Limit, bs.LimitParam = n, 0
-		defer ctr.trackPages(t)()
-		return e.execAggregates(sp, t, bs, ctr)
+		return &Result{Columns: p.cols, Rows: out, Plan: plan}, nil
 	}
-	return &compiled{verb: "select", ast: s, epoch: e.epoch.Load(), run: run}, nil
+	// ORDER BY materializes only the matching rows, then sorts.
+	var rows [][]types.Value
+	plan, err := p.scan(sp, args, p.mask, ctr, func(_ []byte, row []types.Value) bool {
+		rows = append(rows, row)
+		return true
+	})
+	if err != nil {
+		return nil, err
+	}
+	t1 := ctr.now()
+	sortRows(rows, p.oi, p.desc)
+	ctr.addSort(t1)
+	if n >= 0 && len(rows) > n {
+		rows = rows[:n]
+	}
+	out := make([][]types.Value, len(rows))
+	for i, row := range rows {
+		out[i] = p.project(row, p.proj)
+	}
+	return &Result{Columns: p.cols, Rows: out, Plan: plan}, nil
+}
+
+// compileAggregates validates the aggregate list and resolves the
+// predicate and access path once; execution collects the matching rows
+// and hands them to the aggregate evaluator.
+func (e *Engine) compileAggregates(t *table, s Select) (*compiled, error) {
+	gi, cols, err := resolveAggregates(t, s)
+	if err != nil {
+		return nil, err
+	}
+	scan, err := e.compileScan(t, s.Where)
+	if err != nil {
+		return nil, err
+	}
+	limit := limitOf(s)
+	run := func(sp *trace.Span, args []types.Value, ctr *execCounters) (*Result, error) {
+		n, err := limit.bind(args)
+		if err != nil {
+			return nil, err
+		}
+		defer ctr.trackPages(t)()
+		_, rows, plan, err := scan.collect(sp, args, ctr)
+		if err != nil {
+			return nil, err
+		}
+		out, err := execAggregates(t, s, gi, n, rows)
+		if err != nil {
+			return nil, err
+		}
+		return &Result{Columns: cols, Rows: out, Plan: plan}, nil
+	}
+	return &compiled{verb: "select", ast: s, epoch: e.epoch.Load(), run: run,
+		desc: planDesc{t: t, access: &scan, nPred: len(s.Where)}}, nil
 }
 
 // compileInsert resolves the column mapping and completeness check
 // once; execution coerces the bound operands and writes rows.
-func (e *Engine) compileInsert(s Insert) (*compiled, error) {
-	t, err := e.openTable(s.Table)
+func (e *Engine) compileInsert(sp *trace.Span, s Insert) (*compiled, error) {
+	t, err := e.openTable(sp, s.Table)
 	if err != nil {
 		return nil, err
 	}
@@ -550,7 +396,7 @@ func (e *Engine) compileInsert(s Insert) (*compiled, error) {
 		dst  int
 		kind types.Kind
 		name string
-		get  valueFn
+		val  Operand
 	}
 	rows := make([][]slot, len(s.Rows))
 	for r, operands := range s.Rows {
@@ -560,7 +406,7 @@ func (e *Engine) compileInsert(s Insert) (*compiled, error) {
 		rows[r] = make([]slot, len(operands))
 		for i, o := range operands {
 			rows[r][i] = slot{dst: colIdx[i], kind: t.schema[colIdx[i]].Kind,
-				name: cols[i], get: compileOperand(o)}
+				name: cols[i], val: o}
 		}
 	}
 	run := func(sp *trace.Span, args []types.Value, ctr *execCounters) (*Result, error) {
@@ -569,7 +415,7 @@ func (e *Engine) compileInsert(s Insert) (*compiled, error) {
 		for _, slots := range rows {
 			row := make([]types.Value, len(t.schema))
 			for _, sl := range slots {
-				cv, err := coerce(sl.get(args), sl.kind)
+				cv, err := coerce(sl.val.resolve(args), sl.kind)
 				if err != nil {
 					return nil, fmt.Errorf("column %s: %w", sl.name, err)
 				}
@@ -582,13 +428,14 @@ func (e *Engine) compileInsert(s Insert) (*compiled, error) {
 		}
 		return &Result{Affected: affected}, nil
 	}
-	return &compiled{verb: "insert", ast: s, epoch: e.epoch.Load(), run: run}, nil
+	return &compiled{verb: "insert", ast: s, epoch: e.epoch.Load(), run: run,
+		desc: planDesc{t: t}}, nil
 }
 
 // compileUpdate resolves assignment targets and the predicate once;
 // execution coerces bound values, collects matches, and rewrites them.
-func (e *Engine) compileUpdate(s Update) (*compiled, error) {
-	t, err := e.openTable(s.Table)
+func (e *Engine) compileUpdate(sp *trace.Span, s Update) (*compiled, error) {
+	t, err := e.openTable(sp, s.Table)
 	if err != nil {
 		return nil, err
 	}
@@ -596,7 +443,7 @@ func (e *Engine) compileUpdate(s Update) (*compiled, error) {
 		dst  int
 		kind types.Kind
 		name string
-		get  valueFn
+		val  Operand
 	}
 	var assigns []assign
 	for col, o := range s.Set {
@@ -605,28 +452,23 @@ func (e *Engine) compileUpdate(s Update) (*compiled, error) {
 			return nil, fmt.Errorf("%w: %s", ErrNoColumn, col)
 		}
 		assigns = append(assigns, assign{dst: i, kind: t.schema[i].Kind,
-			name: col, get: compileOperand(o)})
+			name: col, val: o})
 	}
-	pred, err := compilePred(t.schema, s.Where)
+	scan, err := e.compileScan(t, s.Where)
 	if err != nil {
 		return nil, err
 	}
-	bounds := e.compileBounds(t, s.Where)
-	m := e.cfg.Metrics
 	run := func(sp *trace.Span, args []types.Value, ctr *execCounters) (*Result, error) {
 		setIdx := make(map[int]types.Value, len(assigns))
 		for _, a := range assigns {
-			cv, err := coerce(a.get(args), a.kind)
+			cv, err := coerce(a.val.resolve(args), a.kind)
 			if err != nil {
 				return nil, fmt.Errorf("column %s: %w", a.name, err)
 			}
 			setIdx[a.dst] = cv
 		}
 		defer ctr.trackPages(t)()
-		lo, hi, plan := bounds(args)
-		m.Plan(plan)
-		ctr.setPlan(plan)
-		keys, rows, err := collectMatching(sp, t, lo, hi, pred, args, ctr)
+		keys, rows, _, err := scan.collect(sp, args, ctr)
 		if err != nil {
 			return nil, err
 		}
@@ -639,28 +481,24 @@ func (e *Engine) compileUpdate(s Update) (*compiled, error) {
 		}
 		return &Result{Affected: affected}, nil
 	}
-	return &compiled{verb: "update", ast: s, epoch: e.epoch.Load(), run: run}, nil
+	return &compiled{verb: "update", ast: s, epoch: e.epoch.Load(), run: run,
+		desc: planDesc{t: t, access: &scan, nPred: len(s.Where)}}, nil
 }
 
 // compileDelete resolves the predicate once; execution collects the
 // matching keys and removes them.
-func (e *Engine) compileDelete(s Delete) (*compiled, error) {
-	t, err := e.openTable(s.Table)
+func (e *Engine) compileDelete(sp *trace.Span, s Delete) (*compiled, error) {
+	t, err := e.openTable(sp, s.Table)
 	if err != nil {
 		return nil, err
 	}
-	pred, err := compilePred(t.schema, s.Where)
+	scan, err := e.compileScan(t, s.Where)
 	if err != nil {
 		return nil, err
 	}
-	bounds := e.compileBounds(t, s.Where)
-	m := e.cfg.Metrics
 	run := func(sp *trace.Span, args []types.Value, ctr *execCounters) (*Result, error) {
 		defer ctr.trackPages(t)()
-		lo, hi, plan := bounds(args)
-		m.Plan(plan)
-		ctr.setPlan(plan)
-		keys, _, err := collectMatching(sp, t, lo, hi, pred, args, ctr)
+		keys, _, _, err := scan.collect(sp, args, ctr)
 		if err != nil {
 			return nil, err
 		}
@@ -671,21 +509,6 @@ func (e *Engine) compileDelete(s Delete) (*compiled, error) {
 		}
 		return &Result{Affected: len(keys)}, nil
 	}
-	return &compiled{verb: "delete", ast: s, epoch: e.epoch.Load(), run: run}, nil
-}
-
-// collectMatching materializes matching keys and rows through the
-// shared streaming pipeline, for the mutating compiled plans.
-func collectMatching(sp *trace.Span, t *table, lo, hi []byte, pred rowPred, args []types.Value, ctr *execCounters) (keys [][]byte, rows [][]types.Value, err error) {
-	// No mask: UPDATE rewrites whole rows and DELETE is key-driven, so
-	// every column must materialize.
-	wrap := func(row []types.Value) bool { return pred == nil || pred(row, args) }
-	t0 := ctr.now()
-	err = scanWhere(sp, t, lo, hi, nil, ctr, wrap, func(k []byte, row []types.Value) bool {
-		keys = append(keys, append([]byte(nil), k...))
-		rows = append(rows, row)
-		return true
-	})
-	ctr.addScan(t0)
-	return keys, rows, err
+	return &compiled{verb: "delete", ast: s, epoch: e.epoch.Load(), run: run,
+		desc: planDesc{t: t, access: &scan, nPred: len(s.Where)}}, nil
 }

@@ -8,10 +8,7 @@ import (
 	"testing"
 
 	"famedb/internal/access"
-	"famedb/internal/index"
-	"famedb/internal/osal"
 	"famedb/internal/stats"
-	"famedb/internal/storage"
 	"famedb/internal/types"
 )
 
@@ -20,28 +17,9 @@ import (
 // registry to observe the plan-cache counters.
 func newCompiledEngine(t *testing.T, cacheSize int) (*Engine, *stats.Registry) {
 	t.Helper()
-	f, err := osal.NewMemFS().Create("sql.db")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pf, err := storage.CreatePageFile(f, 4096)
-	if err != nil {
-		t.Fatal(err)
-	}
 	reg := stats.New()
-	e, _, err := Create(Config{
-		Pager:         pf,
-		Factory:       BTreeFactory(index.AllBTreeOps()),
-		Ops:           access.AllOps(),
-		Optimizer:     true,
-		Compiled:      true,
-		PlanCacheSize: cacheSize,
-		Metrics:       reg.SQL(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return e, reg
+	return createEngine(t, Config{Optimizer: true, Compiled: true,
+		PlanCacheSize: cacheSize, Metrics: reg.SQL()}), reg
 }
 
 func TestPrepareNeedsCompiledQueries(t *testing.T) {
@@ -149,7 +127,7 @@ func TestPreparedDMLAndLimitParam(t *testing.T) {
 }
 
 // substitute renders a template's `?` placeholders as SQL literals, so
-// the same logical statement can run interpreted.
+// the same logical statement can run as plain text.
 func substitute(template string, args []types.Value) string {
 	var sb strings.Builder
 	ai := 0
@@ -174,16 +152,19 @@ func substitute(template string, args []types.Value) string {
 	return sb.String()
 }
 
-// TestCompiledDifferential drives the same statement sequence through
-// three executors — interpreted (feature off), prepared (Stmt.Exec with
-// bound args), and plan-cached (unprepared Exec on the compiled engine,
-// so the second run of every shape is a cache hit) — and requires
-// identical results at every step. Plans may differ; answers must not.
+// TestCompiledDifferential is the operand-binding differential: the
+// same statement sequence runs through the one executor with its
+// operands bound three ways — as the text's own literals (feature off:
+// a one-shot plan per statement), as arguments of a prepared Stmt, and
+// as the literals the plan cache normalized out of the text (so the
+// second run of every shape is a cache hit) — and every step must give
+// identical results. What the answers should BE is TestSQLModelEquivalence's
+// job; this test pins that binding cannot change them.
 func TestCompiledDifferential(t *testing.T) {
-	interp := newEngine(t, true)
+	literal := newEngine(t, true)
 	prep, _ := newCompiledEngine(t, 64)
 	cached, _ := newCompiledEngine(t, 64)
-	engines := []*Engine{interp, prep, cached}
+	engines := []*Engine{literal, prep, cached}
 	for _, e := range engines {
 		mustExec(t, e, "CREATE TABLE d (id INT PRIMARY KEY, grp INT, label TEXT)")
 		var sb strings.Builder
@@ -219,7 +200,7 @@ func TestCompiledDifferential(t *testing.T) {
 	compare := func(stepNo int, q string, a, b *Result, bName string) {
 		t.Helper()
 		if a.Affected != b.Affected || len(a.Rows) != len(b.Rows) {
-			t.Fatalf("step %d %q: interpreted %d rows/%d affected, %s %d/%d",
+			t.Fatalf("step %d %q: literal %d rows/%d affected, %s %d/%d",
 				stepNo, q, len(a.Rows), a.Affected, bName, len(b.Rows), b.Affected)
 		}
 		for i := range a.Rows {
@@ -237,7 +218,7 @@ func TestCompiledDifferential(t *testing.T) {
 
 	for no, s := range steps {
 		text := substitute(s.template, s.args)
-		want := mustExec(t, interp, text)
+		want := mustExec(t, literal, text)
 
 		stmt, err := prep.Prepare(s.template)
 		if err != nil {

@@ -35,8 +35,9 @@ var (
 type IndexFactory struct {
 	// Create makes a fresh index, returning its persistent meta page.
 	Create func(p storage.Pager) (index.Index, storage.PageID, error)
-	// Open reopens an index from its meta page.
-	Open func(p storage.Pager, meta storage.PageID) (index.Index, error)
+	// Open reopens an index from its meta page; sp parents the reads
+	// that takes (nil when no statement is running).
+	Open func(sp *trace.Span, p storage.Pager, meta storage.PageID) (index.Index, error)
 	// Ordered reports whether Scan visits keys in order (B+-tree: yes;
 	// List: no). The optimizer only plans range scans on ordered
 	// indexes.
@@ -49,8 +50,8 @@ func BTreeFactory(ops index.BTreeOps) IndexFactory {
 		Create: func(p storage.Pager) (index.Index, storage.PageID, error) {
 			return index.CreateBTree(p, ops)
 		},
-		Open: func(p storage.Pager, meta storage.PageID) (index.Index, error) {
-			return index.OpenBTree(p, meta, ops)
+		Open: func(sp *trace.Span, p storage.Pager, meta storage.PageID) (index.Index, error) {
+			return index.OpenBTreeIn(sp, p, meta, ops)
 		},
 		Ordered: true,
 	}
@@ -62,7 +63,7 @@ func ListFactory() IndexFactory {
 		Create: func(p storage.Pager) (index.Index, storage.PageID, error) {
 			return index.CreateList(p)
 		},
-		Open: func(p storage.Pager, meta storage.PageID) (index.Index, error) {
+		Open: func(_ *trace.Span, p storage.Pager, meta storage.PageID) (index.Index, error) {
 			return index.OpenList(p, meta)
 		},
 		Ordered: false,
@@ -77,11 +78,13 @@ type Config struct {
 	// need an absent operation fail with access.ErrNotComposed.
 	Ops access.Ops
 	// Optimizer enables index access-path selection (the Optimizer
-	// feature). Without it, every query is a full scan.
+	// feature): range scans and point lookups on ordered indexes.
+	// Without it, every query is a full scan.
 	Optimizer bool
-	// Compiled enables the CompiledQueries feature: Prepare/Stmt with
-	// closure-compiled plans, and the shape-keyed plan cache that lets
-	// even the unprepared Exec path reuse compiled plans.
+	// Compiled enables the CompiledQueries feature — plans that are
+	// kept: Prepare/Stmt, and the shape-keyed plan cache that lets even
+	// the unprepared Exec path reuse a plan. Without it every Exec
+	// compiles its statement and drops the plan.
 	Compiled bool
 	// PlanCacheSize bounds the plan cache in entries; 0 composes the
 	// default of 256. Ignored without the CompiledQueries feature.
@@ -113,8 +116,8 @@ type Engine struct {
 	tmu    sync.Mutex
 	tables map[string]*table
 
-	// epoch counts DDL statements. Compiled plans pin the epoch they
-	// were built under and recompile when it moves — the plan-cache
+	// epoch counts DDL statements. Kept plans pin the epoch they were
+	// built under and recompile when it moves — the plan-cache
 	// invalidation protocol for DROP/CREATE TABLE.
 	epoch atomic.Uint64
 	// cache is the shape-keyed plan cache (CompiledQueries feature);
@@ -147,7 +150,7 @@ func Create(cfg Config) (*Engine, storage.PageID, error) {
 
 // Open loads an engine from its catalog meta page.
 func Open(cfg Config, meta storage.PageID) (*Engine, error) {
-	cat, err := cfg.Factory.Open(cfg.Pager, meta)
+	cat, err := cfg.Factory.Open(nil, cfg.Pager, meta)
 	if err != nil {
 		return nil, err
 	}
@@ -179,10 +182,13 @@ type Result struct {
 	Plan string
 }
 
-// Exec parses and executes one statement. On products with the
-// CompiledQueries feature it first normalizes the statement's shape
-// (literals become placeholders) and executes a cached compiled plan,
-// so repeated statement shapes skip parsing and planning entirely.
+// Exec parses and executes one statement. There is one executor: the
+// statement compiles to a chain of closures (compile.go) and runCompiled
+// runs it. On products with the CompiledQueries feature Exec first
+// normalizes the statement's shape (literals become placeholders) and
+// runs a cached plan, so repeated shapes skip parsing and compiling; on
+// every other product, and for the statements the cache refuses (DDL,
+// EXPLAIN), the plan is built for this one execution and dropped.
 func (e *Engine) Exec(query string) (*Result, error) {
 	if e.cache != nil {
 		if res, handled, err := e.execCached(query); handled {
@@ -204,11 +210,13 @@ func (e *Engine) Exec(query string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	shape := ""
+	// A plan without closures yet: runCompiled builds it under the
+	// statement's own latch and span.
+	c := &compiled{verb: verb, ast: stmt}
 	if e.cfg.Query != nil {
-		shape, _ = shapeOf(query)
+		c.shape, _ = shapeOf(query)
 	}
-	return e.execStmt(stmt, verb, shape)
+	return e.runCompiled(c, nil, nil)
 }
 
 // execCounters accumulates one statement's execution counters for the
@@ -217,13 +225,9 @@ func (e *Engine) Exec(query string) (*Result, error) {
 // inert — every method no-ops — so products without QueryStats pay
 // only a nil check per call site.
 type execCounters struct {
-	// shape is the executing statement's own profile key; EXPLAIN
-	// derives the inner statement's plan-cache shape from it.
-	shape        string
 	plan         string
 	rowsScanned  int64
 	rowsMatched  int64
-	rowsReturned int64
 	pagesVisited int64
 	scanNs       int64
 	sortNs       int64
@@ -304,24 +308,55 @@ func rowsOut(res *Result) int64 {
 	return int64(len(res.Rows) + res.Affected)
 }
 
-// execStmt runs one parsed, literal-only statement through the
-// interpreted executor, with the metrics/trace wrapper and the
-// statement latch. shape is the statement's normalized profile key;
-// empty when QueryStats is off (execution is then not observed).
-func (e *Engine) execStmt(stmt Statement, verb, shape string) (*Result, error) {
+// runCompiled executes a plan under the statement latch with the
+// metrics/trace wrapper — the one place a statement is latched, traced
+// and profiled, whichever entry point it arrived through. A plan that
+// carries no closures yet (Exec's one-shot plan) is built here first; a
+// plan DDL has made stale is recompiled, and onSwap publishes the fresh
+// one (into the Stmt or the cache).
+func (e *Engine) runCompiled(c *compiled, args []types.Value, onSwap func(*compiled)) (*Result, error) {
 	m := e.cfg.Metrics
 	q := e.cfg.Query
 	var ctr *execCounters
 	var t0 int64
-	if q != nil && shape != "" {
-		ctr = &execCounters{shape: shape}
+	if q != nil && c.shape != "" {
+		ctr = &execCounters{}
 		t0 = time.Now().UnixNano()
 	}
-	m.Statement(verb)
-	sp := e.cfg.Tracer.Start(nil, trace.LayerSQL, verb)
+	m.Statement(c.verb)
+	sp := e.cfg.Tracer.Start(nil, trace.LayerSQL, c.verb)
 	start := m.Start()
-	unlock := e.lockFor(verb)
-	res, err := e.dispatch(sp, stmt, ctr)
+	unlock := e.lockFor(c.verb)
+	var res *Result
+	var err error
+	switch {
+	case c.run == nil:
+		// One-shot: compiling inside the statement makes a failing
+		// compile a counted, traced, profiled statement like any other,
+		// and parents the catalog read under the statement's span.
+		var nc *compiled
+		if nc, err = e.compileStmt(sp, c.ast); err == nil {
+			nc.shape = c.shape
+			c = nc
+		}
+	case c.epoch != epochAlways && c.epoch != e.epoch.Load():
+		// DDL invalidated the plan: recompile against the current
+		// catalog before running. The latch is held, so the epoch
+		// cannot move again underneath us.
+		m.PlanInvalidate()
+		var nc *compiled
+		if nc, err = e.compile(sp, c.ast); err == nil {
+			// The profile key and the surface survive recompilation.
+			nc.shape, nc.prepared = c.shape, c.prepared
+			c = nc
+			if onSwap != nil {
+				onSwap(nc)
+			}
+		}
+	}
+	if err == nil {
+		res, err = c.run(sp, args, ctr)
+	}
 	unlock()
 	m.Done(start)
 	sp.Fail(err)
@@ -329,8 +364,8 @@ func (e *Engine) execStmt(stmt Statement, verb, shape string) (*Result, error) {
 	sp.End()
 	if ctr != nil {
 		q.Observe(stats.QueryExec{
-			Shape:        shape,
-			Verb:         verb,
+			Shape:        c.shape,
+			Verb:         c.verb,
 			Plan:         ctr.plan,
 			DurNs:        time.Now().UnixNano() - t0,
 			RowsScanned:  ctr.rowsScanned,
@@ -353,29 +388,6 @@ func (e *Engine) lockFor(verb string) func() {
 	}
 	e.latch.Lock()
 	return e.latch.Unlock
-}
-
-// dispatch executes a statement with the latch already held. sp is
-// the statement's span, the parent of every store call it makes; ctr
-// collects execution counters for QueryStats; nil disables counting.
-func (e *Engine) dispatch(sp *trace.Span, stmt Statement, ctr *execCounters) (*Result, error) {
-	switch s := stmt.(type) {
-	case CreateTable:
-		return e.execCreate(sp, s)
-	case DropTable:
-		return e.execDrop(sp, s)
-	case Insert:
-		return e.execInsert(sp, s, ctr)
-	case Select:
-		return e.execSelect(sp, s, ctr)
-	case Update:
-		return e.execUpdate(sp, s, ctr)
-	case Delete:
-		return e.execDelete(sp, s, ctr)
-	case Explain:
-		return e.execExplain(sp, s, ctr)
-	}
-	return nil, fmt.Errorf("sql: unhandled statement %T", stmt)
 }
 
 // --- catalog ---
@@ -426,16 +438,17 @@ func (e *Engine) saveTableMeta(sp *trace.Span, t *table) error {
 }
 
 // openTable resolves a table, faulting it in from the catalog on first
-// use. Callers hold the statement latch (either mode); the tables map
-// itself is guarded by tmu so concurrent readers stay safe.
-func (e *Engine) openTable(name string) (*table, error) {
+// use; sp parents the catalog and index-meta reads that takes. Callers
+// hold the statement latch (either mode); the tables map itself is
+// guarded by tmu so concurrent readers stay safe.
+func (e *Engine) openTable(sp *trace.Span, name string) (*table, error) {
 	e.tmu.Lock()
 	t, ok := e.tables[name]
 	e.tmu.Unlock()
 	if ok {
 		return t, nil
 	}
-	rec, found, err := e.catalog.Get(catalogKey(name))
+	rec, found, err := e.catalog.GetIn(sp, catalogKey(name))
 	if err != nil {
 		return nil, err
 	}
@@ -446,7 +459,7 @@ func (e *Engine) openTable(name string) (*table, error) {
 	if err != nil {
 		return nil, err
 	}
-	idx, err := e.cfg.Factory.Open(e.cfg.Pager, t.idxMeta)
+	idx, err := e.cfg.Factory.Open(sp, e.cfg.Pager, t.idxMeta)
 	if err != nil {
 		return nil, err
 	}
@@ -533,7 +546,7 @@ func (e *Engine) execCreate(sp *trace.Span, s CreateTable) (*Result, error) {
 }
 
 func (e *Engine) execDrop(sp *trace.Span, s DropTable) (*Result, error) {
-	if _, err := e.openTable(s.Table); err != nil {
+	if _, err := e.openTable(sp, s.Table); err != nil {
 		return nil, err
 	}
 	if _, err := e.catalog.DeleteIn(sp, catalogKey(s.Table)); err != nil {
@@ -610,115 +623,15 @@ func (e *Engine) insertRow(sp *trace.Span, t *table, row []types.Value) error {
 	return nil
 }
 
-func (e *Engine) execInsert(sp *trace.Span, s Insert, ctr *execCounters) (*Result, error) {
-	t, err := e.openTable(s.Table)
-	if err != nil {
-		return nil, err
-	}
-	defer ctr.trackPages(t)()
-	cols, colIdx, err := resolveInsert(t, s)
-	if err != nil {
-		return nil, err
-	}
-	affected := 0
-	for _, operands := range s.Rows {
-		if len(operands) != len(cols) {
-			return nil, fmt.Errorf("sql: %d values for %d columns", len(operands), len(cols))
-		}
-		row := make([]types.Value, len(t.schema))
-		assigned := make([]bool, len(t.schema))
-		for i, o := range operands {
-			cv, err := coerce(o.Value, t.schema[colIdx[i]].Kind)
-			if err != nil {
-				return nil, fmt.Errorf("column %s: %w", cols[i], err)
-			}
-			row[colIdx[i]] = cv
-			assigned[colIdx[i]] = true
-		}
-		for i := range row {
-			if !assigned[i] {
-				return nil, fmt.Errorf("sql: column %s has no value (NULL is not supported)",
-					t.schema[i].Name)
-			}
-		}
-		if err := e.insertRow(sp, t, row); err != nil {
-			return nil, err
-		}
-		affected++
-	}
-	return &Result{Affected: affected}, nil
-}
-
-// planScan decides the access path for a predicate over t, returning
-// the scan bounds and a plan label. Only the Optimizer feature plans
-// index ranges, and only over ordered indexes and primary-key columns.
-// Conditions must be literal-only (bound).
-func (e *Engine) planScan(t *table, where []Condition) (lo, hi []byte, plan string) {
-	plan = "full-scan"
-	if !e.cfg.Optimizer || !e.cfg.Factory.Ordered || t.pk < 0 {
-		return nil, nil, plan
-	}
-	pkName := t.schema[t.pk].Name
-	for _, c := range where {
-		if c.Column != pkName {
-			continue
-		}
-		v, err := coerce(c.Value, t.schema[t.pk].Kind)
-		if err != nil {
-			continue
-		}
-		key := types.EncodeKey(v)
-		switch c.Op {
-		case OpEq:
-			// Point range [key, key+0x00).
-			lo = key
-			hi = append(append([]byte(nil), key...), 0)
-			plan = "index-scan"
-			return lo, hi, plan
-		case OpGt, OpGe:
-			if lo == nil || bytesCompare(key, lo) > 0 {
-				lo = key
-				if c.Op == OpGt {
-					lo = append(append([]byte(nil), key...), 0)
-				}
-				plan = "index-scan"
-			}
-		case OpLt, OpLe:
-			if hi == nil || bytesCompare(key, hi) < 0 {
-				hi = key
-				if c.Op == OpLe {
-					hi = append(append([]byte(nil), key...), 0)
-				}
-				plan = "index-scan"
-			}
-		}
-	}
-	return lo, hi, plan
-}
-
-func bytesCompare(a, b []byte) int {
-	switch {
-	case string(a) < string(b):
-		return -1
-	case string(a) > string(b):
-		return 1
-	default:
-		return 0
-	}
-}
-
-// scanWhere is the streaming row pipeline shared by the interpreted and
-// compiled executors ("one semantics, two drivers"): it walks [lo, hi)
-// of t's store, decodes each record once, drops rows the predicate
-// rejects, and hands survivors to visit without materializing an
-// intermediate row set. visit returning false stops the scan; the key
-// is only valid during the callback.
+// scanWhere is the streaming row pipeline every scanning plan runs
+// through: it walks [lo, hi) of t's store, decodes each record once,
+// drops rows the predicate rejects, and hands survivors to visit
+// without materializing an intermediate row set. visit returning false
+// stops the scan; the key is only valid during the callback.
 //
-// mask selects the columns to materialize (nil = all). The interpreted
-// executor always passes nil — it resolves the projection against
-// generic rows after the scan. Compiled plans know the needed column
-// set at compile time and pass it here so unreferenced string columns
-// are never copied out of the page.
+// mask selects the columns to materialize (nil = all). A SELECT knows
+// its needed column set at compile time and passes it here so
+// unreferenced string columns are never copied out of the page.
 func scanWhere(sp *trace.Span, t *table, lo, hi []byte, mask []bool, ctr *execCounters,
 	pred func(row []types.Value) bool,
 	visit func(key []byte, row []types.Value) bool) error {
@@ -740,98 +653,6 @@ func scanWhere(sp *trace.Span, t *table, lo, hi []byte, mask []bool, ctr *execCo
 		err = rowErr
 	}
 	return err
-}
-
-// scanMatching collects matching rows with copies of their keys, for
-// the mutating statements that must finish the scan before touching the
-// tree. SELECTs stream through scanWhere instead.
-func (e *Engine) scanMatching(sp *trace.Span, t *table, where []Condition, ctr *execCounters) (keys [][]byte, rows [][]types.Value, plan string, err error) {
-	for _, c := range where {
-		if columnIndex(t.schema, c.Column) < 0 {
-			return nil, nil, "", fmt.Errorf("%w: %s", ErrNoColumn, c.Column)
-		}
-	}
-	lo, hi, plan := e.planScan(t, where)
-	e.cfg.Metrics.Plan(plan)
-	ctr.setPlan(plan)
-	t0 := ctr.now()
-	err = scanWhere(sp, t, lo, hi, nil, ctr,
-		func(row []types.Value) bool { return matches(where, t.schema, row) },
-		func(k []byte, row []types.Value) bool {
-			keys = append(keys, append([]byte(nil), k...))
-			rows = append(rows, row)
-			return true
-		})
-	ctr.addScan(t0)
-	return keys, rows, plan, err
-}
-
-func (e *Engine) execSelect(sp *trace.Span, s Select, ctr *execCounters) (*Result, error) {
-	t, err := e.openTable(s.Table)
-	if err != nil {
-		return nil, err
-	}
-	defer ctr.trackPages(t)()
-	if len(s.Aggregates) > 0 {
-		return e.execAggregates(sp, t, s, ctr)
-	}
-	outCols, proj, err := resolveProjection(t, s.Columns)
-	if err != nil {
-		return nil, err
-	}
-	for _, c := range s.Where {
-		if columnIndex(t.schema, c.Column) < 0 {
-			return nil, fmt.Errorf("%w: %s", ErrNoColumn, c.Column)
-		}
-	}
-	lo, hi, plan := e.planScan(t, s.Where)
-	e.cfg.Metrics.Plan(plan)
-	ctr.setPlan(plan)
-	pred := func(row []types.Value) bool { return matches(s.Where, t.schema, row) }
-	if s.OrderBy == "" {
-		// Stream: project each matching row as it arrives and stop the
-		// scan as soon as LIMIT is satisfied.
-		var out [][]types.Value
-		t0 := ctr.now()
-		err := scanWhere(sp, t, lo, hi, nil, ctr, pred, func(_ []byte, row []types.Value) bool {
-			if s.Limit >= 0 && len(out) >= s.Limit {
-				return false
-			}
-			out = append(out, projectRow(row, proj))
-			return true
-		})
-		ctr.addScan(t0)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Columns: outCols, Rows: out, Plan: plan}, nil
-	}
-	oi := columnIndex(t.schema, s.OrderBy)
-	if oi < 0 {
-		return nil, fmt.Errorf("%w: %s", ErrNoColumn, s.OrderBy)
-	}
-	// ORDER BY materializes only the matching rows, then sorts.
-	var rows [][]types.Value
-	t0 := ctr.now()
-	err = scanWhere(sp, t, lo, hi, nil, ctr, pred, func(_ []byte, row []types.Value) bool {
-		rows = append(rows, row)
-		return true
-	})
-	ctr.addScan(t0)
-	if err != nil {
-		return nil, err
-	}
-	t1 := ctr.now()
-	sortRows(rows, oi, s.Desc)
-	ctr.addSort(t1)
-	if s.Limit >= 0 && len(rows) > s.Limit {
-		rows = rows[:s.Limit]
-	}
-	out := make([][]types.Value, len(rows))
-	for i, row := range rows {
-		out[i] = projectRow(row, proj)
-	}
-	return &Result{Columns: outCols, Rows: out, Plan: plan}, nil
 }
 
 // resolveProjection maps a select list (empty = *) to output column
@@ -877,56 +698,56 @@ func sortRows(rows [][]types.Value, oi int, desc bool) {
 // (there is no NULL to return).
 var ErrEmptyAggregate = errors.New("sql: aggregate over zero rows")
 
-// execAggregates evaluates an aggregate select list, optionally grouped
-// by one column. COUNT of zero rows is 0; the other aggregates need at
-// least one row per group (groups are never empty by construction, so
-// this only bites the ungrouped zero-row case).
-func (e *Engine) execAggregates(sp *trace.Span, t *table, s Select, ctr *execCounters) (*Result, error) {
+// resolveAggregates checks an aggregate select list against the schema
+// at compile time — so a SUM over text or an unknown column fails at
+// Prepare, not at every Exec — and returns the grouping column's index
+// (-1 = ungrouped) and the result header: the grouping column first
+// when selected, then the aggregates in select-list order.
+func resolveAggregates(t *table, s Select) (gi int, cols []string, err error) {
 	for _, a := range s.Aggregates {
 		if a.Column == "*" {
 			continue
 		}
 		i := columnIndex(t.schema, a.Column)
 		if i < 0 {
-			return nil, fmt.Errorf("%w: %s", ErrNoColumn, a.Column)
+			return 0, nil, fmt.Errorf("%w: %s", ErrNoColumn, a.Column)
 		}
 		kind := t.schema[i].Kind
 		if (a.Func == AggSum || a.Func == AggAvg) &&
 			kind != types.KindInt && kind != types.KindFloat {
-			return nil, fmt.Errorf("%w: %s over %v column %s", ErrTypeMismatch, a.Func, kind, a.Column)
+			return 0, nil, fmt.Errorf("%w: %s over %v column %s", ErrTypeMismatch, a.Func, kind, a.Column)
 		}
 	}
-	gi := -1
+	gi = -1
 	if s.GroupBy != "" {
 		if gi = columnIndex(t.schema, s.GroupBy); gi < 0 {
-			return nil, fmt.Errorf("%w: %s", ErrNoColumn, s.GroupBy)
+			return 0, nil, fmt.Errorf("%w: %s", ErrNoColumn, s.GroupBy)
 		}
 	}
 	if s.OrderBy != "" && s.OrderBy != s.GroupBy {
-		return nil, errors.New("sql: aggregates can only be ordered by the grouping column")
+		return 0, nil, errors.New("sql: aggregates can only be ordered by the grouping column")
 	}
-	_, rows, plan, err := e.scanMatching(sp, t, s.Where, ctr)
-	if err != nil {
-		return nil, err
-	}
-
-	// Column header: grouping column first when selected, then the
-	// aggregates in select-list order.
-	var cols []string
-	includeGroupCol := len(s.Columns) > 0 // parser ensures Columns == {GroupBy}
-	if includeGroupCol {
+	if len(s.Columns) > 0 { // parser ensures Columns == {GroupBy}
 		cols = append(cols, s.GroupBy)
 	}
 	for _, a := range s.Aggregates {
-		cols = append(cols, fmt.Sprintf("%s(%s)", a.Func, a.Column))
+		cols = append(cols, a.String())
 	}
+	return gi, cols, nil
+}
 
+// execAggregates evaluates a resolved aggregate select list over the
+// matching rows, optionally grouped by column gi. COUNT of zero rows is
+// 0; the other aggregates need at least one row per group (groups are
+// never empty by construction, so this only bites the ungrouped
+// zero-row case).
+func execAggregates(t *table, s Select, gi, limit int, rows [][]types.Value) ([][]types.Value, error) {
 	if gi < 0 {
 		row, err := aggRow(t, s.Aggregates, rows)
 		if err != nil {
 			return nil, err
 		}
-		return &Result{Columns: cols, Rows: [][]types.Value{row}, Plan: plan}, nil
+		return [][]types.Value{row}, nil
 	}
 
 	// Group rows by the encoded group key, keeping value order.
@@ -953,15 +774,15 @@ func (e *Engine) execAggregates(sp *trace.Span, t *table, s Select, ctr *execCou
 		if err != nil {
 			return nil, err
 		}
-		if includeGroupCol {
+		if len(s.Columns) > 0 {
 			row = append([]types.Value{keyVals[k]}, row...)
 		}
 		out = append(out, row)
 	}
-	if s.Limit >= 0 && len(out) > s.Limit {
-		out = out[:s.Limit]
+	if limit >= 0 && len(out) > limit {
+		out = out[:limit]
 	}
-	return &Result{Columns: cols, Rows: out, Plan: plan}, nil
+	return out, nil
 }
 
 // aggRow computes one aggregate result row over a row set.
@@ -973,7 +794,7 @@ func aggRow(t *table, aggs []Aggregate, rows [][]types.Value) ([]types.Value, er
 			continue
 		}
 		if len(rows) == 0 {
-			return nil, fmt.Errorf("%s(%s): %w", a.Func, a.Column, ErrEmptyAggregate)
+			return nil, fmt.Errorf("%s: %w", a, ErrEmptyAggregate)
 		}
 		ci := columnIndex(t.schema, a.Column)
 		switch a.Func {
@@ -1033,54 +854,4 @@ func (e *Engine) applyUpdate(sp *trace.Span, t *table, key []byte, row []types.V
 		return t.store.PutIn(sp, newKey, types.EncodeRow(newRow))
 	}
 	return t.store.UpdateIn(sp, key, types.EncodeRow(newRow))
-}
-
-func (e *Engine) execUpdate(sp *trace.Span, s Update, ctr *execCounters) (*Result, error) {
-	t, err := e.openTable(s.Table)
-	if err != nil {
-		return nil, err
-	}
-	defer ctr.trackPages(t)()
-	setIdx := map[int]types.Value{}
-	for col, o := range s.Set {
-		i := columnIndex(t.schema, col)
-		if i < 0 {
-			return nil, fmt.Errorf("%w: %s", ErrNoColumn, col)
-		}
-		cv, err := coerce(o.Value, t.schema[i].Kind)
-		if err != nil {
-			return nil, fmt.Errorf("column %s: %w", col, err)
-		}
-		setIdx[i] = cv
-	}
-	keys, rows, _, err := e.scanMatching(sp, t, s.Where, ctr)
-	if err != nil {
-		return nil, err
-	}
-	affected := 0
-	for i, row := range rows {
-		if err := e.applyUpdate(sp, t, keys[i], row, setIdx); err != nil {
-			return nil, err
-		}
-		affected++
-	}
-	return &Result{Affected: affected}, nil
-}
-
-func (e *Engine) execDelete(sp *trace.Span, s Delete, ctr *execCounters) (*Result, error) {
-	t, err := e.openTable(s.Table)
-	if err != nil {
-		return nil, err
-	}
-	defer ctr.trackPages(t)()
-	keys, _, _, err := e.scanMatching(sp, t, s.Where, ctr)
-	if err != nil {
-		return nil, err
-	}
-	for _, k := range keys {
-		if err := t.store.RemoveIn(sp, k); err != nil {
-			return nil, err
-		}
-	}
-	return &Result{Affected: len(keys)}, nil
 }

@@ -9,10 +9,7 @@ import (
 	"time"
 
 	"famedb/internal/access"
-	"famedb/internal/index"
-	"famedb/internal/osal"
 	"famedb/internal/stats"
-	"famedb/internal/storage"
 	"famedb/internal/types"
 )
 
@@ -22,29 +19,10 @@ import (
 // composes CompiledQueries.
 func newObservedEngine(t *testing.T, compiled bool, qcfg stats.QueryStatsConfig) (*Engine, *stats.Registry) {
 	t.Helper()
-	f, err := osal.NewMemFS().Create("sql.db")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pf, err := storage.CreatePageFile(f, 4096)
-	if err != nil {
-		t.Fatal(err)
-	}
 	reg := stats.New()
 	reg.SetQueryStats(stats.NewQueryStats(qcfg))
-	e, _, err := Create(Config{
-		Pager:     pf,
-		Factory:   BTreeFactory(index.AllBTreeOps()),
-		Ops:       access.AllOps(),
-		Optimizer: true,
-		Compiled:  compiled,
-		Metrics:   reg.SQL(),
-		Query:     reg.Query(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return e, reg
+	return createEngine(t, Config{Optimizer: true, Compiled: compiled,
+		Metrics: reg.SQL(), Query: reg.Query()}), reg
 }
 
 // planLines flattens an EXPLAIN result into its text lines.
@@ -119,7 +97,7 @@ func TestExplainDescribesSelect(t *testing.T) {
 	wantLine(t, lines, "access: index-scan on users via primary key id")
 	wantLine(t, lines, "predicate: fused conjunction, 2 term(s)")
 	wantLine(t, lines, "project: name (1 of 3 columns)", "decode mask: 2 of 3")
-	wantLine(t, lines, "source: interpreted; epoch", "plan-cache: not composed")
+	wantLine(t, lines, "source: exec; epoch", "plan-cache: not composed")
 	if r.Plan != "index-scan" {
 		t.Fatalf("Plan = %q", r.Plan)
 	}
@@ -172,9 +150,49 @@ func TestExplainAnalyzeCountersTruthful(t *testing.T) {
 	wantLine(t, lines, "executed:", "returned=1")
 }
 
+// TestExplainAnalyzeRunsThePlanThatRuns pins EXPLAIN ANALYZE to the
+// plan a real execution uses: on a CompiledQueries product a single
+// pk-equality runs as a point lookup, so that is what EXPLAIN ANALYZE
+// must report — access line, Result.Plan, and counters equal to what
+// one plain execution adds to the shape's profile.
+func TestExplainAnalyzeRunsThePlanThatRuns(t *testing.T) {
+	e, reg := newObservedEngine(t, true, stats.QueryStatsConfig{})
+	seedUsers(t, e)
+
+	const shape = "SELECT * FROM users WHERE id = ?"
+	mustExec(t, e, "SELECT * FROM users WHERE id = 2") // warm: plan cached
+	before := queryShape(t, reg, shape)
+	if r := mustExec(t, e, "SELECT * FROM users WHERE id = 2"); r.Plan != "point-lookup" {
+		t.Fatalf("plain execution plan = %q, want point-lookup", r.Plan)
+	}
+	after := queryShape(t, reg, shape)
+	if after.Plan != "point-lookup" {
+		t.Fatalf("profiled plan = %q, want point-lookup", after.Plan)
+	}
+
+	r := mustExec(t, e, "EXPLAIN ANALYZE SELECT * FROM users WHERE id = 2")
+	if r.Plan != "point-lookup" {
+		t.Fatalf("EXPLAIN ANALYZE Plan = %q, want point-lookup", r.Plan)
+	}
+	lines := planLines(t, r)
+	wantLine(t, lines, "access: point-lookup on users via primary key id")
+	ln := wantLine(t, lines, "executed:", "scanned=1 matched=1 returned=1")
+	var scanned, matched, returned, pages int64
+	if _, err := fmt.Sscanf(ln[strings.Index(ln, "scanned="):], "scanned=%d matched=%d returned=%d pages=%d",
+		&scanned, &matched, &returned, &pages); err != nil {
+		t.Fatalf("executed line %q: %v", ln, err)
+	}
+	if want := after.RowsScanned - before.RowsScanned; scanned != want {
+		t.Fatalf("EXPLAIN ANALYZE scanned=%d, one plain execution scanned %d", scanned, want)
+	}
+	if want := after.PagesVisited - before.PagesVisited; pages != want || pages <= 0 {
+		t.Fatalf("EXPLAIN ANALYZE pages=%d, one plain execution visited %d", pages, want)
+	}
+}
+
 // TestExplainPrepared drives EXPLAIN through the prepared-statement
 // surface: the inner statement's placeholders bind per execution and
-// the provenance cites the compiled driver.
+// the provenance cites the prepared surface.
 func TestExplainPrepared(t *testing.T) {
 	e, _ := newObservedEngine(t, true, stats.QueryStatsConfig{})
 	seedUsers(t, e)
@@ -204,10 +222,11 @@ func TestExplainPrepared(t *testing.T) {
 		t.Fatal("Prepare EXPLAIN over a missing table should fail")
 	}
 
-	// The fast-path note appears for single pk-equality on the
-	// compiled engine.
+	// An unprepared EXPLAIN names its own surface, and a single
+	// pk-equality's access line is the point lookup.
 	lines = planLines(t, mustExec(t, e, "EXPLAIN SELECT name FROM users WHERE id = 1"))
-	wantLine(t, lines, "compiled driver: point-lookup fast path")
+	wantLine(t, lines, "access: point-lookup on users via primary key id")
+	wantLine(t, lines, "source: exec; epoch")
 }
 
 // TestExplainCacheProvenance checks EXPLAIN reads the plan cache
@@ -244,11 +263,12 @@ func queryShape(t *testing.T, reg *stats.Registry, shape string) stats.QueryShap
 }
 
 // TestProfileTruthfulnessAcrossDrivers runs the same statements in
-// lockstep through the interpreted engine and through the compiled
-// engine's plan-cached and prepared paths, and checks every driver's
-// per-shape profile reports identical scanned/returned counts — equal
-// to test-side ground truth — and that pages visited matches the
-// B+-tree's own independent visit counter.
+// lockstep through all three entry points — one-shot Exec on a
+// feature-off engine, and the plan-cached and prepared paths of a
+// CompiledQueries engine — and checks every entry point's per-shape
+// profile reports identical scanned/returned counts — equal to
+// test-side ground truth — and that pages visited matches the B+-tree's
+// own independent visit counter.
 func TestProfileTruthfulnessAcrossDrivers(t *testing.T) {
 	ei, regI := newObservedEngine(t, false, stats.QueryStatsConfig{})
 	ec, regC := newObservedEngine(t, true, stats.QueryStatsConfig{})
@@ -278,15 +298,15 @@ func TestProfileTruthfulnessAcrossDrivers(t *testing.T) {
 		}
 	}
 
-	// The prepared and plan-cached drivers share the normalized shape on
-	// the compiled engine; the interpreted engine profiled it alone.
+	// The prepared and plan-cached entry points share the normalized
+	// shape on the compiled engine; the one-shot engine profiled it alone.
 	pi := queryShape(t, regI, shape)
 	pc := queryShape(t, regC, shape)
 	if pi.Count != n || pc.Count != 2*n {
-		t.Fatalf("counts = %d interpreted, %d compiled; want %d, %d", pi.Count, pc.Count, n, 2*n)
+		t.Fatalf("counts = %d one-shot, %d compiled; want %d, %d", pi.Count, pc.Count, n, 2*n)
 	}
 	if pi.RowsScanned != 4*n || pi.RowsReturned != 2*n {
-		t.Fatalf("interpreted scanned/returned = %d/%d, want %d/%d",
+		t.Fatalf("one-shot scanned/returned = %d/%d, want %d/%d",
 			pi.RowsScanned, pi.RowsReturned, 4*n, 2*n)
 	}
 	if pc.RowsScanned != 2*4*n || pc.RowsReturned != 2*2*n {
@@ -296,7 +316,7 @@ func TestProfileTruthfulnessAcrossDrivers(t *testing.T) {
 
 	// Pages: the engine's per-statement attribution must add up to the
 	// B+-tree's own visit counter, read independently of the profile.
-	tbl, err := ec.openTable("users")
+	tbl, err := ec.openTable(nil, "users")
 	if err != nil {
 		t.Fatal(err)
 	}

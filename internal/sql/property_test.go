@@ -18,92 +18,155 @@ type modelRow struct {
 	ok   bool
 }
 
+// modelDriver runs a statement given as a `?` template plus its operands.
+type modelDriver func(template string, args ...types.Value) (*Result, error)
+
+// textDriver renders the operands into the template as literals and
+// runs the text through Exec.
+func textDriver(e *Engine) modelDriver {
+	return func(template string, args ...types.Value) (*Result, error) {
+		return e.Exec(substitute(template, args))
+	}
+}
+
+// modelDrivers are the executor's three entry points: plain text through
+// one-shot Exec on a feature-off engine, plain text through the plan
+// cache, and a prepared Stmt with bound arguments.
+var modelDrivers = []struct {
+	name string
+	open func(t *testing.T, optimizer bool) (*Engine, modelDriver)
+}{
+	{"exec", func(t *testing.T, optimizer bool) (*Engine, modelDriver) {
+		e := createEngine(t, Config{Optimizer: optimizer})
+		return e, textDriver(e)
+	}},
+	{"cached", func(t *testing.T, optimizer bool) (*Engine, modelDriver) {
+		e := createEngine(t, Config{Optimizer: optimizer, Compiled: true})
+		return e, textDriver(e)
+	}},
+	{"prepared", func(t *testing.T, optimizer bool) (*Engine, modelDriver) {
+		e := createEngine(t, Config{Optimizer: optimizer, Compiled: true})
+		stmts := map[string]*Stmt{}
+		return e, func(template string, args ...types.Value) (*Result, error) {
+			stmt, ok := stmts[template]
+			if !ok {
+				var err error
+				if stmt, err = e.Prepare(template); err != nil {
+					return nil, err
+				}
+				stmts[template] = stmt
+			}
+			return stmt.Exec(args...)
+		}
+	}},
+}
+
 // TestSQLModelEquivalence drives random DML against the engine and an
-// in-memory reference model and compares full table contents after
-// every step — the engine-level differential test.
+// in-memory reference model — which shares no code with the engine —
+// and compares full table contents after every step, through every
+// entry point, with and without the Optimizer.
 func TestSQLModelEquivalence(t *testing.T) {
-	for _, optimizer := range []bool{true, false} {
-		t.Run(fmt.Sprintf("optimizer=%v", optimizer), func(t *testing.T) {
-			e := newEngine(t, optimizer)
-			mustExec(t, e, "CREATE TABLE people (id INT PRIMARY KEY, name TEXT, age INT, ok BOOL)")
-			model := map[int64]modelRow{}
-			rng := rand.New(rand.NewSource(77))
+	for _, drv := range modelDrivers {
+		for _, optimizer := range []bool{true, false} {
+			t.Run(fmt.Sprintf("%s/optimizer=%v", drv.name, optimizer), func(t *testing.T) {
+				e, run := drv.open(t, optimizer)
+				mustRun := func(template string, args ...types.Value) *Result {
+					t.Helper()
+					r, err := run(template, args...)
+					if err != nil {
+						t.Fatalf("%s %v: %v", template, args, err)
+					}
+					return r
+				}
+				mustExec(t, e, "CREATE TABLE people (id INT PRIMARY KEY, name TEXT, age INT, ok BOOL)")
+				model := map[int64]modelRow{}
+				rng := rand.New(rand.NewSource(77))
 
-			check := func(op int) {
-				r := mustExec(t, e, "SELECT * FROM people ORDER BY id")
-				if len(r.Rows) != len(model) {
-					t.Fatalf("op %d: %d rows, model %d", op, len(r.Rows), len(model))
-				}
-				var ids []int64
-				for id := range model {
-					ids = append(ids, id)
-				}
-				sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-				for i, id := range ids {
-					row := r.Rows[i]
-					m := model[id]
-					if row[0].Int != id || row[1].Str != m.name || row[2].Int != m.age || row[3].Bool != m.ok {
-						t.Fatalf("op %d: row %d = %v, model id=%d %+v", op, i, row, id, m)
+				check := func(op int) {
+					r := mustRun("SELECT * FROM people ORDER BY id")
+					if len(r.Rows) != len(model) {
+						t.Fatalf("op %d: %d rows, model %d", op, len(r.Rows), len(model))
+					}
+					var ids []int64
+					for id := range model {
+						ids = append(ids, id)
+					}
+					sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+					for i, id := range ids {
+						row := r.Rows[i]
+						m := model[id]
+						if row[0].Int != id || row[1].Str != m.name || row[2].Int != m.age || row[3].Bool != m.ok {
+							t.Fatalf("op %d: row %d = %v, model id=%d %+v", op, i, row, id, m)
+						}
 					}
 				}
-			}
 
-			for op := 0; op < 600; op++ {
-				id := int64(rng.Intn(80))
-				switch rng.Intn(5) {
-				case 0, 1: // insert
-					name := fmt.Sprintf("p%d", rng.Intn(1000))
-					age := int64(rng.Intn(100))
-					ok := rng.Intn(2) == 0
-					q := fmt.Sprintf("INSERT INTO people VALUES (%d, '%s', %d, %v)", id, name, age, ok)
-					_, err := e.Exec(q)
-					if _, dup := model[id]; dup {
-						if !errors.Is(err, ErrDuplicateKey) {
-							t.Fatalf("op %d: duplicate insert = %v", op, err)
+				for op := 0; op < 600; op++ {
+					id := int64(rng.Intn(80))
+					switch rng.Intn(6) {
+					case 0, 1: // insert
+						name := fmt.Sprintf("p%d", rng.Intn(1000))
+						age := int64(rng.Intn(100))
+						ok := rng.Intn(2) == 0
+						_, err := run("INSERT INTO people VALUES (?, ?, ?, ?)",
+							types.Int(id), types.Str(name), types.Int(age), types.Bool(ok))
+						if _, dup := model[id]; dup {
+							if !errors.Is(err, ErrDuplicateKey) {
+								t.Fatalf("op %d: duplicate insert = %v", op, err)
+							}
+						} else {
+							if err != nil {
+								t.Fatalf("op %d: insert %d: %v", op, id, err)
+							}
+							model[id] = modelRow{name, age, ok}
 						}
-					} else {
-						if err != nil {
-							t.Fatalf("op %d: %s: %v", op, q, err)
+					case 2: // update by pk
+						age := int64(rng.Intn(100))
+						r := mustRun("UPDATE people SET age = ? WHERE id = ?", types.Int(age), types.Int(id))
+						if m, inModel := model[id]; inModel {
+							if r.Affected != 1 {
+								t.Fatalf("op %d: update affected %d", op, r.Affected)
+							}
+							m.age = age
+							model[id] = m
+						} else if r.Affected != 0 {
+							t.Fatalf("op %d: phantom update", op)
 						}
-						model[id] = modelRow{name, age, ok}
-					}
-				case 2: // update by pk
-					age := int64(rng.Intn(100))
-					r := mustExec(t, e, fmt.Sprintf("UPDATE people SET age = %d WHERE id = %d", age, id))
-					if m, inModel := model[id]; inModel {
-						if r.Affected != 1 {
-							t.Fatalf("op %d: update affected %d", op, r.Affected)
+					case 3: // delete by pk
+						r := mustRun("DELETE FROM people WHERE id = ?", types.Int(id))
+						if _, inModel := model[id]; inModel != (r.Affected == 1) {
+							t.Fatalf("op %d: delete affected %d, model %v", op, r.Affected, inModel)
 						}
-						m.age = age
-						model[id] = m
-					} else if r.Affected != 0 {
-						t.Fatalf("op %d: phantom update", op)
-					}
-				case 3: // delete by pk
-					r := mustExec(t, e, fmt.Sprintf("DELETE FROM people WHERE id = %d", id))
-					if _, inModel := model[id]; inModel != (r.Affected == 1) {
-						t.Fatalf("op %d: delete affected %d, model %v", op, r.Affected, inModel)
-					}
-					delete(model, id)
-				case 4: // predicate select
-					limit := int64(rng.Intn(100))
-					r := mustExec(t, e, fmt.Sprintf("SELECT id FROM people WHERE age >= %d", limit))
-					want := 0
-					for _, m := range model {
-						if m.age >= limit {
-							want++
+						delete(model, id)
+					case 4: // predicate select
+						limit := int64(rng.Intn(100))
+						r := mustRun("SELECT id FROM people WHERE age >= ?", types.Int(limit))
+						want := 0
+						for _, m := range model {
+							if m.age >= limit {
+								want++
+							}
+						}
+						if len(r.Rows) != want {
+							t.Fatalf("op %d: predicate select %d rows, model %d", op, len(r.Rows), want)
+						}
+					case 5: // select by pk: the point-lookup path under the Optimizer
+						r := mustRun("SELECT name, age FROM people WHERE id = ?", types.Int(id))
+						m, inModel := model[id]
+						if inModel != (len(r.Rows) == 1) {
+							t.Fatalf("op %d: pk select %d rows, model %v", op, len(r.Rows), inModel)
+						}
+						if inModel && (r.Rows[0][0].Str != m.name || r.Rows[0][1].Int != m.age) {
+							t.Fatalf("op %d: pk select = %v, model %+v", op, r.Rows[0], m)
 						}
 					}
-					if len(r.Rows) != want {
-						t.Fatalf("op %d: predicate select %d rows, model %d", op, len(r.Rows), want)
+					if op%50 == 0 {
+						check(op)
 					}
 				}
-				if op%50 == 0 {
-					check(op)
-				}
-			}
-			check(600)
-		})
+				check(600)
+			})
+		}
 	}
 }
 
@@ -148,7 +211,7 @@ func TestOptimizerPlansNeverChangeResults(t *testing.T) {
 		}
 	}
 	// Sanity: the point query actually used the index when optimized.
-	if r := mustExec(t, with, "SELECT * FROM t WHERE id = 5"); r.Plan != "index-scan" {
+	if r := mustExec(t, with, "SELECT * FROM t WHERE id = 5"); r.Plan != "point-lookup" {
 		t.Fatalf("plan = %s", r.Plan)
 	}
 }
@@ -249,6 +312,25 @@ func TestAggregateErrors(t *testing.T) {
 			t.Errorf("Exec(%q) should fail", q)
 		}
 	}
+	// A kept plan is validated when it is built: the same errors arrive
+	// at Prepare, and a plan-cache miss reports them without caching a
+	// plan that can never run.
+	ec, _ := newCompiledEngine(t, 0)
+	mustExec(t, ec, "CREATE TABLE m (id INT PRIMARY KEY, name TEXT)")
+	for q, want := range map[string]error{
+		"SELECT SUM(name) FROM m": ErrTypeMismatch,
+		"SELECT MAX(nope) FROM m": ErrNoColumn,
+	} {
+		if _, err := ec.Prepare(q); !errors.Is(err, want) {
+			t.Errorf("Prepare(%q) = %v, want %v", q, err, want)
+		}
+		if _, err := ec.Exec(q); !errors.Is(err, want) {
+			t.Errorf("cached Exec(%q) = %v, want %v", q, err, want)
+		}
+	}
+	if n := ec.CacheLen(); n != 0 {
+		t.Errorf("plan cache holds %d plans after only failing statements", n)
+	}
 	// Empty-table semantics: COUNT is 0, MIN errors.
 	r := mustExec(t, e, "SELECT COUNT(*) FROM m")
 	if r.Rows[0][0].Int != 0 {
@@ -330,9 +412,17 @@ func TestGroupByErrors(t *testing.T) {
 		"SELECT COUNT(*) FROM s GROUP BY nope",                           // unknown group column
 		"SELECT region, COUNT(*) FROM s GROUP BY region ORDER BY amount", // foreign order
 	}
+	ec, _ := newCompiledEngine(t, 0)
+	mustExec(t, ec, "CREATE TABLE s (id INT PRIMARY KEY, region TEXT, amount INT)")
 	for _, q := range cases {
 		if _, err := e.Exec(q); err == nil {
 			t.Errorf("Exec(%q) should fail", q)
 		}
+		if _, err := ec.Prepare(q); err == nil {
+			t.Errorf("Prepare(%q) should fail", q)
+		}
+	}
+	if _, err := ec.Prepare("SELECT COUNT(*) FROM s GROUP BY nope"); !errors.Is(err, ErrNoColumn) {
+		t.Errorf("Prepare over an unknown group column = %v, want ErrNoColumn", err)
 	}
 }

@@ -13,7 +13,9 @@ import (
 	"famedb/internal/types"
 )
 
-func newEngine(t *testing.T, optimizer bool) *Engine {
+// createEngine builds an engine over a fresh in-memory B+-tree page
+// file with every access operation; cfg supplies the feature selection.
+func createEngine(t *testing.T, cfg Config) *Engine {
 	t.Helper()
 	f, err := osal.NewMemFS().Create("sql.db")
 	if err != nil {
@@ -23,16 +25,19 @@ func newEngine(t *testing.T, optimizer bool) *Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, _, err := Create(Config{
-		Pager:     pf,
-		Factory:   BTreeFactory(index.AllBTreeOps()),
-		Ops:       access.AllOps(),
-		Optimizer: optimizer,
-	})
+	cfg.Pager = pf
+	cfg.Factory = BTreeFactory(index.AllBTreeOps())
+	cfg.Ops = access.AllOps()
+	e, _, err := Create(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return e
+}
+
+func newEngine(t *testing.T, optimizer bool) *Engine {
+	t.Helper()
+	return createEngine(t, Config{Optimizer: optimizer})
 }
 
 func mustExec(t *testing.T, e *Engine, q string) *Result {
@@ -82,9 +87,10 @@ func TestSelectProjectionFilterOrderLimit(t *testing.T) {
 func TestOptimizerChoosesIndexScan(t *testing.T) {
 	e := newEngine(t, true)
 	seedUsers(t, e)
+	// A single primary-key equality is one index Get.
 	r := mustExec(t, e, "SELECT * FROM users WHERE id = 2")
-	if r.Plan != "index-scan" {
-		t.Fatalf("plan = %q, want index-scan", r.Plan)
+	if r.Plan != "point-lookup" {
+		t.Fatalf("plan = %q, want point-lookup", r.Plan)
 	}
 	if len(r.Rows) != 1 || r.Rows[0][1].Str != "bob" {
 		t.Fatalf("rows = %v", r.Rows)

@@ -93,8 +93,8 @@ func TestStatsComposedExposesCounters(t *testing.T) {
 	if snap.SQL.Creates != 1 || snap.SQL.Inserts != 1 || snap.SQL.Selects != 1 {
 		t.Errorf("sql verbs = %+v", snap.SQL)
 	}
-	if snap.SQL.IndexScans+snap.SQL.FullScans == 0 {
-		t.Error("no scan plans recorded")
+	if snap.SQL.IndexScans+snap.SQL.FullScans+snap.SQL.PointLookups == 0 {
+		t.Error("no access paths recorded")
 	}
 	if snap.Access.GetLatency.Count != 64 {
 		t.Errorf("get latency count = %d, want 64", snap.Access.GetLatency.Count)
