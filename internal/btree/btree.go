@@ -42,13 +42,16 @@ type Tree struct {
 	// collects them with TakeSuperseded.
 	cow        bool
 	superseded []storage.PageID
-	// bufs recycles page buffers across read descents. A point lookup
-	// or scan reads height-many nodes and needs each only until it has
-	// picked the child (or copied the value out), so the read paths
-	// return buffers here instead of leaving one garbage page per level
-	// for the collector. Mutating paths keep nodes alive across splits
-	// and recursion and never recycle.
+	// bufs recycles node buffers (as *[]byte, so a Put boxes nothing).
+	// A node buffer belongs to one descent: a read path hands it back
+	// once it has picked the child or copied the value out, a write path
+	// once writeNode has stored the node — no pager keeps the caller's
+	// buffer (see storage.Pager). So no descent leaves a garbage page
+	// per level behind.
 	bufs sync.Pool
+	// meta is the meta page image writeMeta fills and writes; mutations
+	// are serialized, so one buffer serves them all.
+	meta []byte
 	// visits counts pages materialized by readNode for the QueryStats
 	// feature's EXPLAIN ANALYZE descent accounting. countVisits gates
 	// it: the counter stays off (one predictable branch per node read)
@@ -68,19 +71,23 @@ func (t *Tree) EnableVisitCounter() { t.countVisits.Store(true) }
 // since the counter was enabled. Monotonic; readers take deltas.
 func (t *Tree) PageVisits() int64 { return t.visits.Load() }
 
-// getBuf returns a page buffer, recycled when one is pooled.
-func (t *Tree) getBuf() []byte {
-	if v := t.bufs.Get(); v != nil {
-		return v.([]byte)
+// pooledNode returns a node for page id over a pooled buffer, allocating
+// one only when the pool is empty. Its contents are whatever the last
+// user left: callers read a page into it or initNode it.
+func (t *Tree) pooledNode(id storage.PageID) node {
+	p, _ := t.bufs.Get().(*[]byte)
+	if p == nil {
+		b := make([]byte, t.pager.PageSize())
+		p = &b
 	}
-	return make([]byte, t.pager.PageSize())
+	return node{buf: *p, id: id, pooled: p}
 }
 
-// release returns a node's buffer to the pool. Only read paths call it,
-// and only once the node's cells can no longer be referenced.
+// release returns a node's buffer to the pool, once the node's cells can
+// no longer be referenced and, on a write path, after writeNode.
 func (t *Tree) release(n node) {
-	if n.buf != nil {
-		t.bufs.Put(n.buf) //nolint:staticcheck // page buffers are pointer-free
+	if n.pooled != nil {
+		t.bufs.Put(n.pooled)
 	}
 }
 
@@ -149,6 +156,7 @@ func Create(p storage.Pager) (*Tree, storage.PageID, error) {
 		metaPage: metaID,
 		root:     rootID,
 		maxEntry: maxEntrySize(p.PageSize()),
+		meta:     make([]byte, p.PageSize()),
 	}
 	if err := t.writeMeta(nil); err != nil {
 		return nil, 0, err
@@ -179,15 +187,15 @@ func OpenIn(sp *trace.Span, p storage.Pager, metaID storage.PageID) (*Tree, erro
 		root:     storage.PageID(binary.LittleEndian.Uint32(buf[8:12])),
 		count:    binary.LittleEndian.Uint64(buf[12:20]),
 		maxEntry: maxEntrySize(p.PageSize()),
+		meta:     buf,
 	}, nil
 }
 
 func (t *Tree) writeMeta(sp *trace.Span) error {
-	buf := make([]byte, t.pager.PageSize())
-	copy(buf, treeMetaMagic)
-	binary.LittleEndian.PutUint32(buf[8:12], uint32(t.root))
-	binary.LittleEndian.PutUint64(buf[12:20], t.count)
-	return t.pager.WriteIn(sp, t.metaPage, buf)
+	copy(t.meta, treeMetaMagic)
+	binary.LittleEndian.PutUint32(t.meta[8:12], uint32(t.root))
+	binary.LittleEndian.PutUint64(t.meta[12:20], t.count)
+	return t.pager.WriteIn(sp, t.metaPage, t.meta)
 }
 
 // Len returns the number of stored entries.
@@ -202,13 +210,13 @@ func (t *Tree) readNode(sp *trace.Span, id storage.PageID) (node, error) {
 	if t.countVisits.Load() {
 		t.visits.Add(1)
 	}
-	buf := t.getBuf()
-	if err := t.pager.ReadIn(sp, id, buf); err != nil {
-		t.bufs.Put(buf) //nolint:staticcheck
+	n := t.pooledNode(id)
+	if err := t.pager.ReadIn(sp, id, n.buf); err != nil {
+		t.release(n)
 		return node{}, err
 	}
-	n := node{buf: buf, id: id}
 	if n.buf[0] != leafType && n.buf[0] != innerType {
+		t.release(n)
 		return node{}, fmt.Errorf("btree: page %d: %w", id, ErrCorrupt)
 	}
 	return n, nil
@@ -252,10 +260,10 @@ func (t *Tree) descendFrom(sp *trace.Span, root storage.PageID, key []byte) (nod
 			return n, nil
 		}
 		id = n.childFor(key)
+		t.release(n)
 		if id == storage.InvalidPage {
 			return node{}, fmt.Errorf("btree: nil child in page %d: %w", n.id, ErrCorrupt)
 		}
-		t.release(n)
 	}
 }
 
@@ -335,6 +343,11 @@ func (t *Tree) InsertIn(parent *trace.Span, key, value []byte) error {
 		sp.Fail(err)
 		return err
 	}
+	if newRoot == t.root && split == nil && !added {
+		// An overwrite that kept the root: the meta page already holds
+		// this root and count.
+		return nil
+	}
 	t.root = newRoot
 	if split != nil {
 		// Grow a new root.
@@ -342,10 +355,11 @@ func (t *Tree) InsertIn(parent *trace.Span, key, value []byte) error {
 		if err != nil {
 			return err
 		}
-		buf := make([]byte, t.pager.PageSize())
-		nr := node{buf: buf, id: newRootID}
+		nr := t.pooledNode(newRootID)
 		rewriteInner(nr, t.root, []entry{{key: split.sep, child: split.right}})
-		if err := t.writeNode(sp, nr); err != nil {
+		err = t.writeNode(sp, nr)
+		t.release(nr)
+		if err != nil {
 			return err
 		}
 		t.root = newRootID
@@ -375,6 +389,7 @@ func (t *Tree) insertAt(sp *trace.Span, id storage.PageID, key, value []byte) (s
 	if n.isLeaf() {
 		return t.insertLeaf(sp, n, key, value)
 	}
+	defer t.release(n)
 	ci := n.childIndexFor(key)
 	childID := n.leftChild()
 	if ci >= 0 {
@@ -406,7 +421,7 @@ func (t *Tree) insertAt(sp *trace.Span, id storage.PageID, key, value []byte) (s
 		return id, nil, false, fmt.Errorf("btree: separator %q already in inner node %d: %w",
 			split.sep, n.id, ErrCorrupt)
 	}
-	if n.makeRoom(innerCellSize(split.sep)) {
+	if t.makeRoom(n, innerCellSize(split.sep)) {
 		n.insertInnerCell(idx, split.sep, split.right)
 		return n.id, nil, added, t.writeNode(sp, n)
 	}
@@ -420,7 +435,8 @@ func (t *Tree) insertAt(sp *trace.Span, id storage.PageID, key, value []byte) (s
 	if err != nil {
 		return id, nil, false, err
 	}
-	right := node{buf: make([]byte, t.pager.PageSize()), id: rightID}
+	right := t.pooledNode(rightID)
+	defer t.release(right)
 	rewriteInner(right, promoted.child, es[mid+1:])
 	rewriteInner(n, n.leftChild(), es[:mid])
 	if err := t.writeNode(sp, n); err != nil {
@@ -432,7 +448,26 @@ func (t *Tree) insertAt(sp *trace.Span, id storage.PageID, key, value []byte) (s
 	return n.id, &splitResult{sep: promoted.key, right: rightID}, added, nil
 }
 
+// makeRoom reports whether a cell of size bytes (plus its offset slot)
+// fits in n. When only the garbage in n's cell area stands in the way,
+// it compacts n first, staging the cells in a pooled page; a node that
+// would not fit even then is left as it is for the caller to split.
+func (t *Tree) makeRoom(n node, size int) bool {
+	need := size + offsetSize
+	if n.freeBytes() >= need {
+		return true
+	}
+	if n.freeBytes()+n.garbageBytes() < need {
+		return false
+	}
+	scratch := t.pooledNode(storage.InvalidPage)
+	n.compact(scratch.buf)
+	t.release(scratch)
+	return true
+}
+
 func (t *Tree) insertLeaf(sp *trace.Span, n node, key, value []byte) (storage.PageID, *splitResult, bool, error) {
+	defer t.release(n)
 	idx, found := n.search(key)
 	added := !found
 	var err error
@@ -440,9 +475,15 @@ func (t *Tree) insertLeaf(sp *trace.Span, n node, key, value []byte) (storage.Pa
 		return n.id, nil, false, err
 	}
 	if found {
+		if old := n.leafValue(idx); len(old) == len(value) {
+			// Same size: overwrite the value where it lies. No garbage,
+			// no split, however full the leaf is.
+			copy(old, value)
+			return n.id, nil, false, t.writeNode(sp, n)
+		}
 		n.removeCell(idx)
 	}
-	if n.makeRoom(leafCellSize(key, value)) {
+	if t.makeRoom(n, leafCellSize(key, value)) {
 		n.insertLeafCell(idx, key, value)
 		return n.id, nil, added, t.writeNode(sp, n)
 	}
@@ -455,7 +496,8 @@ func (t *Tree) insertLeaf(sp *trace.Span, n node, key, value []byte) (storage.Pa
 	if err != nil {
 		return n.id, nil, false, err
 	}
-	right := node{buf: make([]byte, t.pager.PageSize()), id: rightID}
+	right := t.pooledNode(rightID)
+	defer t.release(right)
 	initNode(right.buf, leafType)
 	if !t.cow {
 		// Copy-on-write trees keep no leaf chain: a shadowed leaf would
@@ -542,6 +584,7 @@ func (t *Tree) deleteAt(sp *trace.Span, id storage.PageID, key []byte) (storage.
 	if err != nil {
 		return id, false, err
 	}
+	defer t.release(n)
 	if n.isLeaf() {
 		idx, found := n.search(key)
 		if !found {

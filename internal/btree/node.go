@@ -54,6 +54,9 @@ var (
 type node struct {
 	buf []byte
 	id  storage.PageID
+	// pooled is the tree's pool handle for buf (nil when the pool does
+	// not own it); Tree.release hands it back.
+	pooled *[]byte
 }
 
 func initNode(buf []byte, typ byte) node {
@@ -148,15 +151,6 @@ func (n node) cellSize(i int) int {
 		return sz + sz2 + int(klen) + int(vlen)
 	}
 	return sz + 4 + int(klen)
-}
-
-// usedBytes returns cell bytes plus offset array bytes.
-func (n node) usedBytes() int {
-	used := 0
-	for i := 0; i < n.numKeys(); i++ {
-		used += n.cellSize(i) + offsetSize
-	}
-	return used
 }
 
 // freeBytes returns space available for one more cell + offset.
@@ -273,51 +267,31 @@ func (n node) shiftOffsets(from, delta int) {
 	}
 }
 
-// compact rewrites the cell area dropping garbage left by removeCell /
-// in-place updates.
-func (n node) compact() {
-	count := n.numKeys()
-	type cell struct {
-		off, size int
-	}
-	cells := make([]cell, count)
-	var data []byte
-	for i := 0; i < count; i++ {
-		cells[i] = cell{n.offset(i), n.cellSize(i)}
-		data = append(data, n.buf[cells[i].off:cells[i].off+cells[i].size]...)
-	}
+// compact rewrites the cell area dropping the garbage removeCell leaves
+// behind, packing the live cells against the page end in key order.
+// The cells are staged in scratch (a page-sized buffer), so compaction
+// allocates nothing.
+func (n node) compact(scratch []byte) {
 	write := len(n.buf)
-	read := 0
-	for i := 0; i < count; i++ {
-		write -= cells[i].size
-		copy(n.buf[write:], data[read:read+cells[i].size])
+	for i := 0; i < n.numKeys(); i++ {
+		off, size := n.offset(i), n.cellSize(i)
+		write -= size
+		copy(scratch[write:], n.buf[off:off+size])
 		n.setOffset(i, write)
-		read += cells[i].size
 	}
+	copy(n.buf[write:], scratch[write:])
 	n.setCellStart(write)
 }
 
-// fitsAfterCompact reports whether a cell of the given size (plus its
-// offset slot) fits, possibly after compaction, and compacts if that is
-// needed to make it fit.
-func (n node) makeRoom(size int) bool {
-	if n.freeBytes() >= size+offsetSize {
-		return true
-	}
-	// Compaction helps when garbage exists.
-	if n.cellStart()-n.liveCellBytes() > 0 {
-		n.compact()
-	}
-	return n.freeBytes() >= size+offsetSize
-}
-
-// liveCellBytes sums the sizes of live cells.
-func (n node) liveCellBytes() int {
-	total := 0
+// garbageBytes returns the bytes of the cell area that no live cell
+// uses: the cell area spans [cellStart, page end), the live cells cover
+// the rest.
+func (n node) garbageBytes() int {
+	live := 0
 	for i := 0; i < n.numKeys(); i++ {
-		total += n.cellSize(i)
+		live += n.cellSize(i)
 	}
-	return total
+	return len(n.buf) - n.cellStart() - live
 }
 
 // validate performs structural checks used by Verify.

@@ -88,6 +88,7 @@ func FAMESources() map[string][]SourceSpec {
 			funcs("internal/btree/btree.go",
 				"Create", "Open", "OpenIn", "Tree.writeMeta", "Tree.Len", "Tree.MetaPage",
 				"Tree.readNode", "Tree.writeNode", "maxEntrySize",
+				"Tree.pooledNode", "Tree.release", "Tree.makeRoom",
 				"Tree.Insert", "Tree.InsertIn", "Tree.insertAt", "Tree.insertLeaf",
 				"Tree.leafEntries", "Tree.innerEntries", "splitPoint",
 				"leafCellSize2", "innerCellSize2"),

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"math/rand"
@@ -264,8 +265,9 @@ func (r *Replica) session(conn net.Conn, forceSnap bool) (progress, nextSnap boo
 
 	var snap *txn.ShipSnap
 	var lastSeq uint64
+	br := bufio.NewReader(conn)
 	for {
-		typ, payload, err := readFrame(conn)
+		typ, payload, err := readFrame(br)
 		if err != nil {
 			return progress, false
 		}

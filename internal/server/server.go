@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -160,22 +161,26 @@ func (s *Server) dropConn(conn net.Conn) {
 	s.mu.Unlock()
 }
 
-// serveConn reads the first frame and dispatches on its type.
+// serveConn reads the first frame and dispatches on its type. One
+// buffered reader serves the connection for its whole life: a frame
+// costs no read syscall of its own while earlier reads buffered it, and
+// bytes buffered past the first frame stay with the session.
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer s.dropConn(conn)
 	if d := s.cfg.readTimeout(); d > 0 {
 		conn.SetReadDeadline(time.Now().Add(d))
 	}
-	typ, payload, err := readFrame(conn)
+	br := bufio.NewReader(conn)
+	typ, payload, err := readFrame(br)
 	if err != nil {
 		return
 	}
 	if typ == replHello {
-		s.serveRepl(conn, payload)
+		s.serveRepl(conn, br, payload)
 		return
 	}
-	s.serveClient(conn, typ, payload)
+	s.serveClient(conn, br, typ, payload)
 }
 
 // request is one staged client frame.
@@ -186,9 +191,12 @@ type request struct {
 
 // serveClient runs a client session: a reader goroutine stages frames
 // into a bounded queue (the admission bound) while the session
-// goroutine executes them in order and writes in-order responses, so a
-// client may pipeline up to MaxInflight requests ahead.
-func (s *Server) serveClient(conn net.Conn, typ byte, payload []byte) {
+// goroutine executes them in order and buffers in-order responses, so a
+// client may pipeline up to MaxInflight requests ahead. Responses go
+// out when the queue runs dry — one write per pipelined window — and
+// before any command that commits: answered requests must not wait
+// behind a later write's device sync.
+func (s *Server) serveClient(conn net.Conn, br *bufio.Reader, typ byte, payload []byte) {
 	queue := make(chan request, s.cfg.inflight())
 	queue <- request{typ, payload}
 	go func() {
@@ -197,19 +205,32 @@ func (s *Server) serveClient(conn net.Conn, typ byte, payload []byte) {
 			if d := s.cfg.readTimeout(); d > 0 {
 				conn.SetReadDeadline(time.Now().Add(d))
 			}
-			typ, payload, err := readFrame(conn)
+			typ, payload, err := readFrame(br)
 			if err != nil {
 				return
 			}
 			queue <- request{typ, payload}
 		}
 	}()
+	bw := bufio.NewWriter(conn)
 	for req := range queue {
-		rtyp, rpayload := s.execute(req.typ, req.payload)
-		if d := s.cfg.writeTimeout(); d > 0 {
-			conn.SetWriteDeadline(time.Now().Add(d))
+		if bw.Buffered() > 0 && commits(req.typ) {
+			if bw.Flush() != nil {
+				break
+			}
 		}
-		if err := writeFrame(conn, rtyp, rpayload); err != nil {
+		rtyp, rpayload := s.execute(req.typ, req.payload)
+		if bw.Buffered() == 0 {
+			// The window's first response: one deadline covers every
+			// write up to and including its flush.
+			if d := s.cfg.writeTimeout(); d > 0 {
+				conn.SetWriteDeadline(time.Now().Add(d))
+			}
+		}
+		if err := writeFrame(bw, rtyp, rpayload); err != nil {
+			break
+		}
+		if len(queue) == 0 && bw.Flush() != nil {
 			break
 		}
 	}
@@ -219,6 +240,16 @@ func (s *Server) serveClient(conn net.Conn, typ byte, payload []byte) {
 	conn.Close()
 	for range queue {
 	}
+}
+
+// commits reports whether a command runs a committing transaction,
+// which may wait on the device.
+func commits(typ byte) bool {
+	switch typ {
+	case cmdPut, cmdUpdate, cmdRemove, cmdBatch:
+		return true
+	}
+	return false
 }
 
 // execute runs one client command as a transaction and returns the
@@ -345,8 +376,10 @@ func (s *Server) updateGauges() {
 // the in-process ship layer's contract: subscribe the feed FIRST, then
 // capture the catch-up range (or snapshot), then stream — frames that
 // arrive in the feed while the catch-up is in flight overlap the range
-// and are deduplicated byte-exactly by the replica's applier.
-func (s *Server) serveRepl(conn net.Conn, payload []byte) {
+// and are deduplicated byte-exactly by the replica's applier. br is the
+// connection's reader: acks the replica sent right behind its hello may
+// already sit in its buffer.
+func (s *Server) serveRepl(conn net.Conn, br *bufio.Reader, payload []byte) {
 	if s.cfg.Shipper == nil {
 		writeFrame(conn, respErr, []byte("replication not composed"))
 		return
@@ -422,7 +455,7 @@ func (s *Server) serveRepl(conn net.Conn, payload []byte) {
 			if d := s.cfg.readTimeout(); d > 0 {
 				conn.SetReadDeadline(time.Now().Add(d))
 			}
-			typ, p, err := readFrame(conn)
+			typ, p, err := readFrame(br)
 			if err != nil {
 				conn.Close()
 				return

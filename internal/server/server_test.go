@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"net"
 	"sync"
 	"testing"
@@ -264,6 +265,123 @@ func TestClientPipelining(t *testing.T) {
 		}
 		if want := fmt.Sprintf("val-%03d", i); string(v) != want {
 			t.Fatalf("get %d = %q, want %q (responses out of order?)", i, v, want)
+		}
+	}
+}
+
+// TestPipelinedMixedWindowInOrder sends windows of 2×MaxInflight frames
+// mixing every command — reads, commits that may wait on the device,
+// pings, batches that abort — in one flush each. Every response must
+// match a sequential model in order: the server buffers responses and
+// flushes them before each commit and when its queue runs dry, so a
+// missing or reordered flush shows up as a wrong or stalled answer.
+func TestPipelinedMixedWindowInOrder(t *testing.T) {
+	const inflight = 8
+	n := newNode(t)
+	srv, err := Serve("127.0.0.1:0", Config{Mgr: n.mgr, MaxInflight: inflight})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c, err := DialClient(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.Timeout = 10 * time.Second
+
+	type expect struct {
+		get    bool
+		value  string // get: the value; empty with notFound
+		status error  // nil, ErrNotFound, or errRemote
+	}
+	errRemote := errors.New("remote error")
+	model := map[string]string{}
+	rng := rand.New(rand.NewSource(5))
+	key := func() []byte { return fmt.Appendf(nil, "k%02d", rng.Intn(12)) }
+	missing := func(k []byte) error {
+		if _, ok := model[string(k)]; ok {
+			return nil
+		}
+		return ErrNotFound
+	}
+	for window := 0; window < 20; window++ {
+		var want []expect
+		for i := 0; i < 2*inflight; i++ {
+			var err error
+			switch op := rng.Intn(6); op {
+			case 0, 1: // put, update
+				k, v := key(), fmt.Sprintf("v%d-%d", window, i)
+				typ := cmdPut
+				st := error(nil)
+				if op == 1 {
+					typ, st = cmdUpdate, missing(k)
+				}
+				if st == nil {
+					model[string(k)] = v
+				}
+				err = c.queue(typ, encodeKV(k, []byte(v)))
+				want = append(want, expect{status: st})
+			case 2: // get
+				k := key()
+				v, ok := model[string(k)]
+				st := error(nil)
+				if !ok {
+					st = ErrNotFound
+				}
+				err = c.QueueGet(k)
+				want = append(want, expect{get: true, value: v, status: st})
+			case 3: // remove
+				k := key()
+				st := missing(k)
+				delete(model, string(k))
+				err = c.queue(cmdRemove, appendBytes(nil, k))
+				want = append(want, expect{status: st})
+			case 4: // batch: two puts, then half the time a remove that aborts it
+				ops := []Op{{Key: key(), Value: []byte("b1")}, {Key: key(), Value: []byte("b2")}}
+				st := error(nil)
+				if rng.Intn(2) == 0 {
+					ops = append(ops, Op{Remove: true, Key: []byte("absent")})
+					st = errRemote
+				} else {
+					for _, op := range ops {
+						model[string(op.Key)] = string(op.Value)
+					}
+				}
+				err = c.QueueBatch(ops)
+				want = append(want, expect{status: st})
+			case 5:
+				err = c.queue(cmdPing, nil)
+				want = append(want, expect{})
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := c.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		for i, w := range want {
+			var got []byte
+			var err error
+			if w.get {
+				got, err = c.AwaitValue()
+			} else {
+				err = c.AwaitOK()
+			}
+			var re *RemoteError
+			if errors.As(err, &re) {
+				err = errRemote
+			}
+			if err != w.status || string(got) != w.value {
+				t.Fatalf("window %d frame %d: got %q, %v; want %q, %v", window, i, got, err, w.value, w.status)
+			}
+		}
+	}
+	for k, v := range model {
+		got, err := c.Get([]byte(k))
+		if err != nil || string(got) != v {
+			t.Fatalf("final Get(%s) = %q, %v; want %q", k, got, err, v)
 		}
 	}
 }

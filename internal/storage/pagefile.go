@@ -27,6 +27,11 @@ const InvalidPage PageID = 0
 // directly; the buffer manager wraps any Pager and implements it again,
 // so index structures are oblivious to whether a cache is configured
 // (the BufferManager feature is optional in the product line).
+//
+// Buffers stay the caller's: ReadPage and WritePage copy into or out of
+// buf and keep no reference to it once they return. The B+-tree hands a
+// node's buffer to the next descent as soon as WritePage returns, so a
+// Pager (or decorator) that retained buf would see it overwritten.
 type Pager interface {
 	// PageSize returns the fixed page size in bytes.
 	PageSize() int
