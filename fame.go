@@ -360,7 +360,8 @@ type Result struct {
 	Columns  []string
 	Rows     [][]Value
 	Affected int
-	// Plan is "point-lookup", "index-scan" or "full-scan" for SELECTs.
+	// Plan is "point-lookup", "index-scan" or "full-scan" for SELECT,
+	// UPDATE and DELETE.
 	Plan string
 }
 

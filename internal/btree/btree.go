@@ -336,31 +336,39 @@ func (t *Tree) InsertIn(parent *trace.Span, key, value []byte) error {
 	if leafCellSize(key, value) > t.maxEntry {
 		return fmt.Errorf("%w: %d > %d bytes", ErrKeyTooLarge, leafCellSize(key, value), t.maxEntry)
 	}
-	sp := t.tracer.Start(parent, trace.LayerBTree, "insert")
+	_, err := t.write(parent, "insert", key, value, false)
+	return err
+}
+
+// write is the one write descent Insert and Update share. With
+// onlyExisting the leaf leaves an absent key alone: nothing is shadowed
+// or written, and found reports false.
+func (t *Tree) write(parent *trace.Span, op string, key, value []byte, onlyExisting bool) (found bool, err error) {
+	sp := t.tracer.Start(parent, trace.LayerBTree, op)
 	defer sp.End()
-	newRoot, split, added, err := t.insertAt(sp, t.root, key, value)
+	newRoot, split, found, err := t.insertAt(sp, t.root, key, value, onlyExisting)
 	if err != nil {
 		sp.Fail(err)
-		return err
+		return found, err
 	}
-	if newRoot == t.root && split == nil && !added {
-		// An overwrite that kept the root: the meta page already holds
-		// this root and count.
-		return nil
+	if newRoot == t.root && split == nil && (found || onlyExisting) {
+		// An overwrite that kept the root, or an update of an absent
+		// key: the meta page already holds this root and count.
+		return found, nil
 	}
 	t.root = newRoot
 	if split != nil {
 		// Grow a new root.
 		newRootID, err := t.pager.Alloc()
 		if err != nil {
-			return err
+			return found, err
 		}
 		nr := t.pooledNode(newRootID)
 		rewriteInner(nr, t.root, []entry{{key: split.sep, child: split.right}})
 		err = t.writeNode(sp, nr)
 		t.release(nr)
 		if err != nil {
-			return err
+			return found, err
 		}
 		t.root = newRootID
 		if t.metrics != nil {
@@ -370,24 +378,25 @@ func (t *Tree) InsertIn(parent *trace.Span, key, value []byte) error {
 			}
 		}
 	}
-	if added {
+	if !found {
 		t.count++
 	}
-	return t.writeMeta(sp)
+	return found, t.writeMeta(sp)
 }
 
 // insertAt inserts into the subtree rooted at id and returns the
 // subtree's (possibly new) root page: in copy-on-write mode every
 // modified node is shadowed into a fresh page, so the parent must
 // re-point its child entry. Without copy-on-write the returned ID is
-// always id.
-func (t *Tree) insertAt(sp *trace.Span, id storage.PageID, key, value []byte) (storage.PageID, *splitResult, bool, error) {
+// always id. found reports whether key was already present;
+// onlyExisting makes an absent key a no-op (see write).
+func (t *Tree) insertAt(sp *trace.Span, id storage.PageID, key, value []byte, onlyExisting bool) (storage.PageID, *splitResult, bool, error) {
 	n, err := t.readNode(sp, id)
 	if err != nil {
 		return id, nil, false, err
 	}
 	if n.isLeaf() {
-		return t.insertLeaf(sp, n, key, value)
+		return t.insertLeaf(sp, n, key, value, onlyExisting)
 	}
 	defer t.release(n)
 	ci := n.childIndexFor(key)
@@ -395,12 +404,12 @@ func (t *Tree) insertAt(sp *trace.Span, id storage.PageID, key, value []byte) (s
 	if ci >= 0 {
 		childID = n.childAt(ci)
 	}
-	newChild, split, added, err := t.insertAt(sp, childID, key, value)
+	newChild, split, found, err := t.insertAt(sp, childID, key, value, onlyExisting)
 	if err != nil {
 		return id, nil, false, err
 	}
 	if newChild == childID && split == nil {
-		return id, nil, added, nil
+		return id, nil, found, nil
 	}
 	if n, err = t.shadow(n); err != nil {
 		return id, nil, false, err
@@ -413,17 +422,17 @@ func (t *Tree) insertAt(sp *trace.Span, id storage.PageID, key, value []byte) (s
 		}
 	}
 	if split == nil {
-		return n.id, nil, added, t.writeNode(sp, n)
+		return n.id, nil, found, t.writeNode(sp, n)
 	}
 	// Insert the separator for the new right child.
-	idx, found := n.search(split.sep)
-	if found {
+	idx, dup := n.search(split.sep)
+	if dup {
 		return id, nil, false, fmt.Errorf("btree: separator %q already in inner node %d: %w",
 			split.sep, n.id, ErrCorrupt)
 	}
 	if t.makeRoom(n, innerCellSize(split.sep)) {
 		n.insertInnerCell(idx, split.sep, split.right)
-		return n.id, nil, added, t.writeNode(sp, n)
+		return n.id, nil, found, t.writeNode(sp, n)
 	}
 	// Inner split: rebuild both halves from the combined entry list.
 	t.metrics.InnerSplit()
@@ -445,7 +454,7 @@ func (t *Tree) insertAt(sp *trace.Span, id storage.PageID, key, value []byte) (s
 	if err := t.writeNode(sp, right); err != nil {
 		return id, nil, false, err
 	}
-	return n.id, &splitResult{sep: promoted.key, right: rightID}, added, nil
+	return n.id, &splitResult{sep: promoted.key, right: rightID}, found, nil
 }
 
 // makeRoom reports whether a cell of size bytes (plus its offset slot)
@@ -466,10 +475,12 @@ func (t *Tree) makeRoom(n node, size int) bool {
 	return true
 }
 
-func (t *Tree) insertLeaf(sp *trace.Span, n node, key, value []byte) (storage.PageID, *splitResult, bool, error) {
+func (t *Tree) insertLeaf(sp *trace.Span, n node, key, value []byte, onlyExisting bool) (storage.PageID, *splitResult, bool, error) {
 	defer t.release(n)
 	idx, found := n.search(key)
-	added := !found
+	if !found && onlyExisting {
+		return n.id, nil, false, nil
+	}
 	var err error
 	if n, err = t.shadow(n); err != nil {
 		return n.id, nil, false, err
@@ -479,13 +490,13 @@ func (t *Tree) insertLeaf(sp *trace.Span, n node, key, value []byte) (storage.Pa
 			// Same size: overwrite the value where it lies. No garbage,
 			// no split, however full the leaf is.
 			copy(old, value)
-			return n.id, nil, false, t.writeNode(sp, n)
+			return n.id, nil, true, t.writeNode(sp, n)
 		}
 		n.removeCell(idx)
 	}
 	if t.makeRoom(n, leafCellSize(key, value)) {
 		n.insertLeafCell(idx, key, value)
-		return n.id, nil, added, t.writeNode(sp, n)
+		return n.id, nil, found, t.writeNode(sp, n)
 	}
 	// Leaf split.
 	t.metrics.LeafSplit()
@@ -517,7 +528,7 @@ func (t *Tree) insertLeaf(sp *trace.Span, n node, key, value []byte) (storage.Pa
 		return n.id, nil, false, err
 	}
 	sep := append([]byte(nil), es[mid].key...)
-	return n.id, &splitResult{sep: sep, right: rightID}, added, nil
+	return n.id, &splitResult{sep: sep, right: rightID}, found, nil
 }
 
 func leafCellSize2(e entry) int  { return leafCellSize(e.key, e.val) }
@@ -544,13 +555,23 @@ func splitPoint(es []entry, size func(entry) int) int {
 // key was present.
 func (t *Tree) Update(key, value []byte) (bool, error) { return t.UpdateIn(nil, key, value) }
 
-// UpdateIn is Update recorded under the caller's span.
+// UpdateIn is Update recorded under the caller's span. It descends
+// once: the leaf answers "absent" before anything is shadowed or
+// written.
 func (t *Tree) UpdateIn(parent *trace.Span, key, value []byte) (bool, error) {
-	_, found, err := t.GetIn(parent, key)
-	if err != nil || !found {
-		return false, err
+	if len(key) == 0 {
+		return false, nil
 	}
-	return true, t.InsertIn(parent, key, value)
+	if size := leafCellSize(key, value); size > t.maxEntry {
+		// Too large to store: a present key is an error, an absent one
+		// is simply not updated.
+		_, found, err := t.GetIn(parent, key)
+		if err != nil || !found {
+			return false, err
+		}
+		return true, fmt.Errorf("%w: %d > %d bytes", ErrKeyTooLarge, size, t.maxEntry)
+	}
+	return t.write(parent, "update", key, value, true)
 }
 
 // Delete removes key and reports whether it was present.
@@ -637,20 +658,19 @@ func (t *Tree) ScanIn(parent *trace.Span, from, to []byte, fn func(key, value []
 	}
 	var n node
 	var err error
+	first := 0
 	if from == nil {
 		n, err = t.leftmostLeaf(sp)
-	} else {
-		n, err = t.descendFrom(sp, t.root, from)
+	} else if n, err = t.descendFrom(sp, t.root, from); err == nil {
+		// Seek: the first leaf starts at from; later leaves start at 0.
+		first, _ = n.search(from)
 	}
 	if err != nil {
 		return err
 	}
 	for {
-		for i := 0; i < n.numKeys(); i++ {
+		for i := first; i < n.numKeys(); i++ {
 			k := n.key(i)
-			if from != nil && bytes.Compare(k, from) < 0 {
-				continue
-			}
 			if to != nil && bytes.Compare(k, to) >= 0 {
 				t.release(n)
 				return nil
@@ -665,6 +685,7 @@ func (t *Tree) ScanIn(parent *trace.Span, from, to []byte, fn func(key, value []
 		if next == storage.InvalidPage {
 			return nil
 		}
+		first = 0
 		n, err = t.readNode(sp, next)
 		if err != nil {
 			return err

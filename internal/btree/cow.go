@@ -112,11 +112,12 @@ func (t *Tree) scanSubtree(sp *trace.Span, id storage.PageID, from, to []byte, f
 	// own pages), so the buffer recycles on every way out.
 	defer t.release(n)
 	if n.isLeaf() {
-		for i := 0; i < n.numKeys(); i++ {
+		first := 0
+		if from != nil {
+			first, _ = n.search(from)
+		}
+		for i := first; i < n.numKeys(); i++ {
 			k := n.key(i)
-			if from != nil && bytes.Compare(k, from) < 0 {
-				continue
-			}
 			if to != nil && bytes.Compare(k, to) >= 0 {
 				return errScanStop
 			}

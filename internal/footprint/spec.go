@@ -89,7 +89,7 @@ func FAMESources() map[string][]SourceSpec {
 				"Create", "Open", "OpenIn", "Tree.writeMeta", "Tree.Len", "Tree.MetaPage",
 				"Tree.readNode", "Tree.writeNode", "maxEntrySize",
 				"Tree.pooledNode", "Tree.release", "Tree.makeRoom",
-				"Tree.Insert", "Tree.InsertIn", "Tree.insertAt", "Tree.insertLeaf",
+				"Tree.Insert", "Tree.InsertIn", "Tree.write", "Tree.insertAt", "Tree.insertLeaf",
 				"Tree.leafEntries", "Tree.innerEntries", "splitPoint",
 				"leafCellSize2", "innerCellSize2"),
 			funcs("internal/index/index.go",

@@ -44,7 +44,15 @@ func normalize(query string) (shape string, args []types.Value, ok bool) {
 	default:
 		return "", nil, false
 	}
+	nlit := 0
+	for _, t := range toks {
+		if t.kind == tokNumber || t.kind == tokString {
+			nlit++
+		}
+	}
+	args = make([]types.Value, 0, nlit)
 	var sb strings.Builder
+	sb.Grow(len(query) + len(toks)) // the shape never outgrows text plus separators
 	for i, t := range toks {
 		if t.kind == tokEOF {
 			break
@@ -55,7 +63,7 @@ func normalize(query string) (shape string, args []types.Value, ok bool) {
 		switch t.kind {
 		case tokNumber:
 			// Same conversion the parser applies to literals.
-			v, err := parseNumber(t.text)
+			v, err := numberValue(t.text)
 			if err != nil {
 				return "", nil, false
 			}
@@ -89,6 +97,7 @@ func shapeOf(query string) (shape string, ok bool) {
 		return "", false
 	}
 	var sb strings.Builder
+	sb.Grow(len(query) + len(toks))
 	for i, t := range toks {
 		if t.kind == tokEOF {
 			break
@@ -273,11 +282,4 @@ func (e *Engine) CacheLen() int {
 		return 0
 	}
 	return e.cache.len()
-}
-
-// parseNumber converts a numeric token to a Value with the parser's
-// literal rules (a '.', 'e' or 'E' makes it a float).
-func parseNumber(text string) (types.Value, error) {
-	p := &parser{toks: []token{{kind: tokNumber, text: text}, {kind: tokEOF}}}
-	return p.literal()
 }

@@ -138,10 +138,12 @@ type boundsFn func(args []types.Value) (lo, hi []byte, plan string)
 func fullScan([]types.Value) (lo, hi []byte, plan string) { return nil, nil, "full-scan" }
 
 // scanPlan is what every scanning statement compiles the same way: the
-// fused predicate and the access-path closure over one table.
+// fused predicate and the access path over one table — a point lookup
+// when the operands make one, else the bounds closure's scan.
 type scanPlan struct {
 	t      *table
 	pred   rowPred
+	point  pointKey
 	bounds boundsFn
 	m      *stats.SQL
 }
@@ -155,11 +157,15 @@ func (e *Engine) compileScan(t *table, where []Condition) (scanPlan, error) {
 	if e.cfg.Optimizer {
 		bounds = e.compileBounds(t, where)
 	}
-	return scanPlan{t: t, pred: pred, bounds: bounds, m: e.cfg.Metrics}, nil
+	return scanPlan{t: t, pred: pred, point: e.compilePointKey(t, where),
+		bounds: bounds, m: e.cfg.Metrics}, nil
 }
 
-// path reports the access path the scan takes for args.
+// path reports the access path the plan takes for args.
 func (p *scanPlan) path(args []types.Value) string {
+	if _, ok := p.point.keyFor(args); ok {
+		return "point-lookup"
+	}
 	_, _, plan := p.bounds(args)
 	return plan
 }
@@ -168,6 +174,13 @@ func (p *scanPlan) path(args []types.Value) string {
 // the shared pipeline, and returns the access path it took.
 func (p *scanPlan) scan(sp *trace.Span, args []types.Value, mask []bool, ctr *execCounters,
 	visit func(key []byte, row []types.Value) bool) (plan string, err error) {
+	if key, ok := p.point.keyFor(args); ok {
+		row, hit, err := p.seek(sp, key, args, mask, ctr)
+		if hit {
+			visit(key, row)
+		}
+		return "point-lookup", err
+	}
 	lo, hi, plan := p.bounds(args)
 	p.m.Plan(plan)
 	ctr.setPlan(plan)
@@ -190,6 +203,31 @@ func (p *scanPlan) collect(sp *trace.Span, args []types.Value, ctr *execCounters
 		return true
 	})
 	return keys, rows, plan, err
+}
+
+// mutate runs write on every row the plan selects for args, with the
+// row's key, and returns how many rows it wrote and the access path.
+// A point lookup writes straight after its Get; a scan is collected
+// first, because the tree must not change under an open iterator.
+func (p *scanPlan) mutate(sp *trace.Span, args []types.Value, ctr *execCounters,
+	write func(key []byte, row []types.Value) error) (affected int, plan string, err error) {
+	if key, ok := p.point.keyFor(args); ok {
+		row, hit, err := p.seek(sp, key, args, nil, ctr)
+		if !hit || err != nil {
+			return 0, "point-lookup", err
+		}
+		return 1, "point-lookup", write(key, row)
+	}
+	keys, rows, plan, err := p.collect(sp, args, ctr)
+	if err != nil {
+		return 0, plan, err
+	}
+	for i, row := range rows {
+		if err := write(keys[i], row); err != nil {
+			return i, plan, err
+		}
+	}
+	return len(rows), plan, nil
 }
 
 // rowLimit is a SELECT's LIMIT: a literal count (-1 = none) or, when
@@ -223,11 +261,6 @@ type selectPlan struct {
 	oi      int // ORDER BY column; -1 = scan order
 	desc    bool
 	limit   rowLimit
-	// point is set (by the Optimizer) when the whole predicate is one
-	// primary-key equality; pointKey is then the key operand of a point
-	// lookup.
-	point    bool
-	pointKey Operand
 }
 
 func (e *Engine) compileSelect(sp *trace.Span, s Select) (*compiled, error) {
@@ -281,23 +314,17 @@ func (e *Engine) compileSelect(sp *trace.Span, s Select) (*compiled, error) {
 			}
 		}
 	}
-	if e.cfg.Optimizer {
-		e.compilePointLookup(p, s.Where)
-	}
 	return &compiled{verb: "select", ast: s, epoch: e.epoch.Load(), run: p.run, desc: desc}, nil
 }
 
-// run is the general SELECT driver: bounded or full scan, streaming
-// through the fused predicate and projection.
+// run is the SELECT driver: point lookup, bounded or full scan,
+// streaming through the fused predicate and projection.
 func (p *selectPlan) run(sp *trace.Span, args []types.Value, ctr *execCounters) (*Result, error) {
 	n, err := p.limit.bind(args)
 	if err != nil {
 		return nil, err
 	}
 	defer ctr.trackPages(p.t)()
-	if key, ok := p.pointKeyFor(args); ok {
-		return p.pointLookup(sp, key, n, args, ctr)
-	}
 	if p.oi < 0 {
 		// Stream: project each matching row as it arrives and stop the
 		// scan as soon as LIMIT is satisfied.
@@ -432,8 +459,14 @@ func (e *Engine) compileInsert(sp *trace.Span, s Insert) (*compiled, error) {
 		desc: planDesc{t: t}}, nil
 }
 
+// setCol is one compiled UPDATE assignment, bound to its value.
+type setCol struct {
+	col int
+	val types.Value
+}
+
 // compileUpdate resolves assignment targets and the predicate once;
-// execution coerces bound values, collects matches, and rewrites them.
+// execution coerces bound values and rewrites the matching rows.
 func (e *Engine) compileUpdate(sp *trace.Span, s Update) (*compiled, error) {
 	t, err := e.openTable(sp, s.Table)
 	if err != nil {
@@ -459,34 +492,29 @@ func (e *Engine) compileUpdate(sp *trace.Span, s Update) (*compiled, error) {
 		return nil, err
 	}
 	run := func(sp *trace.Span, args []types.Value, ctr *execCounters) (*Result, error) {
-		setIdx := make(map[int]types.Value, len(assigns))
-		for _, a := range assigns {
+		sets := make([]setCol, len(assigns))
+		for i, a := range assigns {
 			cv, err := coerce(a.val.resolve(args), a.kind)
 			if err != nil {
 				return nil, fmt.Errorf("column %s: %w", a.name, err)
 			}
-			setIdx[a.dst] = cv
+			sets[i] = setCol{col: a.dst, val: cv}
 		}
 		defer ctr.trackPages(t)()
-		keys, rows, _, err := scan.collect(sp, args, ctr)
+		n, plan, err := scan.mutate(sp, args, ctr, func(key []byte, row []types.Value) error {
+			return e.applyUpdate(sp, t, key, row, sets)
+		})
 		if err != nil {
 			return nil, err
 		}
-		affected := 0
-		for i, row := range rows {
-			if err := e.applyUpdate(sp, t, keys[i], row, setIdx); err != nil {
-				return nil, err
-			}
-			affected++
-		}
-		return &Result{Affected: affected}, nil
+		return &Result{Affected: n, Plan: plan}, nil
 	}
 	return &compiled{verb: "update", ast: s, epoch: e.epoch.Load(), run: run,
 		desc: planDesc{t: t, access: &scan, nPred: len(s.Where)}}, nil
 }
 
-// compileDelete resolves the predicate once; execution collects the
-// matching keys and removes them.
+// compileDelete resolves the predicate once; execution removes the
+// matching keys.
 func (e *Engine) compileDelete(sp *trace.Span, s Delete) (*compiled, error) {
 	t, err := e.openTable(sp, s.Table)
 	if err != nil {
@@ -498,16 +526,13 @@ func (e *Engine) compileDelete(sp *trace.Span, s Delete) (*compiled, error) {
 	}
 	run := func(sp *trace.Span, args []types.Value, ctr *execCounters) (*Result, error) {
 		defer ctr.trackPages(t)()
-		keys, _, _, err := scan.collect(sp, args, ctr)
+		n, plan, err := scan.mutate(sp, args, ctr, func(key []byte, _ []types.Value) error {
+			return t.store.RemoveIn(sp, key)
+		})
 		if err != nil {
 			return nil, err
 		}
-		for _, k := range keys {
-			if err := t.store.RemoveIn(sp, k); err != nil {
-				return nil, err
-			}
-		}
-		return &Result{Affected: len(keys)}, nil
+		return &Result{Affected: n, Plan: plan}, nil
 	}
 	return &compiled{verb: "delete", ast: s, epoch: e.epoch.Load(), run: run,
 		desc: planDesc{t: t, access: &scan, nPred: len(s.Where)}}, nil

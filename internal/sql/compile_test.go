@@ -340,20 +340,26 @@ func TestPlanCacheCountersAndEviction(t *testing.T) {
 
 // TestStmtSharedAcrossGoroutines stresses one prepared statement from
 // 16 goroutines while a writer churns DDL on another table, bumping the
-// epoch and forcing concurrent transparent recompiles. Run with -race.
+// epoch and forcing concurrent transparent recompiles, and two more
+// rewrite the rows they read with keyed UPDATEs — one prepared, one as
+// text through the plan cache. Run with -race.
 func TestStmtSharedAcrossGoroutines(t *testing.T) {
 	e, _ := newCompiledEngine(t, 16)
-	mustExec(t, e, "CREATE TABLE stress (id INT PRIMARY KEY, v TEXT)")
+	mustExec(t, e, "CREATE TABLE stress (id INT PRIMARY KEY, v TEXT, n INT)")
 	for i := 0; i < 64; i++ {
-		mustExec(t, e, fmt.Sprintf("INSERT INTO stress VALUES (%d, 'v%d')", i, i))
+		mustExec(t, e, fmt.Sprintf("INSERT INTO stress VALUES (%d, 'v%d', 0)", i, i))
 	}
 	stmt, err := e.Prepare("SELECT v FROM stress WHERE id = ?")
 	if err != nil {
 		t.Fatal(err)
 	}
+	upd, err := e.Prepare("UPDATE stress SET n = ? WHERE id = ?")
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	const goroutines, ops = 16, 150
-	errs := make(chan error, goroutines+1)
+	errs := make(chan error, goroutines+3)
 	done := make(chan struct{})
 	var churn sync.WaitGroup
 	churn.Add(1)
@@ -376,6 +382,29 @@ func TestStmtSharedAcrossGoroutines(t *testing.T) {
 		}
 	}()
 	var readers sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		readers.Add(1)
+		go func(w int) { // keyed updates of the rows the readers read
+			defer readers.Done()
+			for i := 0; i < ops; i++ {
+				k := (w*17 + i) % 64
+				var r *Result
+				var err error
+				if w == 0 {
+					r, err = upd.Exec(types.Int(int64(i)), types.Int(int64(k)))
+				} else {
+					r, err = e.Exec(fmt.Sprintf("UPDATE stress SET n = %d WHERE id = %d", i, k))
+				}
+				if err == nil && (r.Affected != 1 || r.Plan != "point-lookup") {
+					err = fmt.Errorf("affected %d plan %q", r.Affected, r.Plan)
+				}
+				if err != nil {
+					errs <- fmt.Errorf("updater %d op %d: %w", w, i, err)
+					return
+				}
+			}
+		}(w)
+	}
 	for g := 0; g < goroutines; g++ {
 		readers.Add(1)
 		go func(g int) {

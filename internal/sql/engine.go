@@ -176,9 +176,9 @@ type Result struct {
 	Rows [][]types.Value
 	// Affected counts rows changed by INSERT/UPDATE/DELETE.
 	Affected int
-	// Plan describes the chosen access path of a SELECT ("point-lookup",
-	// "index-scan" or "full-scan"), for tests and the optimizer
-	// ablation.
+	// Plan describes the chosen access path of a SELECT, UPDATE or
+	// DELETE ("point-lookup", "index-scan" or "full-scan"), for tests
+	// and the optimizer ablation.
 	Plan string
 }
 
@@ -834,24 +834,25 @@ func aggRow(t *table, aggs []Aggregate, rows [][]types.Value) ([]types.Value, er
 }
 
 // applyUpdate rewrites one matched row with the assignments, moving the
-// record when the primary key changed.
-func (e *Engine) applyUpdate(sp *trace.Span, t *table, key []byte, row []types.Value, setIdx map[int]types.Value) error {
-	newRow := append([]types.Value(nil), row...)
-	for ci, v := range setIdx {
-		newRow[ci] = v
+// record when the primary key changed. row is the caller's decoded copy
+// and is rewritten in place.
+func (e *Engine) applyUpdate(sp *trace.Span, t *table, key []byte, row []types.Value, sets []setCol) error {
+	pkChanged := false
+	for _, s := range sets {
+		pkChanged = pkChanged || (s.col == t.pk && types.Compare(row[s.col], s.val) != 0)
+		row[s.col] = s.val
 	}
-	pkChanged := t.pk >= 0 && types.Compare(row[t.pk], newRow[t.pk]) != 0
 	if pkChanged {
-		newKey := types.EncodeKey(newRow[t.pk])
+		newKey := types.EncodeKey(row[t.pk])
 		if _, found, err := t.store.IndexSeam().GetIn(sp, newKey); err != nil {
 			return err
 		} else if found {
-			return fmt.Errorf("%w: %s", ErrDuplicateKey, newRow[t.pk])
+			return fmt.Errorf("%w: %s", ErrDuplicateKey, row[t.pk])
 		}
 		if err := t.store.RemoveIn(sp, key); err != nil {
 			return err
 		}
-		return t.store.PutIn(sp, newKey, types.EncodeRow(newRow))
+		return t.store.PutIn(sp, newKey, types.EncodeRow(row))
 	}
-	return t.store.UpdateIn(sp, key, types.EncodeRow(newRow))
+	return t.store.UpdateIn(sp, key, types.EncodeRow(row))
 }

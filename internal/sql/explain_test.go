@@ -152,41 +152,53 @@ func TestExplainAnalyzeCountersTruthful(t *testing.T) {
 
 // TestExplainAnalyzeRunsThePlanThatRuns pins EXPLAIN ANALYZE to the
 // plan a real execution uses: on a CompiledQueries product a single
-// pk-equality runs as a point lookup, so that is what EXPLAIN ANALYZE
-// must report — access line, Result.Plan, and counters equal to what
-// one plain execution adds to the shape's profile.
+// pk-equality runs as a point lookup — for a SELECT, an UPDATE and a
+// DELETE alike — so that is what EXPLAIN and EXPLAIN ANALYZE must
+// report: access line, Result.Plan, and counters equal to what one
+// plain execution adds to the shape's profile.
 func TestExplainAnalyzeRunsThePlanThatRuns(t *testing.T) {
 	e, reg := newObservedEngine(t, true, stats.QueryStatsConfig{})
 	seedUsers(t, e)
 
-	const shape = "SELECT * FROM users WHERE id = ?"
-	mustExec(t, e, "SELECT * FROM users WHERE id = 2") // warm: plan cached
-	before := queryShape(t, reg, shape)
-	if r := mustExec(t, e, "SELECT * FROM users WHERE id = 2"); r.Plan != "point-lookup" {
-		t.Fatalf("plain execution plan = %q, want point-lookup", r.Plan)
-	}
-	after := queryShape(t, reg, shape)
-	if after.Plan != "point-lookup" {
-		t.Fatalf("profiled plan = %q, want point-lookup", after.Plan)
-	}
+	for _, c := range []struct {
+		stmt, shape string // stmt takes the key: warm, plain, analyzed
+		keys        [3]int
+	}{
+		{"SELECT * FROM users WHERE id = %d", "SELECT * FROM users WHERE id = ?", [3]int{2, 2, 2}},
+		{"UPDATE users SET age = 31 WHERE id = %d", "UPDATE users SET age = ? WHERE id = ?", [3]int{2, 2, 2}},
+		{"DELETE FROM users WHERE id = %d", "DELETE FROM users WHERE id = ?", [3]int{1, 3, 4}},
+	} {
+		mustExec(t, e, fmt.Sprintf(c.stmt, c.keys[0])) // warm: plan cached
+		before := queryShape(t, reg, c.shape)
+		if r := mustExec(t, e, fmt.Sprintf(c.stmt, c.keys[1])); r.Plan != "point-lookup" {
+			t.Fatalf("%s: plain execution plan = %q, want point-lookup", c.shape, r.Plan)
+		}
+		after := queryShape(t, reg, c.shape)
+		if after.Plan != "point-lookup" {
+			t.Fatalf("%s: profiled plan = %q, want point-lookup", c.shape, after.Plan)
+		}
 
-	r := mustExec(t, e, "EXPLAIN ANALYZE SELECT * FROM users WHERE id = 2")
-	if r.Plan != "point-lookup" {
-		t.Fatalf("EXPLAIN ANALYZE Plan = %q, want point-lookup", r.Plan)
-	}
-	lines := planLines(t, r)
-	wantLine(t, lines, "access: point-lookup on users via primary key id")
-	ln := wantLine(t, lines, "executed:", "scanned=1 matched=1 returned=1")
-	var scanned, matched, returned, pages int64
-	if _, err := fmt.Sscanf(ln[strings.Index(ln, "scanned="):], "scanned=%d matched=%d returned=%d pages=%d",
-		&scanned, &matched, &returned, &pages); err != nil {
-		t.Fatalf("executed line %q: %v", ln, err)
-	}
-	if want := after.RowsScanned - before.RowsScanned; scanned != want {
-		t.Fatalf("EXPLAIN ANALYZE scanned=%d, one plain execution scanned %d", scanned, want)
-	}
-	if want := after.PagesVisited - before.PagesVisited; pages != want || pages <= 0 {
-		t.Fatalf("EXPLAIN ANALYZE pages=%d, one plain execution visited %d", pages, want)
+		q := fmt.Sprintf(c.stmt, c.keys[2])
+		wantLine(t, planLines(t, mustExec(t, e, "EXPLAIN "+q)),
+			"access: point-lookup on users via primary key id")
+		r := mustExec(t, e, "EXPLAIN ANALYZE "+q)
+		if r.Plan != "point-lookup" {
+			t.Fatalf("%s: EXPLAIN ANALYZE Plan = %q, want point-lookup", c.shape, r.Plan)
+		}
+		lines := planLines(t, r)
+		wantLine(t, lines, "access: point-lookup on users via primary key id")
+		ln := wantLine(t, lines, "executed:", "scanned=1 matched=1 returned=1")
+		var scanned, matched, returned, pages int64
+		if _, err := fmt.Sscanf(ln[strings.Index(ln, "scanned="):], "scanned=%d matched=%d returned=%d pages=%d",
+			&scanned, &matched, &returned, &pages); err != nil {
+			t.Fatalf("executed line %q: %v", ln, err)
+		}
+		if want := after.RowsScanned - before.RowsScanned; scanned != want {
+			t.Fatalf("%s: EXPLAIN ANALYZE scanned=%d, one plain execution scanned %d", c.shape, scanned, want)
+		}
+		if want := after.PagesVisited - before.PagesVisited; pages != want || pages <= 0 {
+			t.Fatalf("%s: EXPLAIN ANALYZE pages=%d, one plain execution visited %d", c.shape, pages, want)
+		}
 	}
 }
 
@@ -331,6 +343,116 @@ func TestProfileTruthfulnessAcrossDrivers(t *testing.T) {
 	}
 	if delta <= 0 {
 		t.Fatalf("tree visit counter did not move (delta %d)", delta)
+	}
+
+	t.Run("point DML", profilePointDML)
+}
+
+// profilePointDML runs a keyed UPDATE and a keyed DELETE through all
+// three entry points and checks that each one's profile, the Statistics
+// plan counters and Result.Plan all name the point lookup that ran,
+// with one row scanned per hit, and that the profiled pages add up to
+// the B+-tree's own visit counter.
+func profilePointDML(t *testing.T) {
+	ei, regI := newObservedEngine(t, false, stats.QueryStatsConfig{})
+	ec, regC := newObservedEngine(t, true, stats.QueryStatsConfig{})
+	seedUsers(t, ei)
+	seedUsers(t, ec)
+	upd, err := ec.Prepare("UPDATE users SET age = ? WHERE id = ?")
+	if err != nil {
+		t.Fatal(err)
+	}
+	del, err := ec.Prepare("DELETE FROM users WHERE id = ?")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := ec.openTable(nil, "users")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pointsI := regI.Snapshot().SQL.PointLookups
+	pointsC := regC.Snapshot().SQL.PointLookups
+	visits := tbl.visits()
+
+	// Four rounds; ids 1-2 are deleted by the one-shot and cached text
+	// paths' rounds, 3-4 by the prepared path's, and the updates hit a
+	// present key on even rounds and an absent one (id 9) on odd ones.
+	const n = 4
+	hits := 0
+	for i := 0; i < n; i++ {
+		id := 2 + i%2*7 // 2, 9, 2, 9
+		if i%2 == 0 {
+			hits++
+		}
+		text := fmt.Sprintf("UPDATE users SET age = %d WHERE id = %d", 40+i, id)
+		ri := mustExec(t, ei, text)
+		rc := mustExec(t, ec, text)
+		rp, err := upd.Exec(types.Int(int64(50+i)), types.Int(int64(id)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range []*Result{ri, rc, rp} {
+			if r.Plan != "point-lookup" || r.Affected != 1-i%2 {
+				t.Fatalf("round %d update: plan %q affected %d", i, r.Plan, r.Affected)
+			}
+		}
+	}
+	for i := 0; i < n; i++ {
+		textID, prepID := 1+i%2, 3+i%2 // each present once, then absent
+		text := fmt.Sprintf("DELETE FROM users WHERE id = %d", textID)
+		ri := mustExec(t, ei, text)
+		rc := mustExec(t, ec, text)
+		rp, err := del.Exec(types.Int(int64(prepID)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 0
+		if i < 2 {
+			want = 1
+		}
+		for _, r := range []*Result{ri, rc, rp} {
+			if r.Plan != "point-lookup" || r.Affected != want {
+				t.Fatalf("round %d delete: plan %q affected %d, want %d", i, r.Plan, r.Affected, want)
+			}
+		}
+	}
+
+	for _, c := range []struct {
+		shape string
+		hits  int64
+	}{
+		{"UPDATE users SET age = ? WHERE id = ?", int64(hits)},
+		{"DELETE FROM users WHERE id = ?", 2},
+	} {
+		pi := queryShape(t, regI, c.shape)
+		pc := queryShape(t, regC, c.shape)
+		if pi.Plan != "point-lookup" || pc.Plan != "point-lookup" {
+			t.Fatalf("%s: profiled plans %q one-shot, %q compiled", c.shape, pi.Plan, pc.Plan)
+		}
+		if pi.Count != n || pc.Count != 2*n {
+			t.Fatalf("%s: counts = %d one-shot, %d compiled; want %d, %d", c.shape, pi.Count, pc.Count, n, 2*n)
+		}
+		if pi.RowsScanned != c.hits || pi.RowsReturned != c.hits {
+			t.Fatalf("%s: one-shot scanned/returned = %d/%d, want %d/%d",
+				c.shape, pi.RowsScanned, pi.RowsReturned, c.hits, c.hits)
+		}
+		if pc.RowsScanned != 2*c.hits || pc.RowsReturned != 2*c.hits {
+			t.Fatalf("%s: compiled scanned/returned = %d/%d, want %d/%d",
+				c.shape, pc.RowsScanned, pc.RowsReturned, 2*c.hits, 2*c.hits)
+		}
+	}
+	if got := regI.Snapshot().SQL.PointLookups - pointsI; got != 2*n {
+		t.Fatalf("one-shot engine counted %d point lookups, want %d", got, 2*n)
+	}
+	if got := regC.Snapshot().SQL.PointLookups - pointsC; got != 4*n {
+		t.Fatalf("compiled engine counted %d point lookups, want %d", got, 4*n)
+	}
+	var profiled int64
+	for _, sh := range []string{"UPDATE users SET age = ? WHERE id = ?", "DELETE FROM users WHERE id = ?"} {
+		profiled += queryShape(t, regC, sh).PagesVisited
+	}
+	if delta := tbl.visits() - visits; profiled != delta || delta <= 0 {
+		t.Fatalf("profiled pages = %d, tree counted %d", profiled, delta)
 	}
 }
 

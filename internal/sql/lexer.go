@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 type tokenKind int
@@ -43,89 +44,146 @@ const (
 	tokSymbol // ( ) , ; * = ? != < <= > >=
 )
 
+// token is one lexeme. Its text is the keyword's canonical upper-case
+// spelling, a symbol constant, or — for identifiers, numbers and
+// strings without escaped quotes — a substring of the input, so lexing
+// allocates the token slice and nothing per token.
 type token struct {
 	kind tokenKind
-	text string // keywords uppercased; identifiers as written
-	pos  int
+	text string
+	pos  int // byte offset in the input
 }
 
-var keywords = map[string]bool{
-	"CREATE": true, "TABLE": true, "DROP": true, "INSERT": true,
-	"INTO": true, "VALUES": true, "SELECT": true, "FROM": true,
-	"WHERE": true, "ORDER": true, "BY": true, "ASC": true, "DESC": true,
-	"LIMIT": true, "GROUP": true, "UPDATE": true, "SET": true, "DELETE": true,
-	"AND": true, "PRIMARY": true, "KEY": true, "TRUE": true, "FALSE": true,
-	"INT": true, "INTEGER": true, "FLOAT": true, "REAL": true, "DOUBLE": true,
-	"TEXT": true, "STRING": true, "VARCHAR": true, "BLOB": true,
-	"BOOL": true, "BOOLEAN": true, "NOT": true, "NULL": true,
-	"EXPLAIN": true, "ANALYZE": true,
+// keywords maps each keyword's upper-case spelling to itself: a lookup
+// with an upper-cased copy of a word returns the canonical constant.
+var keywords = func() map[string]string {
+	m := map[string]string{}
+	for _, kw := range []string{
+		"CREATE", "TABLE", "DROP", "INSERT", "INTO", "VALUES", "SELECT", "FROM",
+		"WHERE", "ORDER", "BY", "ASC", "DESC", "LIMIT", "GROUP", "UPDATE", "SET",
+		"DELETE", "AND", "PRIMARY", "KEY", "TRUE", "FALSE",
+		"INT", "INTEGER", "FLOAT", "REAL", "DOUBLE", "TEXT", "STRING", "VARCHAR",
+		"BLOB", "BOOL", "BOOLEAN", "NOT", "NULL", "EXPLAIN", "ANALYZE",
+	} {
+		m[kw] = kw
+	}
+	return m
+}()
+
+// keyword resolves word case-insensitively to its canonical keyword
+// text. Only ASCII letters fold: a word with other bytes is never a
+// keyword.
+func keyword(word string) (string, bool) {
+	var up [16]byte // longer than every keyword
+	if len(word) > len(up) {
+		return "", false
+	}
+	for i := 0; i < len(word); i++ {
+		c := word[i]
+		if 'a' <= c && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		up[i] = c
+	}
+	kw, ok := keywords[string(up[:len(word)])]
+	return kw, ok
+}
+
+// singleSymbols are the one-byte symbols; a token's text is a slice of
+// this constant.
+const singleSymbols = "(),;*=?"
+
+// runeAt decodes the rune at byte offset i of s: ASCII directly, and
+// only other bytes through utf8.
+func runeAt(s string, i int) (r rune, size int) {
+	if c := s[i]; c < utf8.RuneSelf {
+		return rune(c), 1
+	}
+	return utf8.DecodeRuneInString(s[i:])
 }
 
 // lex splits input into tokens.
 func lex(input string) ([]token, error) {
-	var toks []token
-	rs := []rune(input)
+	toks := make([]token, 0, len(input)/3+4)
 	i := 0
-	for i < len(rs) {
-		r := rs[i]
+	for i < len(input) {
+		r, size := runeAt(input, i)
+		next := byte(0)
+		if i+1 < len(input) {
+			next = input[i+1]
+		}
 		switch {
 		case unicode.IsSpace(r):
-			i++
-		case r == '-' && i+1 < len(rs) && rs[i+1] == '-':
-			for i < len(rs) && rs[i] != '\n' {
+			i += size
+		case r == '-' && next == '-':
+			for i < len(input) && input[i] != '\n' {
 				i++
 			}
 		case r == '(' || r == ')' || r == ',' || r == ';' || r == '*' || r == '=' || r == '?':
-			toks = append(toks, token{tokSymbol, string(r), i})
+			k := strings.IndexByte(singleSymbols, byte(r))
+			toks = append(toks, token{tokSymbol, singleSymbols[k : k+1], i})
 			i++
-		case r == '!' && i+1 < len(rs) && rs[i+1] == '=':
+		case r == '!' && next == '=':
 			toks = append(toks, token{tokSymbol, "!=", i})
 			i += 2
 		case r == '<' || r == '>':
-			sym := string(r)
-			if i+1 < len(rs) && rs[i+1] == '=' {
-				sym += "="
-				i++
+			sym := "<"
+			switch {
+			case r == '<' && next == '=':
+				sym = "<="
+			case r == '>' && next == '=':
+				sym = ">="
+			case r == '>':
+				sym = ">"
 			}
 			toks = append(toks, token{tokSymbol, sym, i})
-			i++
+			i += len(sym)
 		case r == '\'':
-			j := i + 1
-			var sb strings.Builder
+			// The body runs to the first quote not doubled; '' is an
+			// escaped quote.
+			j, escaped := i+1, false
 			for {
-				if j >= len(rs) {
+				k := strings.IndexByte(input[j:], '\'')
+				if k < 0 {
 					return nil, fmt.Errorf("sql: unterminated string at %d", i)
 				}
-				if rs[j] == '\'' {
-					if j+1 < len(rs) && rs[j+1] == '\'' { // escaped quote
-						sb.WriteRune('\'')
-						j += 2
-						continue
-					}
+				j += k
+				if j+1 < len(input) && input[j+1] == '\'' {
+					j, escaped = j+2, true
+					continue
+				}
+				break
+			}
+			text := input[i+1 : j]
+			if escaped {
+				text = strings.ReplaceAll(text, "''", "'")
+			}
+			toks = append(toks, token{tokString, text, i})
+			i = j + 1
+		case unicode.IsDigit(r) || (r == '-' && i+1 < len(input) && isDigitAt(input, i+1)):
+			j := i + size
+			for j < len(input) {
+				c, n := runeAt(input, j)
+				if !unicode.IsDigit(c) && c != '.' && c != 'e' && c != 'E' &&
+					!((c == '+' || c == '-') && (input[j-1] == 'e' || input[j-1] == 'E')) {
 					break
 				}
-				sb.WriteRune(rs[j])
-				j++
+				j += n
 			}
-			toks = append(toks, token{tokString, sb.String(), i})
-			i = j + 1
-		case unicode.IsDigit(r) || (r == '-' && i+1 < len(rs) && unicode.IsDigit(rs[i+1])):
-			j := i + 1
-			for j < len(rs) && (unicode.IsDigit(rs[j]) || rs[j] == '.' || rs[j] == 'e' ||
-				rs[j] == 'E' || ((rs[j] == '+' || rs[j] == '-') && (rs[j-1] == 'e' || rs[j-1] == 'E'))) {
-				j++
-			}
-			toks = append(toks, token{tokNumber, string(rs[i:j]), i})
+			toks = append(toks, token{tokNumber, input[i:j], i})
 			i = j
 		case unicode.IsLetter(r) || r == '_':
 			j := i
-			for j < len(rs) && (unicode.IsLetter(rs[j]) || unicode.IsDigit(rs[j]) || rs[j] == '_') {
-				j++
+			for j < len(input) {
+				c, n := runeAt(input, j)
+				if !unicode.IsLetter(c) && !unicode.IsDigit(c) && c != '_' {
+					break
+				}
+				j += n
 			}
-			word := string(rs[i:j])
-			upper := strings.ToUpper(word)
-			if keywords[upper] {
-				toks = append(toks, token{tokKeyword, upper, i})
+			word := input[i:j]
+			if kw, ok := keyword(word); ok {
+				toks = append(toks, token{tokKeyword, kw, i})
 			} else {
 				toks = append(toks, token{tokIdent, word, i})
 			}
@@ -134,6 +192,11 @@ func lex(input string) ([]token, error) {
 			return nil, fmt.Errorf("sql: unexpected character %q at %d", r, i)
 		}
 	}
-	toks = append(toks, token{tokEOF, "", len(rs)})
+	toks = append(toks, token{tokEOF, "", len(input)})
 	return toks, nil
+}
+
+func isDigitAt(s string, i int) bool {
+	r, _ := runeAt(s, i)
+	return unicode.IsDigit(r)
 }

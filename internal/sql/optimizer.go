@@ -1,8 +1,9 @@
 // The Optimizer feature: index access-path selection. Without it every
 // plan's access path is the full scan; with it, and over an ordered
 // index, conditions on the primary key become a bounded range scan, and
-// a SELECT whose whole predicate is one primary-key equality becomes a
-// point lookup — one index Get, no iterator.
+// a statement whose whole predicate is one primary-key equality becomes
+// a point lookup — one index Get, no iterator — whether it reads
+// (SELECT) or writes (UPDATE, DELETE).
 package sql
 
 import (
@@ -84,60 +85,61 @@ func bytesCompare(a, b []byte) int {
 	}
 }
 
-// compilePointLookup marks p as a point lookup when its whole predicate
-// is one equality on the primary key of an ordered index.
-func (e *Engine) compilePointLookup(p *selectPlan, where []Condition) {
-	t := p.t
-	if e.cfg.Factory.Ordered && t.pk >= 0 && len(where) == 1 &&
-		where[0].Op == OpEq && where[0].Column == t.schema[t.pk].Name {
-		p.point, p.pointKey = true, where[0].rhs()
-	}
+// pointKey is a compiled primary-key equality: set (by the Optimizer)
+// when a statement's whole predicate is one equality on the primary key
+// of an ordered index. SELECT, UPDATE and DELETE then answer with one
+// index Get instead of opening an iterator.
+type pointKey struct {
+	on   bool
+	kind types.Kind
+	rhs  Operand
 }
 
-// pointKeyFor encodes the lookup key for args. ok is false when p is
+// compilePointKey returns the point key of a predicate over t; it is
+// off unless the predicate qualifies.
+func (e *Engine) compilePointKey(t *table, where []Condition) pointKey {
+	if e.cfg.Optimizer && e.cfg.Factory.Ordered && t.pk >= 0 && len(where) == 1 &&
+		where[0].Op == OpEq && where[0].Column == t.schema[t.pk].Name {
+		return pointKey{on: true, kind: t.schema[t.pk].Kind, rhs: where[0].rhs()}
+	}
+	return pointKey{}
+}
+
+// keyFor encodes the lookup key for args. ok is false when the plan is
 // not a point lookup, or the operand cannot be coerced to the key
 // column's kind (e.g. a float bound on an int key); the plan then runs
 // as the scan it also is.
-func (p *selectPlan) pointKeyFor(args []types.Value) (key []byte, ok bool) {
-	if !p.point {
+func (pk pointKey) keyFor(args []types.Value) (key []byte, ok bool) {
+	if !pk.on {
 		return nil, false
 	}
-	v, err := coerce(p.pointKey.resolve(args), p.t.schema[p.t.pk].Kind)
+	v, err := coerce(pk.rhs.resolve(args), pk.kind)
 	if err != nil {
 		return nil, false
 	}
 	return types.EncodeKey(v), true
 }
 
-// path reports the access path the SELECT takes for args.
-func (p *selectPlan) path(args []types.Value) string {
-	if _, ok := p.pointKeyFor(args); ok {
-		return "point-lookup"
-	}
-	return p.scanPlan.path(args)
-}
-
-// pointLookup answers the SELECT with one index Get — no iterator, no
-// scan setup.
-func (p *selectPlan) pointLookup(sp *trace.Span, key []byte, limit int, args []types.Value, ctr *execCounters) (*Result, error) {
+// seek is the point-lookup access path: one index Get of key, the
+// record decoded through mask and checked against the predicate. hit
+// is false when the key is absent or the predicate rejects the row.
+func (p *scanPlan) seek(sp *trace.Span, key []byte, args []types.Value, mask []bool, ctr *execCounters) (row []types.Value, hit bool, err error) {
 	p.m.Plan("point-lookup")
 	ctr.setPlan("point-lookup")
-	res := &Result{Columns: p.cols, Plan: "point-lookup"}
 	rec, err := p.t.store.GetIn(sp, key)
 	if errors.Is(err, access.ErrNotFound) {
-		return res, nil
+		return nil, false, nil
 	}
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	ctr.scanned()
-	row, err := types.DecodeRowMask(rec, p.mask)
-	if err != nil {
-		return nil, err
+	if row, err = types.DecodeRowMask(rec, mask); err != nil {
+		return nil, false, err
 	}
-	if limit != 0 && (p.pred == nil || p.pred(row, args)) {
-		ctr.matched()
-		res.Rows = [][]types.Value{p.project(row, p.proj)}
+	if p.pred != nil && !p.pred(row, args) {
+		return nil, false, nil
 	}
-	return res, nil
+	ctr.matched()
+	return row, true, nil
 }

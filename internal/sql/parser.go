@@ -491,18 +491,7 @@ func (p *parser) literal() (types.Value, error) {
 	t := p.next()
 	switch {
 	case t.kind == tokNumber:
-		if strings.ContainsAny(t.text, ".eE") {
-			f, err := strconv.ParseFloat(t.text, 64)
-			if err != nil {
-				return types.Value{}, fmt.Errorf("sql: bad number %q", t.text)
-			}
-			return types.Float(f), nil
-		}
-		n, err := strconv.ParseInt(t.text, 10, 64)
-		if err != nil {
-			return types.Value{}, fmt.Errorf("sql: bad number %q", t.text)
-		}
-		return types.Int(n), nil
+		return numberValue(t.text)
 	case t.kind == tokString:
 		return types.Str(t.text), nil
 	case t.kind == tokKeyword && t.text == "TRUE":
@@ -512,4 +501,21 @@ func (p *parser) literal() (types.Value, error) {
 	default:
 		return types.Value{}, fmt.Errorf("sql: expected a literal, found %q", t.text)
 	}
+}
+
+// numberValue converts a number token's text to a Value: a '.', 'e' or
+// 'E' makes it a float, anything else an int.
+func numberValue(text string) (types.Value, error) {
+	if strings.ContainsAny(text, ".eE") {
+		f, err := strconv.ParseFloat(text, 64)
+		if err != nil {
+			return types.Value{}, fmt.Errorf("sql: bad number %q", text)
+		}
+		return types.Float(f), nil
+	}
+	n, err := strconv.ParseInt(text, 10, 64)
+	if err != nil {
+		return types.Value{}, fmt.Errorf("sql: bad number %q", text)
+	}
+	return types.Int(n), nil
 }

@@ -101,9 +101,14 @@ func TestSQLModelEquivalence(t *testing.T) {
 					}
 				}
 
-				for op := 0; op < 600; op++ {
+				// keyed is the plan a keyed UPDATE or DELETE takes.
+				keyed := "full-scan"
+				if optimizer {
+					keyed = "point-lookup"
+				}
+				for op := 0; op < 800; op++ {
 					id := int64(rng.Intn(80))
-					switch rng.Intn(6) {
+					switch rng.Intn(8) {
 					case 0, 1: // insert
 						name := fmt.Sprintf("p%d", rng.Intn(1000))
 						age := int64(rng.Intn(100))
@@ -123,6 +128,9 @@ func TestSQLModelEquivalence(t *testing.T) {
 					case 2: // update by pk
 						age := int64(rng.Intn(100))
 						r := mustRun("UPDATE people SET age = ? WHERE id = ?", types.Int(age), types.Int(id))
+						if r.Plan != keyed {
+							t.Fatalf("op %d: keyed update plan %q, want %q", op, r.Plan, keyed)
+						}
 						if m, inModel := model[id]; inModel {
 							if r.Affected != 1 {
 								t.Fatalf("op %d: update affected %d", op, r.Affected)
@@ -134,6 +142,9 @@ func TestSQLModelEquivalence(t *testing.T) {
 						}
 					case 3: // delete by pk
 						r := mustRun("DELETE FROM people WHERE id = ?", types.Int(id))
+						if r.Plan != keyed {
+							t.Fatalf("op %d: keyed delete plan %q, want %q", op, r.Plan, keyed)
+						}
 						if _, inModel := model[id]; inModel != (r.Affected == 1) {
 							t.Fatalf("op %d: delete affected %d, model %v", op, r.Affected, inModel)
 						}
@@ -159,12 +170,45 @@ func TestSQLModelEquivalence(t *testing.T) {
 						if inModel && (r.Rows[0][0].Str != m.name || r.Rows[0][1].Int != m.age) {
 							t.Fatalf("op %d: pk select = %v, model %+v", op, r.Rows[0], m)
 						}
+					case 6: // keyed update that moves the row to another pk
+						to := int64(rng.Intn(80))
+						age := int64(rng.Intn(100))
+						r, err := run("UPDATE people SET id = ?, age = ? WHERE id = ?",
+							types.Int(to), types.Int(age), types.Int(id))
+						m, inModel := model[id]
+						_, taken := model[to]
+						switch {
+						case !inModel:
+							if err != nil || r.Affected != 0 {
+								t.Fatalf("op %d: pk move of absent %d = %v, %v", op, id, r, err)
+							}
+						case to != id && taken:
+							if !errors.Is(err, ErrDuplicateKey) {
+								t.Fatalf("op %d: colliding pk move %d->%d = %v", op, id, to, err)
+							}
+						default:
+							if err != nil || r.Affected != 1 || r.Plan != keyed {
+								t.Fatalf("op %d: pk move %d->%d = %+v, %v", op, id, to, r, err)
+							}
+							delete(model, id)
+							m.age = age
+							model[to] = m
+						}
+					case 7: // a float key on the int pk matches nothing: the plan falls back to a scan
+						f := types.Float(float64(id) + 0.5)
+						ru := mustRun("UPDATE people SET age = ? WHERE id = ?", types.Int(1), f)
+						rd := mustRun("DELETE FROM people WHERE id = ?", f)
+						for _, r := range []*Result{ru, rd} {
+							if r.Affected != 0 || r.Plan != "full-scan" {
+								t.Fatalf("op %d: float-keyed DML = %+v", op, r)
+							}
+						}
 					}
 					if op%50 == 0 {
 						check(op)
 					}
 				}
-				check(600)
+				check(800)
 			})
 		}
 	}
@@ -213,6 +257,85 @@ func TestOptimizerPlansNeverChangeResults(t *testing.T) {
 	// Sanity: the point query actually used the index when optimized.
 	if r := mustExec(t, with, "SELECT * FROM t WHERE id = 5"); r.Plan != "point-lookup" {
 		t.Fatalf("plan = %s", r.Plan)
+	}
+}
+
+// TestPointDMLNeverChangesResults runs one script of keyed UPDATEs and
+// DELETEs through every entry point with and without the Optimizer. The
+// answers — affected rows, errors, final table contents — must be the
+// script's own, whichever plan ran; the plan must be the point lookup
+// exactly when the Optimizer is on and the key operand coerces.
+func TestPointDMLNeverChangesResults(t *testing.T) {
+	I, F, S := types.Int, types.Float, types.Str
+	steps := []struct {
+		stmt     string
+		args     []types.Value
+		affected int
+		err      error
+		point    bool // the plan is a point lookup under the Optimizer
+	}{
+		{"UPDATE t SET label = ? WHERE id = ?", []types.Value{S("five"), I(5)}, 1, nil, true},
+		{"UPDATE t SET label = ? WHERE id = ?", []types.Value{S("none"), I(99)}, 0, nil, true},
+		{"DELETE FROM t WHERE id = ?", []types.Value{I(7)}, 1, nil, true},
+		{"DELETE FROM t WHERE id = ?", []types.Value{I(7)}, 0, nil, true},
+		// pk change: the row moves; onto a live key it collides.
+		{"UPDATE t SET id = ? WHERE id = ?", []types.Value{I(70), I(3)}, 1, nil, true},
+		{"UPDATE t SET id = ? WHERE id = ?", []types.Value{I(4), I(70)}, 0, ErrDuplicateKey, true},
+		{"UPDATE t SET id = ?, grp = ? WHERE id = ?", []types.Value{I(3), I(9), I(70)}, 1, nil, true},
+		// A float key on the int pk cannot be a point key: scan, no match.
+		{"UPDATE t SET grp = ? WHERE id = ?", []types.Value{I(8), F(2.5)}, 0, nil, false},
+		{"DELETE FROM t WHERE id = ?", []types.Value{F(2.5)}, 0, nil, false},
+		// An int key on the float pk finds the record, and the residual
+		// predicate (which compares kinds strictly) rejects it — as the
+		// scan does.
+		{"UPDATE f SET v = ? WHERE id = ?", []types.Value{I(1), I(2)}, 0, nil, true},
+		{"DELETE FROM f WHERE id = ?", []types.Value{I(2)}, 0, nil, true},
+		{"UPDATE f SET v = ? WHERE id = ?", []types.Value{I(1), F(2.25)}, 1, nil, true},
+		{"DELETE FROM f WHERE id = ?", []types.Value{F(2.25)}, 1, nil, true},
+		// More than one pk condition is a range scan, not a point.
+		{"DELETE FROM t WHERE id = ? AND grp = ?", []types.Value{I(1), I(1)}, 1, nil, false},
+	}
+	var want []string
+	for _, drv := range modelDrivers {
+		for _, optimizer := range []bool{false, true} {
+			name := fmt.Sprintf("%s/optimizer=%v", drv.name, optimizer)
+			e, run := drv.open(t, optimizer)
+			mustExec(t, e, "CREATE TABLE t (id INT PRIMARY KEY, grp INT, label TEXT)")
+			mustExec(t, e, "CREATE TABLE f (id FLOAT PRIMARY KEY, v INT)")
+			for i := 0; i < 10; i++ {
+				mustExec(t, e, fmt.Sprintf("INSERT INTO t VALUES (%d, %d, 'l%d')", i, i%3, i))
+				mustExec(t, e, fmt.Sprintf("INSERT INTO f VALUES (%d.0, %d)", i, i))
+			}
+			mustExec(t, e, "INSERT INTO f VALUES (2.25, 0)")
+			for i, st := range steps {
+				r, err := run(st.stmt, st.args...)
+				if !errors.Is(err, st.err) || (st.err == nil) != (err == nil) {
+					t.Fatalf("%s step %d %s %v: err %v, want %v", name, i, st.stmt, st.args, err, st.err)
+				}
+				if err != nil {
+					continue
+				}
+				plan := "point-lookup"
+				if !optimizer || !st.point {
+					plan = r.Plan // not pinned: a full or range scan
+				}
+				if r.Affected != st.affected || r.Plan != plan {
+					t.Fatalf("%s step %d %s %v: affected %d plan %q, want %d %q",
+						name, i, st.stmt, st.args, r.Affected, r.Plan, st.affected, plan)
+				}
+			}
+			var got []string
+			for _, q := range []string{"SELECT * FROM t ORDER BY id", "SELECT * FROM f ORDER BY id"} {
+				for _, row := range mustExec(t, e, q).Rows {
+					got = append(got, fmt.Sprint(row))
+				}
+			}
+			if want == nil {
+				want = got
+			} else if strings.Join(got, "\n") != strings.Join(want, "\n") {
+				t.Fatalf("%s: final tables\n%s\nwant\n%s", name, strings.Join(got, "\n"), strings.Join(want, "\n"))
+			}
+		}
 	}
 }
 
