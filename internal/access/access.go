@@ -9,7 +9,6 @@ package access
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"famedb/internal/index"
 	"famedb/internal/stats"
@@ -32,18 +31,11 @@ type Ops struct {
 // AllOps selects every access operation.
 func AllOps() Ops { return Ops{Put: true, Get: true, Remove: true, Update: true} }
 
-// Counters tallies executed operations; the Statistics feature of the
-// case study reads them. All fields are updated atomically.
-type Counters struct {
-	Puts, Gets, Removes, Updates, Scans int64
-}
-
 // Store is the record store of a derived product: an index plus the
 // composed operation set.
 type Store struct {
-	idx      index.Seam
-	ops      Ops
-	counters Counters
+	idx index.Seam
+	ops Ops
 	// metrics observes per-operation latency when the Statistics feature
 	// is composed; nil otherwise (recording is then a no-op).
 	metrics *stats.Access
@@ -77,17 +69,6 @@ func (s *Store) IndexSeam() index.Seam { return s.idx }
 // Ops returns the composed operation set.
 func (s *Store) Ops() Ops { return s.ops }
 
-// Counters returns a snapshot of the operation counters.
-func (s *Store) Counters() Counters {
-	return Counters{
-		Puts:    atomic.LoadInt64(&s.counters.Puts),
-		Gets:    atomic.LoadInt64(&s.counters.Gets),
-		Removes: atomic.LoadInt64(&s.counters.Removes),
-		Updates: atomic.LoadInt64(&s.counters.Updates),
-		Scans:   atomic.LoadInt64(&s.counters.Scans),
-	}
-}
-
 // Put stores value under key, replacing any existing value (feature
 // Put).
 func (s *Store) Put(key, value []byte) error { return s.PutIn(nil, key, value) }
@@ -97,7 +78,6 @@ func (s *Store) PutIn(parent *trace.Span, key, value []byte) error {
 	if !s.ops.Put {
 		return fmt.Errorf("Put: %w", ErrNotComposed)
 	}
-	atomic.AddInt64(&s.counters.Puts, 1)
 	sp := s.tracer.Start(parent, trace.LayerAccess, "put")
 	start := s.metrics.Start()
 	err := s.idx.InsertIn(sp, key, value)
@@ -116,7 +96,6 @@ func (s *Store) GetIn(parent *trace.Span, key []byte) ([]byte, error) {
 	if !s.ops.Get {
 		return nil, fmt.Errorf("Get: %w", ErrNotComposed)
 	}
-	atomic.AddInt64(&s.counters.Gets, 1)
 	sp := s.tracer.Start(parent, trace.LayerAccess, "get")
 	start := s.metrics.Start()
 	v, found, err := s.idx.GetIn(sp, key)
@@ -140,7 +119,6 @@ func (s *Store) RemoveIn(parent *trace.Span, key []byte) error {
 	if !s.ops.Remove {
 		return fmt.Errorf("Remove: %w", ErrNotComposed)
 	}
-	atomic.AddInt64(&s.counters.Removes, 1)
 	sp := s.tracer.Start(parent, trace.LayerAccess, "remove")
 	deleted, err := s.idx.DeleteIn(sp, key)
 	sp.Fail(err)
@@ -163,7 +141,6 @@ func (s *Store) UpdateIn(parent *trace.Span, key, value []byte) error {
 	if !s.ops.Update {
 		return fmt.Errorf("Update: %w", ErrNotComposed)
 	}
-	atomic.AddInt64(&s.counters.Updates, 1)
 	sp := s.tracer.Start(parent, trace.LayerAccess, "update")
 	ok, err := s.idx.UpdateIn(sp, key, value)
 	sp.Fail(err)
@@ -188,7 +165,6 @@ func (s *Store) ScanIn(parent *trace.Span, from, to []byte, fn func(key, value [
 	if !s.ops.Get {
 		return fmt.Errorf("Scan: %w", ErrNotComposed)
 	}
-	atomic.AddInt64(&s.counters.Scans, 1)
 	sp := s.tracer.Start(parent, trace.LayerAccess, "scan")
 	err := s.idx.ScanIn(sp, from, to, fn)
 	sp.Fail(err)

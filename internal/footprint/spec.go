@@ -58,7 +58,7 @@ func FAMECore() []SourceSpec {
 			"memFile.ReadAt", "memFile.WriteAt", "memFile.Size",
 			"memFile.Truncate", "memFile.Sync", "memFile.Close"),
 		funcs("internal/access/access.go", "New", "Store.Index", "Store.IndexSeam",
-			"Store.Ops", "Store.Counters", "Store.Len"),
+			"Store.Ops", "Store.Len"),
 		// The span seam every layer above the index holds it through.
 		funcs("internal/index/index.go", "SeamOf", "Seam.InsertIn", "Seam.GetIn",
 			"Seam.DeleteIn", "Seam.UpdateIn", "Seam.ScanIn"),
@@ -241,10 +241,12 @@ func FAMESources() map[string][]SourceSpec {
 			file("internal/stats/querystats.go"),
 		},
 
-		// The Statistics feature: the cross-cutting metrics registry with
-		// its histograms and encoders.
+		// The Statistics feature: the cross-cutting metrics registry, the
+		// metrics table that declares every exported metric once, and the
+		// histograms and encoders.
 		"Statistics": {
 			file("internal/stats/stats.go"),
+			file("internal/stats/table.go"),
 			file("internal/stats/histogram.go"),
 			file("internal/stats/encode.go"),
 			file("internal/stats/delta.go"),

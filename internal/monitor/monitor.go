@@ -323,9 +323,6 @@ func (m *Monitor) windowLocked() Window {
 		walBase = m.baseLog
 	} else {
 		d = newest.Cum.Sub(oldest.Cum)
-		d.Trace = newest.Delta.Trace // recompute below from oldest
-		d.Trace.RecordedSpans = subCtr(newest.Cum.Trace.RecordedSpans, oldest.Cum.Trace.RecordedSpans)
-		d.Trace.DroppedSpans = subCtr(newest.Cum.Trace.DroppedSpans, oldest.Cum.Trace.DroppedSpans)
 		secs = newest.Time.Sub(oldest.Time).Seconds()
 		walBase = oldest.LogSize
 	}
@@ -360,15 +357,6 @@ func (m *Monitor) windowLocked() Window {
 	w.ReplicasConnected = newest.Cum.Repl.Connected
 	w.ReplicaLagBytes = newest.Cum.Repl.MaxLagBytes
 	return w
-}
-
-// subCtr mirrors the stats package's monotonic underflow guard for the
-// trace gauges the window recomputes.
-func subCtr(cur, prev int64) int64 {
-	if d := cur - prev; d >= 0 {
-		return d
-	}
-	return cur
 }
 
 // Ticks returns how many samples the monitor has taken.

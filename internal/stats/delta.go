@@ -47,87 +47,21 @@ func (s HistogramSnapshot) Sub(prev HistogramSnapshot) HistogramSnapshot {
 }
 
 // Sub returns the activity between prev and s: every counter and
-// histogram is differenced with the monotonic underflow guard, while
-// gauges (buffer policy and shard count, tree height, trace-ring
-// capacity/occupancy, slow-op log size, the degraded latch) keep s's
-// current value — a gauge difference has no meaning in a window.
-// Sub(Snapshot{}) is s itself, so a zero-value baseline reads as
-// "everything since composition".
+// histogram row of the metrics table is differenced with the monotonic
+// underflow guard, while gauge rows and the fields outside the table
+// (buffer policy, the degraded latch) keep s's current value — a gauge
+// difference has no meaning in a window. Sub(Snapshot{}) is s itself,
+// so a zero-value baseline reads as "everything since composition".
 func (s Snapshot) Sub(prev Snapshot) Snapshot {
-	d := s // gauges (and slice-free fields) start as the current values
-
-	d.Buffer.Hits = subCounter(s.Buffer.Hits, prev.Buffer.Hits)
-	d.Buffer.Misses = subCounter(s.Buffer.Misses, prev.Buffer.Misses)
-	d.Buffer.Evictions = subCounter(s.Buffer.Evictions, prev.Buffer.Evictions)
-	d.Buffer.WriteBacks = subCounter(s.Buffer.WriteBacks, prev.Buffer.WriteBacks)
-
-	d.Pager.Reads = subCounter(s.Pager.Reads, prev.Pager.Reads)
-	d.Pager.Writes = subCounter(s.Pager.Writes, prev.Pager.Writes)
-	d.Pager.Allocs = subCounter(s.Pager.Allocs, prev.Pager.Allocs)
-	d.Pager.Frees = subCounter(s.Pager.Frees, prev.Pager.Frees)
-	d.Pager.Syncs = subCounter(s.Pager.Syncs, prev.Pager.Syncs)
-
-	d.BTree.LeafSplits = subCounter(s.BTree.LeafSplits, prev.BTree.LeafSplits)
-	d.BTree.InnerSplits = subCounter(s.BTree.InnerSplits, prev.BTree.InnerSplits)
-	d.BTree.RootSplits = subCounter(s.BTree.RootSplits, prev.BTree.RootSplits)
-	d.BTree.Compactions = subCounter(s.BTree.Compactions, prev.BTree.Compactions)
-	d.BTree.PagesFreed = subCounter(s.BTree.PagesFreed, prev.BTree.PagesFreed)
-	// Height is a gauge: keep s's value.
-
-	d.Txn.Begins = subCounter(s.Txn.Begins, prev.Txn.Begins)
-	d.Txn.Commits = subCounter(s.Txn.Commits, prev.Txn.Commits)
-	d.Txn.Aborts = subCounter(s.Txn.Aborts, prev.Txn.Aborts)
-	d.Txn.Checkpoints = subCounter(s.Txn.Checkpoints, prev.Txn.Checkpoints)
-	d.Txn.WalAppends = subCounter(s.Txn.WalAppends, prev.Txn.WalAppends)
-	d.Txn.WalSyncs = subCounter(s.Txn.WalSyncs, prev.Txn.WalSyncs)
-	d.Txn.CommitLatency = s.Txn.CommitLatency.Sub(prev.Txn.CommitLatency)
-	d.Txn.CommitBatch = s.Txn.CommitBatch.Sub(prev.Txn.CommitBatch)
-	d.Txn.CommitStall = s.Txn.CommitStall.Sub(prev.Txn.CommitStall)
-
-	d.SQL.Creates = subCounter(s.SQL.Creates, prev.SQL.Creates)
-	d.SQL.Drops = subCounter(s.SQL.Drops, prev.SQL.Drops)
-	d.SQL.Inserts = subCounter(s.SQL.Inserts, prev.SQL.Inserts)
-	d.SQL.Selects = subCounter(s.SQL.Selects, prev.SQL.Selects)
-	d.SQL.Updates = subCounter(s.SQL.Updates, prev.SQL.Updates)
-	d.SQL.Deletes = subCounter(s.SQL.Deletes, prev.SQL.Deletes)
-	d.SQL.IndexScans = subCounter(s.SQL.IndexScans, prev.SQL.IndexScans)
-	d.SQL.FullScans = subCounter(s.SQL.FullScans, prev.SQL.FullScans)
-	d.SQL.PointLookups = subCounter(s.SQL.PointLookups, prev.SQL.PointLookups)
-	d.SQL.Prepares = subCounter(s.SQL.Prepares, prev.SQL.Prepares)
-	d.SQL.Compiles = subCounter(s.SQL.Compiles, prev.SQL.Compiles)
-	d.SQL.PlanHits = subCounter(s.SQL.PlanHits, prev.SQL.PlanHits)
-	d.SQL.PlanMisses = subCounter(s.SQL.PlanMisses, prev.SQL.PlanMisses)
-	d.SQL.PlanEvictions = subCounter(s.SQL.PlanEvictions, prev.SQL.PlanEvictions)
-	d.SQL.PlanInvalidated = subCounter(s.SQL.PlanInvalidated, prev.SQL.PlanInvalidated)
-	d.SQL.StmtLatency = s.SQL.StmtLatency.Sub(prev.SQL.StmtLatency)
-
-	d.Access.GetLatency = s.Access.GetLatency.Sub(prev.Access.GetLatency)
-	d.Access.PutLatency = s.Access.PutLatency.Sub(prev.Access.PutLatency)
-
-	// Trace: RecordedSpans/DroppedSpans/SlowEvicted grow monotonically;
-	// capacity, occupancy and the slow-op log size are gauges.
-	d.Trace.RecordedSpans = subCounter(s.Trace.RecordedSpans, prev.Trace.RecordedSpans)
-	d.Trace.DroppedSpans = subCounter(s.Trace.DroppedSpans, prev.Trace.DroppedSpans)
-	d.Trace.SlowEvicted = subCounter(s.Trace.SlowEvicted, prev.Trace.SlowEvicted)
-
-	// Queries (feature QueryStats): per-shape counters difference by
-	// shape text; nil when the feature is not composed.
+	d := s
+	for i := range metrics {
+		switch m := &metrics[i]; m.kind {
+		case counterKind:
+			*m.field(&d) = subCounter(*m.field(&s), *m.field(&prev))
+		case histogramKind:
+			*m.hfield(&d) = m.hfield(&s).Sub(*m.hfield(&prev))
+		}
+	}
 	d.Queries = s.Queries.Sub(prev.Queries)
-
-	d.Fault.Transients = subCounter(s.Fault.Transients, prev.Fault.Transients)
-	d.Fault.Retries = subCounter(s.Fault.Retries, prev.Fault.Retries)
-	d.Fault.ChecksumFailures = subCounter(s.Fault.ChecksumFailures, prev.Fault.ChecksumFailures)
-	d.Fault.ScrubbedPages = subCounter(s.Fault.ScrubbedPages, prev.Fault.ScrubbedPages)
-	// Degraded/DegradedReason are the latch's current state.
-
-	d.Repl.ShippedChunks = subCounter(s.Repl.ShippedChunks, prev.Repl.ShippedChunks)
-	d.Repl.ShippedBytes = subCounter(s.Repl.ShippedBytes, prev.Repl.ShippedBytes)
-	d.Repl.Acks = subCounter(s.Repl.Acks, prev.Repl.Acks)
-	d.Repl.CatchUps = subCounter(s.Repl.CatchUps, prev.Repl.CatchUps)
-	d.Repl.Snapshots = subCounter(s.Repl.Snapshots, prev.Repl.Snapshots)
-	d.Repl.Drops = subCounter(s.Repl.Drops, prev.Repl.Drops)
-	d.Repl.StaleMarks = subCounter(s.Repl.StaleMarks, prev.Repl.StaleMarks)
-	// Connected/MaxLagBytes are gauges: keep s's values.
-
 	return d
 }

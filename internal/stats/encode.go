@@ -154,100 +154,6 @@ type ReplSnapshot struct {
 	MaxLagBytes int64 `json:"replica_max_lag_bytes"`
 }
 
-// Snapshot copies every metric. Safe on a nil registry (zero snapshot).
-func (r *Registry) Snapshot() Snapshot {
-	if r == nil {
-		return Snapshot{}
-	}
-	var s Snapshot
-	if p, ok := r.buffer.policy.Load().(string); ok {
-		s.Buffer.Policy = p
-	}
-	s.Buffer.Shards = load(&r.buffer.shards)
-	s.Buffer.Hits = load(&r.buffer.hits)
-	s.Buffer.Misses = load(&r.buffer.misses)
-	s.Buffer.Evictions = load(&r.buffer.evictions)
-	s.Buffer.WriteBacks = load(&r.buffer.writeBacks)
-
-	s.Pager.Reads = load(&r.pager.reads)
-	s.Pager.Writes = load(&r.pager.writes)
-	s.Pager.Allocs = load(&r.pager.allocs)
-	s.Pager.Frees = load(&r.pager.frees)
-	s.Pager.Syncs = load(&r.pager.syncs)
-
-	s.BTree.LeafSplits = load(&r.btree.leafSplits)
-	s.BTree.InnerSplits = load(&r.btree.innerSplits)
-	s.BTree.RootSplits = load(&r.btree.rootSplits)
-	s.BTree.Compactions = load(&r.btree.compactions)
-	s.BTree.PagesFreed = load(&r.btree.pagesFreed)
-	s.BTree.Height = load(&r.btree.height)
-
-	s.Txn.Begins = load(&r.txn.begins)
-	s.Txn.Commits = load(&r.txn.commits)
-	s.Txn.Aborts = load(&r.txn.aborts)
-	s.Txn.Checkpoints = load(&r.txn.checkpoints)
-	s.Txn.WalAppends = load(&r.txn.walAppends)
-	s.Txn.WalSyncs = load(&r.txn.walSyncs)
-	s.Txn.CommitLatency = r.txn.CommitLatency.Snapshot()
-	s.Txn.CommitBatch = r.txn.CommitBatch.Snapshot()
-	s.Txn.CommitStall = r.txn.CommitStall.Snapshot()
-
-	s.SQL.Creates = load(&r.sql.creates)
-	s.SQL.Drops = load(&r.sql.drops)
-	s.SQL.Inserts = load(&r.sql.inserts)
-	s.SQL.Selects = load(&r.sql.selects)
-	s.SQL.Updates = load(&r.sql.updates)
-	s.SQL.Deletes = load(&r.sql.deletes)
-	s.SQL.IndexScans = load(&r.sql.indexScans)
-	s.SQL.FullScans = load(&r.sql.fullScans)
-	s.SQL.PointLookups = load(&r.sql.pointLookups)
-	s.SQL.Prepares = load(&r.sql.prepares)
-	s.SQL.Compiles = load(&r.sql.compiles)
-	s.SQL.PlanHits = load(&r.sql.planHits)
-	s.SQL.PlanMisses = load(&r.sql.planMisses)
-	s.SQL.PlanEvictions = load(&r.sql.planEvicts)
-	s.SQL.PlanInvalidated = load(&r.sql.planInvalid)
-	s.SQL.StmtLatency = r.sql.StmtLatency.Snapshot()
-
-	s.Access.GetLatency = r.access.GetLatency.Snapshot()
-	s.Access.PutLatency = r.access.PutLatency.Snapshot()
-
-	s.Trace.RingCapacity = load(&r.trace.ringCapacity)
-	s.Trace.RingOccupancy = load(&r.trace.ringOccupancy)
-	s.Trace.RecordedSpans = load(&r.trace.recordedSpans)
-	s.Trace.DroppedSpans = load(&r.trace.droppedSpans)
-	s.Trace.SlowOps = load(&r.trace.slowOps)
-	s.Trace.SlowEvicted = load(&r.trace.slowEvicted)
-
-	s.Fault.Transients = load(&r.fault.transients)
-	s.Fault.Retries = load(&r.fault.retries)
-	s.Fault.ChecksumFailures = load(&r.fault.checksumFailures)
-	s.Fault.ScrubbedPages = load(&r.fault.scrubbedPages)
-	s.Fault.Degraded = load(&r.fault.degraded) != 0
-	if reason, ok := r.fault.reason.Load().(string); ok {
-		s.Fault.DegradedReason = reason
-	}
-
-	s.MVCC.VersionsInstalled = load(&r.mvcc.versionsInstalled)
-	s.MVCC.PagesReclaimed = load(&r.mvcc.pagesReclaimed)
-	s.MVCC.VersionsLive = load(&r.mvcc.versionsLive)
-	s.MVCC.SnapshotsOpen = load(&r.mvcc.snapshotsOpen)
-	s.MVCC.SnapshotAge = load(&r.mvcc.snapshotAge)
-
-	s.Repl.ShippedChunks = load(&r.repl.shippedChunks)
-	s.Repl.ShippedBytes = load(&r.repl.shippedBytes)
-	s.Repl.Acks = load(&r.repl.acks)
-	s.Repl.CatchUps = load(&r.repl.catchups)
-	s.Repl.Snapshots = load(&r.repl.snapshots)
-	s.Repl.Drops = load(&r.repl.drops)
-	s.Repl.StaleMarks = load(&r.repl.staleMarks)
-	s.Repl.Connected = load(&r.repl.connected)
-	s.Repl.MaxLagBytes = load(&r.repl.maxLagBytes)
-
-	s.Queries = r.query.snapshot()
-	return s
-}
-
 // WriteJSON writes the snapshot as indented JSON (expvar style).
 func (s Snapshot) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
@@ -256,132 +162,48 @@ func (s Snapshot) WriteJSON(w io.Writer) error {
 }
 
 // WritePrometheus writes the snapshot in the Prometheus text exposition
-// format, all metrics prefixed famedb_.
+// format, all metrics prefixed famedb_: one HELP/TYPE header per family,
+// then one sample line per label.
 func (s Snapshot) WritePrometheus(w io.Writer) error {
 	var b strings.Builder
-	labels := ""
-	if s.Buffer.Policy != "" {
-		labels = fmt.Sprintf("{policy=%q}", s.Buffer.Policy)
+	header := func(name, help, typ string) {
+		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
 	}
-	counter := func(name, help string, v int64, lbl string) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s%s %d\n", name, help, name, name, lbl, v)
-	}
-	gauge := func(name, help string, v int64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
-	}
-	hist := func(name, help string, h HistogramSnapshot) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
-		var cum int64
-		for i, c := range h.Counts {
-			cum += c
-			le := "+Inf"
-			if i < len(h.Bounds) {
-				le = fmt.Sprintf("%d", h.Bounds[i])
-			}
-			fmt.Fprintf(&b, "%s_bucket{le=%q} %d\n", name, le, cum)
+	s.sections(func(sec string, rows []metric, active bool) {
+		if !active && featureSections[sec] {
+			return
 		}
-		fmt.Fprintf(&b, "%s_sum %d\n%s_count %d\n", name, h.Sum, name, h.Count)
-	}
-
-	if s.Buffer.Shards > 0 {
-		fmt.Fprintf(&b, "# HELP famedb_buffer_shards Buffer pool lock stripes.\n# TYPE famedb_buffer_shards gauge\nfamedb_buffer_shards%s %d\n",
-			labels, s.Buffer.Shards)
-	}
-	counter("famedb_buffer_hits_total", "Buffer cache hits.", s.Buffer.Hits, labels)
-	counter("famedb_buffer_misses_total", "Buffer cache misses.", s.Buffer.Misses, labels)
-	counter("famedb_buffer_evictions_total", "Buffer cache evictions.", s.Buffer.Evictions, labels)
-	counter("famedb_buffer_write_backs_total", "Dirty pages written back.", s.Buffer.WriteBacks, labels)
-
-	counter("famedb_pager_reads_total", "Physical page reads.", s.Pager.Reads, "")
-	counter("famedb_pager_writes_total", "Physical page writes.", s.Pager.Writes, "")
-	counter("famedb_pager_allocs_total", "Pages allocated.", s.Pager.Allocs, "")
-	counter("famedb_pager_frees_total", "Pages freed.", s.Pager.Frees, "")
-	counter("famedb_pager_syncs_total", "Page file syncs.", s.Pager.Syncs, "")
-
-	counter("famedb_btree_leaf_splits_total", "B+-tree leaf splits.", s.BTree.LeafSplits, "")
-	counter("famedb_btree_inner_splits_total", "B+-tree inner splits.", s.BTree.InnerSplits, "")
-	counter("famedb_btree_root_splits_total", "B+-tree root splits.", s.BTree.RootSplits, "")
-	counter("famedb_btree_compactions_total", "B+-tree compactions.", s.BTree.Compactions, "")
-	counter("famedb_btree_pages_freed_total", "Pages freed by compaction.", s.BTree.PagesFreed, "")
-	gauge("famedb_btree_height", "Tallest instrumented B+-tree.", s.BTree.Height)
-
-	counter("famedb_txn_begins_total", "Transactions begun.", s.Txn.Begins, "")
-	counter("famedb_txn_commits_total", "Transactions committed.", s.Txn.Commits, "")
-	counter("famedb_txn_aborts_total", "Transactions aborted.", s.Txn.Aborts, "")
-	counter("famedb_txn_checkpoints_total", "Checkpoints taken.", s.Txn.Checkpoints, "")
-	counter("famedb_wal_appends_total", "WAL records appended.", s.Txn.WalAppends, "")
-	counter("famedb_wal_syncs_total", "Durable WAL syncs.", s.Txn.WalSyncs, "")
-	hist("famedb_txn_commit_latency_ns", "Commit latency in nanoseconds.", s.Txn.CommitLatency)
-	hist("famedb_txn_commit_batch", "Commits per durable sync.", s.Txn.CommitBatch)
-	hist("famedb_txn_commit_stall_ns", "Follower wait on the group-commit leader in nanoseconds.", s.Txn.CommitStall)
-
-	counter("famedb_sql_statements_total", "SQL statements by verb.", s.SQL.Creates, `{verb="create"}`)
-	counter("famedb_sql_statements_total", "SQL statements by verb.", s.SQL.Drops, `{verb="drop"}`)
-	counter("famedb_sql_statements_total", "SQL statements by verb.", s.SQL.Inserts, `{verb="insert"}`)
-	counter("famedb_sql_statements_total", "SQL statements by verb.", s.SQL.Selects, `{verb="select"}`)
-	counter("famedb_sql_statements_total", "SQL statements by verb.", s.SQL.Updates, `{verb="update"}`)
-	counter("famedb_sql_statements_total", "SQL statements by verb.", s.SQL.Deletes, `{verb="delete"}`)
-	counter("famedb_sql_plans_total", "Chosen access paths.", s.SQL.IndexScans, `{plan="index-scan"}`)
-	counter("famedb_sql_plans_total", "Chosen access paths.", s.SQL.FullScans, `{plan="full-scan"}`)
-	counter("famedb_sql_plans_total", "Chosen access paths.", s.SQL.PointLookups, `{plan="point-lookup"}`)
-	if s.SQL.Prepares > 0 || s.SQL.Compiles > 0 || s.SQL.PlanHits > 0 || s.SQL.PlanMisses > 0 {
-		counter("famedb_sql_prepares_total", "Prepared statements created.", s.SQL.Prepares, "")
-		counter("famedb_sql_compiles_total", "Plan compilations (initial and after invalidation).", s.SQL.Compiles, "")
-		counter("famedb_sql_plan_cache_total", "Plan-cache lookups by outcome.", s.SQL.PlanHits, `{outcome="hit"}`)
-		counter("famedb_sql_plan_cache_total", "Plan-cache lookups by outcome.", s.SQL.PlanMisses, `{outcome="miss"}`)
-		counter("famedb_sql_plan_cache_evictions_total", "Plans evicted from the bounded cache.", s.SQL.PlanEvictions, "")
-		counter("famedb_sql_plans_invalidated_total", "Stale compiled plans recompiled after DDL.", s.SQL.PlanInvalidated, "")
-	}
-	hist("famedb_sql_stmt_latency_ns", "Statement latency in nanoseconds.", s.SQL.StmtLatency)
-
-	hist("famedb_access_get_latency_ns", "Get latency in nanoseconds.", s.Access.GetLatency)
-	hist("famedb_access_put_latency_ns", "Put latency in nanoseconds.", s.Access.PutLatency)
-
-	if s.Trace.RingCapacity > 0 {
-		gauge("famedb_trace_ring_capacity", "Trace ring slot count.", s.Trace.RingCapacity)
-		gauge("famedb_trace_ring_occupancy", "Spans currently held in the trace ring.", s.Trace.RingOccupancy)
-		counter("famedb_trace_recorded_spans_total", "Spans ever recorded.", s.Trace.RecordedSpans, "")
-		counter("famedb_trace_dropped_spans_total", "Spans overwritten (oldest-first) in the trace ring.", s.Trace.DroppedSpans, "")
-		gauge("famedb_trace_slow_ops", "Span trees held in the slow-op log.", s.Trace.SlowOps)
-		counter("famedb_trace_slow_evicted_total", "Slow-op trees evicted by worse ones.", s.Trace.SlowEvicted, "")
-	}
-
-	counter("famedb_fault_transients_total", "Transient storage faults observed.", s.Fault.Transients, "")
-	counter("famedb_fault_retries_total", "Retries spent on transient faults.", s.Fault.Retries, "")
-	counter("famedb_fault_checksum_failures_total", "Pages failing CRC verification.", s.Fault.ChecksumFailures, "")
-	counter("famedb_fault_scrubbed_pages_total", "Pages checked by verify passes.", s.Fault.ScrubbedPages, "")
-	degraded := int64(0)
+		for i := range rows {
+			m := &rows[i]
+			if i == 0 || rows[i-1].name != m.name {
+				header(m.name, m.help, m.kind.String())
+			}
+			if m.kind == histogramKind {
+				writeHistogram(&b, m.name, *m.hfield(&s))
+				continue
+			}
+			label := m.label
+			if sec == "buffer" && s.Buffer.Policy != "" {
+				label = fmt.Sprintf("policy=%q", s.Buffer.Policy)
+			}
+			if label != "" {
+				label = "{" + label + "}"
+			}
+			fmt.Fprintf(&b, "%s%s %d\n", m.name, label, *m.field(&s))
+		}
+	})
+	degraded := 0
 	if s.Fault.Degraded {
 		degraded = 1
 	}
-	gauge("famedb_degraded", "1 when the engine is in degraded read-only mode.", degraded)
+	header("famedb_degraded", "1 when the engine is in degraded read-only mode.", "gauge")
+	fmt.Fprintf(&b, "famedb_degraded %d\n", degraded)
 
-	if s.MVCC.VersionsInstalled > 0 {
-		counter("famedb_mvcc_versions_installed_total", "Committed roots installed in the version table.", s.MVCC.VersionsInstalled, "")
-		counter("famedb_mvcc_pages_reclaimed_total", "Superseded pages returned to the free list.", s.MVCC.PagesReclaimed, "")
-		gauge("famedb_mvcc_versions_live", "Versions retained for pinned readers.", s.MVCC.VersionsLive)
-		gauge("famedb_mvcc_snapshots_open", "Snapshots currently pinned.", s.MVCC.SnapshotsOpen)
-		gauge("famedb_mvcc_snapshot_age", "Versions the oldest pinned snapshot lags the current root.", s.MVCC.SnapshotAge)
-	}
-
-	if s.Repl.ShippedChunks > 0 || s.Repl.Connected > 0 || s.Repl.Snapshots > 0 {
-		counter("famedb_repl_shipped_chunks_total", "WAL chunks shipped to replica feeds.", s.Repl.ShippedChunks, "")
-		counter("famedb_repl_shipped_bytes_total", "WAL bytes shipped to replica feeds.", s.Repl.ShippedBytes, "")
-		counter("famedb_repl_acks_total", "Replica acknowledgements received.", s.Repl.Acks, "")
-		counter("famedb_repl_catchups_total", "Incremental catch-ups served from the WAL.", s.Repl.CatchUps, "")
-		counter("famedb_repl_snapshot_resyncs_total", "Full snapshot resyncs served.", s.Repl.Snapshots, "")
-		counter("famedb_repl_drops_total", "Ops or chunks dropped on bounded replica feeds.", s.Repl.Drops, "")
-		counter("famedb_repl_stale_marks_total", "Replicas marked stale by feed overflow.", s.Repl.StaleMarks, "")
-		gauge("famedb_repl_replicas_connected", "Replicas currently connected.", s.Repl.Connected)
-		gauge("famedb_repl_max_lag_bytes", "Worst per-replica lag in WAL bytes.", s.Repl.MaxLagBytes)
-	}
-
-	// QueryStats feature: per-shape statement profiles. One labeled
-	// series per shape would repeat the HELP/TYPE header, so the shape
-	// loop emits headers once and label lines per shape.
+	// QueryStats feature: per-shape statement profiles, one family per
+	// profile field and one sample line per shape.
 	if s.Queries != nil {
 		shapeSeries := func(name, help string, value func(QueryShapeSnapshot) int64) {
-			fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
+			header(name, help, "counter")
 			for _, sh := range s.Queries.Shapes {
 				fmt.Fprintf(&b, "%s{shape=\"%s\"} %d\n", name, promLabel(sh.Shape), value(sh))
 			}
@@ -398,12 +220,29 @@ func (s Snapshot) WritePrometheus(w io.Writer) error {
 			func(sh QueryShapeSnapshot) int64 { return sh.RowsReturned })
 		shapeSeries("famedb_query_plan_cache_hits_total", "Plan-cache hits by shape.",
 			func(sh QueryShapeSnapshot) int64 { return sh.PlanHits })
-		gauge("famedb_query_shapes", "Distinct statement shapes profiled.", int64(len(s.Queries.Shapes)))
-		counter("famedb_query_slow_dropped_total", "Slow-query ring entries overwritten before reading.", int64(s.Queries.SlowDropped), "")
+		header("famedb_query_shapes", "Distinct statement shapes profiled.", "gauge")
+		fmt.Fprintf(&b, "famedb_query_shapes %d\n", len(s.Queries.Shapes))
+		header("famedb_query_slow_dropped_total", "Slow-query ring entries overwritten before reading.", "counter")
+		fmt.Fprintf(&b, "famedb_query_slow_dropped_total %d\n", s.Queries.SlowDropped)
 	}
 
 	_, err := io.WriteString(w, b.String())
 	return err
+}
+
+// writeHistogram writes one histogram's cumulative buckets, sum and
+// count.
+func writeHistogram(b *strings.Builder, name string, h HistogramSnapshot) {
+	var cum int64
+	for i, c := range h.Counts {
+		cum += c
+		le := "+Inf"
+		if i < len(h.Bounds) {
+			le = fmt.Sprintf("%d", h.Bounds[i])
+		}
+		fmt.Fprintf(b, "%s_bucket{le=%q} %d\n", name, le, cum)
+	}
+	fmt.Fprintf(b, "%s_sum %d\n%s_count %d\n", name, h.Sum, name, h.Count)
 }
 
 // promLabel escapes a string for use as a Prometheus label value
@@ -416,126 +255,33 @@ func promLabel(v string) string {
 }
 
 // Format pretty-prints the snapshot for humans (the REPL's .stats).
-// Layers with no activity are omitted.
+// Sections whose metrics are all zero are omitted.
 func (s Snapshot) Format() string {
 	var b strings.Builder
-	row := func(name string, v int64) { fmt.Fprintf(&b, "  %-24s %12d\n", name, v) }
-	lat := func(name string, h HistogramSnapshot) {
-		if h.Count == 0 {
+	s.sections(func(sec string, rows []metric, active bool) {
+		if !active {
 			return
 		}
-		fmt.Fprintf(&b, "  %-24s %12d   mean %.0fns  p50 %.0fns  p99 %.0fns\n",
-			name, h.Count, round1(h.Mean()), round1(h.P50()), round1(h.P99()))
-	}
-
-	if s.Buffer.Hits+s.Buffer.Misses > 0 {
-		title := "buffer"
-		if s.Buffer.Policy != "" {
-			title = "buffer (" + s.Buffer.Policy + ")"
+		if sec == "buffer" && s.Buffer.Policy != "" {
+			sec += " (" + s.Buffer.Policy + ")"
 		}
-		if s.Buffer.Shards > 1 {
-			title += fmt.Sprintf(", %d shards", s.Buffer.Shards)
+		b.WriteString(sec + "\n")
+		for i := range rows {
+			m := &rows[i]
+			if m.kind != histogramKind {
+				fmt.Fprintf(&b, "  %-24s %12d\n", m.text(), *m.field(&s))
+				continue
+			}
+			h, prec, unit := *m.hfield(&s), 1, ""
+			if strings.HasSuffix(m.name, "_ns") {
+				prec, unit = 0, "ns"
+			}
+			fmt.Fprintf(&b, "  %-24s %12d   mean %.*f%s  p50 %.*f%s  p99 %.*f%s\n", m.text(), h.Count,
+				prec, h.Mean(), unit, prec, h.P50(), unit, prec, h.P99(), unit)
 		}
-		fmt.Fprintf(&b, "%s\n", title)
-		row("hits", s.Buffer.Hits)
-		row("misses", s.Buffer.Misses)
-		row("evictions", s.Buffer.Evictions)
-		row("write-backs", s.Buffer.WriteBacks)
-	}
-	if s.Pager.Reads+s.Pager.Writes+s.Pager.Allocs > 0 {
-		b.WriteString("pager\n")
-		row("page reads", s.Pager.Reads)
-		row("page writes", s.Pager.Writes)
-		row("page allocs", s.Pager.Allocs)
-		row("page frees", s.Pager.Frees)
-		row("syncs", s.Pager.Syncs)
-	}
-	if s.BTree.Height > 0 {
-		b.WriteString("btree\n")
-		row("leaf splits", s.BTree.LeafSplits)
-		row("inner splits", s.BTree.InnerSplits)
-		row("root splits", s.BTree.RootSplits)
-		row("compactions", s.BTree.Compactions)
-		row("height", s.BTree.Height)
-	}
-	if s.Txn.Begins > 0 {
-		b.WriteString("txn\n")
-		row("begins", s.Txn.Begins)
-		row("commits", s.Txn.Commits)
-		row("aborts", s.Txn.Aborts)
-		row("checkpoints", s.Txn.Checkpoints)
-		row("wal appends", s.Txn.WalAppends)
-		row("wal syncs", s.Txn.WalSyncs)
-		lat("commit latency", s.Txn.CommitLatency)
-		lat("commit stall", s.Txn.CommitStall)
-		if s.Txn.CommitBatch.Count > 0 {
-			fmt.Fprintf(&b, "  %-24s %12.1f per sync\n", "commit batch (mean)", s.Txn.CommitBatch.Mean())
-		}
-	}
-	stmts := s.SQL.Creates + s.SQL.Drops + s.SQL.Inserts + s.SQL.Selects + s.SQL.Updates + s.SQL.Deletes
-	if stmts > 0 {
-		b.WriteString("sql\n")
-		row("create", s.SQL.Creates)
-		row("drop", s.SQL.Drops)
-		row("insert", s.SQL.Inserts)
-		row("select", s.SQL.Selects)
-		row("update", s.SQL.Updates)
-		row("delete", s.SQL.Deletes)
-		row("index scans", s.SQL.IndexScans)
-		row("full scans", s.SQL.FullScans)
-		row("point lookups", s.SQL.PointLookups)
-		if s.SQL.Prepares+s.SQL.Compiles+s.SQL.PlanHits+s.SQL.PlanMisses > 0 {
-			row("prepares", s.SQL.Prepares)
-			row("compiles", s.SQL.Compiles)
-			row("plan cache hits", s.SQL.PlanHits)
-			row("plan cache misses", s.SQL.PlanMisses)
-			row("plan cache evictions", s.SQL.PlanEvictions)
-			row("plans invalidated", s.SQL.PlanInvalidated)
-		}
-		lat("stmt latency", s.SQL.StmtLatency)
-	}
-	if s.Access.GetLatency.Count+s.Access.PutLatency.Count > 0 {
-		b.WriteString("access\n")
-		lat("get", s.Access.GetLatency)
-		lat("put", s.Access.PutLatency)
-	}
-	if s.Trace.RingCapacity > 0 {
-		b.WriteString("trace\n")
-		row("ring capacity", s.Trace.RingCapacity)
-		row("ring occupancy", s.Trace.RingOccupancy)
-		row("recorded spans", s.Trace.RecordedSpans)
-		row("dropped spans", s.Trace.DroppedSpans)
-		row("slow ops kept", s.Trace.SlowOps)
-	}
-	if s.Fault.Transients+s.Fault.Retries+s.Fault.ChecksumFailures+s.Fault.ScrubbedPages > 0 || s.Fault.Degraded {
-		b.WriteString("fault\n")
-		row("transient faults", s.Fault.Transients)
-		row("retries", s.Fault.Retries)
-		row("checksum failures", s.Fault.ChecksumFailures)
-		row("scrubbed pages", s.Fault.ScrubbedPages)
-		if s.Fault.Degraded {
-			fmt.Fprintf(&b, "  %-24s %12s   %s\n", "degraded", "yes", s.Fault.DegradedReason)
-		}
-	}
-	if s.MVCC.VersionsInstalled > 0 {
-		b.WriteString("mvcc\n")
-		row("versions installed", s.MVCC.VersionsInstalled)
-		row("pages reclaimed", s.MVCC.PagesReclaimed)
-		row("versions live", s.MVCC.VersionsLive)
-		row("snapshots open", s.MVCC.SnapshotsOpen)
-		row("snapshot age", s.MVCC.SnapshotAge)
-	}
-	if s.Repl.ShippedChunks+s.Repl.Snapshots+s.Repl.Drops > 0 || s.Repl.Connected > 0 {
-		b.WriteString("repl\n")
-		row("shipped chunks", s.Repl.ShippedChunks)
-		row("shipped bytes", s.Repl.ShippedBytes)
-		row("acks", s.Repl.Acks)
-		row("catch-ups", s.Repl.CatchUps)
-		row("snapshot resyncs", s.Repl.Snapshots)
-		row("drops", s.Repl.Drops)
-		row("stale marks", s.Repl.StaleMarks)
-		row("replicas connected", s.Repl.Connected)
-		row("max lag bytes", s.Repl.MaxLagBytes)
+	})
+	if s.Fault.Degraded {
+		fmt.Fprintf(&b, "degraded (read-only): %s\n", s.Fault.DegradedReason)
 	}
 	if s.Queries != nil && len(s.Queries.Shapes) > 0 {
 		fmt.Fprintf(&b, "queries (%d shapes, slowest first)\n", len(s.Queries.Shapes))

@@ -15,8 +15,8 @@ import (
 // per-operation latencies on the hot path.
 type Histogram struct {
 	bounds []int64
-	counts []int64 // len(bounds)+1; last is +Inf
-	sum    int64
+	counts []atomic.Int64 // len(bounds)+1; last is +Inf
+	sum    atomic.Int64
 }
 
 // NewHistogram creates a histogram over the given ascending upper
@@ -24,7 +24,7 @@ type Histogram struct {
 func NewHistogram(bounds []int64) *Histogram {
 	return &Histogram{
 		bounds: bounds,
-		counts: make([]int64, len(bounds)+1),
+		counts: make([]atomic.Int64, len(bounds)+1),
 	}
 }
 
@@ -56,8 +56,8 @@ func (h *Histogram) Observe(v int64) {
 	for i < len(h.bounds) && v > h.bounds[i] {
 		i++
 	}
-	atomic.AddInt64(&h.counts[i], 1)
-	atomic.AddInt64(&h.sum, v)
+	h.counts[i].Add(1)
+	h.sum.Add(v)
 }
 
 // HistogramSnapshot is a point-in-time copy of a histogram.
@@ -79,10 +79,10 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	s := HistogramSnapshot{
 		Bounds: h.bounds,
 		Counts: make([]int64, len(h.counts)),
-		Sum:    atomic.LoadInt64(&h.sum),
+		Sum:    h.sum.Load(),
 	}
 	for i := range h.counts {
-		c := atomic.LoadInt64(&h.counts[i])
+		c := h.counts[i].Load()
 		s.Counts[i] = c
 		s.Count += c
 	}

@@ -53,24 +53,13 @@ type qsStripe struct {
 	m  map[string]*shapeProfile
 }
 
-// shapeProfile accumulates one shape's execution history. All fields
-// are guarded by the owning stripe's mutex except the latency
-// histogram, which is internally atomic.
+// shapeProfile accumulates one shape's execution history: the exported
+// per-shape fields, guarded by the owning stripe's mutex, plus the
+// latency histogram, which is internally atomic. Shape and Latency stay
+// empty here; snapshot fills them in.
 type shapeProfile struct {
-	verb         string
-	plan         string
-	count        int64
-	errs         int64
-	totalNs      int64
-	rowsScanned  int64
-	rowsReturned int64
-	pagesVisited int64
-	planHits     int64
-	planMisses   int64
-	planEvicts   int64
-	latency      *Histogram
-	lastErr      string
-	lastUnixNs   int64
+	QueryShapeSnapshot
+	latency *Histogram
 }
 
 // QueryStatsConfig sizes a QueryStats registry; zero values compose
@@ -171,22 +160,22 @@ func (q *QueryStats) Observe(e QueryExec) {
 	}
 	now := time.Now().UnixNano()
 	p, st := q.profile(e.Shape)
-	p.count++
-	p.totalNs += e.DurNs
-	p.rowsScanned += e.RowsScanned
-	p.rowsReturned += e.RowsReturned
-	p.pagesVisited += e.PagesVisited
+	p.Count++
+	p.TotalNs += e.DurNs
+	p.RowsScanned += e.RowsScanned
+	p.RowsReturned += e.RowsReturned
+	p.PagesVisited += e.PagesVisited
 	if e.Verb != "" {
-		p.verb = e.Verb
+		p.Verb = e.Verb
 	}
 	if e.Plan != "" {
-		p.plan = e.Plan
+		p.Plan = e.Plan
 	}
 	if e.Err != nil {
-		p.errs++
-		p.lastErr = e.Err.Error()
+		p.Errors++
+		p.LastError = e.Err.Error()
 	}
-	p.lastUnixNs = now
+	p.LastUnixNs = now
 	hist := p.latency
 	st.mu.Unlock()
 	hist.Observe(e.DurNs)
@@ -210,35 +199,27 @@ func (q *QueryStats) Observe(e QueryExec) {
 }
 
 // CacheHit attributes one plan-cache hit to shape. No-op on nil.
-func (q *QueryStats) CacheHit(shape string) {
-	if q == nil || shape == "" {
-		return
-	}
-	p, st := q.profile(shape)
-	p.planHits++
-	st.mu.Unlock()
-}
+func (q *QueryStats) CacheHit(shape string) { q.bump(shape, func(p *shapeProfile) { p.PlanHits++ }) }
 
 // CacheMiss attributes one plan-cache miss to shape. No-op on nil.
-func (q *QueryStats) CacheMiss(shape string) {
-	if q == nil || shape == "" {
-		return
-	}
-	p, st := q.profile(shape)
-	p.planMisses++
-	st.mu.Unlock()
-}
+func (q *QueryStats) CacheMiss(shape string) { q.bump(shape, func(p *shapeProfile) { p.PlanMisses++ }) }
 
 // CacheEvict attributes one plan-cache eviction to the shape whose
 // plan was evicted. The profile outlives the cached plan: that is the
 // point — eviction churn per shape is visible after the plan is gone.
 // No-op on nil.
 func (q *QueryStats) CacheEvict(shape string) {
+	q.bump(shape, func(p *shapeProfile) { p.PlanEvicts++ })
+}
+
+// bump applies one counter update to shape's profile under its stripe
+// lock. No-op on nil or for an empty shape.
+func (q *QueryStats) bump(shape string, update func(*shapeProfile)) {
 	if q == nil || shape == "" {
 		return
 	}
 	p, st := q.profile(shape)
-	p.planEvicts++
+	update(p)
 	st.mu.Unlock()
 }
 
@@ -282,23 +263,9 @@ func (q *QueryStats) snapshot() *QuerySnapshot {
 		st := &q.stripes[i]
 		st.mu.Lock()
 		for shape, p := range st.m {
-			snap.Shapes = append(snap.Shapes, QueryShapeSnapshot{
-				Shape:        shape,
-				Verb:         p.verb,
-				Plan:         p.plan,
-				Count:        p.count,
-				Errors:       p.errs,
-				TotalNs:      p.totalNs,
-				RowsScanned:  p.rowsScanned,
-				RowsReturned: p.rowsReturned,
-				PagesVisited: p.pagesVisited,
-				PlanHits:     p.planHits,
-				PlanMisses:   p.planMisses,
-				PlanEvicts:   p.planEvicts,
-				Latency:      p.latency.Snapshot(),
-				LastError:    p.lastErr,
-				LastUnixNs:   p.lastUnixNs,
-			})
+			sh := p.QueryShapeSnapshot
+			sh.Shape, sh.Latency = shape, p.latency.Snapshot()
+			snap.Shapes = append(snap.Shapes, sh)
 		}
 		st.mu.Unlock()
 	}

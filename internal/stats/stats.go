@@ -9,8 +9,12 @@
 // atomic traffic on the hot path — the Go analog of instrumentation
 // code that was never composed into the FeatureC++ binary.
 //
-// Counters and histogram buckets are updated with atomic adds (no
-// locks), so instrumentation never serializes the layers it observes.
+// Counters and histogram buckets are atomic.Int64 values updated with
+// atomic adds (no locks), so instrumentation never serializes the layers
+// it observes; Go aligns atomic.Int64 on 32-bit targets too. Each
+// counter and gauge is exported through exactly one row of the metrics
+// table (table.go), which drives Snapshot, Sub, WritePrometheus and
+// Format.
 package stats
 
 import (
@@ -160,24 +164,24 @@ func (r *Registry) SetQueryStats(q *QueryStats) {
 // many snapshots are open, and how far (in versions) the oldest pinned
 // snapshot lags the current root.
 type MVCC struct {
-	versionsInstalled int64
-	pagesReclaimed    int64
-	versionsLive      int64 // gauge
-	snapshotsOpen     int64 // gauge
-	snapshotAge       int64 // gauge: current seq - oldest pinned seq
+	versionsInstalled atomic.Int64
+	pagesReclaimed    atomic.Int64
+	versionsLive      atomic.Int64
+	snapshotsOpen     atomic.Int64
+	snapshotAge       atomic.Int64 // current seq - oldest pinned seq
 }
 
 // Install records one version installed.
 func (m *MVCC) Install() {
 	if m != nil {
-		atomic.AddInt64(&m.versionsInstalled, 1)
+		m.versionsInstalled.Add(1)
 	}
 }
 
 // Reclaimed records superseded pages returned to the free list.
 func (m *MVCC) Reclaimed(pages int) {
 	if m != nil {
-		atomic.AddInt64(&m.pagesReclaimed, int64(pages))
+		m.pagesReclaimed.Add(int64(pages))
 	}
 }
 
@@ -187,9 +191,9 @@ func (m *MVCC) Gauges(live, open, age int64) {
 	if m == nil {
 		return
 	}
-	atomic.StoreInt64(&m.versionsLive, live)
-	atomic.StoreInt64(&m.snapshotsOpen, open)
-	atomic.StoreInt64(&m.snapshotAge, age)
+	m.versionsLive.Store(live)
+	m.snapshotsOpen.Store(open)
+	m.snapshotAge.Store(age)
 }
 
 // --- Replication ---
@@ -199,50 +203,50 @@ func (m *MVCC) Gauges(live, open, age int64) {
 // events, and the two health gauges the Monitor watchdog watches —
 // connected replicas and the worst per-replica lag in WAL bytes.
 type Repl struct {
-	shippedChunks int64
-	shippedBytes  int64
-	acks          int64
-	catchups      int64
-	snapshots     int64
-	drops         int64
-	staleMarks    int64
-	connected     int64 // gauge
-	maxLagBytes   int64 // gauge
+	shippedChunks atomic.Int64
+	shippedBytes  atomic.Int64
+	acks          atomic.Int64
+	catchups      atomic.Int64
+	snapshots     atomic.Int64
+	drops         atomic.Int64
+	staleMarks    atomic.Int64
+	connected     atomic.Int64
+	maxLagBytes   atomic.Int64
 }
 
 // Shipped records one chunk of n bytes handed to replica feeds.
 func (p *Repl) Shipped(n int) {
 	if p != nil {
-		atomic.AddInt64(&p.shippedChunks, 1)
-		atomic.AddInt64(&p.shippedBytes, int64(n))
+		p.shippedChunks.Add(1)
+		p.shippedBytes.Add(int64(n))
 	}
 }
 
 // Ack records one replica acknowledgement.
 func (p *Repl) Ack() {
 	if p != nil {
-		atomic.AddInt64(&p.acks, 1)
+		p.acks.Add(1)
 	}
 }
 
 // CatchUp records one incremental catch-up served from the WAL.
 func (p *Repl) CatchUp() {
 	if p != nil {
-		atomic.AddInt64(&p.catchups, 1)
+		p.catchups.Add(1)
 	}
 }
 
 // SnapshotResync records one full snapshot resync.
 func (p *Repl) SnapshotResync() {
 	if p != nil {
-		atomic.AddInt64(&p.snapshots, 1)
+		p.snapshots.Add(1)
 	}
 }
 
 // Dropped records ops or chunks dropped on a replica's bounded feed.
 func (p *Repl) Dropped(n int) {
 	if p != nil {
-		atomic.AddInt64(&p.drops, int64(n))
+		p.drops.Add(int64(n))
 	}
 }
 
@@ -250,7 +254,7 @@ func (p *Repl) Dropped(n int) {
 // fully resync before it can stream again).
 func (p *Repl) StaleMark() {
 	if p != nil {
-		atomic.AddInt64(&p.staleMarks, 1)
+		p.staleMarks.Add(1)
 	}
 }
 
@@ -260,8 +264,8 @@ func (p *Repl) Gauges(connected, maxLagBytes int64) {
 	if p == nil {
 		return
 	}
-	atomic.StoreInt64(&p.connected, connected)
-	atomic.StoreInt64(&p.maxLagBytes, maxLagBytes)
+	p.connected.Store(connected)
+	p.maxLagBytes.Store(maxLagBytes)
 }
 
 // --- Fault survival ---
@@ -272,39 +276,39 @@ func (p *Repl) Gauges(connected, maxLagBytes int64) {
 // (with the reason, so an operator scraping stats learns why writes
 // started returning ErrDegraded).
 type Fault struct {
-	transients       int64
-	retries          int64
-	checksumFailures int64
-	scrubbedPages    int64
-	degraded         int64        // gauge: 0 healthy, 1 degraded
+	transients       atomic.Int64
+	retries          atomic.Int64
+	checksumFailures atomic.Int64
+	scrubbedPages    atomic.Int64
+	degraded         atomic.Int64 // gauge: 0 healthy, 1 degraded
 	reason           atomic.Value // string
 }
 
 // Transient records one transient fault observed by the retry layer.
 func (f *Fault) Transient() {
 	if f != nil {
-		atomic.AddInt64(&f.transients, 1)
+		f.transients.Add(1)
 	}
 }
 
 // Retry records one retry attempt spent on a transient fault.
 func (f *Fault) Retry() {
 	if f != nil {
-		atomic.AddInt64(&f.retries, 1)
+		f.retries.Add(1)
 	}
 }
 
 // ChecksumFailure records one page whose CRC trailer did not match.
 func (f *Fault) ChecksumFailure() {
 	if f != nil {
-		atomic.AddInt64(&f.checksumFailures, 1)
+		f.checksumFailures.Add(1)
 	}
 }
 
 // Scrubbed records pages checked by a verify pass.
 func (f *Fault) Scrubbed(pages int64) {
 	if f != nil {
-		atomic.AddInt64(&f.scrubbedPages, pages)
+		f.scrubbedPages.Add(pages)
 	}
 }
 
@@ -314,7 +318,7 @@ func (f *Fault) Degrade(reason string) {
 	if f == nil {
 		return
 	}
-	if atomic.CompareAndSwapInt64(&f.degraded, 0, 1) {
+	if f.degraded.CompareAndSwap(0, 1) {
 		f.reason.Store(reason)
 	}
 }
@@ -327,12 +331,12 @@ func (f *Fault) Degrade(reason string) {
 // many slow ops were kept. Dropped observability data is itself
 // observable.
 type Trace struct {
-	ringCapacity  int64
-	ringOccupancy int64
-	recordedSpans int64
-	droppedSpans  int64
-	slowOps       int64
-	slowEvicted   int64
+	ringCapacity  atomic.Int64
+	ringOccupancy atomic.Int64
+	recordedSpans atomic.Int64
+	droppedSpans  atomic.Int64
+	slowOps       atomic.Int64
+	slowEvicted   atomic.Int64
 }
 
 // Set replaces the trace gauges with the recorder's current accounting.
@@ -340,16 +344,13 @@ func (t *Trace) Set(capacity, occupancy, recorded, dropped, slowOps, slowEvicted
 	if t == nil {
 		return
 	}
-	atomic.StoreInt64(&t.ringCapacity, capacity)
-	atomic.StoreInt64(&t.ringOccupancy, occupancy)
-	atomic.StoreInt64(&t.recordedSpans, recorded)
-	atomic.StoreInt64(&t.droppedSpans, dropped)
-	atomic.StoreInt64(&t.slowOps, slowOps)
-	atomic.StoreInt64(&t.slowEvicted, slowEvicted)
+	t.ringCapacity.Store(capacity)
+	t.ringOccupancy.Store(occupancy)
+	t.recordedSpans.Store(recorded)
+	t.droppedSpans.Store(dropped)
+	t.slowOps.Store(slowOps)
+	t.slowEvicted.Store(slowEvicted)
 }
-
-// load is shorthand for an atomic counter read.
-func load(p *int64) int64 { return atomic.LoadInt64(p) }
 
 // --- Buffer manager ---
 
@@ -358,11 +359,11 @@ func load(p *int64) int64 { return atomic.LoadInt64(p) }
 // lock stripes.
 type Buffer struct {
 	policy     atomic.Value // string
-	shards     int64
-	hits       int64
-	misses     int64
-	evictions  int64
-	writeBacks int64
+	shards     atomic.Int64
+	hits       atomic.Int64
+	misses     atomic.Int64
+	evictions  atomic.Int64
+	writeBacks atomic.Int64
 }
 
 // SetPolicy records the replacement feature in use ("LRU" or "LFU").
@@ -376,35 +377,35 @@ func (b *Buffer) SetPolicy(name string) {
 // single-latch manager).
 func (b *Buffer) SetShards(n int) {
 	if b != nil {
-		atomic.StoreInt64(&b.shards, int64(n))
+		b.shards.Store(int64(n))
 	}
 }
 
 // Hit records a cache hit.
 func (b *Buffer) Hit() {
 	if b != nil {
-		atomic.AddInt64(&b.hits, 1)
+		b.hits.Add(1)
 	}
 }
 
 // Miss records a cache miss.
 func (b *Buffer) Miss() {
 	if b != nil {
-		atomic.AddInt64(&b.misses, 1)
+		b.misses.Add(1)
 	}
 }
 
 // Eviction records a victim leaving the cache.
 func (b *Buffer) Eviction() {
 	if b != nil {
-		atomic.AddInt64(&b.evictions, 1)
+		b.evictions.Add(1)
 	}
 }
 
 // WriteBack records a dirty page written to the base pager.
 func (b *Buffer) WriteBack() {
 	if b != nil {
-		atomic.AddInt64(&b.writeBacks, 1)
+		b.writeBacks.Add(1)
 	}
 }
 
@@ -413,45 +414,45 @@ func (b *Buffer) WriteBack() {
 // Pager counts physical page traffic at the page-file level (below the
 // buffer manager, so with a cache composed these are device I/Os).
 type Pager struct {
-	reads  int64
-	writes int64
-	allocs int64
-	frees  int64
-	syncs  int64
+	reads  atomic.Int64
+	writes atomic.Int64
+	allocs atomic.Int64
+	frees  atomic.Int64
+	syncs  atomic.Int64
 }
 
 // Read records a physical page read.
 func (p *Pager) Read() {
 	if p != nil {
-		atomic.AddInt64(&p.reads, 1)
+		p.reads.Add(1)
 	}
 }
 
 // Write records a physical page write.
 func (p *Pager) Write() {
 	if p != nil {
-		atomic.AddInt64(&p.writes, 1)
+		p.writes.Add(1)
 	}
 }
 
 // Alloc records a page allocation.
 func (p *Pager) Alloc() {
 	if p != nil {
-		atomic.AddInt64(&p.allocs, 1)
+		p.allocs.Add(1)
 	}
 }
 
 // Free records a page returned to the free list.
 func (p *Pager) Free() {
 	if p != nil {
-		atomic.AddInt64(&p.frees, 1)
+		p.frees.Add(1)
 	}
 }
 
 // Sync records a durable flush of the page file.
 func (p *Pager) Sync() {
 	if p != nil {
-		atomic.AddInt64(&p.syncs, 1)
+		p.syncs.Add(1)
 	}
 }
 
@@ -461,40 +462,40 @@ func (p *Pager) Sync() {
 // SQL engine composed, several trees (catalog plus one per table) share
 // these counters; Height then tracks the tallest instrumented tree.
 type BTree struct {
-	leafSplits  int64
-	innerSplits int64
-	rootSplits  int64
-	compactions int64
-	pagesFreed  int64
-	height      int64
+	leafSplits  atomic.Int64
+	innerSplits atomic.Int64
+	rootSplits  atomic.Int64
+	compactions atomic.Int64
+	pagesFreed  atomic.Int64
+	height      atomic.Int64
 }
 
 // LeafSplit records a leaf page split.
 func (t *BTree) LeafSplit() {
 	if t != nil {
-		atomic.AddInt64(&t.leafSplits, 1)
+		t.leafSplits.Add(1)
 	}
 }
 
 // InnerSplit records an inner page split.
 func (t *BTree) InnerSplit() {
 	if t != nil {
-		atomic.AddInt64(&t.innerSplits, 1)
+		t.innerSplits.Add(1)
 	}
 }
 
 // RootSplit records the root splitting (the tree growing one level).
 func (t *BTree) RootSplit() {
 	if t != nil {
-		atomic.AddInt64(&t.rootSplits, 1)
+		t.rootSplits.Add(1)
 	}
 }
 
 // Compaction records a Compact rebuild that freed n pages.
 func (t *BTree) Compaction(pagesFreed int) {
 	if t != nil {
-		atomic.AddInt64(&t.compactions, 1)
-		atomic.AddInt64(&t.pagesFreed, int64(pagesFreed))
+		t.compactions.Add(1)
+		t.pagesFreed.Add(int64(pagesFreed))
 	}
 }
 
@@ -505,8 +506,8 @@ func (t *BTree) ObserveHeight(h int) {
 		return
 	}
 	for {
-		cur := atomic.LoadInt64(&t.height)
-		if int64(h) <= cur || atomic.CompareAndSwapInt64(&t.height, cur, int64(h)) {
+		cur := t.height.Load()
+		if int64(h) <= cur || t.height.CompareAndSwap(cur, int64(h)) {
 			return
 		}
 	}
@@ -517,12 +518,12 @@ func (t *BTree) ObserveHeight(h int) {
 // Txn counts transactional events and the write-ahead log's durability
 // behavior, including the group-commit batch-size distribution.
 type Txn struct {
-	begins      int64
-	commits     int64
-	aborts      int64
-	checkpoints int64
-	walAppends  int64
-	walSyncs    int64
+	begins      atomic.Int64
+	commits     atomic.Int64
+	aborts      atomic.Int64
+	checkpoints atomic.Int64
+	walAppends  atomic.Int64
+	walSyncs    atomic.Int64
 
 	// CommitLatency observes wall time of Commit (append + protocol
 	// durability + apply). CommitBatch observes commits per durable
@@ -537,35 +538,35 @@ type Txn struct {
 // Begin records a transaction start.
 func (t *Txn) Begin() {
 	if t != nil {
-		atomic.AddInt64(&t.begins, 1)
+		t.begins.Add(1)
 	}
 }
 
 // Commit records a successful commit.
 func (t *Txn) Commit() {
 	if t != nil {
-		atomic.AddInt64(&t.commits, 1)
+		t.commits.Add(1)
 	}
 }
 
 // Abort records an abort.
 func (t *Txn) Abort() {
 	if t != nil {
-		atomic.AddInt64(&t.aborts, 1)
+		t.aborts.Add(1)
 	}
 }
 
 // Checkpoint records a checkpoint.
 func (t *Txn) Checkpoint() {
 	if t != nil {
-		atomic.AddInt64(&t.checkpoints, 1)
+		t.checkpoints.Add(1)
 	}
 }
 
 // WalAppend records one log record appended.
 func (t *Txn) WalAppend() {
 	if t != nil {
-		atomic.AddInt64(&t.walAppends, 1)
+		t.walAppends.Add(1)
 	}
 }
 
@@ -574,7 +575,7 @@ func (t *Txn) WalSync(batch int) {
 	if t == nil {
 		return
 	}
-	atomic.AddInt64(&t.walSyncs, 1)
+	t.walSyncs.Add(1)
 	if batch > 0 {
 		t.CommitBatch.Observe(int64(batch))
 	}
@@ -618,25 +619,25 @@ func (t *Txn) DoneStall(start int64) {
 
 // SQL counts statements by verb and the optimizer's plan choices.
 type SQL struct {
-	creates int64
-	drops   int64
-	inserts int64
-	selects int64
-	updates int64
-	deletes int64
+	creates atomic.Int64
+	drops   atomic.Int64
+	inserts atomic.Int64
+	selects atomic.Int64
+	updates atomic.Int64
+	deletes atomic.Int64
 
-	indexScans   int64
-	fullScans    int64
-	pointLookups int64
+	indexScans   atomic.Int64
+	fullScans    atomic.Int64
+	pointLookups atomic.Int64
 
 	// CompiledQueries feature: prepared statements, plan compilations,
 	// and the shape-keyed plan cache.
-	prepares    int64
-	compiles    int64
-	planHits    int64
-	planMisses  int64
-	planEvicts  int64
-	planInvalid int64
+	prepares    atomic.Int64
+	compiles    atomic.Int64
+	planHits    atomic.Int64
+	planMisses  atomic.Int64
+	planEvicts  atomic.Int64
+	planInvalid atomic.Int64
 
 	// StmtLatency observes wall time per executed statement.
 	StmtLatency *Histogram
@@ -650,17 +651,17 @@ func (s *SQL) Statement(verb string) {
 	}
 	switch verb {
 	case "create":
-		atomic.AddInt64(&s.creates, 1)
+		s.creates.Add(1)
 	case "drop":
-		atomic.AddInt64(&s.drops, 1)
+		s.drops.Add(1)
 	case "insert":
-		atomic.AddInt64(&s.inserts, 1)
+		s.inserts.Add(1)
 	case "select":
-		atomic.AddInt64(&s.selects, 1)
+		s.selects.Add(1)
 	case "update":
-		atomic.AddInt64(&s.updates, 1)
+		s.updates.Add(1)
 	case "delete":
-		atomic.AddInt64(&s.deletes, 1)
+		s.deletes.Add(1)
 	}
 }
 
@@ -672,62 +673,56 @@ func (s *SQL) Plan(plan string) {
 	}
 	switch plan {
 	case "point-lookup":
-		atomic.AddInt64(&s.pointLookups, 1)
+		s.pointLookups.Add(1)
 	case "index-scan":
-		atomic.AddInt64(&s.indexScans, 1)
+		s.indexScans.Add(1)
 	default:
-		atomic.AddInt64(&s.fullScans, 1)
+		s.fullScans.Add(1)
 	}
 }
 
 // Prepare records one Engine.Prepare call (CompiledQueries feature).
 func (s *SQL) Prepare() {
-	if s == nil {
-		return
+	if s != nil {
+		s.prepares.Add(1)
 	}
-	atomic.AddInt64(&s.prepares, 1)
 }
 
 // Compile records one plan compilation — initial or after a DDL
 // invalidation (CompiledQueries feature).
 func (s *SQL) Compile() {
-	if s == nil {
-		return
+	if s != nil {
+		s.compiles.Add(1)
 	}
-	atomic.AddInt64(&s.compiles, 1)
 }
 
 // CacheHit records a plan-cache hit on the unprepared Exec path.
 func (s *SQL) CacheHit() {
-	if s == nil {
-		return
+	if s != nil {
+		s.planHits.Add(1)
 	}
-	atomic.AddInt64(&s.planHits, 1)
 }
 
 // CacheMiss records a plan-cache miss on the unprepared Exec path.
 func (s *SQL) CacheMiss() {
-	if s == nil {
-		return
+	if s != nil {
+		s.planMisses.Add(1)
 	}
-	atomic.AddInt64(&s.planMisses, 1)
 }
 
 // CacheEvict records one plan evicted from the bounded plan cache.
 func (s *SQL) CacheEvict() {
-	if s == nil {
-		return
+	if s != nil {
+		s.planEvicts.Add(1)
 	}
-	atomic.AddInt64(&s.planEvicts, 1)
 }
 
 // PlanInvalidate records a compiled plan found stale (DDL moved the
 // engine epoch) and recompiled before execution.
 func (s *SQL) PlanInvalidate() {
-	if s == nil {
-		return
+	if s != nil {
+		s.planInvalid.Add(1)
 	}
-	atomic.AddInt64(&s.planInvalid, 1)
 }
 
 // Start begins timing a statement; pass the result to Done.
