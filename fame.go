@@ -263,8 +263,19 @@ func (db *DB) Has(feature string) bool { return db.inst.Configuration.Has(featur
 // Put stores value under key (feature Put).
 func (db *DB) Put(key, value []byte) error { return db.inst.Store.Put(key, value) }
 
-// Get returns the value under key (feature Get).
-func (db *DB) Get(key []byte) ([]byte, error) { return db.inst.Store.Get(key) }
+// Get returns the value under key (feature Get). On a transactional
+// product it reads under the transaction manager's read lock, so it
+// never sees a commit batch or a replica chunk half applied.
+func (db *DB) Get(key []byte) (v []byte, err error) {
+	if db.inst.Txn == nil {
+		return db.inst.Store.Get(key)
+	}
+	err = db.inst.Txn.Read(func() error {
+		v, err = db.inst.Store.Get(key)
+		return err
+	})
+	return v, err
+}
 
 // Remove deletes key (feature Remove).
 func (db *DB) Remove(key []byte) error { return db.inst.Store.Remove(key) }
@@ -273,13 +284,26 @@ func (db *DB) Remove(key []byte) error { return db.inst.Store.Remove(key) }
 func (db *DB) Update(key, value []byte) error { return db.inst.Store.Update(key, value) }
 
 // Scan visits entries with from <= key < to (feature Get). Ordered for
-// B+-tree products.
+// B+-tree products. On a transactional product the whole scan holds the
+// manager's read lock, so fn must not commit.
 func (db *DB) Scan(from, to []byte, fn func(key, value []byte) bool) error {
-	return db.inst.Store.Scan(from, to, fn)
+	if db.inst.Txn == nil {
+		return db.inst.Store.Scan(from, to, fn)
+	}
+	return db.inst.Txn.Read(func() error { return db.inst.Store.Scan(from, to, fn) })
 }
 
 // Len returns the number of stored records.
-func (db *DB) Len() (uint64, error) { return db.inst.Store.Len() }
+func (db *DB) Len() (n uint64, err error) {
+	if db.inst.Txn == nil {
+		return db.inst.Store.Len()
+	}
+	err = db.inst.Txn.Read(func() error {
+		n, err = db.inst.Store.Len()
+		return err
+	})
+	return n, err
+}
 
 // Tx is a transaction (feature Transaction).
 type Tx struct {

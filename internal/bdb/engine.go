@@ -229,15 +229,12 @@ func Open(cfg Config) (*Env, error) {
 	// index that dispatches prefixed keys to the owning DB, so one log
 	// covers all databases and recovery spans them.
 	if e.has("Logging") {
-		var proto txn.Protocol = txn.Force{}
-		if cfg.GroupCommitBatch > 1 {
-			proto = &txn.Group{BatchSize: cfg.GroupCommitBatch}
-		}
 		opts := txn.Options{
-			Protocol:  proto,
-			Locking:   e.has("Locking"),
-			Recovery:  e.has("Recovery"),
-			SyncStore: e.pager.Sync,
+			// 0 or 1 is ForceCommit.
+			BatchLimit: cfg.GroupCommitBatch,
+			Locking:    e.has("Locking"),
+			Recovery:   e.has("Recovery"),
+			SyncStore:  e.pager.Sync,
 			// Replication hangs off the commit apply path; ship is a
 			// no-op until a replica is attached. The feature model
 			// guarantees Logging under Replication, so every mutation

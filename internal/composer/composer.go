@@ -447,16 +447,12 @@ func Compose(cfg *core.Configuration, opts Options) (*Instance, error) {
 		if inst.versions != nil {
 			versions = mvccSource{vt: inst.versions}
 		}
-		var proto txn.Protocol = txn.Force{}
+		batch := txn.ForceCommit()
 		if cfg.Has("GroupCommit") {
-			batch := opts.GroupCommitBatch
-			if batch <= 0 {
-				batch = 8
-			}
-			proto = &txn.Group{BatchSize: batch}
+			batch = txn.GroupCommit(opts.GroupCommitBatch)
 		}
 		inst.Txn, err = txn.Open(inst.fs, walFile, inst.Store, txn.Options{
-			Protocol: proto,
+			BatchLimit: batch,
 			// The Locking feature buys thread safety plus the pipelined
 			// group commit; single-threaded products deselect it and
 			// keep the lock-free plain path (GroupCommit implies it).

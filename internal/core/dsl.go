@@ -102,8 +102,8 @@ func tokenizeDSL(text string) []dslToken {
 		case r == '"':
 			j := i + 1
 			for j < len(rs) && rs[j] != '"' {
-				if rs[j] == '\\' {
-					j++
+				if rs[j] == '\\' && j+1 < len(rs) {
+					j++ // skip the escaped rune, if there is one
 				}
 				j++
 			}

@@ -147,3 +147,20 @@ func TestParseMultipleConstraints(t *testing.T) {
 		t.Fatalf("transitive constraint propagation failed: %s", c)
 	}
 }
+
+// FuzzParseModel: no text makes ParseModel panic, and every token the
+// tokenizer returns is a piece of its input — a quoted string cut short
+// by a trailing backslash must not reach past the end of the text.
+func FuzzParseModel(f *testing.F) {
+	f.Add(sampleDSL)
+	f.Add(`model X { optional "quoted \" name" }`)
+	f.Fuzz(func(t *testing.T, text string) {
+		_, _ = ParseModel(text)
+		runes := string([]rune(text)) // invalid UTF-8 reads as U+FFFD
+		for _, tok := range tokenizeDSL(text) {
+			if !strings.Contains(runes, tok.text) {
+				t.Fatalf("token %q is not part of the input %q", tok.text, text)
+			}
+		}
+	})
+}

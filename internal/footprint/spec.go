@@ -170,16 +170,20 @@ func FAMESources() map[string][]SourceSpec {
 		"Remove": {funcs("internal/access/access.go", "Store.Remove", "Store.RemoveIn")},
 		"Update": {funcs("internal/access/access.go", "Store.Update", "Store.UpdateIn")},
 
-		// Transactions with commit-protocol alternatives, the optional
-		// Locking feature (thread safety + the group-commit pipeline),
-		// and recovery.
+		// Transactions: the log with its one frame decoder and walker, the
+		// one commit body and the one redo. The CommitProtocol
+		// alternatives are only the batch limit they hand the commit
+		// body; the optional Locking feature adds the group-commit
+		// pipeline that stages batches for that body, and Recovery the
+		// replay hook at open.
 		"Transaction": {
 			file("internal/txn/wal.go"),
 			funcs("internal/txn/txn.go",
-				"Open", "Manager.Begin", "Txn.lookupWriteSet", "Txn.record",
+				"Open", "Manager.redo", "Manager.Read", "Manager.Begin",
+				"Txn.lookupWriteSet", "Txn.record",
 				"Txn.Get", "Txn.Put", "Txn.exists", "Txn.Update", "Txn.Remove",
 				"Txn.encodeWriteSet", "Manager.applyLocked",
-				"Txn.Commit", "Txn.Abort", "Manager.Flush",
+				"Txn.Commit", "Manager.commitBatch", "Txn.Abort", "Manager.Flush",
 				"Manager.Checkpoint", "Manager.LogSyncs", "Manager.LogSize",
 				"Manager.quiesce", "Manager.Close",
 				"nullLocker.Lock", "nullLocker.Unlock", "nullLocker.RLock",
@@ -191,12 +195,10 @@ func FAMESources() map[string][]SourceSpec {
 				"notFound", "Txn.visible", "Txn.Len", "Txn.Scan",
 				"Txn.overlayRange"),
 		},
-		"ForceCommit": {funcs("internal/txn/txn.go",
-			"Force.Name", "Force.OnCommit", "Force.Flush", "Force.BatchLimit")},
-		"GroupCommit": {funcs("internal/txn/txn.go",
-			"Group.Name", "Group.OnCommit", "Group.Flush", "Group.BatchLimit")},
-		"Locking":  {file("internal/txn/groupcommit.go")},
-		"Recovery": {funcs("internal/txn/txn.go", "Manager.recover")},
+		"ForceCommit": {funcs("internal/txn/txn.go", "ForceCommit")},
+		"GroupCommit": {funcs("internal/txn/txn.go", "GroupCommit")},
+		"Locking":     {file("internal/txn/groupcommit.go")},
+		"Recovery":    {funcs("internal/txn/txn.go", "Manager.recover")},
 
 		// The query stack. There is one SQL executor — statements compile
 		// to closure chains (compile.go) that engine.go latches, traces
@@ -377,14 +379,12 @@ func BDBSources() map[string][]SourceSpec {
 		},
 		"Logging": {
 			file("internal/txn/wal.go"),
-			funcs("internal/txn/txn.go", "Open", "Manager.Begin",
-				"Txn.Put", "Txn.Remove", "Txn.Commit", "Txn.Abort",
-				"Txn.lookupWriteSet", "Txn.record", "Txn.exists",
+			funcs("internal/txn/txn.go", "Open", "Manager.redo", "Manager.Begin",
+				"Txn.Put", "Txn.Remove", "Txn.Commit", "Manager.commitBatch",
+				"Txn.Abort", "Txn.lookupWriteSet", "Txn.record", "Txn.exists",
 				"Txn.encodeWriteSet", "Manager.applyLocked", "Manager.quiesce",
 				"Manager.Flush", "Manager.LogSyncs", "Manager.LogSize",
-				"Manager.Close", "Force.Name", "Force.OnCommit", "Force.Flush",
-				"Force.BatchLimit",
-				"Group.Name", "Group.OnCommit", "Group.Flush", "Group.BatchLimit"),
+				"Manager.Close"),
 			funcs("internal/bdb/engine.go", "routerIndex.Name",
 				"routerIndex.resolve", "routerIndex.Insert", "routerIndex.Get",
 				"routerIndex.Delete", "routerIndex.Update", "routerIndex.Scan",

@@ -108,8 +108,7 @@ func TestReplicationThroughTxnManager(t *testing.T) {
 	r.Attach(newIdx(t))
 
 	m, err := txn.Open(fs, "wal.log", store, txn.Options{
-		Protocol: txn.Force{},
-		OnApply:  r.Ship,
+		OnApply: r.Ship,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -53,7 +53,6 @@ func newNodeOver(t *testing.T, wrap func(index.Index) index.Index) *node {
 	}
 	store := access.New(idx, access.AllOps())
 	mgr, err := txn.Open(fs, "wal.log", store, txn.Options{
-		Protocol: txn.Force{},
 		Locking:  true,
 		Recovery: true,
 	})

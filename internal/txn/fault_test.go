@@ -32,7 +32,7 @@ func faultEnv(t *testing.T) (*osal.FaultFS, *Manager, *access.Store) {
 	}
 	store := access.New(idx, access.AllOps())
 	logFS := osal.NewFaultFS(osal.NewMemFS())
-	m, err := Open(logFS, "wal.log", store, Options{Protocol: Force{}, Recovery: true})
+	m, err := Open(logFS, "wal.log", store, Options{Recovery: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestCommitFailsWhenSyncFails(t *testing.T) {
 	if err := tx.Commit(); !errors.Is(err, osal.ErrInjected) {
 		t.Fatalf("Commit = %v, want injected fault at sync", err)
 	}
-	// Force protocol: not durable -> not applied.
+	// Batch limit 1 (ForceCommit): not durable -> not applied.
 	if _, err := store.Get([]byte("k")); !errors.Is(err, access.ErrNotFound) {
 		t.Fatal("unsynced commit applied to the store")
 	}
@@ -92,7 +92,6 @@ func TestCheckpointFaultSurfaces(t *testing.T) {
 	idx, _, _ := index.CreateBTree(pf, index.AllBTreeOps())
 	store := access.New(idx, access.AllOps())
 	m, err := Open(osal.NewMemFS(), "wal.log", store, Options{
-		Protocol:  Force{},
 		SyncStore: func() error { return osal.ErrInjected },
 	})
 	if err != nil {
@@ -112,7 +111,7 @@ func TestCheckpointFaultSurfaces(t *testing.T) {
 }
 
 // groupEnv builds a transactional store with the group-commit pipeline
-// active (Locking + Group protocol) whose journal lives on logFS.
+// active (Locking + a GroupCommit batch limit) whose journal lives on logFS.
 func groupEnv(t *testing.T, logFS osal.FS, batch int) (*Manager, *access.Store) {
 	t.Helper()
 	f, err := osal.NewMemFS().Create("data.db")
@@ -129,9 +128,9 @@ func groupEnv(t *testing.T, logFS osal.FS, batch int) (*Manager, *access.Store) 
 	}
 	store := access.New(idx, access.AllOps())
 	m, err := Open(logFS, "wal.log", store, Options{
-		Protocol: &Group{BatchSize: batch},
-		Locking:  true,
-		Recovery: true,
+		BatchLimit: batch,
+		Locking:    true,
+		Recovery:   true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -249,9 +248,9 @@ func TestCrashWindowSkipsUnsyncedCommits(t *testing.T) {
 	}
 	s1 := build()
 	m1, err := Open(crashFS, "wal.log", s1, Options{
-		Protocol: &Group{BatchSize: 8},
-		Locking:  true,
-		Recovery: true,
+		BatchLimit: 8,
+		Locking:    true,
+		Recovery:   true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -282,9 +281,9 @@ func TestCrashWindowSkipsUnsyncedCommits(t *testing.T) {
 	}
 	s2 := build()
 	m2, err := Open(crashFS, "wal.log", s2, Options{
-		Protocol: &Group{BatchSize: 8},
-		Locking:  true,
-		Recovery: true,
+		BatchLimit: 8,
+		Locking:    true,
+		Recovery:   true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -375,7 +374,7 @@ func TestCrashDuringCommitWindowRecovers(t *testing.T) {
 		return access.New(idx, access.AllOps())
 	}
 	s1 := build("a")
-	m1, err := Open(logFS, "wal.log", s1, Options{Protocol: Force{}})
+	m1, err := Open(logFS, "wal.log", s1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,7 +387,7 @@ func TestCrashDuringCommitWindowRecovers(t *testing.T) {
 	}
 	// "Crash": reopen over a fresh store.
 	s2 := build("b")
-	m2, err := Open(logFS, "wal.log", s2, Options{Protocol: Force{}, Recovery: true})
+	m2, err := Open(logFS, "wal.log", s2, Options{Recovery: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,5 +398,53 @@ func TestCrashDuringCommitWindowRecovers(t *testing.T) {
 		if _, err := s2.Get([]byte(fmt.Sprintf("k%d", i))); err != nil {
 			t.Fatalf("k%d lost: %v", i, err)
 		}
+	}
+}
+
+// TestFailedCommitNotReplayed: a commit whose sync fails returns an
+// error, so it must never come back — not after a later good sync makes
+// the log durable, and not when a reopen replays that log. Products with
+// and without Locking run the same commit body, so both cut the failed
+// tail off the log.
+func TestFailedCommitNotReplayed(t *testing.T) {
+	for _, locking := range []bool{false, true} {
+		t.Run(fmt.Sprintf("locking=%v", locking), func(t *testing.T) {
+			logFS := osal.NewFaultFS(osal.NewMemFS())
+			opts := Options{Locking: locking, Recovery: true}
+			m, err := Open(logFS, "wal.log", buildStore(t), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			commit := func(k string) error {
+				tx := m.Begin()
+				if err := tx.Put([]byte(k), []byte("v")); err != nil {
+					t.Fatal(err)
+				}
+				return tx.Commit()
+			}
+			// The coalesced write (op 1) lands; the sync (op 2) fails.
+			logFS.FailAfter(2)
+			if err := commit("failed"); !errors.Is(err, osal.ErrInjected) {
+				t.Fatalf("commit 1 = %v, want injected fault at sync", err)
+			}
+			logFS.Disarm()
+			if err := commit("good"); err != nil {
+				t.Fatalf("commit 2: %v", err)
+			}
+			s2 := buildStore(t)
+			m2, err := Open(logFS, "wal.log", s2, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s2.Get([]byte("failed")); !errors.Is(err, access.ErrNotFound) {
+				t.Fatalf("failed commit replayed by recovery: %v", err)
+			}
+			if _, err := s2.Get([]byte("good")); err != nil {
+				t.Fatalf("good commit lost: %v", err)
+			}
+			if m2.Recovered != 1 {
+				t.Fatalf("Recovered = %d, want 1", m2.Recovered)
+			}
+		})
 	}
 }

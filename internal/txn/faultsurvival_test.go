@@ -39,7 +39,7 @@ func buildStore(t *testing.T) *access.Store {
 func TestRecoveryTornTailOnRecordBoundary(t *testing.T) {
 	fs := osal.NewMemFS()
 	s1 := buildStore(t)
-	m1, err := Open(fs, "wal.log", s1, Options{Protocol: Force{}})
+	m1, err := Open(fs, "wal.log", s1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestRecoveryTornTailOnRecordBoundary(t *testing.T) {
 	f.Close()
 
 	s2 := buildStore(t)
-	m2, err := Open(fs, "wal.log", s2, Options{Protocol: Force{}, Recovery: true})
+	m2, err := Open(fs, "wal.log", s2, Options{Recovery: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestRecoveryTornTailOnRecordBoundary(t *testing.T) {
 func TestRecoveryTornTailMidFrame(t *testing.T) {
 	fs := osal.NewMemFS()
 	s1 := buildStore(t)
-	m1, err := Open(fs, "wal.log", s1, Options{Protocol: Force{}})
+	m1, err := Open(fs, "wal.log", s1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestRecoveryTornTailMidFrame(t *testing.T) {
 	f.Close()
 
 	s2 := buildStore(t)
-	m2, err := Open(fs, "wal.log", s2, Options{Protocol: Force{}, Recovery: true})
+	m2, err := Open(fs, "wal.log", s2, Options{Recovery: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestRecoveryTornTailMidFrame(t *testing.T) {
 func TestDoubleCrashDuringRecovery(t *testing.T) {
 	walFS := osal.NewMemFS()
 	s1 := buildStore(t)
-	m1, err := Open(walFS, "wal.log", s1, Options{Protocol: Force{}})
+	m1, err := Open(walFS, "wal.log", s1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestDoubleCrashDuringRecovery(t *testing.T) {
 	}
 	s2 := access.New(idx, access.AllOps())
 	dataFS.FailAfter(3)
-	_, err = Open(walFS, "wal.log", s2, Options{Protocol: Force{}, Recovery: true})
+	_, err = Open(walFS, "wal.log", s2, Options{Recovery: true})
 	if !errors.Is(err, osal.ErrInjected) {
 		t.Fatalf("recovery over dying device = %v, want injected fault", err)
 	}
@@ -204,7 +204,7 @@ func TestDoubleCrashDuringRecovery(t *testing.T) {
 
 	// ...so the next boot recovers all n commits.
 	s3 := buildStore(t)
-	m3, err := Open(walFS, "wal.log", s3, Options{Protocol: Force{}, Recovery: true})
+	m3, err := Open(walFS, "wal.log", s3, Options{Recovery: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,9 +224,8 @@ func TestWalRetryHealsTransient(t *testing.T) {
 	logFS := osal.NewFaultFS(osal.NewMemFS())
 	s := buildStore(t)
 	m, err := Open(logFS, "wal.log", s, Options{
-		Protocol: Force{},
-		Retry:    storage.RetryPolicy{Attempts: 3, Sleep: func(time.Duration) {}},
-		Health:   storage.NewHealth(),
+		Retry:  storage.RetryPolicy{Attempts: 3, Sleep: func(time.Duration) {}},
+		Health: storage.NewHealth(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -252,9 +251,8 @@ func TestWalExhaustionDegrades(t *testing.T) {
 	s := buildStore(t)
 	h := storage.NewHealth()
 	m, err := Open(logFS, "wal.log", s, Options{
-		Protocol: Force{},
-		Retry:    storage.RetryPolicy{Attempts: 2, Sleep: func(time.Duration) {}},
-		Health:   h,
+		Retry:  storage.RetryPolicy{Attempts: 2, Sleep: func(time.Duration) {}},
+		Health: h,
 	})
 	if err != nil {
 		t.Fatal(err)

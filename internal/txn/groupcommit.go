@@ -6,26 +6,24 @@ import (
 	"famedb/internal/trace"
 )
 
-// This file is the leader-elected group-commit pipeline (the classic
-// MySQL/etcd arrangement). Committers encode their write set OUTSIDE
-// any lock, stage the frames into the open batch under a short latch,
-// and the first stager becomes the batch's leader. The leader drains
-// batches FIFO: one coalesced WriteAt, one Sync for the whole batch —
-// both performed with the latch released, so later committers keep
-// staging into the next batch while the device works — then applies the
-// batch to the store under Manager.mu and wakes every follower on the
-// batch's done channel. Followers just wait: their commit is durable
-// (or failed) when the channel closes.
+// This file is the Locking feature's half of the commit path: the
+// leader-elected group-commit pipeline (the classic MySQL/etcd
+// arrangement). Committers encode their write set OUTSIDE any lock,
+// stage the frames into the open batch under a short latch, and the
+// first stager becomes the batch's leader. The leader drains batches
+// FIFO through the one commit body (Manager.commitBatch): one coalesced
+// WriteAt and at most one Sync per batch, both with the latch released,
+// so later committers keep staging into the next batch while the device
+// works. Followers just wait: their commit is durable (or failed) when
+// the batch's done channel closes.
 //
-// ForceCommit rides the same pipeline as the degenerate case: its batch
-// limit is 1, so every batch is a single transaction and every batch
-// syncs — the sync-per-commit contract is untouched, but commits still
-// queue FIFO instead of fighting over Manager.mu. GroupCommit batches
-// up to BatchSize transactions per sync. A batch that holds just one
-// transaction (no concurrency to share a sync with) keeps GroupCommit's
-// historical deferred-durability behavior: the sync is postponed until
-// BatchSize commits have accumulated, so single-goroutine products see
-// exactly the sync counts they always did.
+// The batch limit caps how many transactions one batch may hold.
+// ForceCommit's limit is 1, so every batch is a single transaction and
+// syncs — but commits still queue FIFO instead of fighting over
+// Manager.mu. A batch of one under a larger limit defers its sync the
+// way the commit body always does, until the limit's worth of commits
+// is unsynced, so single-goroutine use sees the same sync counts with
+// and without Locking.
 
 // gcBatch is one group of transactions sharing a WriteAt and a Sync.
 type gcBatch struct {
@@ -43,12 +41,7 @@ type gcBatch struct {
 // groupCommit is the pipeline state hung off a Manager when Locking is
 // composed.
 type groupCommit struct {
-	m *Manager
-	// max is the protocol's batch limit: how many transactions one sync
-	// may cover, and — for singleton batches — how many commits may
-	// defer durability before a sync is forced.
-	max int
-
+	m    *Manager
 	mu   sync.Mutex
 	cond *sync.Cond // leading/paused/closed transitions
 	// tail is the open batch accepting stagers; nil when none is open.
@@ -60,39 +53,28 @@ type groupCommit struct {
 	// paused counts quiesce requests (Flush/Checkpoint/Close); stagers
 	// block while it is non-zero.
 	paused int
-	// deferred counts commits appended but not yet synced — the
-	// singleton-batch deferral budget against max.
-	deferred int
-	closed   bool
+	closed bool
 }
 
-func newGroupCommit(m *Manager, batchLimit int) *groupCommit {
-	if batchLimit <= 0 {
-		batchLimit = 1
-	}
-	g := &groupCommit{m: m, max: batchLimit}
+func newGroupCommit(m *Manager) *groupCommit {
+	g := &groupCommit{m: m}
 	g.cond = sync.NewCond(&g.mu)
 	return g
 }
 
-// commit runs one transaction through the pipeline and returns once its
-// outcome is decided (durable per protocol and applied, or failed). sp
-// is the transaction's commit span: a follower's wait hangs under its
-// own, a leader's drains — whoever's transactions they carry — under
-// the leader's.
-func (g *groupCommit) commit(sp *trace.Span, t *Txn) error {
-	// Encode outside every lock; staging is then a memcpy.
-	scratch := getScratch()
-	buf, records := t.encodeWriteSet(*scratch)
-
+// commit stages one transaction's encoded frames (buf, records of
+// them) into the pipeline and returns once its outcome is decided
+// (durable per the batch limit and applied, or failed). sp is the
+// transaction's commit span: a follower's wait hangs under its own, a
+// leader's drains — whoever's transactions they carry — under the
+// leader's.
+func (g *groupCommit) commit(sp *trace.Span, t *Txn, buf []byte, records int) error {
 	g.mu.Lock()
 	for g.paused > 0 && !g.closed {
 		g.cond.Wait()
 	}
 	if g.closed {
 		g.mu.Unlock()
-		*scratch = buf
-		putScratch(scratch)
 		return ErrClosed
 	}
 	b := g.tail
@@ -105,7 +87,7 @@ func (g *groupCommit) commit(sp *trace.Span, t *Txn) error {
 	b.txns = append(b.txns, t)
 	b.errs = append(b.errs, nil)
 	b.records += records
-	if len(b.txns) >= g.max {
+	if len(b.txns) >= g.m.opts.BatchLimit {
 		// Sealed: the next stager opens a fresh batch.
 		g.tail = nil
 		g.ready = append(g.ready, b)
@@ -115,8 +97,6 @@ func (g *groupCommit) commit(sp *trace.Span, t *Txn) error {
 		g.leading = true
 	}
 	g.mu.Unlock()
-	*scratch = buf
-	putScratch(scratch)
 
 	if lead {
 		g.lead(sp, t.id)
@@ -162,59 +142,15 @@ func (g *groupCommit) lead(commit *trace.Span, leaderID uint64) {
 	}
 }
 
-// drain makes one batch durable and applies it: ONE WriteAt, at most
-// ONE Sync, then the store apply under Manager.mu.
+// drain runs one batch through the commit body and wakes its
+// committers.
 func (g *groupCommit) drain(commit *trace.Span, b *gcBatch, leaderID uint64) {
-	m := g.m
 	b.leaderID = leaderID
-	sp := m.opts.Tracer.Start(commit, trace.LayerTxn, "drain")
+	sp := g.m.opts.Tracer.Start(commit, trace.LayerTxn, "drain")
 	sp.Txn(leaderID)
 	sp.Handoff(len(b.txns), leaderID)
-	defer sp.End()
-	base := m.wal.offset()
-	commits := len(b.txns)
-	err := m.wal.appendEncoded(sp, b.buf, b.records, commits)
-	if err == nil {
-		// A multi-transaction batch syncs before waking its followers:
-		// Commit returning implies the group is durable. A singleton
-		// batch defers per the protocol's budget (ForceCommit's budget
-		// is 1, so it always syncs).
-		g.mu.Lock()
-		g.deferred += commits
-		needSync := commits > 1 || g.deferred >= g.max
-		g.mu.Unlock()
-		if needSync {
-			if err = m.wal.syncIn(sp); err == nil {
-				g.clearDeferred()
-			}
-		}
-	}
-	if err != nil {
-		// The tail past base was never acknowledged to anyone: cut it
-		// off so a later recovery scan cannot replay these commits.
-		m.wal.truncateTo(base, commits)
-		for i := range b.errs {
-			b.errs[i] = err
-		}
-		close(b.done)
-		return
-	}
-	m.mu.Lock()
-	if m.closed {
-		for i := range b.errs {
-			b.errs[i] = ErrClosed
-		}
-	} else {
-		for i, t := range b.txns {
-			b.errs[i] = m.applyLocked(sp, t)
-		}
-		// One version per batch: the leader publishes the batch's final
-		// root with a single atomic swap while still holding m.mu, so
-		// readers pin either the whole batch or none of it. A failure is
-		// only a reclamation failure and retries on the next install.
-		_ = m.installVersion()
-	}
-	m.mu.Unlock()
+	g.m.commitBatch(sp, b.buf, b.records, b.txns, b.errs)
+	sp.End()
 	close(b.done)
 }
 
@@ -236,17 +172,6 @@ func (g *groupCommit) resume() {
 	g.mu.Lock()
 	g.paused--
 	g.cond.Broadcast()
-	g.mu.Unlock()
-}
-
-// clearDeferred resets the deferral budget after a durable sync. Safe
-// on a nil pipeline (products without Locking).
-func (g *groupCommit) clearDeferred() {
-	if g == nil {
-		return
-	}
-	g.mu.Lock()
-	g.deferred = 0
 	g.mu.Unlock()
 }
 

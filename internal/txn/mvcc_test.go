@@ -277,7 +277,7 @@ func TestRecoveryInstallsVersion(t *testing.T) {
 		pf, _ := storage.CreatePageFile(f, 512)
 		idx, _, _ := index.CreateBTree(pf, index.AllBTreeOps())
 		store := access.New(idx, access.AllOps())
-		m, err := Open(fs, "wal.log", store, Options{Protocol: Force{}, Locking: true})
+		m, err := Open(fs, "wal.log", store, Options{Locking: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -296,7 +296,7 @@ func TestRecoveryInstallsVersion(t *testing.T) {
 	store2 := access.New(idx2, access.AllOps())
 	vt := btree.NewVersionTable(idx2.Tree())
 	m2, err := Open(fs, "wal.log", store2, Options{
-		Protocol: Force{}, Locking: true, Recovery: true,
+		Locking: true, Recovery: true,
 		Versions: testVersions{vt: vt},
 	})
 	if err != nil {

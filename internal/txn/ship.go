@@ -27,7 +27,6 @@ package txn
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -153,10 +152,6 @@ func (m *Manager) ShipSnapshot() (*ShipSnap, error) {
 // recovers through the ordinary redo path.
 type ShipApplier struct {
 	m *Manager
-	// pending accumulates a transaction's records until its commit
-	// record arrives, mirroring recovery; batches normally carry whole
-	// transactions so it drains every chunk.
-	pending map[uint64][]shipOp
 	// applied is the log offset the store reflects: published only
 	// after a chunk's records are redone and their version installed.
 	// The log's end offset runs ahead of it — bytes are durable before
@@ -165,36 +160,13 @@ type ShipApplier struct {
 	applied atomic.Int64
 }
 
-type shipOp struct {
-	remove bool
-	key    []byte
-	value  []byte
-}
-
-// ShipApplier returns the manager's chunk applier.
-//
-// The pending set is seeded from the log's uncommitted tail: a replica
-// log can end mid-batch after a torn-tail truncation, leaving records
-// whose commit will only arrive in a future chunk. Recovery already
-// redid everything committed; the dangling records must wait in
-// pending or the late commit would apply an empty transaction and the
-// writes would be silently lost.
+// ShipApplier returns the manager's chunk applier. It redoes chunks
+// through the manager's redo, starting from the uncommitted tail that
+// recovery left: a replica log can end mid-batch after a torn-tail
+// truncation, and the records whose commit arrives in a future chunk
+// wait there. Recovery already redid everything committed.
 func (m *Manager) ShipApplier() *ShipApplier {
-	a := &ShipApplier{m: m, pending: map[uint64][]shipOp{}}
-	_ = m.wal.scan(func(r logRecord) error {
-		switch r.typ {
-		case recPut:
-			a.pending[r.txnID] = append(a.pending[r.txnID],
-				shipOp{key: append([]byte(nil), r.key...), value: append([]byte(nil), r.value...)})
-		case recRemove:
-			a.pending[r.txnID] = append(a.pending[r.txnID],
-				shipOp{remove: true, key: append([]byte(nil), r.key...)})
-		case recCommit:
-			delete(a.pending, r.txnID)
-		}
-		return nil
-	})
-	// Recovery redid every committed record the log holds.
+	a := &ShipApplier{m: m}
 	a.applied.Store(m.wal.offset())
 	return a
 }
@@ -238,6 +210,8 @@ func (a *ShipApplier) NeedsResync() bool {
 // is verified as a duplicate (catch-up overlap); a chunk past end
 // returns ErrShipGap; conflicting bytes or a corrupt frame return
 // ErrShipDiverged. Gap and divergence both mean: full snapshot resync.
+// A redo the store refuses returns its error and leaves Applied where
+// it was.
 func (a *ShipApplier) Apply(base int64, buf []byte) error {
 	m := a.m
 	m.mu.Lock()
@@ -283,7 +257,9 @@ func (a *ShipApplier) Apply(base int64, buf []byte) error {
 	w.end = end
 	w.syncedTo = end
 	w.mu.Unlock()
-	a.redo(recs)
+	if err := a.redo(recs); err != nil {
+		return err
+	}
 	if err := m.installVersion(); err != nil {
 		return err
 	}
@@ -296,52 +272,25 @@ func (a *ShipApplier) Apply(base int64, buf []byte) error {
 func decodeChunk(buf []byte) ([]logRecord, error) {
 	var recs []logRecord
 	for len(buf) > 0 {
-		if len(buf) < 8 {
-			return nil, ErrShipDiverged
-		}
-		length := binary.LittleEndian.Uint32(buf[0:4])
-		sum := binary.LittleEndian.Uint32(buf[4:8])
-		if length == 0 || length > 1<<24 || uint64(len(buf)-8) < uint64(length) {
-			return nil, ErrShipDiverged
-		}
-		payload := buf[8 : 8+length]
-		if crc32.ChecksumIEEE(payload) != sum {
-			return nil, ErrShipDiverged
-		}
-		r, err := decodeRecord(payload)
+		r, n, err := decodeFrame(buf)
 		if err != nil {
 			return nil, ErrShipDiverged
 		}
 		recs = append(recs, r)
-		buf = buf[8+length:]
+		buf = buf[n:]
 	}
 	return recs, nil
 }
 
-// redo applies committed records to the store, mirroring recovery.
-// Must run under m.mu.
-func (a *ShipApplier) redo(recs []logRecord) {
-	idx := a.m.store.Index()
+// redo feeds a chunk's records through the manager's redo. Must run
+// under m.mu.
+func (a *ShipApplier) redo(recs []logRecord) error {
 	for _, r := range recs {
-		switch r.typ {
-		case recPut:
-			a.pending[r.txnID] = append(a.pending[r.txnID], shipOp{key: r.key, value: r.value})
-		case recRemove:
-			a.pending[r.txnID] = append(a.pending[r.txnID], shipOp{remove: true, key: r.key})
-		case recCommit:
-			for _, o := range a.pending[r.txnID] {
-				if o.remove {
-					_, _ = idx.Delete(o.key)
-				} else {
-					_ = idx.Insert(o.key, o.value)
-				}
-			}
-			delete(a.pending, r.txnID)
-		case recCheckpoint:
-			// The primary's store already held everything before this
-			// point; so does ours.
+		if err := a.m.redo(r); err != nil {
+			return err
 		}
 	}
+	return nil
 }
 
 // InstallSnapshot replaces the replica's entire state with snap. The
@@ -431,8 +380,10 @@ func (a *ShipApplier) InstallSnapshot(snap *ShipSnap) error {
 	w.mu.Unlock()
 	// 5. Redo the image's committed records: the dump may lag the image
 	// by an applied-but-not-dumped tail, and redo is idempotent.
-	a.pending = map[uint64][]shipOp{}
-	a.redo(recs)
+	m.tail = map[uint64][]logRecord{}
+	if err := a.redo(recs); err != nil {
+		return err
+	}
 	if err := m.installVersion(); err != nil {
 		return err
 	}

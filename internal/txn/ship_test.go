@@ -6,6 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+
+	"famedb/internal/access"
+	"famedb/internal/index"
 )
 
 // shipPair builds a primary manager whose durable batches feed directly
@@ -282,5 +285,42 @@ func TestShipApplierResumesMidBatch(t *testing.T) {
 	v, err := p.replica.store.Get([]byte("survivor"))
 	if err != nil || string(v) != "v1" {
 		t.Fatalf("mid-batch resume lost the write: %q, %v", v, err)
+	}
+}
+
+// errRefused is the refusingIndex's write error.
+var errRefused = errors.New("store refuses writes")
+
+// refusingIndex is a store whose device refuses every insert.
+type refusingIndex struct{ index.Index }
+
+func (refusingIndex) Insert(key, value []byte) error { return errRefused }
+
+// TestReplicaApplyFailsWhenStoreRefuses: a chunk whose redo the store
+// refuses is not applied, so Apply reports the store's error and Applied
+// — the offset the replica acks as applied — does not move.
+func TestReplicaApplyFailsWhenStoreRefuses(t *testing.T) {
+	primary, replica := newEnv(t), newEnv(t)
+	replica.store = access.New(refusingIndex{replica.store.Index()}, access.AllOps())
+	pm := primary.openMgr(t, Options{Locking: true, Recovery: true})
+	rm := replica.openMgr(t, Options{Locking: true, Recovery: true})
+	var chunks []shipChunk
+	pm.SetOnShip(func(base int64, buf []byte) {
+		chunks = append(chunks, shipChunk{base, append([]byte(nil), buf...)})
+	})
+	tx := pm.Begin()
+	if err := tx.Put([]byte("k"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	a := rm.ShipApplier()
+	before := a.Applied()
+	if err := a.Apply(chunks[0].base, chunks[0].buf); !errors.Is(err, errRefused) {
+		t.Fatalf("Apply = %v, want the store's refusal", err)
+	}
+	if got := a.Applied(); got != before {
+		t.Fatalf("Applied moved %d -> %d over a refused chunk", before, got)
 	}
 }

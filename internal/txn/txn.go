@@ -13,82 +13,6 @@ import (
 	"famedb/internal/trace"
 )
 
-// Protocol is the CommitProtocol alternative of the Transaction feature
-// (Fig. 2): it decides when appended commit records become durable.
-type Protocol interface {
-	// Name returns the feature name ("ForceCommit" or "GroupCommit").
-	Name() string
-	// OnCommit is called after a transaction's records (including the
-	// commit record) were appended. Only the unpipelined commit path
-	// uses it; with Locking composed the group-commit pipeline decides
-	// durability from BatchLimit instead.
-	OnCommit(parent *trace.Span, w *WAL) error
-	// Flush forces durability of everything appended so far.
-	Flush(w *WAL) error
-	// BatchLimit returns how many transactions the pipelined
-	// group-commit leader may coalesce into one durable sync.
-	// ForceCommit returns 1 — the degenerate one-transaction batch —
-	// which preserves its sync-per-commit durability contract.
-	BatchLimit() int
-}
-
-// Force syncs the log on every commit: maximal durability, one sync per
-// transaction.
-type Force struct{}
-
-// Name implements Protocol.
-func (Force) Name() string { return "ForceCommit" }
-
-// OnCommit implements Protocol.
-func (Force) OnCommit(parent *trace.Span, w *WAL) error { return w.syncIn(parent) }
-
-// Flush implements Protocol.
-func (Force) Flush(w *WAL) error { return w.Sync() }
-
-// BatchLimit implements Protocol: every batch is one transaction.
-func (Force) BatchLimit() int { return 1 }
-
-// Group batches commits and syncs once per BatchSize commits,
-// amortizing sync cost at the price of a durability window. Commit
-// returns once the records are appended; durability follows with the
-// batch (call Manager.Flush to force it).
-type Group struct {
-	// BatchSize is the number of commits per sync (default 8).
-	BatchSize int
-	pending   int
-}
-
-// Name implements Protocol.
-func (g *Group) Name() string { return "GroupCommit" }
-
-// OnCommit implements Protocol.
-func (g *Group) OnCommit(parent *trace.Span, w *WAL) error {
-	n := g.BatchSize
-	if n <= 0 {
-		n = 8
-	}
-	g.pending++
-	if g.pending >= n {
-		g.pending = 0
-		return w.syncIn(parent)
-	}
-	return nil
-}
-
-// Flush implements Protocol.
-func (g *Group) Flush(w *WAL) error {
-	g.pending = 0
-	return w.Sync()
-}
-
-// BatchLimit implements Protocol.
-func (g *Group) BatchLimit() int {
-	if g.BatchSize <= 0 {
-		return 8
-	}
-	return g.BatchSize
-}
-
 // Errors of the transactional API.
 var (
 	// ErrTxnDone is returned when using a committed or aborted
@@ -103,8 +27,13 @@ var (
 // Options configures the transaction manager from the product's feature
 // selection.
 type Options struct {
-	// Protocol is the selected commit protocol (required).
-	Protocol Protocol
+	// BatchLimit is the CommitProtocol alternative (Fig. 2) as a number:
+	// how many commits one log sync may cover — ForceCommit() or
+	// GroupCommit(n); less than 1 means 1.
+	// A batch of several commits always syncs before its committers
+	// return; a batch of one defers its sync until BatchLimit commits
+	// are unsynced (call Manager.Flush to force it).
+	BatchLimit int
 	// Locking serializes transactions and guards reads against
 	// concurrent applies; products used from a single goroutine can
 	// deselect it.
@@ -145,6 +74,19 @@ type Options struct {
 	Versions VersionSource
 }
 
+// ForceCommit is the batch limit of the ForceCommit protocol: every
+// commit is a batch of its own and syncs.
+func ForceCommit() int { return 1 }
+
+// GroupCommit is the batch limit of the GroupCommit protocol: up to
+// batch commits share one sync (8 when batch is not positive).
+func GroupCommit(batch int) int {
+	if batch <= 0 {
+		return 8
+	}
+	return batch
+}
+
 // Manager coordinates transactions over a store.
 type Manager struct {
 	store *access.Store
@@ -160,6 +102,12 @@ type Manager struct {
 	mu      rwLocker
 	nextTxn atomic.Uint64
 	closed  bool
+	// tail holds, per transaction, the logged records whose commit
+	// record the log does not hold yet. Recovery leaves the log's
+	// uncommitted tail here, and a replica's chunks extend it: a replica
+	// log can end mid-batch, and the commit that arrives in a later
+	// chunk must redo the records that arrived before it.
+	tail map[uint64][]logRecord
 
 	// gc is the leader-elected group-commit pipeline, active when the
 	// Locking feature is composed (the single-goroutine products keep
@@ -191,14 +139,19 @@ func (nullLocker) RUnlock() {}
 // Open creates the transaction manager, opening (and if configured,
 // recovering) the log file logName on fs.
 func Open(fs osal.FS, logName string, store *access.Store, opts Options) (*Manager, error) {
-	if opts.Protocol == nil {
-		return nil, errors.New("txn: a commit protocol must be selected")
+	if opts.BatchLimit < 1 {
+		opts.BatchLimit = 1
 	}
-	w, err := openWAL(fs, logName)
+	m := &Manager{store: store, opts: opts, fs: fs, logName: logName, tail: map[uint64][]logRecord{}}
+	var replay func(logRecord) error
+	if opts.Recovery {
+		replay = m.recover
+	}
+	w, err := openWAL(fs, logName, replay)
 	if err != nil {
 		return nil, err
 	}
-	m := &Manager{store: store, wal: w, opts: opts, fs: fs, logName: logName}
+	m.wal = w
 	w.metrics = opts.Metrics
 	w.tracer = opts.Tracer
 	w.retry = opts.Retry
@@ -206,67 +159,68 @@ func Open(fs osal.FS, logName string, store *access.Store, opts Options) (*Manag
 	w.fault = opts.Fault
 	if opts.Locking {
 		m.mu = &sync.RWMutex{}
-		m.gc = newGroupCommit(m, opts.Protocol.BatchLimit())
+		m.gc = newGroupCommit(m)
 	} else {
 		m.mu = nullLocker{}
 	}
 	if opts.Recovery {
-		if err := m.recover(); err != nil {
-			return nil, err
+		// With MVCC composed the replay mutated copy-on-write: publish the
+		// recovered state as one version so the first snapshot pins it and
+		// the replay's superseded pages reclaim.
+		if err := m.installVersion(); err != nil {
+			return nil, fmt.Errorf("txn: recovery version install: %w", err)
 		}
 	}
 	return m, nil
 }
 
-// recover replays the write sets of committed transactions in log
-// order. The operations are idempotent, so replaying already-applied
-// transactions is harmless.
-func (m *Manager) recover() error {
-	type op struct {
-		remove bool
-		key    []byte
-		value  []byte
+// recover is the Recovery feature: it sees the log's valid prefix record
+// by record while Open finds the log's end, and redoes the write sets of
+// committed transactions in log order. The operations are idempotent,
+// so replaying already-applied transactions is harmless.
+func (m *Manager) recover(r logRecord) error {
+	if r.typ == recCommit {
+		m.Recovered++
 	}
-	pending := map[uint64][]op{}
-	var order []op
-	if err := m.wal.scan(func(r logRecord) error {
-		switch r.typ {
-		case recPut:
-			pending[r.txnID] = append(pending[r.txnID], op{key: r.key, value: r.value})
-		case recRemove:
-			pending[r.txnID] = append(pending[r.txnID], op{remove: true, key: r.key})
-		case recCommit:
-			order = append(order, pending[r.txnID]...)
-			m.Recovered++
-			delete(pending, r.txnID)
-		case recCheckpoint:
-			// Everything before the checkpoint is already in the store.
-			order = order[:0]
-			m.Recovered = 0
-		}
-		return nil
-	}); err != nil {
-		return err
-	}
-	idx := m.store.Index()
-	for _, o := range order {
-		if o.remove {
-			if _, err := idx.Delete(o.key); err != nil {
-				return fmt.Errorf("txn: recovery delete: %w", err)
+	return m.redo(r)
+}
+
+// redo is the one redo of the package: recovery, replica chunks and
+// snapshot installs feed the log's records through it in log order. A
+// write joins its transaction's tail; a commit record applies the
+// transaction's whole write set to the store and retires the tail. It
+// returns the first index error. The caller holds m.mu, or owns the
+// manager (Open).
+func (m *Manager) redo(r logRecord) error {
+	switch r.typ {
+	case recPut, recRemove:
+		m.tail[r.txnID] = append(m.tail[r.txnID], r)
+	case recCommit:
+		idx := m.store.Index()
+		for _, o := range m.tail[r.txnID] {
+			var err error
+			if o.typ == recRemove {
+				_, err = idx.Delete(o.key)
+			} else {
+				err = idx.Insert(o.key, o.value)
 			}
-		} else {
-			if err := idx.Insert(o.key, o.value); err != nil {
-				return fmt.Errorf("txn: recovery insert: %w", err)
+			if err != nil {
+				return fmt.Errorf("txn: redo txn %d: %w", r.txnID, err)
 			}
 		}
-	}
-	// With MVCC composed the replay mutated copy-on-write: publish the
-	// recovered state as one version so the first snapshot pins it and
-	// the replay's superseded pages reclaim.
-	if err := m.installVersion(); err != nil {
-		return fmt.Errorf("txn: recovery version install: %w", err)
+		delete(m.tail, r.txnID)
 	}
 	return nil
+}
+
+// Read runs fn under the manager's read lock — the lock transactional
+// reads take and the commit leader, the replica applier and maintenance
+// hold as writers — so a plain read of the store never observes a
+// half-applied batch. It begins no transaction and counts nothing.
+func (m *Manager) Read(fn func() error) error {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	return fn()
 }
 
 // writeOp is one entry of a transaction's private write set.
@@ -459,11 +413,10 @@ func (m *Manager) applyLocked(sp *trace.Span, t *Txn) error {
 	return nil
 }
 
-// Commit logs the write set, makes it durable per the commit protocol,
-// and applies it to the store. With Locking composed the commit goes
-// through the group-commit pipeline: the write set is staged into the
-// shared log buffer and one leader drains the whole batch with a single
-// WriteAt and a single Sync while the latch is free.
+// Commit logs the write set, makes it durable per the batch limit, and
+// applies it to the store. Without Locking the transaction is a batch of
+// one through the commit body; with Locking it is staged into the
+// group-commit pipeline, whose leader runs the same body once per batch.
 func (t *Txn) Commit() error {
 	if t.done {
 		return ErrTxnDone
@@ -485,45 +438,63 @@ func (t *Txn) Commit() error {
 		sp.Fail(err)
 		return err
 	}
-	if m.gc != nil {
-		err := m.gc.commit(sp, t)
-		if err == nil {
-			m.opts.Metrics.DoneCommit(start)
-		}
-		sp.Fail(err)
-		return err
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		sp.Fail(ErrClosed)
-		return ErrClosed
-	}
-	// Write-ahead: records first, then the commit record, then the
-	// protocol decides durability, and only then the store changes.
 	scratch := getScratch()
 	buf, records := t.encodeWriteSet(*scratch)
-	err := m.wal.appendEncoded(sp, buf, records, 1)
+	var err error
+	if m.gc != nil {
+		err = m.gc.commit(sp, t, buf, records)
+	} else {
+		txns, errs := [1]*Txn{t}, [1]error{}
+		m.commitBatch(sp, buf, records, txns[:], errs[:])
+		err = errs[0]
+	}
 	*scratch = buf
 	putScratch(scratch)
+	if err == nil {
+		m.opts.Metrics.DoneCommit(start)
+	}
+	sp.Fail(err)
+	return err
+}
+
+// commitBatch is the one commit body. It appends a batch's encoded
+// frames (txns in log order) in one write, syncs when the batch holds
+// several commits or the unsynced commits reach the batch limit, cuts a
+// failed tail off the log so recovery can never replay a commit whose
+// committer saw an error, and only then applies the batch to the store
+// under m.mu and publishes one version for it. errs, parallel to txns,
+// receives each committer's outcome. The caller must not hold m.mu.
+func (m *Manager) commitBatch(sp *trace.Span, buf []byte, records int, txns []*Txn, errs []error) {
+	m.mu.RLock()
+	closed := m.closed
+	m.mu.RUnlock()
+	err := ErrClosed
+	if !closed {
+		base := m.wal.offset()
+		err = m.wal.appendEncoded(sp, buf, records, len(txns))
+		if err == nil && (len(txns) > 1 || m.wal.unsyncedCommits() >= m.opts.BatchLimit) {
+			err = m.wal.syncIn(sp)
+		}
+		if err != nil {
+			m.wal.truncateTo(base, len(txns))
+		}
+	}
 	if err != nil {
-		sp.Fail(err)
-		return err
+		for i := range errs {
+			errs[i] = err
+		}
+		return
 	}
-	if err := m.opts.Protocol.OnCommit(sp, m.wal); err != nil {
-		sp.Fail(err)
-		return err
+	m.mu.Lock()
+	for i, t := range txns {
+		errs[i] = m.applyLocked(sp, t)
 	}
-	if err := m.applyLocked(sp, t); err != nil {
-		sp.Fail(err)
-		return err
-	}
-	// Publish the new root; a failure here is only a reclamation
-	// failure (the pages retry on the next install), never a commit
-	// failure — the write set is durable and applied.
+	// One version per batch, published while m.mu is held, so readers
+	// pin either the whole batch or none of it. A failure is only a
+	// reclamation failure (the pages retry on the next install), never
+	// a commit failure: the batch is durable and applied.
 	_ = m.installVersion()
-	m.opts.Metrics.DoneCommit(start)
-	return nil
+	m.mu.Unlock()
 }
 
 // Abort discards the transaction's writes.
@@ -548,8 +519,8 @@ func (m *Manager) quiesce() func() {
 	return m.gc.resume
 }
 
-// Flush forces durability of all committed transactions (relevant under
-// GroupCommit).
+// Flush forces durability of all committed transactions (relevant when
+// the batch limit is above 1).
 func (m *Manager) Flush() error {
 	if err := m.opts.Health.Err(); err != nil {
 		return err
@@ -557,11 +528,7 @@ func (m *Manager) Flush() error {
 	defer m.quiesce()()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if err := m.opts.Protocol.Flush(m.wal); err != nil {
-		return err
-	}
-	m.gc.clearDeferred()
-	return nil
+	return m.wal.Sync()
 }
 
 // Checkpoint makes the store durable and truncates the log. Requires
@@ -576,7 +543,7 @@ func (m *Manager) Checkpoint() error {
 	if m.opts.SyncStore == nil {
 		return errors.New("txn: checkpointing requires Options.SyncStore")
 	}
-	if err := m.opts.Protocol.Flush(m.wal); err != nil {
+	if err := m.wal.Sync(); err != nil {
 		return err
 	}
 	if err := m.opts.SyncStore(); err != nil {
@@ -585,7 +552,6 @@ func (m *Manager) Checkpoint() error {
 	if err := m.wal.reset(); err != nil {
 		return err
 	}
-	m.gc.clearDeferred()
 	m.opts.Metrics.Checkpoint()
 	return nil
 }
@@ -605,7 +571,7 @@ func (m *Manager) VerifyLog() (LogVerifyReport, error) {
 func (m *Manager) LogSyncs() int64 { return m.wal.SyncCount() }
 
 // LogSize returns the current log size in bytes.
-func (m *Manager) LogSize() int64 { return m.wal.Size() }
+func (m *Manager) LogSize() int64 { return m.wal.offset() }
 
 // Close flushes and closes the log.
 func (m *Manager) Close() error {
@@ -624,7 +590,7 @@ func (m *Manager) Close() error {
 		// durable.
 		return m.wal.close()
 	}
-	if err := m.opts.Protocol.Flush(m.wal); err != nil {
+	if err := m.wal.Sync(); err != nil {
 		return err
 	}
 	return m.wal.close()

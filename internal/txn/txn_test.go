@@ -40,9 +40,6 @@ func newEnv(t *testing.T) *env {
 
 func (e *env) openMgr(t *testing.T, opts Options) *Manager {
 	t.Helper()
-	if opts.Protocol == nil {
-		opts.Protocol = Force{}
-	}
 	opts.SyncStore = e.pf.Sync
 	m, err := Open(e.fs, "wal.log", e.store, opts)
 	if err != nil {
@@ -141,7 +138,7 @@ func TestRecoveryReplaysCommitted(t *testing.T) {
 		pf, _ := storage.CreatePageFile(f, 512)
 		idx, _, _ := index.CreateBTree(pf, index.AllBTreeOps())
 		store := access.New(idx, access.AllOps())
-		m, err := Open(fs, "wal.log", store, Options{Protocol: Force{}})
+		m, err := Open(fs, "wal.log", store, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,7 +158,7 @@ func TestRecoveryReplaysCommitted(t *testing.T) {
 	pf2, _ := storage.CreatePageFile(f2, 512)
 	idx2, _, _ := index.CreateBTree(pf2, index.AllBTreeOps())
 	store2 := access.New(idx2, access.AllOps())
-	m2, err := Open(fs, "wal.log", store2, Options{Protocol: Force{}, Recovery: true})
+	m2, err := Open(fs, "wal.log", store2, Options{Recovery: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +183,7 @@ func TestRecoveryIsIdempotent(t *testing.T) {
 		return access.New(idx, access.AllOps())
 	}
 	s1 := build()
-	m1, _ := Open(fs, "wal.log", s1, Options{Protocol: Force{}, Recovery: true})
+	m1, _ := Open(fs, "wal.log", s1, Options{Recovery: true})
 	tx := m1.Begin()
 	tx.Put([]byte("k"), []byte("v"))
 	tx.Put([]byte("gone"), []byte("x"))
@@ -198,7 +195,7 @@ func TestRecoveryIsIdempotent(t *testing.T) {
 	// Recover twice over stores that already contain the data: applying
 	// the log again must not change the outcome.
 	for i := 0; i < 2; i++ {
-		m, err := Open(fs, "wal.log", s1, Options{Protocol: Force{}, Recovery: true})
+		m, err := Open(fs, "wal.log", s1, Options{Recovery: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,7 +238,7 @@ func TestCheckpointTruncatesLog(t *testing.T) {
 	}
 	// After checkpoint a fresh recovery finds nothing to redo but the
 	// data is durable in the store.
-	m2, err := Open(e.fs, "wal.log", e.store, Options{Protocol: Force{}, Recovery: true})
+	m2, err := Open(e.fs, "wal.log", e.store, Options{Recovery: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,9 +251,9 @@ func TestCheckpointTruncatesLog(t *testing.T) {
 }
 
 func TestForceVsGroupSyncCounts(t *testing.T) {
-	syncsFor := func(p Protocol) int64 {
+	syncsFor := func(limit int) int64 {
 		e := newEnv(t)
-		m := e.openMgr(t, Options{Protocol: p})
+		m := e.openMgr(t, Options{BatchLimit: limit})
 		for i := 0; i < 32; i++ {
 			tx := m.Begin()
 			tx.Put([]byte(fmt.Sprintf("k%02d", i)), []byte("v"))
@@ -266,8 +263,8 @@ func TestForceVsGroupSyncCounts(t *testing.T) {
 		}
 		return m.LogSyncs()
 	}
-	force := syncsFor(Force{})
-	group := syncsFor(&Group{BatchSize: 8})
+	force := syncsFor(1)
+	group := syncsFor(8)
 	if force != 32 {
 		t.Fatalf("force syncs = %d, want 32", force)
 	}
@@ -278,8 +275,7 @@ func TestForceVsGroupSyncCounts(t *testing.T) {
 
 func TestGroupCommitFlushForcesDurability(t *testing.T) {
 	e := newEnv(t)
-	g := &Group{BatchSize: 100}
-	m := e.openMgr(t, Options{Protocol: g})
+	m := e.openMgr(t, Options{BatchLimit: 100})
 	tx := m.Begin()
 	tx.Put([]byte("k"), []byte("v"))
 	tx.Commit()
@@ -328,7 +324,7 @@ func TestTornLogTailIgnored(t *testing.T) {
 
 	idx2, _, _ := index.CreateBTree(e.pf, index.AllBTreeOps())
 	store2 := access.New(idx2, access.AllOps())
-	m2, err := Open(fs, "wal.log", store2, Options{Protocol: Force{}, Recovery: true})
+	m2, err := Open(fs, "wal.log", store2, Options{Recovery: true})
 	if err != nil {
 		t.Fatalf("open over torn log: %v", err)
 	}
@@ -391,18 +387,5 @@ func TestManagerClose(t *testing.T) {
 	tx.Put([]byte("k"), []byte("v"))
 	if err := tx.Commit(); err == nil {
 		t.Fatal("commit after close should fail")
-	}
-}
-
-func TestProtocolRequired(t *testing.T) {
-	e := newEnv(t)
-	if _, err := Open(e.fs, "wal.log", e.store, Options{}); err == nil {
-		t.Fatal("missing protocol should fail")
-	}
-}
-
-func TestProtocolNames(t *testing.T) {
-	if (Force{}).Name() != "ForceCommit" || (&Group{}).Name() != "GroupCommit" {
-		t.Fatal("protocol names wrong")
 	}
 }

@@ -1,8 +1,9 @@
 // Package txn is the Transaction feature of FAME-DBMS (Fig. 2),
 // decomposed per the paper into a small number of subfeatures: a
-// write-ahead log, alternative commit protocols (ForceCommit syncs on
-// every commit, GroupCommit amortizes syncs over batches), optional
-// redo Recovery, and Locking.
+// write-ahead log, a commit protocol expressed as a batch limit
+// (ForceCommit's limit is 1, so every commit syncs; GroupCommit's is
+// larger and amortizes syncs over batches), optional redo Recovery, and
+// Locking.
 //
 // The design is buffered-update / no-steal: a transaction's writes live
 // in its private write set until commit, are then logged, made durable
@@ -27,10 +28,9 @@ import (
 
 // WAL record types.
 const (
-	recPut        = 1
-	recRemove     = 2
-	recCommit     = 3
-	recCheckpoint = 4
+	recPut    = 1
+	recRemove = 2
+	recCommit = 3
 )
 
 const walMagic = "FAMEWAL1"
@@ -60,7 +60,8 @@ type WAL struct {
 	// feature is composed; nil otherwise.
 	tracer *trace.Tracer
 	// commitsSince counts commit records appended since the last durable
-	// sync — the group-commit batch size observed at the next Sync.
+	// sync: the commit body's sync decision reads it against the batch
+	// limit, and the next Sync reports it as the group-commit batch size.
 	commitsSince int
 	// retry/health/fault make the append and sync paths survive
 	// transient device errors with the same bounded policy as the page
@@ -126,9 +127,10 @@ func encodeFrame(dst []byte, r logRecord) []byte {
 	return dst
 }
 
-// openWAL opens or creates the log file and positions at its end,
-// truncating any torn tail.
-func openWAL(fs osal.FS, name string) (*WAL, error) {
+// openWAL opens or creates the log file and positions at the end of its
+// valid prefix, so the next append overwrites any torn tail. fn, when
+// set, sees every record of that prefix in log order (recovery's redo).
+func openWAL(fs osal.FS, name string, fn func(logRecord) error) (*WAL, error) {
 	f, err := fs.Create(name)
 	if err != nil {
 		return nil, err
@@ -152,17 +154,10 @@ func openWAL(fs osal.FS, name string) (*WAL, error) {
 	if string(hdr) != walMagic {
 		return nil, fmt.Errorf("txn: bad log magic %q", hdr)
 	}
-	// Find the end of the valid log by scanning.
-	end := int64(len(walMagic))
-	for {
-		_, next, err := w.readRecordAt(end)
-		if err != nil {
-			break
-		}
-		end = next
+	if w.end, err = w.walk(size, fn); err != nil {
+		return nil, err
 	}
-	w.end = end
-	w.syncedTo = end
+	w.syncedTo = w.end
 	return w, nil
 }
 
@@ -201,73 +196,86 @@ func (w *WAL) appendEncoded(parent *trace.Span, buf []byte, records, commits int
 	return nil
 }
 
-// append encodes and appends a single record; durability is a separate
-// Sync.
-func (w *WAL) append(r logRecord) error {
-	scratch := getScratch()
-	buf := encodeFrame(*scratch, r)
-	commits := 0
-	if r.typ == recCommit {
-		commits = 1
-	}
-	err := w.appendEncoded(nil, buf, 1, commits)
-	*scratch = buf
-	putScratch(scratch)
-	return err
-}
-
-// readRecordAt decodes the record at offset, returning it and the next
-// offset.
+// readRecordAt decodes the frame at offset, returning its record and
+// the next offset.
 func (w *WAL) readRecordAt(off int64) (logRecord, int64, error) {
 	var hdr [8]byte
 	if _, err := w.f.ReadAt(hdr[:], off); err != nil {
 		return logRecord{}, 0, err
 	}
 	length := binary.LittleEndian.Uint32(hdr[0:4])
-	sum := binary.LittleEndian.Uint32(hdr[4:8])
-	if length == 0 || length > 1<<24 {
+	if length == 0 || length > maxFrame {
 		return logRecord{}, 0, ErrLogCorrupt
 	}
-	payload := make([]byte, length)
-	if n, err := w.f.ReadAt(payload, off+8); err != nil || n != int(length) {
+	frame := make([]byte, 8+length)
+	copy(frame, hdr[:])
+	if n, err := w.f.ReadAt(frame[8:], off+8); n != int(length) {
 		if err == nil || err == io.EOF {
 			err = ErrLogCorrupt
 		}
 		return logRecord{}, 0, err
 	}
-	if crc32.ChecksumIEEE(payload) != sum {
-		return logRecord{}, 0, ErrLogCorrupt
-	}
-	r, err := decodeRecord(payload)
-	if err != nil {
-		return logRecord{}, 0, err
-	}
-	return r, off + 8 + int64(length), nil
+	r, n, err := decodeFrame(frame)
+	return r, off + int64(n), err
 }
 
-func decodeRecord(payload []byte) (logRecord, error) {
-	if len(payload) < 2 {
-		return logRecord{}, ErrLogCorrupt
+// walk is the one frame walker: it visits the log's frames in order from
+// the start up to limit and returns where the valid prefix ends — at
+// limit, or at the first torn or corrupt frame. fn, when set, sees each
+// record; its error, or a device error other than a short read, stops
+// the walk.
+func (w *WAL) walk(limit int64, fn func(logRecord) error) (int64, error) {
+	off := int64(len(walMagic))
+	for off < limit {
+		r, next, err := w.readRecordAt(off)
+		if errors.Is(err, ErrLogCorrupt) || err == io.EOF {
+			break
+		}
+		if err == nil && fn != nil {
+			err = fn(r)
+		}
+		if err != nil {
+			return off, err
+		}
+		off = next
 	}
-	r := logRecord{typ: payload[0]}
-	b := payload[1:]
+	return off, nil
+}
+
+// maxFrame bounds a frame's payload; a longer length field is garbage.
+const maxFrame = 1 << 24
+
+// decodeFrame is the one frame decoder: it decodes the frame
+// [len][crc][payload] at the start of b and returns its record and
+// length, or ErrLogCorrupt unless b starts with a whole CRC-clean frame.
+func decodeFrame(b []byte) (logRecord, int, error) {
+	bad := func() (logRecord, int, error) { return logRecord{}, 0, ErrLogCorrupt }
+	if len(b) < 8 {
+		return bad()
+	}
+	length := binary.LittleEndian.Uint32(b[0:4])
+	if length < 2 || length > maxFrame || uint64(len(b)-8) < uint64(length) {
+		return bad()
+	}
+	p := b[8 : 8+length]
+	if crc32.ChecksumIEEE(p) != binary.LittleEndian.Uint32(b[4:8]) {
+		return bad()
+	}
+	r := logRecord{typ: p[0]}
 	var n int
-	var u uint64
-	if u, n = binary.Uvarint(b); n <= 0 {
-		return logRecord{}, ErrLogCorrupt
+	if r.txnID, n = binary.Uvarint(p[1:]); n <= 0 {
+		return bad()
 	}
-	r.txnID = u
-	b = b[n:]
-	if u, n = binary.Uvarint(b); n <= 0 || uint64(len(b)-n) < u {
-		return logRecord{}, ErrLogCorrupt
+	p = p[1+n:]
+	for _, field := range []*[]byte{&r.key, &r.value} {
+		u, n := binary.Uvarint(p)
+		if n <= 0 || uint64(len(p)-n) < u {
+			return bad()
+		}
+		*field = append([]byte(nil), p[n:n+int(u)]...)
+		p = p[n+int(u):]
 	}
-	r.key = append([]byte(nil), b[n:n+int(u)]...)
-	b = b[n+int(u):]
-	if u, n = binary.Uvarint(b); n <= 0 || uint64(len(b)-n) < u {
-		return logRecord{}, ErrLogCorrupt
-	}
-	r.value = append([]byte(nil), b[n:n+int(u)]...)
-	return r, nil
+	return r, 8 + int(length), nil
 }
 
 // Sync makes all appended records durable.
@@ -298,25 +306,6 @@ func (w *WAL) syncIn(parent *trace.Span) error {
 	w.commitsSince -= batch
 	w.mu.Unlock()
 	w.metrics.WalSync(batch)
-	return nil
-}
-
-// scan replays all valid records from the start, calling fn for each.
-func (w *WAL) scan(fn func(r logRecord) error) error {
-	off := int64(len(walMagic))
-	for off < w.end {
-		r, next, err := w.readRecordAt(off)
-		if err != nil {
-			if errors.Is(err, ErrLogCorrupt) || err == io.EOF {
-				return nil // torn tail: durable prefix ends here
-			}
-			return err
-		}
-		if err := fn(r); err != nil {
-			return err
-		}
-		off = next
-	}
 	return nil
 }
 
@@ -394,29 +383,17 @@ func (r LogVerifyReport) String() string {
 
 // verify re-walks the log from the start, checking every frame CRC.
 func (w *WAL) verify() (LogVerifyReport, error) {
-	w.mu.Lock()
-	end := w.end
-	w.mu.Unlock()
+	end := w.offset()
 	var rep LogVerifyReport
-	off := int64(len(walMagic))
-	for off < end {
-		r, next, err := w.readRecordAt(off)
-		if err != nil {
-			if errors.Is(err, ErrLogCorrupt) || err == io.EOF {
-				rep.ValidBytes = off
-				rep.TornBytes = end - off
-				return rep, nil
-			}
-			return rep, err
-		}
+	valid, err := w.walk(end, func(r logRecord) error {
 		rep.Records++
 		if r.typ == recCommit {
 			rep.Commits++
 		}
-		off = next
-	}
-	rep.ValidBytes = off
-	return rep, nil
+		return nil
+	})
+	rep.ValidBytes, rep.TornBytes = valid, end-valid
+	return rep, err
 }
 
 // SyncCount returns how many durable flushes the log has performed.
@@ -426,13 +403,6 @@ func (w *WAL) SyncCount() int64 {
 	return w.syncs
 }
 
-// Size returns the current log length in bytes.
-func (w *WAL) Size() int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.end
-}
-
 // offset returns the current append position.
 func (w *WAL) offset() int64 {
 	w.mu.Lock()
@@ -440,12 +410,12 @@ func (w *WAL) offset() int64 {
 	return w.end
 }
 
-// unsynced reports whether the log holds records past the durable
-// prefix.
-func (w *WAL) unsynced() bool {
+// unsyncedCommits returns how many commit records were appended since
+// the last durable sync — the one counter the sync decision reads.
+func (w *WAL) unsyncedCommits() int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.end != w.syncedTo
+	return w.commitsSince
 }
 
 func (w *WAL) close() error { return w.f.Close() }
