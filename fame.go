@@ -129,6 +129,9 @@ var (
 	// poisoned into read-only mode: a transient device fault outlived
 	// the retry budget. Reads keep serving.
 	ErrDegraded = storage.ErrDegraded
+	// ErrReadOnly is returned by writes on a snapshot transaction and by
+	// every write on a product that is replicating from a primary.
+	ErrReadOnly = txn.ErrReadOnly
 )
 
 // FeatureModel returns the FAME-DBMS prototype feature model (paper
@@ -203,6 +206,21 @@ type Options struct {
 // DB is a derived FAME-DBMS instance.
 type DB struct {
 	inst *composer.Instance
+	// rec is the product's one record path, picked from its feature
+	// selection: the transaction manager when Transaction is composed,
+	// the store otherwise.
+	rec records
+}
+
+// records is the record API both *txn.Manager and *access.Store
+// implement.
+type records interface {
+	Put(key, value []byte) error
+	Get(key []byte) ([]byte, error)
+	Remove(key []byte) error
+	Update(key, value []byte) error
+	Scan(from, to []byte, fn func(key, value []byte) bool) error
+	Len() (uint64, error)
 }
 
 // Open derives a product from the feature names and composes it. The
@@ -251,7 +269,16 @@ func OpenConfig(cfg *Configuration, opts Options) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &DB{inst: inst}, nil
+	return newDB(inst), nil
+}
+
+// newDB wraps a composed instance and picks its record path.
+func newDB(inst *composer.Instance) *DB {
+	db := &DB{inst: inst, rec: inst.Store}
+	if inst.Txn != nil {
+		db.rec = inst.Txn
+	}
+	return db
 }
 
 // Features returns the product's selected feature names.
@@ -260,50 +287,33 @@ func (db *DB) Features() []string { return db.inst.Configuration.SelectedNames()
 // Has reports whether the product includes a feature.
 func (db *DB) Has(feature string) bool { return db.inst.Configuration.Has(feature) }
 
-// Put stores value under key (feature Put).
-func (db *DB) Put(key, value []byte) error { return db.inst.Store.Put(key, value) }
+// Put stores value under key (feature Put). On a Transaction product
+// it is an auto-commit transaction: logged, durable per the commit
+// protocol and shipped to replicas like any commit.
+func (db *DB) Put(key, value []byte) error { return db.rec.Put(key, value) }
 
-// Get returns the value under key (feature Get). On a transactional
+// Get returns the value under key (feature Get). On a Transaction
 // product it reads under the transaction manager's read lock, so it
 // never sees a commit batch or a replica chunk half applied.
-func (db *DB) Get(key []byte) (v []byte, err error) {
-	if db.inst.Txn == nil {
-		return db.inst.Store.Get(key)
-	}
-	err = db.inst.Txn.Read(func() error {
-		v, err = db.inst.Store.Get(key)
-		return err
-	})
-	return v, err
-}
+func (db *DB) Get(key []byte) ([]byte, error) { return db.rec.Get(key) }
 
-// Remove deletes key (feature Remove).
-func (db *DB) Remove(key []byte) error { return db.inst.Store.Remove(key) }
+// Remove deletes key (feature Remove). On a Transaction product it is
+// an auto-commit transaction.
+func (db *DB) Remove(key []byte) error { return db.rec.Remove(key) }
 
-// Update replaces the value of an existing key (feature Update).
-func (db *DB) Update(key, value []byte) error { return db.inst.Store.Update(key, value) }
+// Update replaces the value of an existing key (feature Update). On a
+// Transaction product it is an auto-commit transaction.
+func (db *DB) Update(key, value []byte) error { return db.rec.Update(key, value) }
 
 // Scan visits entries with from <= key < to (feature Get). Ordered for
-// B+-tree products. On a transactional product the whole scan holds the
+// B+-tree products. On a Transaction product the whole scan holds the
 // manager's read lock, so fn must not commit.
 func (db *DB) Scan(from, to []byte, fn func(key, value []byte) bool) error {
-	if db.inst.Txn == nil {
-		return db.inst.Store.Scan(from, to, fn)
-	}
-	return db.inst.Txn.Read(func() error { return db.inst.Store.Scan(from, to, fn) })
+	return db.rec.Scan(from, to, fn)
 }
 
 // Len returns the number of stored records.
-func (db *DB) Len() (n uint64, err error) {
-	if db.inst.Txn == nil {
-		return db.inst.Store.Len()
-	}
-	err = db.inst.Txn.Read(func() error {
-		n, err = db.inst.Store.Len()
-		return err
-	})
-	return n, err
-}
+func (db *DB) Len() (uint64, error) { return db.rec.Len() }
 
 // Tx is a transaction (feature Transaction).
 type Tx struct {
@@ -325,9 +335,6 @@ func (db *DB) Begin() (*Tx, error) {
 // seeing the begin-time state regardless of concurrent commits.
 // Release it with Commit or Abort so its version's pages can reclaim.
 func (db *DB) BeginSnapshot() (*Tx, error) {
-	if db.inst.Txn == nil {
-		return nil, fmt.Errorf("Transaction: %w", ErrNotComposed)
-	}
 	t, err := db.inst.BeginSnapshot()
 	if err != nil {
 		return nil, err

@@ -49,6 +49,11 @@ type Store struct {
 // SetMetrics attaches the Statistics feature's record-access metrics.
 func (s *Store) SetMetrics(m *stats.Access) { s.metrics = m }
 
+// Metrics returns the attached record-access metrics, nil without
+// Statistics. A transactional product's auto-commit Put records into
+// them, so its puts count wherever the store's would.
+func (s *Store) Metrics() *stats.Access { return s.metrics }
+
 // SetTracer attaches the Tracing feature's span recorder.
 func (s *Store) SetTracer(t *trace.Tracer) { s.tracer = t }
 

@@ -592,6 +592,15 @@ func (r *routerIndex) Insert(k, v []byte) error {
 	return db.idx.Insert(key, v)
 }
 
+// Check implements index.Checker for the routed database's index.
+func (r *routerIndex) Check(k, v []byte) error {
+	db, key, err := r.resolve(k)
+	if err != nil {
+		return err
+	}
+	return index.SeamOf(db.idx).Check(key, v)
+}
+
 func (r *routerIndex) Get(k []byte) ([]byte, bool, error) {
 	db, key, err := r.resolve(k)
 	if err != nil {
@@ -608,12 +617,9 @@ func (r *routerIndex) Delete(k []byte) (bool, error) {
 	return db.idx.Delete(key)
 }
 
+// Update is never called: the manager applies an update as an insert.
 func (r *routerIndex) Update(k, v []byte) (bool, error) {
-	db, key, err := r.resolve(k)
-	if err != nil {
-		return false, err
-	}
-	return db.idx.Update(key, v)
+	return false, errors.New("bdb: the journal router does not update")
 }
 
 func (r *routerIndex) Scan(from, to []byte, fn func(k, v []byte) bool) error {
@@ -626,11 +632,7 @@ func (r *routerIndex) Len() (uint64, error) { return 0, nil }
 // otherwise mutate the index directly.
 func (db *DB) applyPut(key, value []byte) error {
 	if db.env.mgr != nil {
-		t := db.env.mgr.Begin()
-		if err := t.Put(routed(db.name, key), value); err != nil {
-			return err
-		}
-		return t.Commit()
+		return db.env.mgr.Put(routed(db.name, key), value)
 	}
 	return db.idx.Insert(key, value)
 }
@@ -641,15 +643,11 @@ func (db *DB) applyGet(key []byte) ([]byte, bool, error) {
 
 func (db *DB) applyDel(key []byte) (bool, error) {
 	if db.env.mgr != nil {
-		t := db.env.mgr.Begin()
-		if err := t.Remove(routed(db.name, key)); err != nil {
-			if errors.Is(err, txn.ErrNotFound) {
-				t.Abort()
-				return false, nil
-			}
-			return false, err
+		err := db.env.mgr.Remove(routed(db.name, key))
+		if errors.Is(err, txn.ErrNotFound) {
+			return false, nil
 		}
-		return true, t.Commit()
+		return err == nil, err
 	}
 	return db.idx.Delete(key)
 }

@@ -150,8 +150,16 @@ func (h *HashIndex) Get(key []byte) ([]byte, bool, error) {
 	return v, page != storage.InvalidPage, nil
 }
 
+// Check implements index.Checker: the entry must fit a bucket page.
+func (h *HashIndex) Check(key, value []byte) error {
+	return storage.CheckRecord(len(encodeHashEntry(key, value)), h.pager.PageSize())
+}
+
 // Insert implements index.Index (upsert).
 func (h *HashIndex) Insert(key, value []byte) error {
+	if err := h.Check(key, value); err != nil {
+		return err
+	}
 	rec := encodeHashEntry(key, value)
 	page, slot, _, err := h.find(key)
 	if err != nil {

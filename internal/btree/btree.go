@@ -330,14 +330,24 @@ func (t *Tree) Insert(key, value []byte) error { return t.InsertIn(nil, key, val
 
 // InsertIn is Insert recorded under the caller's span.
 func (t *Tree) InsertIn(parent *trace.Span, key, value []byte) error {
-	if len(key) == 0 {
-		return ErrEmptyKey
-	}
-	if leafCellSize(key, value) > t.maxEntry {
-		return fmt.Errorf("%w: %d > %d bytes", ErrKeyTooLarge, leafCellSize(key, value), t.maxEntry)
+	if err := t.Check(key, value); err != nil {
+		return err
 	}
 	_, err := t.write(parent, "insert", key, value, false)
 	return err
+}
+
+// Check refuses an entry the tree can never hold: an empty key, or a
+// key and value too large for a page. Insert makes the same test before
+// it writes.
+func (t *Tree) Check(key, value []byte) error {
+	if len(key) == 0 {
+		return ErrEmptyKey
+	}
+	if size := leafCellSize(key, value); size > t.maxEntry {
+		return fmt.Errorf("%w: %d > %d bytes", ErrKeyTooLarge, size, t.maxEntry)
+	}
+	return nil
 }
 
 // write is the one write descent Insert and Update share. With

@@ -9,6 +9,7 @@ import (
 
 	"famedb/internal/access"
 	"famedb/internal/repl"
+	"famedb/internal/server"
 )
 
 // serverFeatures is the canonical network product: the concurrent
@@ -110,5 +111,51 @@ func TestServerClosesWithInstance(t *testing.T) {
 	if c, err := net.DialTimeout("tcp", addr, time.Second); err == nil {
 		c.Close()
 		t.Fatal("server still accepting after instance Close")
+	}
+}
+
+// TestServerGetsAreReads: a wire get is a read of the store under the
+// manager's read lock, not a transaction, so it moves the access-layer
+// get counters (what Monitor's gets/s and get p99 read) and no
+// transaction counter.
+func TestServerGetsAreReads(t *testing.T) {
+	inst, err := ComposeProduct(Options{}, serverFeatures...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer inst.Close()
+	srv, err := inst.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := server.DialClient(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.Timeout = 5 * time.Second
+	if err := c.Put([]byte("k"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	before, err := inst.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 50
+	for i := 0; i < n; i++ {
+		if v, err := c.Get([]byte("k")); err != nil || string(v) != "v" {
+			t.Fatalf("Get = %q, %v", v, err)
+		}
+	}
+	after, err := inst.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Txn.Begins != before.Txn.Begins || after.Txn.Aborts != before.Txn.Aborts {
+		t.Errorf("wire gets moved txn begins %d->%d, aborts %d->%d",
+			before.Txn.Begins, after.Txn.Begins, before.Txn.Aborts, after.Txn.Aborts)
+	}
+	if got := after.Access.GetLatency.Count - before.Access.GetLatency.Count; got != n {
+		t.Errorf("access get count grew by %d, want %d", got, n)
 	}
 }

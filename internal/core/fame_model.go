@@ -185,10 +185,10 @@ func FAMEModel() *Model {
 	// (and it has no SQL engine to observe; stated explicitly like
 	// CompiledQueries above).
 	m.AddConstraint(Implies(Ref("NutOS"), Not(Ref("QueryStats"))))
-	// The server executes every wire command as a transaction — the
-	// direct store path would bypass the WAL and the lock table — and
-	// serves concurrent connections, so it needs the Locking feature
-	// too. It writes over the wire, so Put must be composed.
+	// The server executes every wire command through the transaction
+	// manager — writes as auto-commit transactions through the WAL,
+	// reads under its lock — and serves concurrent connections, so it
+	// needs the Locking feature too. It writes over the wire, so Put must be composed.
 	m.AddConstraint(Implies(Ref("Server"), And(Ref("Transaction"), Ref("Locking"), Ref("Put"))))
 	// Shipping replays the redo log: there must be one (Transaction)
 	// and the replica applies chunks through the same redo machinery

@@ -61,7 +61,7 @@ func FAMECore() []SourceSpec {
 			"Store.Ops", "Store.Len"),
 		// The span seam every layer above the index holds it through.
 		funcs("internal/index/index.go", "SeamOf", "Seam.InsertIn", "Seam.GetIn",
-			"Seam.DeleteIn", "Seam.UpdateIn", "Seam.ScanIn"),
+			"Seam.DeleteIn", "Seam.UpdateIn", "Seam.ScanIn", "Seam.Check"),
 	}
 }
 
@@ -89,12 +89,12 @@ func FAMESources() map[string][]SourceSpec {
 				"Create", "Open", "OpenIn", "Tree.writeMeta", "Tree.Len", "Tree.MetaPage",
 				"Tree.readNode", "Tree.writeNode", "maxEntrySize",
 				"Tree.pooledNode", "Tree.release", "Tree.makeRoom",
-				"Tree.Insert", "Tree.InsertIn", "Tree.write", "Tree.insertAt", "Tree.insertLeaf",
+				"Tree.Insert", "Tree.InsertIn", "Tree.Check", "Tree.write", "Tree.insertAt", "Tree.insertLeaf",
 				"Tree.leafEntries", "Tree.innerEntries", "splitPoint",
 				"leafCellSize2", "innerCellSize2"),
 			funcs("internal/index/index.go",
 				"CreateBTree", "OpenBTree", "OpenBTreeIn", "BTree.Name", "BTree.Insert",
-				"BTree.InsertIn", "BTree.Len", "BTree.Tree", "AllBTreeOps"),
+				"BTree.InsertIn", "BTree.Check", "BTree.Len", "BTree.Tree", "AllBTreeOps"),
 		},
 		"BTreeSearch": {
 			funcs("internal/btree/btree.go",
@@ -119,7 +119,7 @@ func FAMESources() map[string][]SourceSpec {
 
 		"ListIndex": {funcs("internal/index/index.go",
 			"CreateList", "OpenList", "encodeEntry", "decodeEntry",
-			"List.find", "List.Name", "List.Insert", "List.Get",
+			"List.find", "List.Name", "List.Insert", "List.Check", "List.Get",
 			"List.Delete", "List.Update", "List.Scan", "List.Len")},
 
 		// Buffer manager and its alternatives. The shard engine in
@@ -171,7 +171,8 @@ func FAMESources() map[string][]SourceSpec {
 		"Update": {funcs("internal/access/access.go", "Store.Update", "Store.UpdateIn")},
 
 		// Transactions: the log with its one frame decoder and walker, the
-		// one commit body and the one redo. The CommitProtocol
+		// one commit body, the one redo and the one auto-commit (Do) under
+		// the record API. The CommitProtocol
 		// alternatives are only the batch limit they hand the commit
 		// body; the optional Locking feature adds the group-commit
 		// pipeline that stages batches for that body, and Recovery the
@@ -179,9 +180,11 @@ func FAMESources() map[string][]SourceSpec {
 		"Transaction": {
 			file("internal/txn/wal.go"),
 			funcs("internal/txn/txn.go",
-				"Open", "Manager.redo", "Manager.Read", "Manager.Begin",
+				"Open", "Manager.seeTxn", "Manager.redo", "Manager.Read",
+				"Manager.Do", "Manager.Put", "Manager.Update", "Manager.Remove",
+				"Manager.Get", "Manager.Scan", "Manager.Len", "Manager.Begin",
 				"Txn.lookupWriteSet", "Txn.record",
-				"Txn.Get", "Txn.Put", "Txn.exists", "Txn.Update", "Txn.Remove",
+				"Txn.Get", "Txn.writable", "Txn.exists", "Txn.Put", "Txn.Update", "Txn.Remove",
 				"Txn.encodeWriteSet", "Manager.applyLocked",
 				"Txn.Commit", "Manager.commitBatch", "Txn.Abort", "Manager.Flush",
 				"Manager.Checkpoint", "Manager.LogSyncs", "Manager.LogSize",
@@ -342,7 +345,7 @@ func BDBCore() []SourceSpec {
 			"shard.flushPage", "shard.flushSharp", "shard.flushFuzzy"),
 		funcs("internal/index/index.go",
 			"CreateList", "OpenList", "encodeEntry", "decodeEntry",
-			"List.find", "List.Insert", "List.Get", "List.Scan", "List.Len"),
+			"List.find", "List.Insert", "List.Check", "List.Get", "List.Scan", "List.Len"),
 		funcs("internal/bdb/engine.go",
 			"Open", "Env.has", "Env.CreateDB", "Env.OpenDB",
 			"Env.lookupDBLocked", "Env.openDBLocked", "Env.Databases",
@@ -363,7 +366,7 @@ func BDBSources() map[string][]SourceSpec {
 			file("internal/btree/btree.go"),
 			funcs("internal/index/index.go",
 				"CreateBTree", "OpenBTree", "OpenBTreeIn", "BTree.Name", "BTree.Insert",
-				"BTree.InsertIn", "BTree.Get", "BTree.GetIn", "BTree.Delete",
+				"BTree.InsertIn", "BTree.Check", "BTree.Get", "BTree.GetIn", "BTree.Delete",
 				"BTree.DeleteIn", "BTree.Update", "BTree.UpdateIn", "BTree.Scan",
 				"BTree.ScanIn", "BTree.Len", "BTree.Tree", "AllBTreeOps"),
 		},
@@ -379,14 +382,15 @@ func BDBSources() map[string][]SourceSpec {
 		},
 		"Logging": {
 			file("internal/txn/wal.go"),
-			funcs("internal/txn/txn.go", "Open", "Manager.redo", "Manager.Begin",
+			funcs("internal/txn/txn.go", "Open", "Manager.seeTxn", "Manager.redo",
+				"Manager.Do", "Manager.Put", "Manager.Remove", "Manager.Begin",
 				"Txn.Put", "Txn.Remove", "Txn.Commit", "Manager.commitBatch",
-				"Txn.Abort", "Txn.lookupWriteSet", "Txn.record", "Txn.exists",
+				"Txn.Abort", "Txn.lookupWriteSet", "Txn.record", "Txn.writable", "Txn.exists",
 				"Txn.encodeWriteSet", "Manager.applyLocked", "Manager.quiesce",
 				"Manager.Flush", "Manager.LogSyncs", "Manager.LogSize",
 				"Manager.Close"),
 			funcs("internal/bdb/engine.go", "routerIndex.Name",
-				"routerIndex.resolve", "routerIndex.Insert", "routerIndex.Get",
+				"routerIndex.resolve", "routerIndex.Insert", "routerIndex.Check", "routerIndex.Get",
 				"routerIndex.Delete", "routerIndex.Update", "routerIndex.Scan",
 				"routerIndex.Len"),
 		},

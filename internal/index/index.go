@@ -58,6 +58,13 @@ type SpanIndex interface {
 	ScanIn(parent *trace.Span, from, to []byte, fn func(key, value []byte) bool) error
 }
 
+// Checker is implemented by an index that can refuse an entry before
+// it is written. The transaction manager asks it before it buffers a
+// write, so the log never holds a record the index cannot apply.
+type Checker interface {
+	Check(key, value []byte) error
+}
+
 // Seam is an Index as a span-holding caller holds it: the Index plus
 // its SpanIndex side, asserted once at construction. Each In method
 // hands parent down when there is one to hand and the index takes it;
@@ -103,6 +110,15 @@ func (s Seam) UpdateIn(parent *trace.Span, key, value []byte) (bool, error) {
 		return s.in.UpdateIn(parent, key, value)
 	}
 	return s.Index.Update(key, value)
+}
+
+// Check asks the index whether it can hold key and value; an index
+// that is no Checker accepts every entry.
+func (s Seam) Check(key, value []byte) error {
+	if c, ok := s.Index.(Checker); ok {
+		return c.Check(key, value)
+	}
+	return nil
 }
 
 // ScanIn is Index.Scan under parent.
@@ -182,6 +198,9 @@ func (b *BTree) Insert(key, value []byte) error { return b.InsertIn(nil, key, va
 func (b *BTree) InsertIn(parent *trace.Span, key, value []byte) error {
 	return b.tree.InsertIn(parent, key, value)
 }
+
+// Check implements Checker.
+func (b *BTree) Check(key, value []byte) error { return b.tree.Check(key, value) }
 
 // Get implements Index.
 func (b *BTree) Get(key []byte) ([]byte, bool, error) { return b.GetIn(nil, key) }
@@ -324,6 +343,12 @@ func (l *List) Insert(key, value []byte) error {
 	}
 	l.count++
 	return nil
+}
+
+// Check implements Checker: the entry's heap record must fit a page.
+func (l *List) Check(key, value []byte) error {
+	var n [binary.MaxVarintLen64]byte
+	return l.heap.Check(binary.PutUvarint(n[:], uint64(len(key))) + len(key) + len(value))
 }
 
 // Get implements Index.

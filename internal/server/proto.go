@@ -77,7 +77,9 @@ func writeFrame(w io.Writer, typ byte, payload []byte) error {
 }
 
 // readFrame reads one frame, returning its type and payload. The
-// payload is freshly allocated and owned by the caller.
+// payload is freshly allocated and owned by the caller. A payload above
+// 64 KiB grows as its bytes arrive, at most doubling, so a bare header
+// cannot make the reader commit MaxFrame bytes of memory.
 func readFrame(r io.Reader) (byte, []byte, error) {
 	var hdr [5]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -87,9 +89,13 @@ func readFrame(r io.Reader) (byte, []byte, error) {
 	if n == 0 || n > MaxFrame {
 		return 0, nil, fmt.Errorf("%w: frame length %d", ErrProto, n)
 	}
-	payload := make([]byte, n-1)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, err
+	size := int(n - 1)
+	payload := make([]byte, 0, min(size, 64<<10))
+	for have := 0; have < size; have = len(payload) {
+		payload = append(payload, make([]byte, min(size-have, max(have, 64<<10)))...)
+		if _, err := io.ReadFull(r, payload[have:]); err != nil {
+			return 0, nil, err
+		}
 	}
 	return hdr[4], payload, nil
 }
@@ -142,13 +148,15 @@ func encodeBatch(ops []Op) []byte {
 	return b
 }
 
-// decodeBatch parses a cmdBatch payload.
+// decodeBatch parses a cmdBatch payload. Every op takes at least two
+// bytes (kind and key length), so a count the payload cannot hold is
+// refused before anything is allocated for it.
 func decodeBatch(b []byte) ([]Op, error) {
 	count, b, err := takeUvarint(b)
 	if err != nil {
 		return nil, err
 	}
-	if count > 1<<20 {
+	if count > 1<<20 || count > uint64(len(b)/2) {
 		return nil, fmt.Errorf("%w: batch of %d ops", ErrProto, count)
 	}
 	ops := make([]Op, 0, count)

@@ -81,9 +81,10 @@ type Replica struct {
 	done chan struct{}
 }
 
-// StartReplica validates cfg and starts the replication loop. If the
-// local log carries a resync marker (a snapshot install was interrupted
-// by a crash), the first handshake forces a fresh snapshot.
+// StartReplica validates cfg and starts the replication loop. Until
+// Stop returns, the local manager refuses commits (txn.ErrReadOnly). If
+// the local log carries a resync marker (a snapshot install was
+// interrupted by a crash), the first handshake forces a fresh snapshot.
 func StartReplica(cfg ReplicaConfig) (*Replica, error) {
 	if cfg.Applier == nil {
 		return nil, errors.New("server: ReplicaConfig.Applier is required")
@@ -102,6 +103,7 @@ func StartReplica(cfg ReplicaConfig) (*Replica, error) {
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}
+	cfg.Applier.Attach()
 	go r.loop()
 	return r, nil
 }
@@ -160,6 +162,7 @@ func (r *Replica) stopping() bool {
 // snapshot) resets the backoff.
 func (r *Replica) loop() {
 	defer close(r.done)
+	defer r.cfg.Applier.Detach()
 	forceSnap := r.cfg.Applier.NeedsResync()
 	attempt := 0
 	for !r.stopping() {

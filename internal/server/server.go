@@ -22,10 +22,9 @@ const (
 
 // Config wires a Server to a composed product.
 type Config struct {
-	// Mgr executes every client command as a transaction, so writes go
-	// through the WAL (and group commit, when composed). The Store fast
-	// path is deliberately not exposed over the wire: it bypasses both
-	// the log and the lock table.
+	// Mgr executes every client command through its record API: a write
+	// is an auto-commit transaction through the WAL (and group commit,
+	// when composed), a get a read under the manager's read lock.
 	Mgr *txn.Manager
 	// Shipper fans shipped WAL frames out to replication sessions. Nil
 	// disables replication sessions (Server without Replication).
@@ -252,102 +251,80 @@ func commits(typ byte) bool {
 	return false
 }
 
-// execute runs one client command as a transaction and returns the
-// response frame. Protocol-level garbage gets a respErr; the connection
-// survives unless the transport itself failed.
+// execute runs one client command through the manager's record API —
+// a get is a locked read, a write an auto-commit transaction — and
+// returns the response frame. Protocol-level garbage gets a respErr; the
+// connection survives unless the transport itself failed.
 func (s *Server) execute(typ byte, payload []byte) (byte, []byte) {
+	mgr := s.cfg.Mgr
+	var err error
 	switch typ {
 	case cmdPing:
-		return respOK, nil
-
 	case cmdGet:
-		key, rest, err := takeBytes(payload)
-		if err != nil || len(rest) != 0 {
+		key, rest, derr := takeBytes(payload)
+		if derr != nil || len(rest) != 0 {
 			return respErr, []byte("malformed get")
 		}
-		tx := s.cfg.Mgr.Begin()
-		val, err := tx.Get(key)
-		tx.Abort()
-		if errors.Is(err, txn.ErrNotFound) {
-			return respNotFound, nil
+		val, err := mgr.Get(key)
+		if err == nil {
+			return respValue, val
 		}
-		if err != nil {
-			return respErr, []byte(err.Error())
-		}
-		return respValue, val
-
+		return respond(err)
 	case cmdPut, cmdUpdate:
-		key, val, err := decodeKV(payload)
-		if err != nil {
+		key, val, derr := decodeKV(payload)
+		if derr != nil {
 			return respErr, []byte("malformed put")
 		}
-		tx := s.cfg.Mgr.Begin()
 		if typ == cmdPut {
-			err = tx.Put(key, val)
+			err = mgr.Put(key, val)
 		} else {
-			err = tx.Update(key, val)
+			err = mgr.Update(key, val)
 		}
-		if err == nil {
-			err = tx.Commit()
-		} else {
-			tx.Abort()
-		}
-		if errors.Is(err, txn.ErrNotFound) {
-			return respNotFound, nil
-		}
-		if err != nil {
-			return respErr, []byte(err.Error())
-		}
-		return respOK, nil
-
 	case cmdRemove:
-		key, rest, err := takeBytes(payload)
-		if err != nil || len(rest) != 0 {
+		key, rest, derr := takeBytes(payload)
+		if derr != nil || len(rest) != 0 {
 			return respErr, []byte("malformed remove")
 		}
-		tx := s.cfg.Mgr.Begin()
-		err = tx.Remove(key)
-		if err == nil {
-			err = tx.Commit()
-		} else {
-			tx.Abort()
-		}
-		if errors.Is(err, txn.ErrNotFound) {
-			return respNotFound, nil
-		}
-		if err != nil {
-			return respErr, []byte(err.Error())
-		}
-		return respOK, nil
-
+		err = mgr.Remove(key)
 	case cmdBatch:
-		ops, err := decodeBatch(payload)
-		if err != nil {
+		ops, derr := decodeBatch(payload)
+		if derr != nil {
 			return respErr, []byte("malformed batch")
 		}
-		tx := s.cfg.Mgr.Begin()
-		for _, op := range ops {
-			if op.Remove {
-				err = tx.Remove(op.Key)
-			} else {
-				err = tx.Put(op.Key, op.Value)
+		err = mgr.Do(func(tx *txn.Txn) error {
+			for _, op := range ops {
+				var err error
+				if op.Remove {
+					err = tx.Remove(op.Key)
+				} else {
+					err = tx.Put(op.Key, op.Value)
+				}
+				if err != nil {
+					return err
+				}
 			}
-			if err != nil {
-				break
-			}
-		}
-		if err == nil {
-			err = tx.Commit()
-		} else {
-			tx.Abort()
-		}
+			return nil
+		})
 		if err != nil {
+			// A batch answers only respOK or respErr: a missing key
+			// fails the whole transaction.
 			return respErr, []byte(err.Error())
 		}
-		return respOK, nil
-
 	default:
 		return respErr, []byte(fmt.Sprintf("unknown command %d", typ))
+	}
+	return respond(err)
+}
+
+// respond maps a command's outcome to its response frame.
+func respond(err error) (byte, []byte) {
+	switch {
+	case err == nil:
+		return respOK, nil
+	case errors.Is(err, txn.ErrNotFound):
+		return respNotFound, nil
+	default:
+		return respErr, []byte(err.Error())
 	}
 }
 
@@ -491,34 +468,28 @@ func (s *Server) serveRepl(conn net.Conn, br *bufio.Reader, payload []byte) {
 	// many sessions the shipper has served. The ticker catches a feed
 	// broken while idle (rewind or overflow delivers no further frames,
 	// so a blocked receive would never notice on its own).
+	// Every exit severs the connection and waits for the ack reader.
 	brokenPoll := time.NewTicker(250 * time.Millisecond)
 	defer brokenPoll.Stop()
+	defer func() {
+		conn.Close()
+		<-ackDone
+	}()
 	for {
 		select {
 		case <-brokenPoll.C:
 			if feed.Broken() {
-				conn.Close()
-				<-ackDone
 				return
 			}
 		case f, ok := <-feed.C():
 			if !ok {
 				// Shipper closed, or the WAL rewound and broke the feed:
 				// end the session; the reconnect handshake sorts it out.
-				conn.Close()
-				<-ackDone
 				return
 			}
 			seq++
 			msg := encodeFrameMsg(frameMsg{Seq: seq, Base: f.Base, Bytes: f.Bytes})
-			if err := s.writeRepl(conn, replFrames, msg); err != nil {
-				conn.Close()
-				<-ackDone
-				return
-			}
-			if feed.Broken() {
-				conn.Close()
-				<-ackDone
+			if err := s.writeRepl(conn, replFrames, msg); err != nil || feed.Broken() {
 				return
 			}
 		case <-ackDone:

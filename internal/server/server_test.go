@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -152,6 +153,25 @@ func TestProtoRoundTrip(t *testing.T) {
 		if _, err := decodeHello(bad); err == nil {
 			t.Fatalf("decodeHello(%v) accepted garbage", bad)
 		}
+	}
+}
+
+// TestWireClaimsDoNotAllocate: a length or count a peer claims is not
+// an allocation it gets. A frame header claiming MaxFrame bytes that
+// never arrive, and a batch claiming 1<<20 ops in an 8-byte payload,
+// fail without allocating what they claim.
+func TestWireClaimsDoNotAllocate(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, _, err := readFrame(bytes.NewReader([]byte{0x04, 0, 0, 0, cmdPut})); err == nil {
+		t.Fatal("readFrame accepted a frame whose bytes never arrived")
+	}
+	if _, err := decodeBatch([]byte{0x80, 0x80, 0x40, 0, 0, 0, 0, 0}); err == nil {
+		t.Fatal("decodeBatch accepted 1<<20 ops in 8 bytes")
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("two truncated inputs allocated %d bytes", grew)
 	}
 }
 

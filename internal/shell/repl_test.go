@@ -38,18 +38,7 @@ func TestShellRepl(t *testing.T) {
 		t.Fatalf(".repl from output = %q", rout.String())
 	}
 
-	// Replication ships the WAL, so only transactional writes travel:
-	// commit through the facade rather than the console's direct put.
-	tx, err := primary.db.Begin()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Put([]byte("city"), []byte("dresden")); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
+	primary.Execute("put city dresden")
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		rout.Reset()

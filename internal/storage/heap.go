@@ -90,12 +90,15 @@ func (h *HeapFile) appendPage(prev PageID) (PageID, error) {
 	return id, nil
 }
 
+// Check refuses a record of size bytes that no page of the heap can
+// hold; Insert makes the same test before it writes.
+func (h *HeapFile) Check(size int) error { return CheckRecord(size, h.pager.PageSize()) }
+
 // Insert stores rec and returns its RID. Records larger than roughly a
 // page are rejected.
 func (h *HeapFile) Insert(rec []byte) (RID, error) {
-	maxRec := h.pager.PageSize() - slottedHeaderSize - slotSize
-	if len(rec) > maxRec {
-		return RID{}, fmt.Errorf("storage: record of %d bytes exceeds max %d", len(rec), maxRec)
+	if err := h.Check(len(rec)); err != nil {
+		return RID{}, err
 	}
 	// Try the tail page, then extend the chain.
 	if err := h.pager.ReadPage(h.tail, h.buf); err != nil {

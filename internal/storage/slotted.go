@@ -29,6 +29,16 @@ const (
 	slotSize          = 4
 )
 
+// CheckRecord refuses a record of size bytes that no slotted page of
+// pageSize bytes can hold: one larger than the page less its header and
+// one slot.
+func CheckRecord(size, pageSize int) error {
+	if max := pageSize - slottedHeaderSize - slotSize; size > max {
+		return fmt.Errorf("storage: record of %d bytes exceeds max %d", size, max)
+	}
+	return nil
+}
+
 // ErrPageFull is returned when a record does not fit in the page.
 var ErrPageFull = errors.New("storage: page full")
 

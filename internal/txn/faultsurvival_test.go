@@ -106,6 +106,63 @@ func TestRecoveryTornTailOnRecordBoundary(t *testing.T) {
 	}
 }
 
+// TestTornBatchNeverAdopted: a torn batch leaves its put frame in the
+// log with no commit. Transaction IDs must continue past it after a
+// reopen; a later transaction that reused the orphan's ID would commit
+// the torn write along with its own at the next recovery.
+func TestTornBatchNeverAdopted(t *testing.T) {
+	fs := osal.NewMemFS()
+	m1, err := Open(fs, "wal.log", buildStore(t), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"a", "torn"} {
+		if err := m1.Put([]byte(k), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Cut the second batch after its put frame.
+	commitFrame := encodeFrame(nil, logRecord{typ: recCommit, txnID: 2})
+	f, err := fs.Open("wal.log")
+	if err != nil {
+		t.Fatal(err)
+	}
+	size, err := f.Size()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Truncate(size - int64(len(commitFrame))); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	m2, err := Open(fs, "wal.log", buildStore(t), Options{Recovery: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"b", "c"} {
+		if err := m2.Put([]byte(k), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s3 := buildStore(t)
+	m3, err := Open(fs, "wal.log", s3, Options{Recovery: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m3.Close()
+	if m3.Recovered != 3 {
+		t.Fatalf("Recovered = %d, want 3 (a, b, c)", m3.Recovered)
+	}
+	if _, err := s3.Get([]byte("torn")); !errors.Is(err, access.ErrNotFound) {
+		t.Fatalf("torn batch adopted by a later transaction: %v", err)
+	}
+}
+
 // TestRecoveryTornTailMidFrame: the complementary cut — the tail ends
 // inside a frame. The scan must stop at the last whole frame and a
 // scrub must report the torn bytes.

@@ -171,6 +171,22 @@ func (m *Manager) ShipApplier() *ShipApplier {
 	return a
 }
 
+// Attach makes the manager a replica's: until Detach, every commit fails
+// with ErrReadOnly before any log I/O, so a local commit can never land
+// on the log offsets shipped chunks are written at. The pipeline is
+// quiesced first, so no commit that passed the check is still in flight.
+func (a *ShipApplier) Attach() { a.m.attachReplicas(1) }
+
+// Detach reverses one Attach.
+func (a *ShipApplier) Detach() { a.m.attachReplicas(-1) }
+
+func (m *Manager) attachReplicas(n int) {
+	defer m.quiesce()()
+	m.mu.Lock()
+	m.replicas += n
+	m.mu.Unlock()
+}
+
 // End returns the replica log's current end offset: everything below it
 // is durable, not necessarily applied yet.
 func (a *ShipApplier) End() int64 { return a.m.wal.offset() }
@@ -246,24 +262,26 @@ func (a *ShipApplier) Apply(base int64, buf []byte) error {
 	if err != nil {
 		return err
 	}
-	if _, err := w.f.WriteAt(buf, base); err != nil {
+	if err := w.adopt(buf, base); err != nil {
+		return err
+	}
+	return a.redo(recs)
+}
+
+// adopt writes shipped bytes at off and syncs them; only then does the
+// log's end move past them, so a replica log grows by durable bytes
+// only.
+func (w *WAL) adopt(buf []byte, off int64) error {
+	if _, err := w.f.WriteAt(buf, off); err != nil {
 		return err
 	}
 	if err := w.f.Sync(); err != nil {
 		return err
 	}
-	end = base + int64(len(buf))
 	w.mu.Lock()
-	w.end = end
-	w.syncedTo = end
+	w.end = off + int64(len(buf))
+	w.syncedTo = w.end
 	w.mu.Unlock()
-	if err := a.redo(recs); err != nil {
-		return err
-	}
-	if err := m.installVersion(); err != nil {
-		return err
-	}
-	a.applied.Store(end)
 	return nil
 }
 
@@ -282,14 +300,20 @@ func decodeChunk(buf []byte) ([]logRecord, error) {
 	return recs, nil
 }
 
-// redo feeds a chunk's records through the manager's redo. Must run
-// under m.mu.
+// redo feeds records that just became durable through the manager's
+// redo, installs their version and publishes the log's end as applied.
+// A redo the store refuses leaves Applied where it was. Must run under
+// m.mu.
 func (a *ShipApplier) redo(recs []logRecord) error {
 	for _, r := range recs {
 		if err := a.m.redo(r); err != nil {
 			return err
 		}
 	}
+	if err := a.m.installVersion(); err != nil {
+		return err
+	}
+	a.applied.Store(a.m.wal.offset())
 	return nil
 }
 
@@ -330,18 +354,9 @@ func (a *ShipApplier) InstallSnapshot(snap *ShipSnap) error {
 	}
 	// 2. Cut the old log so stale records can never replay over the
 	// incoming dump.
-	w := m.wal
-	if err := w.f.Truncate(int64(len(walMagic))); err != nil {
+	if err := m.wal.reset(); err != nil {
 		return err
 	}
-	if err := w.f.Sync(); err != nil {
-		return err
-	}
-	w.mu.Lock()
-	w.end = int64(len(walMagic))
-	w.syncedTo = w.end
-	w.commitsSince = 0
-	w.mu.Unlock()
 	// 3. Rebuild the store from the dump and make it durable — the new
 	// checkpoint the log image replays over.
 	idx := m.store.Index()
@@ -368,26 +383,15 @@ func (a *ShipApplier) InstallSnapshot(snap *ShipSnap) error {
 		}
 	}
 	// 4. Adopt the primary's log image byte for byte.
-	if _, err := w.f.WriteAt(snap.WALImage, 0); err != nil {
+	if err := m.wal.adopt(snap.WALImage, 0); err != nil {
 		return err
 	}
-	if err := w.f.Sync(); err != nil {
-		return err
-	}
-	w.mu.Lock()
-	w.end = int64(len(snap.WALImage))
-	w.syncedTo = w.end
-	w.mu.Unlock()
 	// 5. Redo the image's committed records: the dump may lag the image
 	// by an applied-but-not-dumped tail, and redo is idempotent.
 	m.tail = map[uint64][]logRecord{}
 	if err := a.redo(recs); err != nil {
 		return err
 	}
-	if err := m.installVersion(); err != nil {
-		return err
-	}
-	a.applied.Store(int64(len(snap.WALImage)))
 	// 6. Done: drop the marker.
 	return m.fs.Remove(a.resyncMarker())
 }

@@ -5,7 +5,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"famedb/internal/access"
 	"famedb/internal/index"
@@ -323,4 +327,66 @@ func TestReplicaApplyFailsWhenStoreRefuses(t *testing.T) {
 	if got := a.Applied(); got != before {
 		t.Fatalf("Applied moved %d -> %d over a refused chunk", before, got)
 	}
+}
+
+// TestAttachedManagerRefusesCommits: while a replica client is
+// attached, concurrent committers get ErrReadOnly and the log does not
+// move; after Detach they commit again.
+func TestAttachedManagerRefusesCommits(t *testing.T) {
+	e := newEnv(t)
+	m := e.openMgr(t, Options{Locking: true, BatchLimit: GroupCommit(4)})
+	defer m.Close()
+	a := m.ShipApplier()
+	var committed, refused atomic.Int64
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				err := m.Put(fmt.Appendf(nil, "k%d-%d", g, i%64), []byte("v"))
+				switch {
+				case err == nil:
+					committed.Add(1)
+				case errors.Is(err, ErrReadOnly):
+					refused.Add(1)
+				default:
+					t.Errorf("commit: %v", err)
+					return
+				}
+			}
+		}(g)
+	}
+	// grows waits until n grows by 8, and reports whether it did in time.
+	grows := func(n *atomic.Int64) bool {
+		deadline := time.Now().Add(10 * time.Second)
+		for seen := n.Load(); n.Load() < seen+8; runtime.Gosched() {
+			if t.Failed() || time.Now().After(deadline) {
+				return false
+			}
+		}
+		return true
+	}
+	for round := 0; round < 20 && !t.Failed(); round++ {
+		a.Attach()
+		end := m.WALEnd()
+		if !grows(&refused) {
+			t.Errorf("round %d: no commit refused while attached", round)
+		}
+		if got := m.WALEnd(); got != end {
+			t.Errorf("round %d: log moved %d -> %d while attached", round, end, got)
+		}
+		a.Detach()
+		if !grows(&committed) {
+			t.Errorf("round %d: no commit after Detach", round)
+		}
+	}
+	close(stop)
+	wg.Wait()
 }

@@ -38,8 +38,9 @@ type VersionSource interface {
 	Install() error
 }
 
-// ErrReadOnly is returned by mutations on a snapshot transaction.
-var ErrReadOnly = fmt.Errorf("txn: snapshot transaction is read-only")
+// ErrReadOnly is returned by mutations on a snapshot transaction and by
+// every commit on a manager a replica client is attached to.
+var ErrReadOnly = fmt.Errorf("txn: read-only: snapshot transaction or replica")
 
 // notFound wraps a missing key uniformly: every read path of the
 // transactional API — write-set delete, pinned snapshot, and locked

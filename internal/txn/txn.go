@@ -1,6 +1,7 @@
 package txn
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -102,6 +103,10 @@ type Manager struct {
 	mu      rwLocker
 	nextTxn atomic.Uint64
 	closed  bool
+	// replicas counts the replica clients attached through
+	// ShipApplier.Attach; while it is above zero every commit is
+	// refused, because shipped chunks own the log's end.
+	replicas int
 	// tail holds, per transaction, the logged records whose commit
 	// record the log does not hold yet. Recovery leaves the log's
 	// uncommitted tail here, and a replica's chunks extend it: a replica
@@ -143,11 +148,13 @@ func Open(fs osal.FS, logName string, store *access.Store, opts Options) (*Manag
 		opts.BatchLimit = 1
 	}
 	m := &Manager{store: store, opts: opts, fs: fs, logName: logName, tail: map[uint64][]logRecord{}}
-	var replay func(logRecord) error
-	if opts.Recovery {
-		replay = m.recover
-	}
-	w, err := openWAL(fs, logName, replay)
+	w, err := openWAL(fs, logName, func(r logRecord) error {
+		if opts.Recovery {
+			return m.recover(r)
+		}
+		m.seeTxn(r.txnID)
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -192,6 +199,7 @@ func (m *Manager) recover(r logRecord) error {
 // returns the first index error. The caller holds m.mu, or owns the
 // manager (Open).
 func (m *Manager) redo(r logRecord) error {
+	m.seeTxn(r.txnID)
 	switch r.typ {
 	case recPut, recRemove:
 		m.tail[r.txnID] = append(m.tail[r.txnID], r)
@@ -213,6 +221,13 @@ func (m *Manager) redo(r logRecord) error {
 	return nil
 }
 
+// seeTxn moves the next transaction ID past id, an ID the log holds, so
+// a new transaction can never adopt a torn batch's orphaned records.
+func (m *Manager) seeTxn(id uint64) {
+	for cur := m.nextTxn.Load(); id > cur && !m.nextTxn.CompareAndSwap(cur, id); cur = m.nextTxn.Load() {
+	}
+}
+
 // Read runs fn under the manager's read lock — the lock transactional
 // reads take and the commit leader, the replica applier and maintenance
 // hold as writers — so a plain read of the store never observes a
@@ -221,6 +236,64 @@ func (m *Manager) Read(fn func() error) error {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	return fn()
+}
+
+// Do is the one auto-commit: it begins a transaction, runs fn in it and
+// commits, or aborts when fn fails.
+func (m *Manager) Do(fn func(*Txn) error) error {
+	t := m.Begin()
+	if err := fn(t); err != nil {
+		t.Abort()
+		return err
+	}
+	return t.Commit()
+}
+
+// The record API of a transactional product: each write is an
+// auto-commit transaction, each read runs the store's operation under
+// Read, so it counts no transaction and never sees a half-applied
+// batch. Scan holds the read lock for the whole scan: fn must not
+// commit.
+
+// Put stores value under key in its own transaction. Its latency, the
+// commit included, is recorded as the product's put latency.
+func (m *Manager) Put(key, value []byte) error {
+	a := m.store.Metrics()
+	defer a.DonePut(a.Start())
+	return m.Do(func(t *Txn) error { return t.Put(key, value) })
+}
+
+// Update replaces the value of an existing key in its own transaction.
+func (m *Manager) Update(key, value []byte) error {
+	return m.Do(func(t *Txn) error { return t.Update(key, value) })
+}
+
+// Remove deletes an existing key in its own transaction.
+func (m *Manager) Remove(key []byte) error {
+	return m.Do(func(t *Txn) error { return t.Remove(key) })
+}
+
+// Get returns the committed value under key.
+func (m *Manager) Get(key []byte) (v []byte, err error) {
+	err = m.Read(func() error {
+		v, err = m.store.Get(key)
+		return err
+	})
+	return v, err
+}
+
+// Scan visits committed entries with from <= key < to.
+func (m *Manager) Scan(from, to []byte, fn func(key, value []byte) bool) error {
+	return m.Read(func() error { return m.store.Scan(from, to, fn) })
+}
+
+// Len returns the number of committed records.
+func (m *Manager) Len() (n uint64, err error) {
+	err = m.Read(func() error {
+		n, err = m.store.Len()
+		return err
+	})
+	return n, err
 }
 
 // writeOp is one entry of a transaction's private write set.
@@ -300,76 +373,70 @@ func (t *Txn) Get(key []byte) ([]byte, error) {
 	return append([]byte(nil), v...), nil
 }
 
-// Put buffers a write of value under key.
-func (t *Txn) Put(key, value []byte) error {
-	if t.done {
+// writable gates a buffered write: the transaction must be open and not
+// a snapshot, and the product must compose op.
+func (t *Txn) writable(op string, composed bool) error {
+	switch {
+	case t.done:
 		return ErrTxnDone
-	}
-	if t.readOnly {
+	case t.readOnly:
 		return ErrReadOnly
+	case !composed:
+		return fmt.Errorf("%s: %w", op, access.ErrNotComposed)
 	}
-	if !t.m.store.Ops().Put {
-		return fmt.Errorf("Put: %w", access.ErrNotComposed)
-	}
-	t.record(writeOp{
-		key:   append([]byte(nil), key...),
-		value: append([]byte(nil), value...),
-	})
 	return nil
 }
 
-// exists reports whether key is visible to the transaction. It shares
-// the single visibility check with Get, so Update/Remove cost one lock
-// acquisition at most (and none with MVCC composed).
-func (t *Txn) exists(key []byte) (bool, error) {
+// exists fails with ErrNotFound unless key is visible to the
+// transaction. It shares the single visibility check with Get, so
+// Update/Remove cost one lock acquisition at most (and none with MVCC
+// composed).
+func (t *Txn) exists(key []byte) error {
 	_, ok, err := t.visible(key)
-	return ok, err
+	if err == nil && !ok {
+		err = fmt.Errorf("txn: %q: %w", key, ErrNotFound)
+	}
+	return err
 }
 
-// Update buffers a replacement of an existing key's value.
-func (t *Txn) Update(key, value []byte) error {
-	if t.done {
-		return ErrTxnDone
-	}
-	if t.readOnly {
-		return ErrReadOnly
-	}
-	if !t.m.store.Ops().Update {
-		return fmt.Errorf("Update: %w", access.ErrNotComposed)
-	}
-	ok, err := t.exists(key)
-	if err != nil {
+// Put buffers a write of value under key. An entry the index can never
+// hold is refused here, before it can reach the log.
+func (t *Txn) Put(key, value []byte) error {
+	if err := t.writable("Put", t.m.store.Ops().Put); err != nil {
 		return err
 	}
-	if !ok {
-		return fmt.Errorf("txn: %q: %w", key, ErrNotFound)
+	if err := t.m.store.IndexSeam().Check(key, value); err != nil {
+		return err
 	}
-	t.record(writeOp{
-		key:   append([]byte(nil), key...),
-		value: append([]byte(nil), value...),
-	})
+	t.record(writeOp{key: bytes.Clone(key), value: bytes.Clone(value)})
+	return nil
+}
+
+// Update buffers a replacement of an existing key's value, refusing a
+// value the index can never hold.
+func (t *Txn) Update(key, value []byte) error {
+	if err := t.writable("Update", t.m.store.Ops().Update); err != nil {
+		return err
+	}
+	if err := t.exists(key); err != nil {
+		return err
+	}
+	if err := t.m.store.IndexSeam().Check(key, value); err != nil {
+		return err
+	}
+	t.record(writeOp{key: bytes.Clone(key), value: bytes.Clone(value)})
 	return nil
 }
 
 // Remove buffers a deletion of an existing key.
 func (t *Txn) Remove(key []byte) error {
-	if t.done {
-		return ErrTxnDone
-	}
-	if t.readOnly {
-		return ErrReadOnly
-	}
-	if !t.m.store.Ops().Remove {
-		return fmt.Errorf("Remove: %w", access.ErrNotComposed)
-	}
-	ok, err := t.exists(key)
-	if err != nil {
+	if err := t.writable("Remove", t.m.store.Ops().Remove); err != nil {
 		return err
 	}
-	if !ok {
-		return fmt.Errorf("txn: %q: %w", key, ErrNotFound)
+	if err := t.exists(key); err != nil {
+		return err
 	}
-	t.record(writeOp{remove: true, key: append([]byte(nil), key...)})
+	t.record(writeOp{remove: true, key: bytes.Clone(key)})
 	return nil
 }
 
@@ -457,19 +524,24 @@ func (t *Txn) Commit() error {
 	return err
 }
 
-// commitBatch is the one commit body. It appends a batch's encoded
-// frames (txns in log order) in one write, syncs when the batch holds
-// several commits or the unsynced commits reach the batch limit, cuts a
-// failed tail off the log so recovery can never replay a commit whose
-// committer saw an error, and only then applies the batch to the store
-// under m.mu and publishes one version for it. errs, parallel to txns,
-// receives each committer's outcome. The caller must not hold m.mu.
+// commitBatch is the one commit body. It refuses the batch on a closed
+// manager or an attached replica, appends its encoded frames (txns in
+// log order) in one write, syncs when the batch holds several commits or
+// the unsynced commits reach the batch limit, cuts a failed tail off the
+// log so recovery can never replay a commit whose committer saw an
+// error, and only then applies the batch to the store under m.mu and
+// publishes one version for it. errs, parallel to txns, receives each
+// committer's outcome. The caller must not hold m.mu.
 func (m *Manager) commitBatch(sp *trace.Span, buf []byte, records int, txns []*Txn, errs []error) {
+	var err error
 	m.mu.RLock()
-	closed := m.closed
+	if m.closed {
+		err = ErrClosed
+	} else if m.replicas > 0 {
+		err = ErrReadOnly
+	}
 	m.mu.RUnlock()
-	err := ErrClosed
-	if !closed {
+	if err == nil {
 		base := m.wal.offset()
 		err = m.wal.appendEncoded(sp, buf, records, len(txns))
 		if err == nil && (len(txns) > 1 || m.wal.unsyncedCommits() >= m.opts.BatchLimit) {

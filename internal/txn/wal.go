@@ -128,8 +128,8 @@ func encodeFrame(dst []byte, r logRecord) []byte {
 }
 
 // openWAL opens or creates the log file and positions at the end of its
-// valid prefix, so the next append overwrites any torn tail. fn, when
-// set, sees every record of that prefix in log order (recovery's redo).
+// valid prefix, so the next append overwrites any torn tail. fn sees
+// every record of that prefix in log order.
 func openWAL(fs osal.FS, name string, fn func(logRecord) error) (*WAL, error) {
 	f, err := fs.Create(name)
 	if err != nil {
@@ -221,9 +221,8 @@ func (w *WAL) readRecordAt(off int64) (logRecord, int64, error) {
 
 // walk is the one frame walker: it visits the log's frames in order from
 // the start up to limit and returns where the valid prefix ends — at
-// limit, or at the first torn or corrupt frame. fn, when set, sees each
-// record; its error, or a device error other than a short read, stops
-// the walk.
+// limit, or at the first torn or corrupt frame. fn sees each record;
+// its error, or a device error other than a short read, stops the walk.
 func (w *WAL) walk(limit int64, fn func(logRecord) error) (int64, error) {
 	off := int64(len(walMagic))
 	for off < limit {
@@ -231,7 +230,7 @@ func (w *WAL) walk(limit int64, fn func(logRecord) error) (int64, error) {
 		if errors.Is(err, ErrLogCorrupt) || err == io.EOF {
 			break
 		}
-		if err == nil && fn != nil {
+		if err == nil {
 			err = fn(r)
 		}
 		if err != nil {

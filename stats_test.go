@@ -84,8 +84,11 @@ func TestStatsComposedExposesCounters(t *testing.T) {
 	if snap.BTree.Height < 1 {
 		t.Errorf("btree height = %d, want >= 1", snap.BTree.Height)
 	}
-	if snap.Txn.Begins != 1 || snap.Txn.Commits != 1 {
-		t.Errorf("txn begins/commits = %d/%d, want 1/1", snap.Txn.Begins, snap.Txn.Commits)
+	// On this Transaction product each of the 64 facade puts is an
+	// auto-commit transaction, next to the one explicit transaction.
+	if snap.Txn.Begins != 65 || snap.Txn.Commits != 65 || snap.Txn.CommitLatency.Count != 65 {
+		t.Errorf("txn begins/commits/commit latency count = %d/%d/%d, want 65/65/65",
+			snap.Txn.Begins, snap.Txn.Commits, snap.Txn.CommitLatency.Count)
 	}
 	if snap.Txn.WalAppends == 0 || snap.Txn.WalSyncs == 0 {
 		t.Errorf("wal appends/syncs = %d/%d, want > 0", snap.Txn.WalAppends, snap.Txn.WalSyncs)
