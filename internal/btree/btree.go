@@ -366,7 +366,11 @@ func (t *Tree) write(parent *trace.Span, op string, key, value []byte, onlyExist
 		// key: the meta page already holds this root and count.
 		return found, nil
 	}
-	t.root = newRoot
+	if newRoot != t.root {
+		// Store the root only when it moved: an insert that keeps it
+		// writes no field that a concurrent unlatched reader loads.
+		t.root = newRoot
+	}
 	if split != nil {
 		// Grow a new root.
 		newRootID, err := t.pager.Alloc()
@@ -448,7 +452,13 @@ func (t *Tree) insertAt(sp *trace.Span, id storage.PageID, key, value []byte, on
 	t.metrics.InnerSplit()
 	es := t.innerEntries(n)
 	es = append(es[:idx:idx], append([]entry{{key: split.sep, child: split.right}}, es[idx:]...)...)
-	mid := splitPoint(es, innerCellSize2)
+	// es[mid] moves up and the right node keeps es[mid+1:], so an append
+	// split stops one entry earlier to leave the right node a key.
+	atEnd, last := idx == len(es)-1, len(es)-1
+	if atEnd {
+		last--
+	}
+	mid := splitPoint(es, innerCellSize2, atEnd, last)
 	promoted := es[mid]
 	rightID, err := t.pager.Alloc()
 	if err != nil {
@@ -512,7 +522,7 @@ func (t *Tree) insertLeaf(sp *trace.Span, n node, key, value []byte, onlyExistin
 	t.metrics.LeafSplit()
 	es := t.leafEntries(n)
 	es = append(es[:idx:idx], append([]entry{{key: key, val: value}}, es[idx:]...)...)
-	mid := splitPoint(es, leafCellSize2)
+	mid := splitPoint(es, leafCellSize2, idx == len(es)-1, len(es)-1)
 	rightID, err := t.pager.Alloc()
 	if err != nil {
 		return n.id, nil, false, err
@@ -544,21 +554,38 @@ func (t *Tree) insertLeaf(sp *trace.Span, n node, key, value []byte, onlyExistin
 func leafCellSize2(e entry) int  { return leafCellSize(e.key, e.val) }
 func innerCellSize2(e entry) int { return innerCellSize(e.key) }
 
-// splitPoint returns the index m (1 <= m < len(es)) so that the byte
-// sizes of es[:m] and es[m:] are as balanced as possible.
-func splitPoint(es []entry, size func(entry) int) int {
+// appendFillTenths is the share of a splitting node's bytes, in tenths,
+// that the left node keeps when the insert lands after the node's last
+// cell. A key-ordered insert stream only ever adds at the end of a node,
+// so the left node is never written again: a balanced split would leave
+// it half full for good, this one leaves it nine tenths full. The rule
+// holds at the end of any node, not only the rightmost leaf, so that
+// interleaved ascending streams (one per client or sensor) pack too.
+const appendFillTenths = 9
+
+// splitPoint returns the index m (1 <= m <= last, last < len(es)) at
+// which es splits into es[:m] and es[m:]. A balanced split takes the
+// smallest m whose prefix holds half the bytes; an append split (atEnd:
+// the new cell is es[len(es)-1]) takes appendFillTenths of them. The
+// prefix of an append split always fits the page: it never reaches the
+// new cell, so it is part of what the node held before.
+func splitPoint(es []entry, size func(entry) int, atEnd bool, last int) int {
+	tenths := 5
+	if atEnd {
+		tenths = appendFillTenths
+	}
 	total := 0
 	for _, e := range es {
 		total += size(e)
 	}
 	acc := 0
-	for i, e := range es {
+	for i, e := range es[:last] {
 		acc += size(e)
-		if acc >= total/2 && i+1 < len(es) {
+		if acc >= total*tenths/10 {
 			return i + 1
 		}
 	}
-	return len(es) - 1
+	return last
 }
 
 // Update replaces the value of an existing key; it reports whether the

@@ -213,7 +213,7 @@ func FAMESources() map[string][]SourceSpec {
 			file("internal/sql/compile.go"),
 			funcs("internal/sql/engine.go",
 				"Create", "Open", "initEngine", "Engine.Meta", "Engine.Exec",
-				"Engine.runCompiled", "Engine.lockFor",
+				"Engine.runCompiled",
 				"catalogKey", "encodeTableMeta", "decodeTableMeta",
 				"Engine.saveTableMeta", "Engine.openTable", "Engine.Tables",
 				"Engine.execCreate", "Engine.execDrop", "coerce", "table.rowKey",

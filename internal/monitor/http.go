@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"sync"
 	"time"
 )
 
@@ -158,10 +159,35 @@ func (m *Monitor) handleQueryStats(w http.ResponseWriter, r *http.Request) {
 	enc.Encode(snap.Queries)
 }
 
+// drainTimeout bounds how long Close waits for in-flight requests.
+const drainTimeout = 2 * time.Second
+
 // Server is a running telemetry listener, returned by Serve.
 type Server struct {
 	ln  net.Listener
 	srv *http.Server
+
+	mu sync.Mutex
+	// fresh holds the connections that have not sent a request yet.
+	// http.Server.Shutdown counts such a connection as busy until it is
+	// five seconds old, so Close closes them itself.
+	fresh   map[net.Conn]struct{}
+	closing bool
+}
+
+// trackConn is the server's ConnState hook: it keeps fresh current and
+// closes a connection that arrives once Close has begun.
+func (s *Server) trackConn(c net.Conn, state http.ConnState) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	switch {
+	case state == http.StateNew && s.closing:
+		c.Close()
+	case state == http.StateNew:
+		s.fresh[c] = struct{}{}
+	default:
+		delete(s.fresh, c)
+	}
 }
 
 // Serve binds addr (e.g. "127.0.0.1:0") and serves the telemetry
@@ -175,16 +201,17 @@ func (m *Monitor) Serve(addr string) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("monitor: listen %s: %w", addr, err)
 	}
-	srv := &http.Server{
+	s := &Server{ln: ln, fresh: make(map[net.Conn]struct{})}
+	s.srv = &http.Server{
 		Handler:           m.Handler(),
 		ReadHeaderTimeout: 5 * time.Second,
 		IdleTimeout:       time.Minute,
+		ConnState:         s.trackConn,
 	}
-	s := &Server{ln: ln, srv: srv}
 	m.mu.Lock()
 	m.servers = append(m.servers, s)
 	m.mu.Unlock()
-	go srv.Serve(ln)
+	go s.srv.Serve(ln)
 	return s, nil
 }
 
@@ -207,10 +234,17 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 // URL returns the http base URL of the endpoint.
 func (s *Server) URL() string { return "http://" + s.Addr() }
 
-// Close drains in-flight requests (bounded by a short deadline) and
-// stops the listener; stragglers past the deadline are cut off.
+// Close closes the connections that never sent a request, drains
+// in-flight requests (bounded by drainTimeout) and stops the listener;
+// stragglers past the deadline are cut off.
 func (s *Server) Close() error {
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	s.mu.Lock()
+	s.closing = true
+	for c := range s.fresh {
+		c.Close()
+	}
+	s.mu.Unlock()
+	ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
 	if err := s.srv.Shutdown(ctx); err != nil {
 		return s.srv.Close()

@@ -1,11 +1,14 @@
 package monitor
 
 import (
+	"io"
 	"net"
+	"net/http"
 	"testing"
 	"time"
 
 	"famedb/internal/stats"
+	"famedb/internal/trace"
 )
 
 func TestWatchdogReplicaRules(t *testing.T) {
@@ -61,10 +64,75 @@ func TestServeReadHeaderTimeoutAndGracefulStop(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
+	// Wait until the server has accepted it, so Stop has to deal with it.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		srv.mu.Lock()
+		accepted := len(srv.fresh) == 1
+		srv.mu.Unlock()
+		if accepted {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the server never accepted the connection")
+		}
+	}
+	start := time.Now()
 	m.Stop()
+	// Nothing is in flight, so Stop must not sit out the drain deadline
+	// waiting for the connection that never spoke.
+	if d := time.Since(start); d > drainTimeout/4 {
+		t.Fatalf("Stop took %v with one idle connection, drain deadline %v", d, drainTimeout)
+	}
 	// After Stop the listener is gone: new dials fail.
 	if c, err := net.Dial("tcp", srv.Addr()); err == nil {
 		c.Close()
 		t.Fatal("telemetry listener still accepting after Stop")
+	}
+}
+
+// TestStopDrainsInFlightRequest: Stop still waits for a request that is
+// being served, and its client gets the whole answer.
+func TestStopDrainsInFlightRequest(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	src := testSource(stats.New(), nil)
+	src.Trace = func() (trace.Snapshot, error) {
+		close(entered)
+		<-release
+		return trace.Snapshot{}, nil
+	}
+	m := New(Config{Interval: time.Hour}, src)
+	srv, err := m.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	status := make(chan int, 1)
+	go func() {
+		resp, err := http.Get(srv.URL() + "/trace")
+		if err != nil {
+			status <- 0
+			return
+		}
+		defer resp.Body.Close()
+		if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+			status <- 0
+			return
+		}
+		status <- resp.StatusCode
+	}()
+	<-entered
+	stopped := make(chan struct{})
+	go func() {
+		m.Stop()
+		close(stopped)
+	}()
+	select {
+	case <-stopped:
+		t.Fatal("Stop returned while a request was in flight")
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(release)
+	<-stopped
+	if code := <-status; code != http.StatusOK {
+		t.Fatalf("in-flight request answered %d across Stop, want 200", code)
 	}
 }

@@ -112,7 +112,11 @@ func (s *Shipper) Close() {
 	s.subs = map[*Feed]struct{}{}
 }
 
-// OnShip ingests one durable WAL chunk. Pass this method to
+// OnShip ingests one WAL chunk as soon as it is written to the
+// primary's log, before any sync: the chunk is appended, not yet
+// durable. Under GroupCommit a lone commit is not synced until later
+// commits reach the batch limit, so a replica can apply commits that a
+// power cut on the primary then loses. Pass this method to
 // txn.Manager.SetOnShip; buf is copied before the hook returns.
 func (s *Shipper) OnShip(base int64, buf []byte) {
 	cp := append([]byte(nil), buf...)

@@ -324,7 +324,7 @@ func (p *selectPlan) run(sp *trace.Span, args []types.Value, ctr *execCounters) 
 	if err != nil {
 		return nil, err
 	}
-	defer ctr.trackPages(p.t)()
+	defer ctr.endPages(p.t, ctr.startPages(p.t))
 	if p.oi < 0 {
 		// Stream: project each matching row as it arrives and stop the
 		// scan as soon as LIMIT is satisfied.
@@ -381,7 +381,7 @@ func (e *Engine) compileAggregates(t *table, s Select) (*compiled, error) {
 		if err != nil {
 			return nil, err
 		}
-		defer ctr.trackPages(t)()
+		defer ctr.endPages(t, ctr.startPages(t))
 		_, rows, plan, err := scan.collect(sp, args, ctr)
 		if err != nil {
 			return nil, err
@@ -437,7 +437,7 @@ func (e *Engine) compileInsert(sp *trace.Span, s Insert) (*compiled, error) {
 		}
 	}
 	run := func(sp *trace.Span, args []types.Value, ctr *execCounters) (*Result, error) {
-		defer ctr.trackPages(t)()
+		defer ctr.endPages(t, ctr.startPages(t))
 		affected := 0
 		for _, slots := range rows {
 			row := make([]types.Value, len(t.schema))
@@ -500,7 +500,7 @@ func (e *Engine) compileUpdate(sp *trace.Span, s Update) (*compiled, error) {
 			}
 			sets[i] = setCol{col: a.dst, val: cv}
 		}
-		defer ctr.trackPages(t)()
+		defer ctr.endPages(t, ctr.startPages(t))
 		n, plan, err := scan.mutate(sp, args, ctr, func(key []byte, row []types.Value) error {
 			return e.applyUpdate(sp, t, key, row, sets)
 		})
@@ -525,7 +525,7 @@ func (e *Engine) compileDelete(sp *trace.Span, s Delete) (*compiled, error) {
 		return nil, err
 	}
 	run := func(sp *trace.Span, args []types.Value, ctr *execCounters) (*Result, error) {
-		defer ctr.trackPages(t)()
+		defer ctr.endPages(t, ctr.startPages(t))
 		n, plan, err := scan.mutate(sp, args, ctr, func(key []byte, _ []types.Value) error {
 			return t.store.RemoveIn(sp, key)
 		})

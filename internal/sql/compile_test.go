@@ -431,3 +431,30 @@ func TestStmtSharedAcrossGoroutines(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestAllocsPreparedPointSelect: a prepared point SELECT on a QueryStats
+// product takes the statement latch and brackets its page visits without
+// allocating; what it allocates is the statement's own work (counters,
+// key, row, result). A bound method value for the unlock or a closure
+// for the page delta would add one allocation each.
+func TestAllocsPreparedPointSelect(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts do not hold under the race detector")
+	}
+	e, _ := newObservedEngine(t, true, stats.QueryStatsConfig{})
+	seedUsers(t, e)
+	stmt, err := e.Prepare("SELECT name FROM users WHERE id = ?")
+	if err != nil {
+		t.Fatal(err)
+	}
+	arg := types.Int(2)
+	allocs := testing.AllocsPerRun(200, func() {
+		r, err := stmt.Exec(arg)
+		if err != nil || len(r.Rows) != 1 {
+			t.Fatalf("Exec = %v, %v", r, err)
+		}
+	})
+	if allocs > 12 {
+		t.Fatalf("prepared point SELECT: %.1f allocs, want at most 12", allocs)
+	}
+}

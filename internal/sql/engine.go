@@ -286,17 +286,23 @@ func (c *execCounters) addSort(start int64) {
 	}
 }
 
-// trackPages snapshots t's page-visit counter and returns a closure
-// that accumulates the delta; call it when the table work is done. The
-// counter is tree-wide, so under concurrent shared-latch SELECTs the
-// attribution is approximate — a statement may absorb a few of its
-// neighbors' visits — but totals across statements stay exact.
-func (c *execCounters) trackPages(t *table) func() {
+// startPages and endPages bracket a statement's table work: endPages
+// adds the page visits since startPages. The counter is tree-wide, so
+// under concurrent shared-latch SELECTs the attribution is approximate
+// — a statement may absorb a few of its neighbors' visits — but totals
+// across statements stay exact. Call them as
+// `defer ctr.endPages(t, ctr.startPages(t))`, which allocates nothing.
+func (c *execCounters) startPages(t *table) int64 {
 	if c == nil || t.visits == nil {
-		return func() {}
+		return 0
 	}
-	start := t.visits()
-	return func() { c.pagesVisited += t.visits() - start }
+	return t.visits()
+}
+
+func (c *execCounters) endPages(t *table, start int64) {
+	if c != nil && t.visits != nil {
+		c.pagesVisited += t.visits() - start
+	}
 }
 
 // rowsOut counts a result's visible rows: result rows for SELECT,
@@ -326,7 +332,14 @@ func (e *Engine) runCompiled(c *compiled, args []types.Value, onSwap func(*compi
 	m.Statement(c.verb)
 	sp := e.cfg.Tracer.Start(nil, trace.LayerSQL, c.verb)
 	start := m.Start()
-	unlock := e.lockFor(c.verb)
+	// SELECTs share the engine; everything else (DML mutates trees,
+	// DDL mutates the catalog) is exclusive.
+	shared := c.verb == "select"
+	if shared {
+		e.latch.RLock()
+	} else {
+		e.latch.Lock()
+	}
 	var res *Result
 	var err error
 	switch {
@@ -357,7 +370,11 @@ func (e *Engine) runCompiled(c *compiled, args []types.Value, onSwap func(*compi
 	if err == nil {
 		res, err = c.run(sp, args, ctr)
 	}
-	unlock()
+	if shared {
+		e.latch.RUnlock()
+	} else {
+		e.latch.Unlock()
+	}
 	m.Done(start)
 	sp.Fail(err)
 	spanID := sp.ID() // must precede End: span handles are pooled
@@ -376,18 +393,6 @@ func (e *Engine) runCompiled(c *compiled, args []types.Value, onSwap func(*compi
 		})
 	}
 	return res, err
-}
-
-// lockFor takes the statement latch in the mode the verb needs and
-// returns the matching unlock. SELECTs share the engine; everything
-// else (DML mutates trees, DDL mutates the catalog) is exclusive.
-func (e *Engine) lockFor(verb string) func() {
-	if verb == "select" {
-		e.latch.RLock()
-		return e.latch.RUnlock
-	}
-	e.latch.Lock()
-	return e.latch.Unlock
 }
 
 // --- catalog ---

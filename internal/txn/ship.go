@@ -45,6 +45,8 @@ var (
 
 // SetOnShip installs fn as the observer of every successful WAL append:
 // base is the log offset the chunk landed at, buf its raw frame bytes.
+// fn runs after the write and before any sync, so it sees bytes that a
+// power cut can still take back (see WAL.onShip).
 // Appends are serial, so calls arrive in base order and chain
 // contiguously until the log rewinds (failed-batch truncate or
 // checkpoint reset); a rewind shows up as a base that does not extend
