@@ -68,7 +68,8 @@ type (
 	// NFProperty names a non-functional property in an NFPStore.
 	NFProperty = nfp.Property
 	// VerifyReport is the outcome of DB.Verify: the page scrub (feature
-	// Checksums) and the journal scrub (feature Transaction).
+	// Checksums), the journal scrub (feature Transaction) and the
+	// B+-tree structure check.
 	VerifyReport = composer.VerifyReport
 	// MonitorWindow is one windowed reading of the Monitor feature's
 	// sampler: rates and latency quantiles over the retained history
@@ -557,9 +558,10 @@ func (db *DB) ROM() (int, error) { return db.inst.ROM() }
 func (db *DB) RAM() int { return db.inst.RAM() }
 
 // Verify scrubs the product's persistent structures: every allocated
-// page against its CRC trailer (feature Checksums) and every journal
-// frame against its record checksum (feature Transaction). Products
-// with neither feature return ErrNotComposed.
+// page against its CRC trailer (feature Checksums), every journal
+// frame against its record checksum (feature Transaction) and, on a
+// B+-tree, the tree's structural invariants. Products with neither
+// Checksums nor Transaction return ErrNotComposed.
 func (db *DB) Verify() (VerifyReport, error) { return db.inst.Verify() }
 
 // Degraded reports whether the engine has poisoned into read-only mode

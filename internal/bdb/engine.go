@@ -121,7 +121,9 @@ type Env struct {
 	cache   *buffer.Manager
 	catalog *index.List
 	mgr     *txn.Manager // nil without Logging
-	repl    *replHandle
+	// replica receives every write the journal applies once
+	// AttachReplica ran (Replication feature); nil otherwise.
+	replica *replicaRouter
 	mu      sync.RWMutex
 	// catMu serializes catalog pages and the dbs map; the heap-backed
 	// catalog uses a shared scratch buffer and must not be read
@@ -135,11 +137,6 @@ type Env struct {
 
 	// puts, gets and deletes are the Statistics feature's op counters.
 	puts, gets, deletes atomic.Int64
-}
-
-// replHandle defers the repl import decision to runtime wiring.
-type replHandle struct {
-	ship func(remove bool, key, value []byte) error
 }
 
 const (
@@ -235,16 +232,6 @@ func Open(cfg Config) (*Env, error) {
 			Locking:    e.has("Locking"),
 			Recovery:   e.has("Recovery"),
 			SyncStore:  e.pager.Sync,
-			// Replication hangs off the commit apply path; ship is a
-			// no-op until a replica is attached. The feature model
-			// guarantees Logging under Replication, so every mutation
-			// passes through here.
-			OnApply: func(remove bool, key, value []byte) error {
-				if e.repl != nil {
-					return e.repl.ship(remove, key, value)
-				}
-				return nil
-			},
 		}
 		store := access.New(&routerIndex{env: e}, access.AllOps())
 		e.mgr, err = txn.Open(cfg.FS, logFileName, store, opts)
@@ -567,7 +554,10 @@ func splitRouted(k []byte) (db string, key []byte, err error) {
 }
 
 // routerIndex lets one transaction manager journal operations on every
-// database: keys are "<db>\x00<key>".
+// database: keys are "<db>\x00<key>". Insert and Delete are where a
+// commit applies its writes, so they also forward each write to an
+// attached replica (Replication); the feature model guarantees Logging
+// under Replication, so every mutation passes through here.
 type routerIndex struct{ env *Env }
 
 func (r *routerIndex) Name() string { return "router" }
@@ -589,7 +579,10 @@ func (r *routerIndex) Insert(k, v []byte) error {
 	if err != nil {
 		return err
 	}
-	return db.idx.Insert(key, v)
+	if err := db.idx.Insert(key, v); err != nil || r.env.replica == nil {
+		return err
+	}
+	return r.env.replica.insert(k, v)
 }
 
 // Check implements index.Checker for the routed database's index.
@@ -614,7 +607,11 @@ func (r *routerIndex) Delete(k []byte) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	return db.idx.Delete(key)
+	found, err := db.idx.Delete(key)
+	if err != nil || r.env.replica == nil {
+		return found, err
+	}
+	return found, r.env.replica.delete(k)
 }
 
 // Update is never called: the manager applies an update as an insert.

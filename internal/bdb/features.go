@@ -10,7 +10,6 @@ import (
 
 	"famedb/internal/index"
 	"famedb/internal/osal"
-	"famedb/internal/repl"
 	"famedb/internal/storage"
 	"famedb/internal/txn"
 )
@@ -451,29 +450,26 @@ func (e *Env) Checkpoint() error {
 // --- Replication ---
 
 // AttachReplica connects another environment as a replication target
-// (Replication feature). Databases are created on the replica on
-// demand with the same access method. Returns the replicator for
-// verification.
-func (e *Env) AttachReplica(target *Env) (*repl.Replicator, error) {
+// (Replication feature): from now on every write the journal applies
+// is applied to target too, inside the same commit and under the same
+// env lock. Databases are created on the replica on demand with the
+// same access method.
+func (e *Env) AttachReplica(target *Env) error {
 	if !e.has("Replication") {
-		return nil, featureErr("Replication")
+		return featureErr("Replication")
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	r := repl.New()
-	r.Attach(&replicaRouter{src: e, dst: target})
-	e.repl = &replHandle{ship: r.Ship}
-	return r, nil
+	e.replica = &replicaRouter{src: e, dst: target}
+	return nil
 }
 
-// replicaRouter applies routed operations to the target environment,
-// creating databases on demand.
+// replicaRouter applies routed journal writes to the target
+// environment, creating databases on demand.
 type replicaRouter struct {
 	src *Env
 	dst *Env
 }
-
-func (rr *replicaRouter) Name() string { return "replica" }
 
 func (rr *replicaRouter) resolve(k []byte) (*DB, []byte, error) {
 	name, key, err := splitRouted(k)
@@ -499,7 +495,7 @@ func (rr *replicaRouter) resolve(k []byte) (*DB, []byte, error) {
 	return db, key, nil
 }
 
-func (rr *replicaRouter) Insert(k, v []byte) error {
+func (rr *replicaRouter) insert(k, v []byte) error {
 	db, key, err := rr.resolve(k)
 	if err != nil {
 		return err
@@ -509,42 +505,16 @@ func (rr *replicaRouter) Insert(k, v []byte) error {
 	return db.put(key, v)
 }
 
-func (rr *replicaRouter) Delete(k []byte) (bool, error) {
+func (rr *replicaRouter) delete(k []byte) error {
 	db, key, err := rr.resolve(k)
 	if err != nil {
-		return false, err
+		return err
 	}
 	rr.dst.mu.Lock()
 	defer rr.dst.mu.Unlock()
-	return db.del(key)
+	_, err = db.del(key)
+	return err
 }
-
-func (rr *replicaRouter) Get(k []byte) ([]byte, bool, error) {
-	db, key, err := rr.resolve(k)
-	if err != nil {
-		return nil, false, err
-	}
-	rr.dst.mu.RLock()
-	defer rr.dst.mu.RUnlock()
-	return db.get(key)
-}
-
-func (rr *replicaRouter) Update(k, v []byte) (bool, error) {
-	found, err := func() (bool, error) {
-		_, found, err := rr.Get(k)
-		return found, err
-	}()
-	if err != nil || !found {
-		return false, err
-	}
-	return true, rr.Insert(k, v)
-}
-
-func (rr *replicaRouter) Scan(from, to []byte, fn func(k, v []byte) bool) error {
-	return errors.New("bdb: replica router does not scan")
-}
-
-func (rr *replicaRouter) Len() (uint64, error) { return 0, nil }
 
 // --- lifecycle ---
 

@@ -32,7 +32,6 @@ import (
 	"time"
 
 	"famedb/internal/composer"
-	"famedb/internal/index"
 	"famedb/internal/osal"
 	"famedb/internal/storage"
 )
@@ -173,13 +172,8 @@ func cpCheck(fs osal.FS, acked []string, commits int) string {
 		}
 		// Absent is fine for unacked keys; checked acked above.
 	}
-	// 3. The B+-tree's structural invariants hold.
-	if bt, ok := inst.Store.Index().(*index.BTree); ok {
-		if err := bt.Tree().Verify(); err != nil {
-			return fmt.Sprintf("tree invariants: %v", err)
-		}
-	}
-	// 4. Page trailers and journal frames scrub clean.
+	// 3. Page trailers, journal frames and the B+-tree's structural
+	// invariants scrub clean.
 	rep, err := inst.Verify()
 	if err != nil {
 		return fmt.Sprintf("scrub: %v", err)
@@ -202,7 +196,7 @@ func CrashPoints(cfg CrashPointConfig) (*CrashPointReport, error) {
 	steps := cpSteps(cfg.Commits)
 
 	// Probe run: count the clean workload's write-class ops, which is
-	// the sweep width. The schedule-free FaultFS just counts.
+	// the sweep width. The rule-free schedule just counts.
 	probeFS := osal.NewFaultFS(osal.NewCrashFS(osal.NewMemFS()))
 	inst, err := cpCompose(probeFS)
 	if err != nil {
@@ -210,18 +204,17 @@ func CrashPoints(cfg CrashPointConfig) (*CrashPointReport, error) {
 	}
 	probeSched := osal.NewSchedule(cfg.Seed)
 	probeFS.SetSchedule(probeSched)
-	before := probeFS.WriteOps
 	for _, st := range steps {
 		if err := st.run(inst); err != nil {
 			inst.Close()
 			return nil, fmt.Errorf("probe workload: %w", err)
 		}
 	}
+	sweep := osal.OpAnyWrite
 	if cfg.Torn {
-		rep.WriteOps = probeSched.Counts()[osal.OpWrite]
-	} else {
-		rep.WriteOps = probeFS.WriteOps - before
+		sweep = osal.OpWrite
 	}
+	rep.WriteOps = probeSched.Counts()[sweep]
 	if err := inst.Close(); err != nil {
 		return nil, err
 	}
@@ -259,7 +252,8 @@ func CrashPoints(cfg CrashPointConfig) (*CrashPointReport, error) {
 			if err != nil {
 				return nil, err
 			}
-			fs.FailAfter(i)
+			// The device dies at write-class op i and stays dead.
+			fs.SetSchedule(osal.NewSchedule(0).Add(osal.Rule{Class: osal.OpAnyWrite, At: i, Kind: osal.FaultDead}))
 			acked := cpRunWorkload(inst, steps, nil)
 			fs.Disarm()
 			// Power loss: everything unsynced vanishes; the instance is

@@ -983,6 +983,27 @@ type VerifyReport struct {
 	// Log is the write-ahead-log scrub; nil when the product was derived
 	// without the Transaction feature.
 	Log *txn.LogVerifyReport
+	// Tree is the B+-tree structure check (key order, subtree bounds,
+	// entry count, leaf chain); nil when the index is not a B+-tree.
+	// Pages whose trailers check out can still hold a broken tree.
+	Tree *TreeReport
+}
+
+// TreeReport is the outcome of the B+-tree structure check.
+type TreeReport struct {
+	// Err is the first broken invariant; nil when the tree is sound.
+	Err error
+}
+
+// Ok reports whether the tree is structurally sound.
+func (r TreeReport) Ok() bool { return r.Err == nil }
+
+// String renders the check for human output.
+func (r TreeReport) String() string {
+	if r.Err != nil {
+		return "CORRUPT: " + r.Err.Error()
+	}
+	return "ok"
 }
 
 // Ok reports whether every scrubbed structure checked out clean.
@@ -993,20 +1014,29 @@ func (r VerifyReport) Ok() bool {
 	if r.Log != nil && !r.Log.Ok() {
 		return false
 	}
+	if r.Tree != nil && !r.Tree.Ok() {
+		return false
+	}
 	return true
 }
 
 // String renders the report for human output.
 func (r VerifyReport) String() string {
 	parts := ""
-	if r.Pages != nil {
-		parts += "pages: " + r.Pages.String()
-	}
-	if r.Log != nil {
+	add := func(name, text string) {
 		if parts != "" {
 			parts += "\n"
 		}
-		parts += "log: " + r.Log.String()
+		parts += name + ": " + text
+	}
+	if r.Pages != nil {
+		add("pages", r.Pages.String())
+	}
+	if r.Log != nil {
+		add("log", r.Log.String())
+	}
+	if r.Tree != nil {
+		add("tree", r.Tree.String())
 	}
 	if parts == "" {
 		return "nothing to verify (no Checksums, no Transaction)"
@@ -1015,11 +1045,12 @@ func (r VerifyReport) String() string {
 }
 
 // Verify scrubs the instance's persistent structures: every allocated
-// page against its CRC trailer (feature Checksums) and every journal
-// frame against its record checksum (feature Transaction). A healthy
-// instance flushes its cache first so the scrub sees the current image;
-// a degraded one scrubs the last image the device accepted. Products
-// with neither feature return access.ErrNotComposed.
+// page against its CRC trailer (feature Checksums), every journal
+// frame against its record checksum (feature Transaction) and, on a
+// B+-tree, the tree's structural invariants. A healthy instance
+// flushes its cache first so the scrub sees the current image; a
+// degraded one scrubs the last image the device accepted. Products
+// with neither Checksums nor Transaction return access.ErrNotComposed.
 func (i *Instance) Verify() (VerifyReport, error) {
 	var rep VerifyReport
 	if i.ck == nil && i.Txn == nil {
@@ -1043,6 +1074,16 @@ func (i *Instance) Verify() (VerifyReport, error) {
 			return rep, err
 		}
 		rep.Log = &lr
+	}
+	if bt, ok := i.Store.Index().(*index.BTree); ok {
+		check := func() error { return bt.Tree().Verify() }
+		var err error
+		if i.Txn != nil {
+			err = i.Txn.Read(check)
+		} else {
+			err = check()
+		}
+		rep.Tree = &TreeReport{Err: err}
 	}
 	return rep, nil
 }

@@ -14,6 +14,12 @@ var txnFeatures = []string{
 	"Put", "Get", "Transaction", "ForceCommit", "Recovery",
 }
 
+// dieAt plans a device that dies at its n-th write-class operation and
+// stays dead until the schedule is removed.
+func dieAt(n int64) *osal.Schedule {
+	return osal.NewSchedule(0).Add(osal.Rule{Class: osal.OpAnyWrite, At: n, Kind: osal.FaultDead})
+}
+
 // commitN commits n keyed writes through the instance.
 func commitN(t *testing.T, inst *Instance, prefix string, n int) {
 	t.Helper()
@@ -52,11 +58,12 @@ func TestCheckpointFaultWindows(t *testing.T) {
 		t.Fatal(err)
 	}
 	commitN(t, inst, "k", 5)
-	before := probeFS.WriteOps
+	probe := osal.NewSchedule(0)
+	probeFS.SetSchedule(probe)
 	if err := inst.Txn.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	windows := probeFS.WriteOps - before
+	windows := probe.Counts()[osal.OpAnyWrite]
 	if windows < 3 {
 		t.Fatalf("checkpoint took only %d write ops; sweep pointless", windows)
 	}
@@ -70,7 +77,7 @@ func TestCheckpointFaultWindows(t *testing.T) {
 				t.Fatal(err)
 			}
 			commitN(t, inst, "k", 5)
-			fs.FailAfter(w)
+			fs.SetSchedule(dieAt(w))
 			err = inst.Txn.Checkpoint()
 			fs.Disarm()
 			if err == nil {
@@ -100,7 +107,7 @@ func TestCommitFaultThenRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	commitN(t, inst, "good", 3)
-	fs.FailAfter(1)
+	fs.SetSchedule(dieAt(1))
 	tx := inst.Txn.Begin()
 	tx.Put([]byte("doomed"), []byte("v"))
 	if err := tx.Commit(); !errors.Is(err, osal.ErrInjected) {

@@ -1,6 +1,7 @@
 package composer
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -302,5 +303,60 @@ func TestComposeVerifyCoversJournal(t *testing.T) {
 	}
 	if rep.Log == nil || !rep.Log.Ok() || rep.Log.Commits != 1 {
 		t.Fatalf("journal scrub = %v", rep.Log)
+	}
+}
+
+// TestComposeVerifyCatchesBrokenTree: a separator rewritten through the
+// page stack gets a valid CRC trailer, so only the tree check can see
+// that the tree no longer orders its keys.
+func TestComposeVerifyCatchesBrokenTree(t *testing.T) {
+	inst, err := ComposeProduct(Options{FS: osal.NewMemFS()}, checksumFeatures...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer inst.Close()
+	for i := 0; i < 200; i++ {
+		k := fmt.Sprintf("key-%04d", i)
+		if err := inst.Store.Put([]byte(k), []byte("value of "+k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rep, err := inst.Verify()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Ok() || rep.Tree == nil {
+		t.Fatalf("fresh tree fails its check: %s", rep)
+	}
+	// An inner page holds keys but no values: raise its first
+	// separator above every key in the tree.
+	buf := make([]byte, inst.pager.PageSize())
+	corrupted := false
+	for id := storage.PageID(1); id < storage.PageID(inst.pf.NumPages()) && !corrupted; id++ {
+		if err := inst.pager.ReadPage(id, buf); err != nil {
+			t.Fatal(err)
+		}
+		at := bytes.Index(buf, []byte("key-"))
+		if at < 0 || bytes.Contains(buf, []byte("value of")) {
+			continue
+		}
+		copy(buf[at:], "key-9999")
+		if err := inst.pager.WritePage(id, buf); err != nil {
+			t.Fatal(err)
+		}
+		corrupted = true
+	}
+	if !corrupted {
+		t.Fatal("no inner page found")
+	}
+	rep, err = inst.Verify()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Pages == nil || !rep.Pages.Ok() {
+		t.Fatalf("the rewritten page should keep a valid trailer: %s", rep)
+	}
+	if rep.Ok() || rep.Tree == nil || rep.Tree.Ok() {
+		t.Fatalf("Verify missed the broken separator: %s", rep)
 	}
 }

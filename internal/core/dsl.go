@@ -148,6 +148,12 @@ func (p *dslParser) expect(text string) error {
 	return nil
 }
 
+// isDSLName reports whether a token can name the model or a feature:
+// not missing, not a brace, not a quoted string.
+func isDSLName(tok string) bool {
+	return tok != "" && !strings.ContainsAny(tok, "{}\"")
+}
+
 func (p *dslParser) parseModel() (*Model, error) {
 	if err := p.expect("model"); err != nil {
 		return nil, err
@@ -155,6 +161,9 @@ func (p *dslParser) parseModel() (*Model, error) {
 	name := p.next()
 	if name.text == "" {
 		return nil, fmt.Errorf("missing model name")
+	}
+	if !isDSLName(name.text) {
+		return nil, fmt.Errorf("line %d: expected model name, found %q", name.line, name.text)
 	}
 	m := NewModel(name.text)
 	if p.peek().text == "{" {
@@ -213,7 +222,7 @@ func (p *dslParser) parseChildren(m *Model, parent *Feature) error {
 			abstract = true
 		}
 		nameTok := p.next()
-		if nameTok.text == "" || strings.ContainsAny(nameTok.text, "{}\"") {
+		if !isDSLName(nameTok.text) {
 			return fmt.Errorf("line %d: expected feature name, found %q", nameTok.line, nameTok.text)
 		}
 		f := parent.AddChild(nameTok.text, rel)

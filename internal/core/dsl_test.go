@@ -155,7 +155,17 @@ func FuzzParseModel(f *testing.F) {
 	f.Add(sampleDSL)
 	f.Add(`model X { optional "quoted \" name" }`)
 	f.Fuzz(func(t *testing.T, text string) {
-		_, _ = ParseModel(text)
+		// Whatever parses prints as text that parses back to itself.
+		if m, err := ParseModel(text); err == nil {
+			out := m.String()
+			m2, err := ParseModel(out)
+			if err != nil {
+				t.Fatalf("%q parsed, but its rendering %q does not: %v", text, out, err)
+			}
+			if again := m2.String(); again != out {
+				t.Fatalf("%q renders as %q, which renders as %q", text, out, again)
+			}
+		}
 		runes := string([]rune(text)) // invalid UTF-8 reads as U+FFFD
 		for _, tok := range tokenizeDSL(text) {
 			if !strings.Contains(runes, tok.text) {

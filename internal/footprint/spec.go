@@ -294,13 +294,12 @@ func FAMESources() map[string][]SourceSpec {
 
 		// The Replication feature: the WAL ship layer (range reads,
 		// prefix CRC handshakes, the chunk applier and snapshot
-		// install), the in-process replicator, and the frame fan-out.
+		// install) and the frame fan-out with its convergence check.
 		// Only Replication maps these files (CI guards that), so a
 		// product derived without it ships nothing and carries no
 		// applier.
 		"Replication": {
 			file("internal/txn/ship.go"),
-			file("internal/repl/repl.go"),
 			file("internal/repl/frames.go"),
 		},
 
@@ -405,12 +404,9 @@ func BDBSources() map[string][]SourceSpec {
 
 		"Crypto": {file("internal/bdb/crypto.go")},
 		"Replication": {
-			file("internal/repl/repl.go"),
 			funcs("internal/bdb/features.go", "Env.AttachReplica",
-				"replicaRouter.Name", "replicaRouter.resolve",
-				"replicaRouter.Insert", "replicaRouter.Delete",
-				"replicaRouter.Get", "replicaRouter.Update",
-				"replicaRouter.Scan", "replicaRouter.Len"),
+				"replicaRouter.resolve", "replicaRouter.insert",
+				"replicaRouter.delete"),
 		},
 		"Backup":   {funcs("internal/bdb/features.go", "Env.Backup")},
 		"Sequence": {funcs("internal/bdb/features.go", "Env.Sequence", "Sequence.Next")},

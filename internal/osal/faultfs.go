@@ -24,59 +24,29 @@ func injectedErr(class OpClass, n int64, transient bool) error {
 	return fmt.Errorf("osal: %s op %d: %w", class, n, ErrInjected)
 }
 
-// FaultFS wraps a filesystem and injects failures, for exercising error
-// paths and crash windows in the storage and transaction layers. Two
-// mechanisms coexist:
-//
-// The legacy countdown (FailAfter) counts write-class operations
-// (WriteAt, Sync, Truncate, Remove, Rename) across all files: when it
-// reaches zero, that operation and every subsequent write-class
-// operation fail until the countdown is reset. Under the countdown
-// alone, reads always succeed — its job is clean, terminal device
-// death for crash-window sweeps.
-//
-// A Schedule (SetSchedule) adds programmable faults over every op
-// class including reads: torn and partial writes, single-bit flips on
-// read or at rest, and transient errors that heal. Both mechanisms may
-// be armed at once; the countdown is checked first.
+// FaultFS wraps a filesystem and injects the failures its Schedule
+// plans (SetSchedule), for exercising error paths and crash windows in
+// the storage and transaction layers: device death, torn and partial
+// writes, single-bit flips on read or at rest, and transient errors
+// that heal. Without a schedule every operation passes through.
 type FaultFS struct {
 	inner FS
 
-	mu        sync.Mutex
-	countdown int64 // -1 = disarmed
-	tripped   bool
+	mu      sync.Mutex
+	tripped bool
 	// trippedBy remembers the op class of the first fault since the
 	// last arm/disarm (valid while tripped).
 	trippedBy OpClass
 	schedule  *Schedule
-	// WriteOps counts write-class operations observed, for planning
-	// fault points.
-	WriteOps int64
 }
 
 // NewFaultFS wraps fs with fault injection disarmed.
 func NewFaultFS(fs FS) *FaultFS {
-	return &FaultFS{inner: fs, countdown: -1}
+	return &FaultFS{inner: fs}
 }
 
-// FailAfter arms the injector: the n-th write-class operation from now
-// (1-based) and all later ones fail.
-func (f *FaultFS) FailAfter(n int64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.countdown = n
-	f.tripped = false
-}
-
-// Disarm stops injecting failures: the countdown is reset and any
-// installed schedule is removed.
-func (f *FaultFS) Disarm() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.countdown = -1
-	f.schedule = nil
-	f.tripped = false
-}
+// Disarm stops injecting failures: any installed schedule is removed.
+func (f *FaultFS) Disarm() { f.SetSchedule(nil) }
 
 // SetSchedule installs (or, with nil, removes) a programmable fault
 // plan. The schedule's per-class op counters start from their current
@@ -110,13 +80,6 @@ func (f *FaultFS) TrippedClass() (class OpClass, ok bool) {
 	return f.trippedBy, f.tripped
 }
 
-// sched returns the installed schedule without consuming anything.
-func (f *FaultFS) sched() *Schedule {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.schedule
-}
-
 // trip records the first faulting op class.
 func (f *FaultFS) trip(class OpClass) {
 	f.mu.Lock()
@@ -127,43 +90,24 @@ func (f *FaultFS) trip(class OpClass) {
 	f.mu.Unlock()
 }
 
-// allowWrite consumes one write-class operation against the legacy
-// countdown.
-func (f *FaultFS) allowWrite(class OpClass) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.WriteOps++
-	if f.countdown < 0 {
-		return nil
-	}
-	if f.countdown > 1 {
-		f.countdown--
-		return nil
-	}
-	f.countdown = 1 // stay tripped
-	if !f.tripped {
-		f.tripped = true
-		f.trippedBy = class
-	}
-	return ErrInjected
-}
-
 // scheduleErr consumes one operation of class against the schedule and
-// returns an error if a FaultError rule fires. Only FaultError rules
-// apply to the metadata classes (sync, truncate, remove, rename); data
-// faults (torn, partial, flips) are handled inline by faultFile.
+// returns an error if a failing rule (FaultError, FaultDead) fires.
+// Only failing rules apply to the metadata classes (sync, truncate,
+// remove, rename); data faults (torn, partial, flips) are handled
+// inline by faultFile.
 func (f *FaultFS) scheduleErr(class OpClass) error {
-	s := f.sched()
+	s := f.Schedule()
 	if s == nil {
 		return nil
 	}
 	r, n, hit := s.step(class)
-	if !hit || r.Kind != FaultError {
+	fail, transient := r.fails()
+	if !hit || !fail {
 		return nil
 	}
 	f.trip(class)
 	s.record(Injection{OpIndex: n, Class: class, Kind: r.Kind})
-	return injectedErr(class, n, r.Heal > 0)
+	return injectedErr(class, n, transient)
 }
 
 // Open implements FS.
@@ -186,9 +130,6 @@ func (f *FaultFS) Create(name string) (File, error) {
 
 // Remove implements FS.
 func (f *FaultFS) Remove(name string) error {
-	if err := f.allowWrite(OpRemove); err != nil {
-		return err
-	}
 	if err := f.scheduleErr(OpRemove); err != nil {
 		return err
 	}
@@ -197,9 +138,6 @@ func (f *FaultFS) Remove(name string) error {
 
 // Rename implements FS.
 func (f *FaultFS) Rename(oldName, newName string) error {
-	if err := f.allowWrite(OpRename); err != nil {
-		return err
-	}
 	if err := f.scheduleErr(OpRename); err != nil {
 		return err
 	}
@@ -219,7 +157,7 @@ type faultFile struct {
 }
 
 func (ff *faultFile) ReadAt(p []byte, off int64) (int, error) {
-	s := ff.fs.sched()
+	s := ff.fs.Schedule()
 	if s == nil {
 		return ff.f.ReadAt(p, off)
 	}
@@ -227,11 +165,12 @@ func (ff *faultFile) ReadAt(p []byte, off int64) (int, error) {
 	if !hit {
 		return ff.f.ReadAt(p, off)
 	}
-	switch r.Kind {
-	case FaultError:
+	if fail, transient := r.fails(); fail {
 		ff.fs.trip(OpRead)
 		s.record(Injection{OpIndex: opIdx, Class: OpRead, Kind: r.Kind, File: ff.name, Off: off, Len: len(p)})
-		return 0, injectedErr(OpRead, opIdx, r.Heal > 0)
+		return 0, injectedErr(OpRead, opIdx, transient)
+	}
+	switch r.Kind {
 	case FaultFlipRead:
 		n, err := ff.f.ReadAt(p, off)
 		if err != nil || n == 0 {
@@ -249,10 +188,7 @@ func (ff *faultFile) ReadAt(p []byte, off int64) (int, error) {
 }
 
 func (ff *faultFile) WriteAt(p []byte, off int64) (int, error) {
-	if err := ff.fs.allowWrite(OpWrite); err != nil {
-		return 0, err
-	}
-	s := ff.fs.sched()
+	s := ff.fs.Schedule()
 	if s == nil {
 		return ff.f.WriteAt(p, off)
 	}
@@ -260,11 +196,12 @@ func (ff *faultFile) WriteAt(p []byte, off int64) (int, error) {
 	if !hit {
 		return ff.f.WriteAt(p, off)
 	}
-	switch r.Kind {
-	case FaultError:
+	if fail, transient := r.fails(); fail {
 		ff.fs.trip(OpWrite)
 		s.record(Injection{OpIndex: opIdx, Class: OpWrite, Kind: r.Kind, File: ff.name, Off: off, Len: len(p)})
-		return 0, injectedErr(OpWrite, opIdx, r.Heal > 0)
+		return 0, injectedErr(OpWrite, opIdx, transient)
+	}
+	switch r.Kind {
 	case FaultTorn:
 		// Persist a prefix, report complete success: silent corruption.
 		k := s.tornPrefix(opIdx, len(p))
@@ -314,9 +251,6 @@ func (ff *faultFile) WriteAt(p []byte, off int64) (int, error) {
 func (ff *faultFile) Size() (int64, error) { return ff.f.Size() }
 
 func (ff *faultFile) Truncate(size int64) error {
-	if err := ff.fs.allowWrite(OpTruncate); err != nil {
-		return err
-	}
 	if err := ff.fs.scheduleErr(OpTruncate); err != nil {
 		return err
 	}
@@ -324,9 +258,6 @@ func (ff *faultFile) Truncate(size int64) error {
 }
 
 func (ff *faultFile) Sync() error {
-	if err := ff.fs.allowWrite(OpSync); err != nil {
-		return err
-	}
 	if err := ff.fs.scheduleErr(OpSync); err != nil {
 		return err
 	}

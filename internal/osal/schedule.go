@@ -1,12 +1,11 @@
 package osal
 
 // Programmable fault schedules: a deterministic, seedable plan of
-// storage faults for the FaultFS wrapper. Where the legacy countdown
-// (FailAfter) models a device that dies cleanly at one point, a
-// Schedule models the failure spectrum of real embedded storage —
-// torn page writes that persist only a prefix, short writes, single-bit
-// flips on the read path or at rest, and transient errors that heal
-// after a few operations.
+// storage faults for the FaultFS wrapper. A Schedule models the failure
+// spectrum of real embedded storage — a device that dies cleanly at one
+// write and stays dead, torn page writes that persist only a prefix,
+// short writes, single-bit flips on the read path or at rest, and
+// transient errors that heal after a few operations.
 //
 // Every decision a schedule makes derives from its explicit rules plus
 // its seed, never from wall-clock time or map order, so a failing run
@@ -31,6 +30,10 @@ const (
 	OpTruncate
 	OpRemove
 	OpRename
+	// OpAnyWrite is a rule class, not an operation: it matches every
+	// write-class operation (write, sync, truncate, remove, rename),
+	// counted together.
+	OpAnyWrite
 )
 
 // String returns the op-class name.
@@ -48,6 +51,8 @@ func (c OpClass) String() string {
 		return "remove"
 	case OpRename:
 		return "rename"
+	case OpAnyWrite:
+		return "any-write"
 	default:
 		return fmt.Sprintf("opclass(%d)", int(c))
 	}
@@ -76,6 +81,12 @@ const (
 	// FaultFlipAtRest lets a WriteAt succeed, then flips one bit of the
 	// just-written range in the file — silent corruption at rest.
 	FaultFlipAtRest
+	// FaultDead kills the device: operation At and every later
+	// operation of the class fail with a plain (non-transient)
+	// ErrInjected until the schedule is removed. With OpAnyWrite it is
+	// clean, terminal device death for crash-window sweeps; reads still
+	// succeed.
+	FaultDead
 )
 
 // String returns the fault-kind name.
@@ -91,6 +102,8 @@ func (k FaultKind) String() string {
 		return "flip-read"
 	case FaultFlipAtRest:
 		return "flip-at-rest"
+	case FaultDead:
+		return "dead"
 	default:
 		return fmt.Sprintf("faultkind(%d)", int(k))
 	}
@@ -99,7 +112,7 @@ func (k FaultKind) String() string {
 // Rule is one planned fault: the At-th operation of Class (1-based,
 // counted per class across all files) suffers Kind. FaultError rules
 // with Heal > 0 are transient — they also fail the next Heal-1
-// operations of the class, then stop.
+// operations of the class, then stop; FaultDead rules never stop.
 type Rule struct {
 	Class OpClass
 	// At is the 1-based index among operations of Class.
@@ -176,8 +189,8 @@ func (s *Schedule) Injections() []Injection {
 }
 
 // Counts returns how many operations of each class the schedule has
-// observed, for planning fault points (the schedule analog of
-// FaultFS.WriteOps).
+// observed, for planning fault points; OpAnyWrite holds the total over
+// the write classes.
 func (s *Schedule) Counts() map[OpClass]int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -189,28 +202,48 @@ func (s *Schedule) Counts() map[OpClass]int64 {
 }
 
 // step consumes one operation of class and returns the matching rule,
-// if any, plus the operation's per-class index. Transient FaultError
-// rules match a window [At, At+Heal).
+// if any, plus the operation's per-class index. A rule counts in its
+// own class, so an OpAnyWrite rule sees the write classes' total.
+// Transient FaultError rules match a window [At, At+Heal), FaultDead
+// rules every index from At on.
 func (s *Schedule) step(class OpClass) (Rule, int64, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.counts[class]++
-	n := s.counts[class]
+	if class != OpRead {
+		s.counts[OpAnyWrite]++
+	}
 	for _, r := range s.rules {
-		if r.Class != class {
+		if r.Class != class && (r.Class != OpAnyWrite || class == OpRead) {
 			continue
 		}
-		if r.Kind == FaultError && r.Heal > 0 {
-			if n >= r.At && n < r.At+r.Heal {
-				return r, n, true
-			}
-			continue
+		n := s.counts[r.Class]
+		var hit bool
+		switch {
+		case r.Kind == FaultDead:
+			hit = n >= r.At
+		case r.Kind == FaultError && r.Heal > 0:
+			hit = n >= r.At && n < r.At+r.Heal
+		default:
+			hit = n == r.At
 		}
-		if n == r.At {
-			return r, n, true
+		if hit {
+			return r, s.counts[class], true
 		}
 	}
-	return Rule{}, n, false
+	return Rule{}, s.counts[class], false
+}
+
+// fails reports whether a matched rule fails its operation with an
+// error, and whether that error is transient.
+func (r Rule) fails() (fail, transient bool) {
+	switch r.Kind {
+	case FaultError:
+		return true, r.Heal > 0
+	case FaultDead:
+		return true, false
+	}
+	return false, false
 }
 
 // record logs a delivered fault.

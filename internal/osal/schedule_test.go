@@ -290,12 +290,12 @@ func TestScheduleMetadataClasses(t *testing.T) {
 	}
 }
 
-// TestLegacyCountdownIgnoresReads pins the historic contract: without a
-// schedule, FailAfter never touches the read path.
+// TestLegacyCountdownIgnoresReads pins the contract of a dead device:
+// an OpAnyWrite FaultDead rule never touches the read path.
 func TestLegacyCountdownIgnoresReads(t *testing.T) {
 	ffs := NewFaultFS(NewMemFS())
 	writeFile(t, ffs, "a", []byte("data"))
-	ffs.FailAfter(1)
+	ffs.SetSchedule(dieAt(1))
 	f, err := ffs.Open("a")
 	if err != nil {
 		t.Fatalf("Open: %v", err)
@@ -303,7 +303,7 @@ func TestLegacyCountdownIgnoresReads(t *testing.T) {
 	defer f.Close()
 	buf := make([]byte, 4)
 	if _, err := f.ReadAt(buf, 0); err != nil {
-		t.Fatalf("read under armed countdown must pass: %v", err)
+		t.Fatalf("read on a dead device must pass: %v", err)
 	}
 	if _, err := f.WriteAt(buf, 0); !errors.Is(err, ErrInjected) {
 		t.Fatalf("write must trip: %v", err)

@@ -1,5 +1,7 @@
-// WAL-frame shipping: the fan-out between the transaction manager's
-// ship hook and the network sessions feeding replicas.
+// Package repl is the primary side of the Replication feature: the
+// fan-out of WAL frames between the transaction manager's ship hook and
+// the network sessions feeding replicas, plus VerifyIndexes, the check
+// that a replica converged on the primary's contents.
 //
 // One Shipper hangs off the primary's WAL (txn.Manager.SetOnShip →
 // Shipper.OnShip). Each connected replica session subscribes a bounded
@@ -14,13 +16,15 @@
 // A Feed never blocks the commit path: when a slow subscriber fills its
 // buffer, the feed is broken (frames dropped, counter bumped) instead
 // of the primary waiting. Replica failure never blocks commits.
-
 package repl
 
 import (
+	"bytes"
+	"fmt"
 	"sync"
 	"sync/atomic"
 
+	"famedb/internal/index"
 	"famedb/internal/stats"
 )
 
@@ -170,4 +174,37 @@ func (s *Shipper) Repair(f *Feed) {
 			return
 		}
 	}
+}
+
+// VerifyIndexes checks that replica holds exactly primary's contents:
+// same entry count, byte-equal value under every primary key.
+func VerifyIndexes(primary, replica index.Index) error {
+	var count uint64
+	var mismatch error
+	if err := primary.Scan(nil, nil, func(k, v []byte) bool {
+		count++
+		rv, found, err := replica.Get(k)
+		if err != nil {
+			mismatch = err
+			return false
+		}
+		if !found || !bytes.Equal(rv, v) {
+			mismatch = fmt.Errorf("diverges at key %q", k)
+			return false
+		}
+		return true
+	}); err != nil {
+		return err
+	}
+	if mismatch != nil {
+		return mismatch
+	}
+	n, err := replica.Len()
+	if err != nil {
+		return err
+	}
+	if n != count {
+		return fmt.Errorf("replica has %d entries, primary %d", n, count)
+	}
+	return nil
 }

@@ -2,74 +2,10 @@ package repl
 
 import (
 	"bytes"
-	"errors"
-	"fmt"
 	"testing"
 
 	"famedb/internal/stats"
 )
-
-func TestPendingBoundMarksStale(t *testing.T) {
-	primary, ridx := newIdx(t), newIdx(t)
-	reg := stats.New()
-	r := New()
-	r.MaxPending = 4
-	r.SetMetrics(reg.Repl())
-	rep := r.Attach(ridx)
-	r.SetOnline(rep, false)
-
-	for i := 0; i < 10; i++ {
-		k := []byte(fmt.Sprintf("k%d", i))
-		v := []byte("v")
-		primary.Insert(k, v)
-		if err := r.Ship(false, k, v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !rep.Stale() {
-		t.Fatal("replica should be stale after overflowing the bound")
-	}
-	if rep.Pending() != 0 {
-		t.Fatalf("stale replica still buffers %d ops", rep.Pending())
-	}
-	if err := r.CatchUp(rep); !errors.Is(err, ErrStale) {
-		t.Fatalf("CatchUp on stale replica: want ErrStale, got %v", err)
-	}
-	s := reg.Snapshot()
-	if s.Repl.Drops == 0 || s.Repl.StaleMarks != 1 {
-		t.Fatalf("drops %d stale marks %d", s.Repl.Drops, s.Repl.StaleMarks)
-	}
-	// Verify skips stale replicas; Resync repairs.
-	if err := r.Verify(primary); err != nil {
-		t.Fatalf("Verify with stale replica: %v", err)
-	}
-	if err := r.Resync(rep, primary); err != nil {
-		t.Fatal(err)
-	}
-	if rep.Stale() {
-		t.Fatal("stale after resync")
-	}
-	if err := r.Verify(primary); err != nil {
-		t.Fatalf("Verify after resync: %v", err)
-	}
-}
-
-func TestResyncDeletesExtraKeys(t *testing.T) {
-	primary, ridx := newIdx(t), newIdx(t)
-	r := New()
-	rep := r.Attach(ridx)
-	primary.Insert([]byte("keep"), []byte("1"))
-	ridx.Insert([]byte("extra"), []byte("x"))
-	if err := r.Resync(rep, primary); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Verify(primary); err != nil {
-		t.Fatalf("Verify after resync: %v", err)
-	}
-	if _, found, _ := ridx.Get([]byte("extra")); found {
-		t.Fatal("extra key survived resync")
-	}
-}
 
 func TestShipperFansOutInOrder(t *testing.T) {
 	s := NewShipper(8, nil)

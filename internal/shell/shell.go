@@ -83,7 +83,7 @@ func init() {
 		{".queries", "[top <n>|slow]", "per-shape statement profiles and the slow-query log (feature QueryStats)", (*Shell).cmdQueries},
 		{".repl", "serve <addr>|from <addr>|status|stop", "network serving and WAL-shipping replication (features Server, Replication)", (*Shell).cmdRepl},
 		{".flush", "", "force all state durable (drains pending group commits)", (*Shell).cmdFlush},
-		{".verify", "", "scrub pages and journal (features Checksums, Transaction)", (*Shell).cmdVerify},
+		{".verify", "", "scrub pages, journal and B+-tree (features Checksums, Transaction)", (*Shell).cmdVerify},
 		{".help", "", "this text", (*Shell).cmdHelp},
 		{".quit", "", "exit", (*Shell).cmdQuit},
 	}

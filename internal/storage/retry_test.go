@@ -121,7 +121,7 @@ func TestRetryPermanentPropagates(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Alloc: %v", err)
 	}
-	ffs.FailAfter(1)
+	ffs.SetSchedule(osal.NewSchedule(0).Add(osal.Rule{Class: osal.OpAnyWrite, At: 1, Kind: osal.FaultDead}))
 	page := bytes.Repeat([]byte{0x33}, rp.PageSize())
 	err = rp.WritePage(id, page)
 	if !errors.Is(err, osal.ErrInjected) || errors.Is(err, osal.ErrTransient) {

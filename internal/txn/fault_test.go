@@ -12,6 +12,12 @@ import (
 	"famedb/internal/storage"
 )
 
+// dieAt plans a device that dies at its n-th write-class operation and
+// stays dead until the schedule is removed.
+func dieAt(n int64) *osal.Schedule {
+	return osal.NewSchedule(0).Add(osal.Rule{Class: osal.OpAnyWrite, At: n, Kind: osal.FaultDead})
+}
+
 // faultEnv builds a transactional store over a fault-injecting
 // filesystem. The data file lives on a separate (reliable) filesystem
 // so only journal I/O is subject to faults.
@@ -42,7 +48,7 @@ func faultEnv(t *testing.T) (*osal.FaultFS, *Manager, *access.Store) {
 func TestCommitFailsCleanlyWhenLogWriteFails(t *testing.T) {
 	fs, m, store := faultEnv(t)
 	// Fail the first journal write of the commit.
-	fs.FailAfter(1)
+	fs.SetSchedule(dieAt(1))
 	tx := m.Begin()
 	if err := tx.Put([]byte("doomed"), []byte("v")); err != nil {
 		t.Fatal(err)
@@ -72,7 +78,7 @@ func TestCommitFailsWhenSyncFails(t *testing.T) {
 	tx.Put([]byte("k"), []byte("v"))
 	// Let the record write pass (put + commit record are one coalesced
 	// write) and fail the durability sync.
-	fs.FailAfter(2)
+	fs.SetSchedule(dieAt(2))
 	if err := tx.Commit(); !errors.Is(err, osal.ErrInjected) {
 		t.Fatalf("Commit = %v, want injected fault at sync", err)
 	}
@@ -160,7 +166,7 @@ func TestGroupSyncFaultFailsWholeBatch(t *testing.T) {
 	base := m.wal.offset()
 	// The batch body is ONE coalesced WriteAt (op 1); fail the Sync
 	// (op 2).
-	logFS.FailAfter(2)
+	logFS.SetSchedule(dieAt(2))
 	m.gc.drain(nil, b, 0)
 	<-b.done
 	for i, err := range b.errs {
@@ -198,7 +204,7 @@ func TestConcurrentCommitFaultFailsEveryWaiter(t *testing.T) {
 	// Every write-class operation fails: whatever batches the committers
 	// land in, every waiter must get the batch's error, none may hang,
 	// and nothing may reach the store.
-	logFS.FailAfter(1)
+	logFS.SetSchedule(dieAt(1))
 	const workers = 8
 	errs := make([]error, workers)
 	var wg sync.WaitGroup
@@ -423,7 +429,7 @@ func TestFailedCommitNotReplayed(t *testing.T) {
 				return tx.Commit()
 			}
 			// The coalesced write (op 1) lands; the sync (op 2) fails.
-			logFS.FailAfter(2)
+			logFS.SetSchedule(dieAt(2))
 			if err := commit("failed"); !errors.Is(err, osal.ErrInjected) {
 				t.Fatalf("commit 1 = %v, want injected fault at sync", err)
 			}

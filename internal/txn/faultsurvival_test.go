@@ -243,7 +243,7 @@ func TestDoubleCrashDuringRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	s2 := access.New(idx, access.AllOps())
-	dataFS.FailAfter(3)
+	dataFS.SetSchedule(dieAt(3))
 	_, err = Open(walFS, "wal.log", s2, Options{Recovery: true})
 	if !errors.Is(err, osal.ErrInjected) {
 		t.Fatalf("recovery over dying device = %v, want injected fault", err)

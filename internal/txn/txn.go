@@ -45,11 +45,6 @@ type Options struct {
 	// SyncStore makes the underlying store durable; used by
 	// Checkpoint. Optional: checkpointing is skipped when nil.
 	SyncStore func() error
-	// OnApply, if set, observes every committed operation as it is
-	// applied to the store (in commit order, under the manager lock).
-	// The Replication feature ships these to replicas. Recovery replays
-	// are not observed.
-	OnApply func(remove bool, key, value []byte) error
 	// Metrics receives transactional and WAL counters when the
 	// Statistics feature is composed; nil otherwise (recording is then a
 	// no-op).
@@ -467,11 +462,6 @@ func (m *Manager) applyLocked(sp *trace.Span, t *Txn) error {
 			}
 		} else {
 			if err := idx.InsertIn(sp, w.key, w.value); err != nil {
-				return err
-			}
-		}
-		if m.opts.OnApply != nil {
-			if err := m.opts.OnApply(w.remove, w.key, w.value); err != nil {
 				return err
 			}
 		}

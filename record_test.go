@@ -6,8 +6,11 @@ package fame
 // writes the store directly. Error identities hold on both paths.
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -147,6 +150,117 @@ func TestFacadePutSurvivesCrash(t *testing.T) {
 	db = composeOver(t, fs, recoveryFeatures...)
 	defer db.Close()
 	mustGet(t, db, "acked", "durable")
+}
+
+// TestFacadeReadsBesideGroupCommitWriters: on a GroupCommit+Locking
+// product the facade's Get, Scan and Len read under the transaction
+// manager's read lock, so beside concurrent facade Puts every read sees
+// committed state: an acknowledged key is found with its value, any
+// other key is found or ErrNotFound, and no read errors. Run it under
+// -race.
+func TestFacadeReadsBesideGroupCommitWriters(t *testing.T) {
+	db, err := Open(Options{GroupCommitBatch: 8},
+		"Linux", "BPlusTree", "BufferManager", "LRU", "DynamicAlloc",
+		"Put", "Get", "Transaction", "GroupCommit", "Locking")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	const writers, perWriter = 4, 300
+	key := func(w, i int) []byte { return []byte(fmt.Sprintf("w%d-%04d", w, i)) }
+	value := func(k []byte) []byte { return append([]byte("v-"), k...) }
+	// acked[w] counts writer w's Puts that have returned.
+	var acked [writers]atomic.Int64
+	ackedTotal := func() (n uint64) {
+		for w := range acked {
+			n += uint64(acked[w].Load())
+		}
+		return n
+	}
+
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	errs := make(chan error, writers+2)
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				if err := db.Put(key(w, i), value(key(w, i))); err != nil {
+					errs <- fmt.Errorf("put: %w", err)
+					return
+				}
+				acked[w].Add(1)
+			}
+		}(w)
+	}
+	read := func(n int) error {
+		w := n % writers
+		c := int(acked[w].Load())
+		i := (n * 7) % perWriter
+		k := key(w, i)
+		v, err := db.Get(k)
+		switch {
+		case errors.Is(err, ErrNotFound) && i >= c:
+		case err != nil:
+			return fmt.Errorf("get %s (acked %d of writer %d): %w", k, c, w, err)
+		case !bytes.Equal(v, value(k)):
+			return fmt.Errorf("get %s = %q", k, v)
+		}
+		before := ackedTotal()
+		var seen uint64
+		var prev, bad []byte
+		err = db.Scan(nil, nil, func(k, v []byte) bool {
+			if !bytes.Equal(v, value(k)) || (prev != nil && bytes.Compare(prev, k) >= 0) {
+				bad = append([]byte(nil), k...)
+				return false
+			}
+			prev = append(prev[:0], k...)
+			seen++
+			return true
+		})
+		switch {
+		case err != nil:
+			return fmt.Errorf("scan: %w", err)
+		case bad != nil:
+			return fmt.Errorf("scan out of order or torn at %s", bad)
+		case seen < before:
+			return fmt.Errorf("scan saw %d entries, %d were acked", seen, before)
+		}
+		before = ackedTotal()
+		if l, err := db.Len(); err != nil || l < before {
+			return fmt.Errorf("len = %d with %d acked, %v", l, before, err)
+		}
+		return nil
+	}
+	var readers sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func(r int) {
+			defer readers.Done()
+			for n := r; ; n += 2 {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if err := read(n); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
+	close(done)
+	readers.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if n, err := db.Len(); err != nil || n != writers*perWriter {
+		t.Fatalf("Len = %d, %v; want %d", n, err, writers*perWriter)
+	}
 }
 
 // startReplica serves a fresh replFeatures primary and attaches a fresh
