@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"sort"
 
 	"famedb/internal/index"
@@ -299,50 +298,12 @@ func (e *Env) Backup(dst osal.FS) error {
 		return err
 	}
 	for _, name := range names {
-		if err := copyFile(e.cfg.FS, dst, name); err != nil {
+		if err := osal.CopyFile(e.cfg.FS, name, dst, name); err != nil {
 			return err
 		}
 	}
 	e.emit(Event{Kind: "backup", Detail: fmt.Sprintf("%d files", len(names))})
 	return nil
-}
-
-func copyFile(src, dst osal.FS, name string) error {
-	in, err := src.Open(name)
-	if err != nil {
-		return err
-	}
-	defer in.Close()
-	out, err := dst.Create(name)
-	if err != nil {
-		return err
-	}
-	defer out.Close()
-	size, err := in.Size()
-	if err != nil {
-		return err
-	}
-	if err := out.Truncate(0); err != nil {
-		return err
-	}
-	buf := make([]byte, 64<<10)
-	var off int64
-	for off < size {
-		n, err := in.ReadAt(buf, off)
-		if n > 0 {
-			if _, werr := out.WriteAt(buf[:n], off); werr != nil {
-				return werr
-			}
-			off += int64(n)
-		}
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return out.Sync()
 }
 
 // --- Sequences ---

@@ -161,16 +161,16 @@ func StatsDump(n int) (string, error) {
 // ---------------------------------------------------------------------
 // B2: the ShardedBuffer feature under concurrent traffic.
 //
-// Both buffer managers run the same workload — parallel get/put page
-// mixes at 1, 4 and 16 goroutines over a cache-hit-heavy working set —
-// while a background checkpointer flushes the pool on a fixed cadence
-// and the base pager charges a flash-style latency per physical page
-// I/O. The single-latch manager holds its one latch across the whole
-// flush, stalling every worker; the sharded pool flushes stripe by
-// stripe, so at most 1/N of the traffic waits. The resulting throughput
-// delta is what the feature buys, and it is fed to the NFP store so the
-// greedy deriver selects ShardedBuffer from measurements rather than
-// from folklore.
+// The one-shard pool and the striped pool run the same workload —
+// parallel get/put page mixes at 1, 4 and 16 goroutines over a
+// cache-hit-heavy working set — while a background checkpointer flushes
+// the pool on a fixed cadence and the base pager charges a flash-style
+// latency per physical page I/O. Both flush alike (the latch is
+// released around each page write), so the only difference is how many
+// latches the traffic spreads over. The resulting throughput delta is
+// what the feature buys, and it is fed to the NFP store so the greedy
+// deriver selects ShardedBuffer from measurements rather than from
+// folklore — or leaves it out when striping buys nothing.
 
 // delayPager wraps a Pager and charges a fixed latency per physical
 // page read/write — a flash device model. The sleep happens in the
@@ -201,9 +201,9 @@ func (d *delayPager) WritePage(id storage.PageID, buf []byte) error {
 // The B2 device and pool: a NAND flash model (reads ~50us, page
 // programs ~200us) under a 1ms checkpoint cadence. The capacity exceeds
 // the working set so the steady state is pure cache hits for both pools
-// — what separates them is the flush: the single latch stalls every
-// worker for the whole write-back pass, the sharded pool one stripe at
-// a time.
+// — what separates them is the stripe count: one latch for every page,
+// or b2Shards latches. Both flush the same way, releasing the latch
+// around each page write.
 const (
 	b2Pages      = 64  // hot working set, pages
 	b2CachePages = 256 // pool capacity (>= b2Pages: hit-heavy)
@@ -217,7 +217,7 @@ const (
 // b2Pool builds one of the two pools over a fresh delayed page file and
 // returns the manager plus the working set's page IDs, prewritten and
 // warmed into the cache.
-func b2Pool(sharded bool) (buffer.Cache, []storage.PageID, error) {
+func b2Pool(sharded bool) (*buffer.Manager, []storage.PageID, error) {
 	f, err := osal.NewMemFS().Create("b2.db")
 	if err != nil {
 		return nil, nil, err
@@ -238,16 +238,15 @@ func b2Pool(sharded bool) (buffer.Cache, []storage.PageID, error) {
 		}
 	}
 	base := &delayPager{base: pf, read: b2ReadDelay, write: b2WriteDelay}
-	var mgr buffer.Cache
+	shards := 1
 	if sharded {
-		mgr, err = buffer.NewShardedManager(base, b2CachePages, b2Shards,
-			func() buffer.Policy { return buffer.NewLRU() },
-			func(frames int) (buffer.Allocator, error) {
-				return buffer.NewDynamicAllocator(4096), nil
-			})
-	} else {
-		mgr, err = buffer.NewManager(base, b2CachePages, buffer.NewLRU(), buffer.NewDynamicAllocator(4096))
+		shards = b2Shards
 	}
+	mgr, err := buffer.NewSharded(base, b2CachePages, shards,
+		func() buffer.Policy { return buffer.NewLRU() },
+		func(frames int) (buffer.Allocator, error) {
+			return buffer.NewDynamicAllocator(4096), nil
+		})
 	if err != nil {
 		return nil, nil, err
 	}

@@ -294,7 +294,11 @@ func (n node) garbageBytes() int {
 	return len(n.buf) - n.cellStart() - live
 }
 
-// validate performs structural checks used by Verify.
+// validate performs structural checks used by Verify. It trusts no
+// stored field: every cell's offset and lengths are checked against the
+// page before the cell is decoded, so when it returns nil, key,
+// leafValue (leaves) and childAt (inner nodes) are in bounds for every
+// cell.
 func (n node) validate(pageSize int) error {
 	if n.buf[0] != leafType && n.buf[0] != innerType {
 		return fmt.Errorf("%w: bad type 0x%02X", ErrCorrupt, n.buf[0])
@@ -302,9 +306,12 @@ func (n node) validate(pageSize int) error {
 	if n.cellStart() > pageSize {
 		return fmt.Errorf("%w: cell start %d beyond page", ErrCorrupt, n.cellStart())
 	}
+	cells := nodeHeaderSize + n.numKeys()*offsetSize
+	if cells > pageSize {
+		return fmt.Errorf("%w: %d keys overflow the offset array", ErrCorrupt, n.numKeys())
+	}
 	for i := 0; i < n.numKeys(); i++ {
-		off := n.offset(i)
-		if off < nodeHeaderSize+n.numKeys()*offsetSize || off+n.cellSize(i) > pageSize {
+		if !n.cellInPage(i, cells, pageSize) {
 			return fmt.Errorf("%w: cell %d out of bounds", ErrCorrupt, i)
 		}
 		if i > 0 && bytes.Compare(n.key(i-1), n.key(i)) >= 0 {
@@ -312,4 +319,30 @@ func (n node) validate(pageSize int) error {
 		}
 	}
 	return nil
+}
+
+// cellInPage reports whether cell i starts at or above lo and its
+// header, key, value or child pointer all end within the page. A length
+// larger than the page is refused before it is converted to int, where
+// it could wrap negative.
+func (n node) cellInPage(i, lo, pageSize int) bool {
+	off := n.offset(i)
+	if off < lo || off >= pageSize {
+		return false
+	}
+	klen, sz := binary.Uvarint(n.buf[off:pageSize])
+	if sz <= 0 || klen > uint64(pageSize) {
+		return false
+	}
+	end := off + sz + int(klen)
+	if n.isLeaf() {
+		vlen, sz2 := binary.Uvarint(n.buf[off+sz : pageSize])
+		if sz2 <= 0 || vlen > uint64(pageSize) {
+			return false
+		}
+		end += sz2 + int(vlen)
+	} else {
+		end += 4
+	}
+	return end <= pageSize
 }

@@ -9,12 +9,13 @@
 //     option on deeply embedded NutOS targets, which forbid dynamic
 //     allocation).
 //
-// A third, optional subfeature targets multi-core hosts: ShardedBuffer
-// (ShardedManager in sharded.go) stripes the cache over independently
-// latched shards so concurrent accesses to different pages do not
-// contend and flushing never stops the whole pool.
+// There is one cache type, Manager: a pool of independently latched
+// shards (sharded.go). NewManager builds it with one shard. A third,
+// optional subfeature targets multi-core hosts: ShardedBuffer only sets
+// the stripe count (NewSharded), so concurrent accesses to different
+// pages do not contend.
 //
-// Both managers implement storage.Pager, so the index code is identical
+// Manager implements storage.Pager, so the index code is identical
 // whether a cache is configured or not (the feature is optional: a
 // product without BufferManager uses the page file directly).
 package buffer
@@ -31,7 +32,7 @@ import (
 
 // Policy selects eviction victims. Implementations are not safe for
 // concurrent use; each shard serializes access to its own instance
-// under the shard latch (the single-latch Manager is one shard).
+// under the shard latch.
 type Policy interface {
 	// Name returns the feature name ("LRU" or "LFU").
 	Name() string
@@ -194,17 +195,11 @@ type Allocator interface {
 	AllocFrame() ([]byte, error)
 	// FreeFrame returns a buffer obtained from AllocFrame.
 	FreeFrame([]byte)
-	// FootprintRAM is the static RAM the allocator occupies, in bytes
-	// (the arena for static allocation, 0 for dynamic).
-	FootprintRAM() int
 }
 
 // DynamicAllocator allocates frames from the Go heap on demand.
 type DynamicAllocator struct {
 	pageSize int
-	// Allocs counts total frame allocations, exposed for the
-	// allocation-strategy ablation benchmark.
-	Allocs int64
 }
 
 // NewDynamicAllocator returns a heap-backed allocator.
@@ -217,22 +212,16 @@ func (a *DynamicAllocator) Name() string { return "DynamicAlloc" }
 
 // AllocFrame implements Allocator.
 func (a *DynamicAllocator) AllocFrame() ([]byte, error) {
-	a.Allocs++
 	return make([]byte, a.pageSize), nil
 }
 
 // FreeFrame implements Allocator.
 func (a *DynamicAllocator) FreeFrame([]byte) {}
 
-// FootprintRAM implements Allocator.
-func (a *DynamicAllocator) FootprintRAM() int { return 0 }
-
 // StaticAllocator hands out frames from a fixed arena allocated once at
 // construction, respecting an embedded RAM budget.
 type StaticAllocator struct {
-	pageSize int
-	free     [][]byte
-	arena    []byte
+	free [][]byte
 }
 
 // NewStaticAllocator preallocates frames×pageSize bytes. It fails if
@@ -242,9 +231,10 @@ func NewStaticAllocator(pageSize, frames, ramBudget int) (*StaticAllocator, erro
 	if ramBudget > 0 && need > ramBudget {
 		return nil, fmt.Errorf("buffer: arena of %d bytes exceeds RAM budget %d", need, ramBudget)
 	}
-	a := &StaticAllocator{pageSize: pageSize, arena: make([]byte, need)}
+	arena := make([]byte, need)
+	a := &StaticAllocator{}
 	for i := 0; i < frames; i++ {
-		a.free = append(a.free, a.arena[i*pageSize:(i+1)*pageSize])
+		a.free = append(a.free, arena[i*pageSize:(i+1)*pageSize])
 	}
 	return a, nil
 }
@@ -268,9 +258,6 @@ func (a *StaticAllocator) AllocFrame() ([]byte, error) {
 // FreeFrame implements Allocator.
 func (a *StaticAllocator) FreeFrame(f []byte) { a.free = append(a.free, f) }
 
-// FootprintRAM implements Allocator.
-func (a *StaticAllocator) FootprintRAM() int { return len(a.arena) }
-
 // --- Manager ---
 
 // Stats exposes cache effectiveness counters.
@@ -281,17 +268,20 @@ type Stats struct {
 	WriteBacks int64
 }
 
-// Manager is the single-latch buffer manager: a write-back cache of up
-// to capacity pages over a base Pager. It implements Cache (and
-// therefore storage.Pager) and is safe for concurrent use. Internally
-// it is one shard of the lock-striped pool (see sharded.go), so base
-// reads and dirty write-backs happen outside the latch: a slow fault
-// blocks only accesses to the faulting page, not unrelated hits. The
-// latch itself is still shared by all pages — the ShardedBuffer feature
-// (ShardedManager) removes that bottleneck.
+var errManagerClosed = errors.New("buffer: manager is closed")
+
+// Manager is the buffer manager: a write-back cache of up to capacity
+// pages over a base Pager, striped over power-of-two shards that each
+// own a latch, a frame map, a replacement-policy instance and a slice
+// of the capacity. It implements storage.Pager and is safe for
+// concurrent use. Base reads and dirty write-backs happen outside the
+// shard latch, so a slow fault blocks only accesses to the faulting
+// page; hits on different shards never contend.
 type Manager struct {
 	base   storage.Seam
-	sh     *shard
+	shards []*shard
+	// shift maps a page hash to its shard (see shardFor).
+	shift  uint
 	closed atomic.Bool
 	// metrics mirrors the counters into the Statistics feature's
 	// registry when composed; nil otherwise (recording is a no-op).
@@ -301,40 +291,59 @@ type Manager struct {
 	tracer *trace.Tracer
 }
 
-// SetMetrics implements Cache, labeling the metrics with the
-// replacement policy in use.
+// NewManager creates a one-shard buffer manager with the given capacity
+// (in pages), replacement policy and allocation strategy.
+func NewManager(base storage.Pager, capacity int, policy Policy, alloc Allocator) (*Manager, error) {
+	return NewSharded(base, capacity, 1,
+		func() Policy { return policy },
+		func(int) (Allocator, error) { return alloc, nil })
+}
+
+// ShardCount returns the number of stripes in use.
+func (m *Manager) ShardCount() int { return len(m.shards) }
+
+// SetMetrics attaches the Statistics feature's buffer metrics, labeled
+// with the replacement policy and the shard count.
 func (m *Manager) SetMetrics(b *stats.Buffer) {
 	m.metrics = b
-	b.SetPolicy(m.sh.policy.Name())
-	b.SetShards(1)
+	b.SetPolicy(m.PolicyName())
+	b.SetShards(len(m.shards))
 }
 
-// SetTracer implements Cache.
+// SetTracer attaches the Tracing feature's span recorder.
 func (m *Manager) SetTracer(t *trace.Tracer) {
 	m.tracer = t
-	m.sh.tr = t
-}
-
-// NewManager creates a buffer manager with the given capacity (in
-// pages), replacement policy and allocation strategy.
-func NewManager(base storage.Pager, capacity int, policy Policy, alloc Allocator) (*Manager, error) {
-	if capacity < 1 {
-		return nil, fmt.Errorf("buffer: capacity %d < 1", capacity)
+	for _, s := range m.shards {
+		s.tr = t
 	}
-	return &Manager{base: storage.SeamOf(base), sh: newShard(capacity, policy, alloc)}, nil
 }
 
 // PageSize implements storage.Pager.
 func (m *Manager) PageSize() int { return m.base.PageSize() }
 
-// Stats returns a snapshot of the cache counters.
-func (m *Manager) Stats() Stats { return m.sh.snapshot() }
-
 // PolicyName returns the replacement feature in use.
-func (m *Manager) PolicyName() string { return m.sh.policy.Name() }
+func (m *Manager) PolicyName() string { return m.shards[0].policy.Name() }
+
+// Stats returns a snapshot of the cache counters, summed over shards.
+func (m *Manager) Stats() Stats {
+	var st Stats
+	for _, s := range m.shards {
+		st.Hits += s.hits.Load()
+		st.Misses += s.misses.Load()
+		st.Evictions += s.evictions.Load()
+		st.WriteBacks += s.writeBacks.Load()
+	}
+	return st
+}
 
 // Resident returns the number of cached pages.
-func (m *Manager) Resident() int { return m.sh.resident() }
+func (m *Manager) Resident() int {
+	total := 0
+	for _, s := range m.shards {
+		total += s.resident()
+	}
+	return total
+}
 
 // Alloc implements storage.Pager.
 func (m *Manager) Alloc() (storage.PageID, error) {
@@ -344,13 +353,13 @@ func (m *Manager) Alloc() (storage.PageID, error) {
 	return m.base.Alloc()
 }
 
-// Free implements storage.Pager: the page leaves the cache and returns
+// Free implements storage.Pager: the page leaves its shard and returns
 // to the base free list.
 func (m *Manager) Free(id storage.PageID) error {
 	if m.closed.Load() {
 		return errManagerClosed
 	}
-	m.sh.drop(id)
+	m.shardFor(id).drop(id)
 	return m.base.Free(id)
 }
 
@@ -359,15 +368,7 @@ func (m *Manager) ReadPage(id storage.PageID, buf []byte) error { return m.ReadP
 
 // ReadPageIn implements storage.SpanPager.
 func (m *Manager) ReadPageIn(parent *trace.Span, id storage.PageID, buf []byte) error {
-	if m.closed.Load() {
-		return errManagerClosed
-	}
-	sp := m.tracer.Start(parent, trace.LayerBuffer, "read")
-	sp.Page(uint32(id))
-	err := m.sh.access(sp, m.base, m.metrics, id, buf, false)
-	sp.Fail(err)
-	sp.End()
-	return err
+	return m.access(parent, "read", id, buf, false)
 }
 
 // WritePage implements storage.Pager: write-allocate, write-back.
@@ -375,32 +376,31 @@ func (m *Manager) WritePage(id storage.PageID, buf []byte) error { return m.Writ
 
 // WritePageIn implements storage.SpanPager.
 func (m *Manager) WritePageIn(parent *trace.Span, id storage.PageID, buf []byte) error {
+	return m.access(parent, "write", id, buf, true)
+}
+
+// access runs one read or write-allocate on the page's shard under a
+// span named op.
+func (m *Manager) access(parent *trace.Span, op string, id storage.PageID, buf []byte, write bool) error {
 	if m.closed.Load() {
 		return errManagerClosed
 	}
-	sp := m.tracer.Start(parent, trace.LayerBuffer, "write")
+	sp := m.tracer.Start(parent, trace.LayerBuffer, op)
 	sp.Page(uint32(id))
-	err := m.sh.access(sp, m.base, m.metrics, id, buf, true)
+	err := m.shardFor(id).access(sp, m.base, m.metrics, id, buf, write)
 	sp.Fail(err)
 	sp.End()
 	return err
 }
 
-// FlushPage writes back one page if it is resident and dirty. Used by
-// the transaction manager to honor write-ahead ordering.
-func (m *Manager) FlushPage(id storage.PageID) error {
-	if m.closed.Load() {
-		return errManagerClosed
-	}
-	return m.sh.flushPage(m.base, m.metrics, id)
-}
-
-// Sync implements storage.Pager: all dirty pages are written back and
-// the base pager is synced. The latch is held across the write-backs,
-// so Sync on the single-latch manager stops the world — the price the
-// ShardedBuffer feature exists to avoid.
+// Sync implements storage.Pager: every shard in turn writes back the
+// pages that were dirty when its pass began (flushFuzzy), and the base
+// pager is synced. Traffic proceeds during the pass, so the written set
+// is not a point-in-time image: a caller that needs one, a checkpoint,
+// stops writers first (txn.Manager.Checkpoint runs under its quiesce
+// and write lock).
 func (m *Manager) Sync() error {
-	if err := m.sh.flushSharp(m.base, m.metrics); err != nil {
+	if err := m.flush(); err != nil {
 		return err
 	}
 	return m.base.Sync()
@@ -412,8 +412,18 @@ func (m *Manager) Close() error {
 	if !m.closed.CompareAndSwap(false, true) {
 		return errors.New("buffer: manager already closed")
 	}
-	if err := m.sh.flushSharp(m.base, m.metrics); err != nil {
+	if err := m.flush(); err != nil {
 		return err
 	}
 	return m.base.Close()
+}
+
+// flush writes back every shard's dirty pages, one stripe at a time.
+func (m *Manager) flush() error {
+	for _, s := range m.shards {
+		if err := s.flushFuzzy(m.base, m.metrics); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -173,9 +173,6 @@ func TestStaticAllocatorBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.FootprintRAM() != 512 {
-		t.Fatalf("FootprintRAM = %d", a.FootprintRAM())
-	}
 	var frames [][]byte
 	for i := 0; i < 4; i++ {
 		f, err := a.AllocFrame()

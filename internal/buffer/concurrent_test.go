@@ -1,7 +1,8 @@
 package buffer
 
-// Concurrency tests for both managers. Run with -race: the CI pipeline
-// executes `go test -race ./internal/buffer/...`.
+// Concurrency tests for the pool with one shard (subtests "Manager")
+// and striped by ShardedBuffer (subtests "ShardedManager"). Run with
+// -race: the CI pipeline executes `go test -race ./internal/buffer/...`.
 
 import (
 	"bytes"
@@ -51,10 +52,10 @@ func TestSlowBaseReadDoesNotBlockUnrelatedHits(t *testing.T) {
 				entered: make(chan struct{}),
 				release: make(chan struct{}),
 			}
-			var m Cache
+			var m *Manager
 			var err error
 			if sharded {
-				m, err = NewShardedManager(gate, 8, 4,
+				m, err = NewSharded(gate, 8, 4,
 					func() Policy { return NewLRU() },
 					func(int) (Allocator, error) { return NewDynamicAllocator(128), nil })
 			} else {
@@ -109,7 +110,7 @@ func TestSingleflightFault(t *testing.T) {
 		entered: make(chan struct{}),
 		release: make(chan struct{}),
 	}
-	m, err := NewShardedManager(gate, 8, 4,
+	m, err := NewSharded(gate, 8, 4,
 		func() Policy { return NewLRU() },
 		func(int) (Allocator, error) { return NewDynamicAllocator(128), nil })
 	if err != nil {
@@ -166,13 +167,13 @@ func TestCountersMatchSequentialReplay(t *testing.T) {
 				}
 				ids = append(ids, id)
 			}
-			var m Cache
+			var m *Manager
 			var err error
 			// Capacity far above the working set: even with every worker
 			// faulting into one shard at once (loaded + in-flight
 			// placeholders), no shard can fill, so no eviction ever fires.
 			if sharded {
-				m, err = NewShardedManager(pf, 8*pages, 8,
+				m, err = NewSharded(pf, 8*pages, 8,
 					func() Policy { return NewLRU() },
 					func(int) (Allocator, error) { return NewDynamicAllocator(128), nil })
 			} else {
@@ -258,10 +259,10 @@ func TestConcurrentEvictionStress(t *testing.T) {
 				ids = append(ids, id)
 			}
 			base := &slowPager{Pager: pf, read: 20 * time.Microsecond, write: 50 * time.Microsecond}
-			var m Cache
+			var m *Manager
 			var err error
 			if sharded {
-				m, err = NewShardedManager(base, pages/2, 8,
+				m, err = NewSharded(base, pages/2, 8,
 					func() Policy { return NewLRU() },
 					func(int) (Allocator, error) { return NewDynamicAllocator(128), nil })
 			} else {
@@ -390,11 +391,11 @@ func TestReadSurvivesDirtyVictimWriteBackFailure(t *testing.T) {
 				t.Fatal(err)
 			}
 			brick := &brickPager{Pager: pf, werr: werr}
-			var m Cache
+			var m *Manager
 			var err error
 			if sharded {
 				// One shard of one frame: page b's fault must evict a.
-				m, err = NewShardedManager(brick, 1, 1,
+				m, err = NewSharded(brick, 1, 1,
 					func() Policy { return NewLRU() },
 					func(int) (Allocator, error) { return NewDynamicAllocator(128), nil })
 			} else {

@@ -129,8 +129,8 @@ func TestMetricsNilIsNoOp(t *testing.T) {
 	}
 }
 
-// TestMetricsWriteBackOnFlush checks Sync and FlushPage record
-// write-backs without evictions.
+// TestMetricsWriteBackOnFlush checks Sync records write-backs without
+// evictions, and that a second Sync writes only the pages dirtied since.
 func TestMetricsWriteBackOnFlush(t *testing.T) {
 	m, _ := newMgr(t, 4, NewLRU())
 	reg := stats.New()
@@ -141,15 +141,18 @@ func TestMetricsWriteBackOnFlush(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := m.FlushPage(p[0]); err != nil {
+	if err := m.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.WritePage(p[0], fill('C', 128)); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	s := reg.Snapshot().Buffer
-	// FlushPage wrote p0; Sync wrote the still-dirty p1 only.
-	if s.WriteBacks != 2 || s.Evictions != 0 {
-		t.Errorf("writeBacks %d evictions %d, want 2/0", s.WriteBacks, s.Evictions)
+	// The first Sync wrote p0 and p1; the second the re-dirtied p0 only.
+	if s.WriteBacks != 3 || s.Evictions != 0 {
+		t.Errorf("writeBacks %d evictions %d, want 3/0", s.WriteBacks, s.Evictions)
 	}
 }

@@ -1,10 +1,10 @@
 package buffer
 
-// The ShardedBuffer feature: a lock-striped buffer pool. PageIDs hash
-// into a power-of-two number of shards; each shard owns a slice of the
-// total capacity with its own latch, frame map and replacement-policy
-// instance, so the policies stay single-threaded and the Policy
-// interface is unchanged.
+// The shard engine of the buffer pool. PageIDs hash into a power-of-two
+// number of shards (one unless ShardedBuffer sets more); each shard
+// owns a slice of the total capacity with its own latch, frame map and
+// replacement-policy instance, so the policies stay single-threaded and
+// the Policy interface is unchanged.
 //
 // Base-pager I/O never happens under a shard latch. The fault protocol
 // (shard.access/shard.fault) is:
@@ -40,27 +40,6 @@ import (
 	"famedb/internal/storage"
 	"famedb/internal/trace"
 )
-
-// Cache is what the composer expects from a buffer manager: the Pager
-// contract plus cache introspection. Manager (single latch) and
-// ShardedManager (lock striped) both implement it.
-type Cache interface {
-	storage.Pager
-	// Stats returns a snapshot of the cache counters.
-	Stats() Stats
-	// PolicyName returns the replacement feature in use.
-	PolicyName() string
-	// Resident returns the number of cached pages.
-	Resident() int
-	// FlushPage writes back one page if it is resident and dirty.
-	FlushPage(id storage.PageID) error
-	// SetMetrics attaches the Statistics feature's buffer metrics.
-	SetMetrics(b *stats.Buffer)
-	// SetTracer attaches the Tracing feature's span recorder.
-	SetTracer(t *trace.Tracer)
-}
-
-var errManagerClosed = errors.New("buffer: manager is closed")
 
 // sframe is a shard-resident page frame. Between insertion and publish
 // the frame is a singleflight placeholder: loaded is false, data is nil
@@ -107,15 +86,6 @@ func newShard(capacity int, policy Policy, alloc Allocator) *shard {
 	}
 	s.cond = sync.NewCond(&s.mu)
 	return s
-}
-
-func (s *shard) snapshot() Stats {
-	return Stats{
-		Hits:       s.hits.Load(),
-		Misses:     s.misses.Load(),
-		Evictions:  s.evictions.Load(),
-		WriteBacks: s.writeBacks.Load(),
-	}
 }
 
 func (s *shard) resident() int {
@@ -202,7 +172,7 @@ func (s *shard) fault(sp *trace.Span, base storage.Seam, m *stats.Buffer, id sto
 		}
 		victimID = s.policy.Victim()
 		if ch, ok := s.writeback[victimID]; ok {
-			// A fuzzy-flush write of the victim is in flight. Wait it
+			// A flush write of the victim is in flight. Wait it
 			// out with the latch released and void this fault — the
 			// shard changed meanwhile, so the access must re-evaluate.
 			s.mu.Unlock()
@@ -324,7 +294,7 @@ func (s *shard) abandonFault(id storage.PageID, f *sframe) {
 }
 
 // drop removes a page from the shard (Pager.Free), waiting out any
-// in-flight fault or write-back of that page — including a fuzzy-flush
+// in-flight fault or write-back of that page — including a flush
 // write, whose base I/O must not land on a page the base has freed.
 func (s *shard) drop(id storage.PageID) {
 	s.mu.Lock()
@@ -354,106 +324,15 @@ func (s *shard) drop(id storage.PageID) {
 	s.mu.Unlock()
 }
 
-// claimWriteback snapshots a dirty frame's image, clears its dirty bit
-// and registers the page in the writeback table, all under the latch —
-// the claim that lets the base write proceed outside it. The caller
-// must write the returned image and then call releaseWriteback.
-func (s *shard) claimWriteback(id storage.PageID, f *sframe) ([]byte, chan struct{}) {
-	img := append([]byte(nil), f.data...)
-	f.dirty = false
-	ch := make(chan struct{})
-	s.writeback[id] = ch
-	return img, ch
-}
-
-// releaseWriteback retires a claim. On a failed base write the page is
-// re-dirtied if its frame is still resident, so the data is not lost.
-// Called with the latch held.
-func (s *shard) releaseWriteback(id storage.PageID, m *stats.Buffer, werr error) {
-	ch := s.writeback[id]
-	delete(s.writeback, id)
-	close(ch)
-	if werr != nil {
-		if f, ok := s.frames[id]; ok && f.loaded {
-			f.dirty = true
-		}
-		return
-	}
-	s.writeBacks.Add(1)
-	m.WriteBack()
-}
-
-// flushPage writes back one page if it is resident and dirty, with the
-// base I/O outside the latch under a writeback claim; a pending write
-// of the same page is waited out first so images land in order.
-func (s *shard) flushPage(base storage.Seam, m *stats.Buffer, id storage.PageID) error {
-	s.mu.Lock()
-	for {
-		if ch, ok := s.writeback[id]; ok {
-			s.mu.Unlock()
-			<-ch
-			s.mu.Lock()
-			continue
-		}
-		f, ok := s.frames[id]
-		if !ok || !f.loaded || !f.dirty {
-			break
-		}
-		img, _ := s.claimWriteback(id, f)
-		s.mu.Unlock()
-		werr := base.WritePage(id, img)
-		s.mu.Lock()
-		s.releaseWriteback(id, m, werr)
-		if werr != nil {
-			s.mu.Unlock()
-			return werr
-		}
-		break
-	}
-	s.mu.Unlock()
-	return nil
-}
-
-// flushSharp writes back every dirty page of this shard while holding
-// the latch throughout: an atomic checkpoint — no access interleaves,
-// the written set is a consistent snapshot — at the price of stalling
-// the shard's traffic for the whole pass. This is the sequential
-// engine's semantics; the single-latch Manager syncs with it.
-func (s *shard) flushSharp(base storage.Seam, m *stats.Buffer) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	// Drain outstanding eviction write-backs first: their pages must be
-	// in the base file before the caller's base.Sync.
-	for len(s.writeback) > 0 {
-		var ch chan struct{}
-		for _, ch = range s.writeback {
-			break
-		}
-		s.mu.Unlock()
-		<-ch
-		s.mu.Lock()
-	}
-	for id, f := range s.frames {
-		if !f.loaded || !f.dirty {
-			continue
-		}
-		if err := base.WritePage(id, f.data); err != nil {
-			return err
-		}
-		f.dirty = false
-		s.writeBacks.Add(1)
-		m.WriteBack()
-	}
-	return nil
-}
-
 // flushFuzzy writes back every page that was dirty when the pass began,
-// releasing the latch around each base write (the writeback claim keeps
-// concurrent evictions, faults, drops and flushes of that page in
-// order). Traffic to the shard proceeds during the I/O — a fuzzy
-// checkpoint: pages re-dirtied behind the scan stay dirty for the next
-// pass. ShardedManager syncs with it.
+// releasing the latch around each base write. A writeback entry claims
+// the page meanwhile, so concurrent evictions, faults, drops and
+// flushes of that page stay in order. Traffic to the shard proceeds
+// during the I/O: pages re-dirtied behind the scan stay dirty for the
+// next pass. One scratch image serves the whole pass; the base pager
+// does not keep the buffer it is handed.
 func (s *shard) flushFuzzy(base storage.Seam, m *stats.Buffer) error {
+	var img []byte
 	s.mu.Lock()
 	ids := make([]storage.PageID, 0, len(s.frames))
 	for id, f := range s.frames {
@@ -473,15 +352,26 @@ func (s *shard) flushFuzzy(base storage.Seam, m *stats.Buffer) error {
 			if !ok || !f.loaded || !f.dirty {
 				break // evicted or written back since the scan
 			}
-			img, _ := s.claimWriteback(id, f)
+			img = append(img[:0], f.data...)
+			f.dirty = false
+			ch := make(chan struct{})
+			s.writeback[id] = ch
 			s.mu.Unlock()
 			werr := base.WritePage(id, img)
 			s.mu.Lock()
-			s.releaseWriteback(id, m, werr)
+			delete(s.writeback, id)
+			close(ch)
 			if werr != nil {
+				// Re-dirty the page if its frame is still resident, so
+				// the data is not lost.
+				if f, ok := s.frames[id]; ok && f.loaded {
+					f.dirty = true
+				}
 				s.mu.Unlock()
 				return werr
 			}
+			s.writeBacks.Add(1)
+			m.WriteBack()
 			break
 		}
 	}
@@ -499,38 +389,19 @@ func (s *shard) flushFuzzy(base storage.Seam, m *stats.Buffer) error {
 	return nil
 }
 
-// --- ShardedManager ---
+// --- Striping (the ShardedBuffer feature) ---
 
 // DefaultShards is the shard count used when the product does not set
 // one (the composer's CacheShards knob).
 const DefaultShards = 8
 
-// ShardedManager is the ShardedBuffer feature: a write-back page cache
-// striped over power-of-two shards, each with its own latch, frame map
-// and replacement-policy instance. It implements Cache (and therefore
-// storage.Pager) and is safe for concurrent use; unlike Manager, hits
-// on different shards never contend, and Sync flushes shard by shard
-// instead of stopping the world.
-type ShardedManager struct {
-	base       storage.Seam
-	shards     []*shard
-	shift      uint
-	policyName string
-	closed     atomic.Bool
-	// metrics mirrors the counters into the Statistics feature's
-	// registry when composed; nil otherwise (recording is a no-op).
-	metrics *stats.Buffer
-	// tracer records cache accesses as spans when the Tracing feature
-	// is composed; nil otherwise.
-	tracer *trace.Tracer
-}
-
-// NewShardedManager stripes capacity pages over shards. The shard count
-// is rounded up to a power of two and clamped so every shard owns at
-// least one frame (capacity < shards yields fewer shards); the capacity
+// NewSharded is the ShardedBuffer feature: it stripes capacity pages
+// over shards. The shard count is rounded up to a power of two and
+// clamped so every shard owns at least one frame (capacity < shards
+// yields fewer shards); shards < 1 selects DefaultShards. The capacity
 // remainder goes to the low shards. Each shard gets its own policy and
 // allocator from the factories, keeping both single-threaded per shard.
-func NewShardedManager(base storage.Pager, capacity, shards int, newPolicy func() Policy, newAlloc func(frames int) (Allocator, error)) (*ShardedManager, error) {
+func NewSharded(base storage.Pager, capacity, shards int, newPolicy func() Policy, newAlloc func(frames int) (Allocator, error)) (*Manager, error) {
 	if capacity < 1 {
 		return nil, fmt.Errorf("buffer: capacity %d < 1", capacity)
 	}
@@ -544,164 +415,30 @@ func NewShardedManager(base storage.Pager, capacity, shards int, newPolicy func(
 	for n > capacity {
 		n >>= 1
 	}
-	m := &ShardedManager{base: storage.SeamOf(base), shift: uint(64 - bits.TrailingZeros(uint(n)))}
-	for i := 0; i < n; i++ {
+	ss := make([]*shard, n)
+	for i := range ss {
 		c := capacity / n
 		if i < capacity%n {
 			c++
-		}
-		p := newPolicy()
-		if i == 0 {
-			m.policyName = p.Name()
 		}
 		a, err := newAlloc(c)
 		if err != nil {
 			return nil, err
 		}
-		m.shards = append(m.shards, newShard(c, p, a))
+		ss[i] = newShard(c, newPolicy(), a)
 	}
-	return m, nil
+	return &Manager{
+		base:   storage.SeamOf(base),
+		shards: ss,
+		shift:  uint(64 - bits.TrailingZeros(uint(n))),
+	}, nil
 }
 
 // shardFor maps a page to its shard with a Fibonacci multiplicative
 // hash: consecutive PageIDs — the common allocation pattern — spread
-// uniformly instead of clustering in one shard.
-func (m *ShardedManager) shardFor(id storage.PageID) *shard {
+// uniformly instead of clustering in one shard. With one shard the
+// shift is 64 and every page maps to shard 0.
+func (m *Manager) shardFor(id storage.PageID) *shard {
 	h := uint64(id) * 0x9e3779b97f4a7c15
 	return m.shards[h>>m.shift]
-}
-
-// ShardCount returns the number of stripes actually in use.
-func (m *ShardedManager) ShardCount() int { return len(m.shards) }
-
-// SetMetrics implements Cache, labeling the metrics with the policy and
-// shard count.
-func (m *ShardedManager) SetMetrics(b *stats.Buffer) {
-	m.metrics = b
-	b.SetPolicy(m.policyName)
-	b.SetShards(len(m.shards))
-}
-
-// SetTracer implements Cache.
-func (m *ShardedManager) SetTracer(t *trace.Tracer) {
-	m.tracer = t
-	for _, s := range m.shards {
-		s.tr = t
-	}
-}
-
-// PageSize implements storage.Pager.
-func (m *ShardedManager) PageSize() int { return m.base.PageSize() }
-
-// PolicyName implements Cache.
-func (m *ShardedManager) PolicyName() string { return m.policyName }
-
-// Stats implements Cache: the per-shard atomics summed.
-func (m *ShardedManager) Stats() Stats {
-	var st Stats
-	for _, s := range m.shards {
-		sn := s.snapshot()
-		st.Hits += sn.Hits
-		st.Misses += sn.Misses
-		st.Evictions += sn.Evictions
-		st.WriteBacks += sn.WriteBacks
-	}
-	return st
-}
-
-// Resident implements Cache.
-func (m *ShardedManager) Resident() int {
-	total := 0
-	for _, s := range m.shards {
-		total += s.resident()
-	}
-	return total
-}
-
-// Alloc implements storage.Pager.
-func (m *ShardedManager) Alloc() (storage.PageID, error) {
-	if m.closed.Load() {
-		return 0, errManagerClosed
-	}
-	return m.base.Alloc()
-}
-
-// Free implements storage.Pager: the page leaves its shard and returns
-// to the base free list.
-func (m *ShardedManager) Free(id storage.PageID) error {
-	if m.closed.Load() {
-		return errManagerClosed
-	}
-	m.shardFor(id).drop(id)
-	return m.base.Free(id)
-}
-
-// ReadPage implements storage.Pager.
-func (m *ShardedManager) ReadPage(id storage.PageID, buf []byte) error {
-	return m.ReadPageIn(nil, id, buf)
-}
-
-// ReadPageIn implements storage.SpanPager.
-func (m *ShardedManager) ReadPageIn(parent *trace.Span, id storage.PageID, buf []byte) error {
-	if m.closed.Load() {
-		return errManagerClosed
-	}
-	sp := m.tracer.Start(parent, trace.LayerBuffer, "read")
-	sp.Page(uint32(id))
-	err := m.shardFor(id).access(sp, m.base, m.metrics, id, buf, false)
-	sp.Fail(err)
-	sp.End()
-	return err
-}
-
-// WritePage implements storage.Pager: write-allocate, write-back.
-func (m *ShardedManager) WritePage(id storage.PageID, buf []byte) error {
-	return m.WritePageIn(nil, id, buf)
-}
-
-// WritePageIn implements storage.SpanPager.
-func (m *ShardedManager) WritePageIn(parent *trace.Span, id storage.PageID, buf []byte) error {
-	if m.closed.Load() {
-		return errManagerClosed
-	}
-	sp := m.tracer.Start(parent, trace.LayerBuffer, "write")
-	sp.Page(uint32(id))
-	err := m.shardFor(id).access(sp, m.base, m.metrics, id, buf, true)
-	sp.Fail(err)
-	sp.End()
-	return err
-}
-
-// FlushPage implements Cache.
-func (m *ShardedManager) FlushPage(id storage.PageID) error {
-	if m.closed.Load() {
-		return errManagerClosed
-	}
-	return m.shardFor(id).flushPage(m.base, m.metrics, id)
-}
-
-// Sync implements storage.Pager: every shard is flushed in turn — one
-// stripe of the pool stalls at a time, never the whole pool — and the
-// base pager is synced.
-func (m *ShardedManager) Sync() error {
-	for _, s := range m.shards {
-		if err := s.flushFuzzy(m.base, m.metrics); err != nil {
-			return err
-		}
-	}
-	return m.base.Sync()
-}
-
-// Close implements storage.Pager: flush, then close the base pager.
-// Close is terminal even when the flush fails.
-func (m *ShardedManager) Close() error {
-	if !m.closed.CompareAndSwap(false, true) {
-		return errors.New("buffer: manager already closed")
-	}
-	for _, s := range m.shards {
-		if err := s.flushFuzzy(m.base, m.metrics); err != nil {
-			return err
-		}
-	}
-	return m.base.Close()
 }

@@ -99,12 +99,11 @@ type Instance struct {
 	// selected.
 	SQL *sql.Engine
 
-	fs          osal.FS
-	pf          *storage.PageFile
-	pager       storage.Pager
-	cache       buffer.Cache
-	cachePages  int
-	cacheShards int
+	fs         osal.FS
+	pf         *storage.PageFile
+	pager      storage.Pager
+	cache      *buffer.Manager
+	cachePages int
 	// ck is the Checksums feature's CRC-trailer pager; nil unless the
 	// feature is selected.
 	ck *storage.ChecksumPager
@@ -326,24 +325,15 @@ func Compose(cfg *core.Configuration, opts Options) (*Instance, error) {
 			return nil, fmt.Errorf("composer: static arena of %d bytes exceeds the %s RAM budget %d",
 				capacity*pageSize, inst.Platform.Name, inst.Platform.RAMBudget)
 		}
+		// One pool for every product: ShardedBuffer only sets the
+		// stripe count (0 selects buffer.DefaultShards).
+		shards := 1
 		if cfg.Has("ShardedBuffer") {
-			sharded, err := buffer.NewShardedManager(inst.pager, capacity, opts.CacheShards, newPolicy, newAlloc)
-			if err != nil {
-				return nil, err
-			}
-			inst.cache = sharded
-			inst.cacheShards = sharded.ShardCount()
-		} else {
-			alloc, err := newAlloc(capacity)
-			if err != nil {
-				return nil, err
-			}
-			single, err := buffer.NewManager(inst.pager, capacity, newPolicy(), alloc)
-			if err != nil {
-				return nil, err
-			}
-			inst.cache = single
-			inst.cacheShards = 1
+			shards = opts.CacheShards
+		}
+		inst.cache, err = buffer.NewSharded(inst.pager, capacity, shards, newPolicy, newAlloc)
+		if err != nil {
+			return nil, err
 		}
 		inst.cache.SetMetrics(inst.stats.Buffer())
 		inst.cache.SetTracer(inst.tracer)
@@ -631,7 +621,7 @@ func instrumentFactory(base sql.IndexFactory, reg *stats.Registry, tr *trace.Tra
 // copy (acknowledging a partial write) must not get its damage adopted
 // as the image every future recovery restores from.
 func writeCheckpoint(fs osal.FS) error {
-	if err := copyFSFile(fs, dataFile, ckptFile+".tmp"); err != nil {
+	if err := osal.CopyFile(fs, dataFile, fs, ckptFile+".tmp"); err != nil {
 		return err
 	}
 	if err := compareFSFiles(fs, dataFile, ckptFile+".tmp"); err != nil {
@@ -692,44 +682,7 @@ func restoreCheckpoint(fs osal.FS) error {
 		return nil
 	}
 	// Copy (not rename) so the image survives for the next crash.
-	return copyFSFile(fs, ckptFile, dataFile)
-}
-
-// copyFSFile copies src over dst within one filesystem.
-func copyFSFile(fs osal.FS, src, dst string) error {
-	in, err := fs.Open(src)
-	if err != nil {
-		return err
-	}
-	defer in.Close()
-	out, err := fs.Create(dst)
-	if err != nil {
-		return err
-	}
-	defer out.Close()
-	if err := out.Truncate(0); err != nil {
-		return err
-	}
-	size, err := in.Size()
-	if err != nil {
-		return err
-	}
-	buf := make([]byte, 64<<10)
-	var off int64
-	for off < size {
-		n := len(buf)
-		if rem := size - off; rem < int64(n) {
-			n = int(rem)
-		}
-		if _, err := in.ReadAt(buf[:n], off); err != nil {
-			return err
-		}
-		if _, err := out.WriteAt(buf[:n], off); err != nil {
-			return err
-		}
-		off += int64(n)
-	}
-	return out.Sync()
+	return osal.CopyFile(fs, ckptFile, fs, dataFile)
 }
 
 // ComposeProduct is the convenience path: derive a product from feature
@@ -961,9 +914,14 @@ func (i *Instance) CacheStats() (buffer.Stats, bool) {
 }
 
 // CacheShards returns the buffer pool's lock-stripe count: 0 without a
-// buffer manager, 1 for the single-latch manager, and the (power-of-
-// two) stripe count with the ShardedBuffer feature.
-func (i *Instance) CacheShards() int { return i.cacheShards }
+// buffer manager, 1 without the ShardedBuffer feature, and the
+// (power-of-two) stripe count with it.
+func (i *Instance) CacheShards() int {
+	if i.cache == nil {
+		return 0
+	}
+	return i.cache.ShardCount()
+}
 
 // FS returns the instance's filesystem.
 func (i *Instance) FS() osal.FS { return i.fs }

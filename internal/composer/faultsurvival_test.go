@@ -2,6 +2,7 @@ package composer
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -358,5 +359,47 @@ func TestComposeVerifyCatchesBrokenTree(t *testing.T) {
 	}
 	if rep.Ok() || rep.Tree == nil || rep.Tree.Ok() {
 		t.Fatalf("Verify missed the broken separator: %s", rep)
+	}
+
+	// Without Checksums nothing stops a flipped byte before the tree
+	// decodes the page: point a leaf's first cell past the page end.
+	// Verify must report the damage, not panic.
+	plain, err := ComposeProduct(Options{FS: osal.NewMemFS()},
+		"Linux", "BPlusTree", "BufferManager", "LRU", "DynamicAlloc",
+		"Put", "Get", "Transaction")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer plain.Close()
+	for i := 0; i < 20; i++ {
+		k := fmt.Sprintf("key-%04d", i)
+		if err := plain.Txn.Put([]byte(k), []byte("value of "+k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	buf = make([]byte, plain.pager.PageSize())
+	corrupted = false
+	for id := storage.PageID(1); id < storage.PageID(plain.pf.NumPages()) && !corrupted; id++ {
+		if err := plain.pager.ReadPage(id, buf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Contains(buf, []byte("value of")) {
+			continue
+		}
+		binary.LittleEndian.PutUint16(buf[16:18], 0x2020) // first cell offset
+		if err := plain.pager.WritePage(id, buf); err != nil {
+			t.Fatal(err)
+		}
+		corrupted = true
+	}
+	if !corrupted {
+		t.Fatal("no leaf page found")
+	}
+	rep, err = plain.Verify()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Ok() || rep.Tree == nil || rep.Tree.Ok() {
+		t.Fatalf("Verify missed the out-of-page cell offset: %s", rep)
 	}
 }

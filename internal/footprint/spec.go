@@ -122,32 +122,26 @@ func FAMESources() map[string][]SourceSpec {
 			"List.find", "List.Name", "List.Insert", "List.Check", "List.Get",
 			"List.Delete", "List.Update", "List.Scan", "List.Len")},
 
-		// Buffer manager and its alternatives. The shard engine in
-		// sharded.go is shared code: the single-latch Manager is one
-		// shard, so it belongs to BufferManager, not ShardedBuffer.
+		// Buffer manager and its alternatives. There is one pool: every
+		// product's cache is a Manager over the shard engine in
+		// sharded.go, with one shard unless ShardedBuffer is selected,
+		// which owns only the striping — the striped constructor and
+		// the page-to-shard hash.
 		"BufferManager": {
 			funcs("internal/buffer/buffer.go",
-				"NewManager", "Manager.PageSize", "Manager.Stats", "Manager.PolicyName",
+				"NewManager", "Manager.ShardCount",
+				"Manager.PageSize", "Manager.PolicyName", "Manager.Stats",
 				"Manager.Resident", "Manager.Alloc", "Manager.Free",
 				"Manager.ReadPage", "Manager.ReadPageIn", "Manager.WritePage",
-				"Manager.WritePageIn", "Manager.FlushPage",
-				"Manager.Sync", "Manager.Close"),
+				"Manager.WritePageIn", "Manager.access",
+				"Manager.Sync", "Manager.Close", "Manager.flush"),
 			funcs("internal/buffer/sharded.go",
-				"newShard", "shard.snapshot", "shard.resident", "shard.access",
+				"newShard", "shard.resident", "shard.access",
 				"shard.fault", "shard.publish", "shard.abandonFault",
-				"shard.drop", "shard.claimWriteback", "shard.releaseWriteback",
-				"shard.flushPage", "shard.flushSharp", "shard.flushFuzzy"),
+				"shard.drop", "shard.flushFuzzy"),
 		},
 		"ShardedBuffer": {funcs("internal/buffer/sharded.go",
-			"NewShardedManager", "ShardedManager.shardFor",
-			"ShardedManager.ShardCount", "ShardedManager.SetMetrics",
-			"ShardedManager.PageSize", "ShardedManager.PolicyName",
-			"ShardedManager.Stats", "ShardedManager.Resident",
-			"ShardedManager.Alloc", "ShardedManager.Free",
-			"ShardedManager.ReadPage", "ShardedManager.ReadPageIn",
-			"ShardedManager.WritePage", "ShardedManager.WritePageIn",
-			"ShardedManager.FlushPage", "ShardedManager.Sync",
-			"ShardedManager.Close")},
+			"NewSharded", "Manager.shardFor")},
 		"LRU": {funcs("internal/buffer/buffer.go",
 			"NewLRU", "LRU.Name", "LRU.Admitted", "LRU.Touched", "LRU.Removed",
 			"LRU.Victim", "LRU.pushFront", "LRU.unlink")},
@@ -156,12 +150,10 @@ func FAMESources() map[string][]SourceSpec {
 			"LFU.Victim")},
 		"DynamicAlloc": {funcs("internal/buffer/buffer.go",
 			"NewDynamicAllocator", "DynamicAllocator.Name",
-			"DynamicAllocator.AllocFrame", "DynamicAllocator.FreeFrame",
-			"DynamicAllocator.FootprintRAM")},
+			"DynamicAllocator.AllocFrame", "DynamicAllocator.FreeFrame")},
 		"StaticAlloc": {funcs("internal/buffer/buffer.go",
 			"NewStaticAllocator", "StaticAllocator.Name",
-			"StaticAllocator.AllocFrame", "StaticAllocator.FreeFrame",
-			"StaticAllocator.FootprintRAM")},
+			"StaticAllocator.AllocFrame", "StaticAllocator.FreeFrame")},
 
 		// The four access operations (Fig. 2's put/get/remove/update).
 		"Put": {funcs("internal/access/access.go", "Store.Put", "Store.PutIn")},
@@ -201,7 +193,10 @@ func FAMESources() map[string][]SourceSpec {
 		"ForceCommit": {funcs("internal/txn/txn.go", "ForceCommit")},
 		"GroupCommit": {funcs("internal/txn/txn.go", "GroupCommit")},
 		"Locking":     {file("internal/txn/groupcommit.go")},
-		"Recovery":    {funcs("internal/txn/txn.go", "Manager.recover")},
+		// Recovery restores the checkpoint image at open and refreshes it
+		// at every checkpoint, both by file copy.
+		"Recovery": {funcs("internal/txn/txn.go", "Manager.recover"),
+			funcs("internal/osal/osal.go", "CopyFile")},
 
 		// The query stack. There is one SQL executor — statements compile
 		// to closure chains (compile.go) that engine.go latches, traces
@@ -329,19 +324,21 @@ func BDBCore() []SourceSpec {
 			"memFile.ReadAt", "memFile.WriteAt", "memFile.Size",
 			"memFile.Truncate", "memFile.Sync", "memFile.Close"),
 		funcs("internal/buffer/buffer.go",
-			"NewManager", "Manager.PageSize", "Manager.Stats", "Manager.Resident",
-			"Manager.Alloc", "Manager.Free", "Manager.ReadPage",
+			"NewManager", "Manager.PageSize", "Manager.Stats",
+			"Manager.Resident", "Manager.Alloc", "Manager.Free", "Manager.ReadPage",
 			"Manager.ReadPageIn", "Manager.WritePage", "Manager.WritePageIn",
-			"Manager.Sync", "Manager.Close",
+			"Manager.access", "Manager.Sync", "Manager.Close", "Manager.flush",
 			"NewLRU", "LRU.Name", "LRU.Admitted", "LRU.Touched", "LRU.Removed",
 			"LRU.Victim", "LRU.pushFront", "LRU.unlink",
 			"NewDynamicAllocator", "DynamicAllocator.Name",
 			"DynamicAllocator.AllocFrame", "DynamicAllocator.FreeFrame"),
+		// The cache is NewManager's one-shard pool; the model has no
+		// ShardedBuffer, so the constructor and page-to-shard hash it
+		// runs are core.
 		funcs("internal/buffer/sharded.go",
-			"newShard", "shard.snapshot", "shard.resident", "shard.access",
+			"newShard", "shard.resident", "shard.access",
 			"shard.fault", "shard.publish", "shard.abandonFault",
-			"shard.drop", "shard.claimWriteback", "shard.releaseWriteback",
-			"shard.flushPage", "shard.flushSharp", "shard.flushFuzzy"),
+			"shard.drop", "shard.flushFuzzy", "NewSharded", "Manager.shardFor"),
 		funcs("internal/index/index.go",
 			"CreateList", "OpenList", "encodeEntry", "decodeEntry",
 			"List.find", "List.Insert", "List.Check", "List.Get", "List.Scan", "List.Len"),
@@ -352,7 +349,7 @@ func BDBCore() []SourceSpec {
 			"routed", "splitRouted", "DB.applyPut", "DB.applyGet",
 			"DB.applyDel", "DB.kvOnly", "DB.Put", "DB.Get", "DB.Delete",
 			"DB.Len", "featureErr"),
-		funcs("internal/bdb/features.go", "Env.Sync", "Env.Close", "copyFile"),
+		funcs("internal/bdb/features.go", "Env.Sync", "Env.Close"),
 	}
 }
 
@@ -408,7 +405,8 @@ func BDBSources() map[string][]SourceSpec {
 				"replicaRouter.resolve", "replicaRouter.insert",
 				"replicaRouter.delete"),
 		},
-		"Backup":   {funcs("internal/bdb/features.go", "Env.Backup")},
+		"Backup": {funcs("internal/bdb/features.go", "Env.Backup"),
+			funcs("internal/osal/osal.go", "CopyFile")},
 		"Sequence": {funcs("internal/bdb/features.go", "Env.Sequence", "Sequence.Next")},
 		"Events":   {funcs("internal/bdb/engine.go", "Env.emit")},
 		"CacheTuning": {funcs("internal/buffer/buffer.go",

@@ -91,6 +91,45 @@ type FS interface {
 	Stats() *Stats
 }
 
+// CopyFile copies srcName on src over dstName on dst, in 64 KiB
+// chunks, and syncs the copy. The destination is truncated first, so a
+// shorter source leaves none of the old content behind. src and dst
+// may be the same filesystem.
+func CopyFile(src FS, srcName string, dst FS, dstName string) error {
+	in, err := src.Open(srcName)
+	if err != nil {
+		return err
+	}
+	defer in.Close()
+	out, err := dst.Create(dstName)
+	if err != nil {
+		return err
+	}
+	defer out.Close()
+	if err := out.Truncate(0); err != nil {
+		return err
+	}
+	size, err := in.Size()
+	if err != nil {
+		return err
+	}
+	buf := make([]byte, 64<<10)
+	for off := int64(0); off < size; {
+		n := len(buf)
+		if rem := size - off; rem < int64(n) {
+			n = int(rem)
+		}
+		if _, err := in.ReadAt(buf[:n], off); err != nil {
+			return err
+		}
+		if _, err := out.WriteAt(buf[:n], off); err != nil {
+			return err
+		}
+		off += int64(n)
+	}
+	return out.Sync()
+}
+
 // Stats counts I/O operations, for tests and the NFP measurement
 // harness. Counters are not reset by Close.
 type Stats struct {

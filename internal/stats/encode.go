@@ -33,8 +33,8 @@ type Snapshot struct {
 // BufferSnapshot copies the buffer-manager counters.
 type BufferSnapshot struct {
 	Policy string `json:"policy,omitempty"`
-	// Shards is the pool's lock-stripe count: 1 for the single-latch
-	// manager, >1 with the ShardedBuffer feature, 0 without a cache.
+	// Shards is the pool's lock-stripe count: 1 without the
+	// ShardedBuffer feature, >1 with it, 0 without a cache.
 	Shards     int64 `json:"shards,omitempty"`
 	Hits       int64 `json:"hits"`
 	Misses     int64 `json:"misses"`

@@ -373,8 +373,8 @@ func (b *Buffer) SetPolicy(name string) {
 	}
 }
 
-// SetShards records the buffer pool's shard count (1 for the
-// single-latch manager).
+// SetShards records the buffer pool's shard count (1 without the
+// ShardedBuffer feature).
 func (b *Buffer) SetShards(n int) {
 	if b != nil {
 		b.shards.Store(int64(n))
