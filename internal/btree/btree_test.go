@@ -526,3 +526,38 @@ func TestSmallestPageSize(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestLargestPageSize pins the other end: 32 KiB is the largest page
+// the page file accepts, and a node on it addresses its whole cell area
+// (the cell-area start is a uint16). Random inserts of entries up to the
+// largest allowed split nodes on both sides of the middle.
+func TestLargestPageSize(t *testing.T) {
+	const pageSize = 32 << 10
+	tr := newTree(t, pageSize)
+	rng := rand.New(rand.NewSource(7))
+	want := make(map[string][]byte)
+	for i := 0; i < 600; i++ {
+		k := fmt.Sprintf("k%06d", rng.Intn(1_000_000))
+		n := 1 + rng.Intn(400)
+		if i%50 == 0 {
+			n = maxEntrySize(pageSize) - len(k) - 3 // 1+2 length bytes
+		}
+		v := bytes.Repeat([]byte{byte(i)}, n)
+		if err := tr.Insert([]byte(k), v); err != nil {
+			t.Fatalf("Insert(%s, %d bytes): %v", k, n, err)
+		}
+		want[k] = v
+	}
+	if err := tr.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	if tr.Len() != uint64(len(want)) {
+		t.Fatalf("Len = %d, want %d", tr.Len(), len(want))
+	}
+	for k, v := range want {
+		got, found, err := tr.Get([]byte(k))
+		if err != nil || !found || !bytes.Equal(got, v) {
+			t.Fatalf("Get(%s) = %d bytes, %v, %v", k, len(got), found, err)
+		}
+	}
+}

@@ -96,18 +96,26 @@ const (
 	fileMagic   = "FAMEPG01"
 	headerSize  = 8 + 4 + 4 + 4 // magic + pageSize + pageCount + freeHead
 	minPageSize = 64
-	maxPageSize = 64 << 10
+	// maxPageSize is the largest page a B+-tree node can address: a
+	// node stores its cell-area start in a uint16, which a 64 KiB page
+	// would wrap to 0.
+	maxPageSize = 32 << 10
 )
 
 // ErrBadPage is returned for out-of-range or unallocated page accesses.
 var ErrBadPage = errors.New("storage: invalid page access")
 
 // PageFile manages fixed-size pages in an osal.File with a free list.
-// It is safe for concurrent use: an internal mutex protects the header
-// state and the scratch buffer, so the sharded buffer manager may issue
-// reads and write-backs from several shards at once.
+// It is safe for concurrent use, and reads and writes of distinct pages
+// run concurrently: ReadPage, WritePage and NumPages take mu's shared
+// side, so the sharded buffer manager's faults and write-backs from
+// several shards reach the device at once. mu guards only the header
+// state (pageCount, freeHead, dirtyHdr, closed) and the scratch buffer:
+// Alloc, Free, FreePages, Sync and Close take its exclusive side, so
+// they wait for in-flight page I/O and none runs beside them. Two calls
+// on the same page are the caller's to order.
 type PageFile struct {
-	mu       sync.Mutex
+	mu       sync.RWMutex
 	f        osal.File
 	pageSize int
 	// pageCount counts all pages including the header page 0.
@@ -192,8 +200,8 @@ func (pf *PageFile) PageSize() int { return pf.pageSize }
 
 // NumPages returns the number of allocated pages including the header.
 func (pf *PageFile) NumPages() uint32 {
-	pf.mu.Lock()
-	defer pf.mu.Unlock()
+	pf.mu.RLock()
+	defer pf.mu.RUnlock()
 	return pf.pageCount
 }
 
@@ -301,8 +309,8 @@ func (pf *PageFile) ReadPage(id PageID, buf []byte) error { return pf.ReadPageIn
 
 // ReadPageIn implements SpanPager.
 func (pf *PageFile) ReadPageIn(parent *trace.Span, id PageID, buf []byte) error {
-	pf.mu.Lock()
-	defer pf.mu.Unlock()
+	pf.mu.RLock()
+	defer pf.mu.RUnlock()
 	if err := pf.check("read", id); err != nil {
 		return err
 	}
@@ -326,8 +334,8 @@ func (pf *PageFile) WritePage(id PageID, buf []byte) error { return pf.WritePage
 
 // WritePageIn implements SpanPager.
 func (pf *PageFile) WritePageIn(parent *trace.Span, id PageID, buf []byte) error {
-	pf.mu.Lock()
-	defer pf.mu.Unlock()
+	pf.mu.RLock()
+	defer pf.mu.RUnlock()
 	if err := pf.check("write", id); err != nil {
 		return err
 	}

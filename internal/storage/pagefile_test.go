@@ -2,7 +2,9 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"strings"
 	"testing"
 
 	"famedb/internal/osal"
@@ -57,10 +59,27 @@ func TestCreateOpenPageFile(t *testing.T) {
 }
 
 func TestPageFileBadPageSize(t *testing.T) {
-	for _, size := range []int{0, 63, 65, 1 << 20} {
+	// 64 KiB is refused: a B+-tree node stores its cell-area start in a
+	// uint16, which that page size wraps to 0.
+	for _, size := range []int{0, 63, 65, 64 << 10, 1 << 20} {
 		if _, err := CreatePageFile(newTestFile(t), size); err == nil {
 			t.Errorf("CreatePageFile(%d) should fail", size)
 		}
+	}
+}
+
+func TestOpenPageFileBadPageSize(t *testing.T) {
+	f := newTestFile(t)
+	if _, err := CreatePageFile(f, 4096); err != nil {
+		t.Fatal(err)
+	}
+	var size [4]byte
+	binary.LittleEndian.PutUint32(size[:], 64<<10)
+	if _, err := f.WriteAt(size[:], 8); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenPageFile(f); err == nil || !strings.Contains(err.Error(), "65536") {
+		t.Fatalf("OpenPageFile on a header claiming 64 KiB pages = %v, want a corrupt page size error", err)
 	}
 }
 
