@@ -366,21 +366,21 @@ func (tx *Tx) Put(db *DB, key, value []byte) error {
 	if err := db.kvOnly(); err != nil {
 		return err
 	}
-	return tx.t.Put(routed(db.name, key), value)
+	return tx.t.Tree(db.tree()).Put(key, value)
 }
 
 // Get reads through the transaction (own writes win).
 func (tx *Tx) Get(db *DB, key []byte) ([]byte, error) {
 	tx.env.mu.RLock()
 	defer tx.env.mu.RUnlock()
-	return tx.t.Get(routed(db.name, key))
+	return tx.t.Tree(db.tree()).Get(key)
 }
 
 // Delete buffers a removal.
 func (tx *Tx) Delete(db *DB, key []byte) error {
 	tx.env.mu.RLock()
 	defer tx.env.mu.RUnlock()
-	return tx.t.Remove(routed(db.name, key))
+	return tx.t.Tree(db.tree()).Remove(key)
 }
 
 // Commit makes the transaction's writes durable and visible. The
@@ -421,60 +421,31 @@ func (e *Env) AttachReplica(target *Env) error {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.replica = &replicaRouter{src: e, dst: target}
+	e.replica = &replicaRouter{dst: target}
 	return nil
 }
 
-// replicaRouter applies routed journal writes to the target
-// environment, creating databases on demand.
-type replicaRouter struct {
-	src *Env
-	dst *Env
-}
+// replicaRouter applies the journal's writes to the target
+// environment, to the database of the source's name, created on demand
+// with the source's method.
+type replicaRouter struct{ dst *Env }
 
-func (rr *replicaRouter) resolve(k []byte) (*DB, []byte, error) {
-	name, key, err := splitRouted(k)
-	if err != nil {
-		return nil, nil, err
-	}
+func (rr *replicaRouter) apply(src *DB, key, value []byte, remove bool) error {
 	rr.dst.mu.Lock()
-	db, err := rr.dst.lookupDBLocked(name)
+	db, err := rr.dst.lookupDBLocked(src.name)
 	rr.dst.mu.Unlock()
 	if err != nil {
-		// Mirror the source database's method. The method registry is
-		// read without the source lock: resolve runs inside the
-		// source's commit path, which already holds it.
-		m, ok := rr.src.methods.Load(name)
-		if !ok {
-			return nil, nil, fmt.Errorf("bdb: replication source has no database %q", name)
+		if db, err = rr.dst.CreateDB(src.name, src.method); err != nil {
+			return err
 		}
-		db, err = rr.dst.CreateDB(name, m.(Method))
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	return db, key, nil
-}
-
-func (rr *replicaRouter) insert(k, v []byte) error {
-	db, key, err := rr.resolve(k)
-	if err != nil {
-		return err
 	}
 	rr.dst.mu.Lock()
 	defer rr.dst.mu.Unlock()
-	return db.put(key, v)
-}
-
-func (rr *replicaRouter) delete(k []byte) error {
-	db, key, err := rr.resolve(k)
-	if err != nil {
+	if remove {
+		_, err = db.del(key)
 		return err
 	}
-	rr.dst.mu.Lock()
-	defer rr.dst.mu.Unlock()
-	_, err = db.del(key)
-	return err
+	return db.put(key, value)
 }
 
 // --- lifecycle ---

@@ -796,6 +796,25 @@ func (t *Tree) Compact() error {
 	return nil
 }
 
+// Drop frees every page of the tree, its meta page included; the tree
+// must not be used afterwards. A copy-on-write tree refuses: snapshots
+// may still read its pages.
+func (t *Tree) Drop() error {
+	if t.cow {
+		return errors.New("btree: a copy-on-write tree cannot be dropped")
+	}
+	pages, err := t.allPages()
+	if err != nil {
+		return err
+	}
+	for _, id := range append(pages, t.metaPage) {
+		if err := t.pager.Free(id); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // allPages returns every page of the tree except the meta page.
 func (t *Tree) allPages() ([]storage.PageID, error) {
 	var out []storage.PageID

@@ -431,52 +431,9 @@ func Compose(cfg *core.Configuration, opts Options) (*Instance, error) {
 	inst.Store.SetMetrics(inst.stats.Access())
 	inst.Store.SetTracer(inst.tracer)
 
-	// Transaction feature.
-	if cfg.Has("Transaction") {
-		var versions txn.VersionSource
-		if inst.versions != nil {
-			versions = mvccSource{vt: inst.versions}
-		}
-		batch := txn.ForceCommit()
-		if cfg.Has("GroupCommit") {
-			batch = txn.GroupCommit(opts.GroupCommitBatch)
-		}
-		inst.Txn, err = txn.Open(inst.fs, walFile, inst.Store, txn.Options{
-			BatchLimit: batch,
-			// The Locking feature buys thread safety plus the pipelined
-			// group commit; single-threaded products deselect it and
-			// keep the lock-free plain path (GroupCommit implies it).
-			Locking:  cfg.Has("Locking"),
-			Recovery: cfg.Has("Recovery"),
-			// Checkpointing = flush the cache, then atomically refresh
-			// the shadow copy the next recovery will restore from.
-			SyncStore: func() error {
-				if err := inst.pager.Sync(); err != nil {
-					return err
-				}
-				if cfg.Has("Recovery") {
-					return writeCheckpoint(inst.fs)
-				}
-				return nil
-			},
-			Metrics: inst.stats.Txn(),
-			Tracer:  inst.tracer,
-			// The WAL shares the page path's retry policy and degraded
-			// latch: a dying log device poisons the same engine-wide
-			// health the pagers consult.
-			Health: inst.health,
-			Retry:  retry,
-			Fault:  inst.stats.Fault(),
-			// MVCC feature: Begin pins the newest committed version and
-			// every commit batch installs the next one.
-			Versions: versions,
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	// SQL engine and optimizer features.
+	// SQL engine and optimizer features. The engine comes up before the
+	// transaction manager, which journals its trees on a product with
+	// Transaction.
 	if cfg.Has("SQLEngine") {
 		factory := sql.ListFactory()
 		if cfg.Has("BPlusTree") {
@@ -522,6 +479,60 @@ func Compose(cfg *core.Configuration, opts Options) (*Instance, error) {
 		}
 		if err != nil {
 			return nil, err
+		}
+	}
+
+	// Transaction feature.
+	if cfg.Has("Transaction") {
+		var versions txn.VersionSource
+		if inst.versions != nil {
+			versions = mvccSource{vt: inst.versions}
+		}
+		batch := txn.ForceCommit()
+		if cfg.Has("GroupCommit") {
+			batch = txn.GroupCommit(opts.GroupCommitBatch)
+		}
+		// The SQL engine's catalog and tables are trees of the same log:
+		// its resolver is in place before the open recovers through it.
+		var trees txn.Trees
+		if inst.SQL != nil {
+			trees = inst.SQL.Trees()
+		}
+		inst.Txn, err = txn.OpenTrees(inst.fs, walFile, inst.Store, trees, txn.Options{
+			BatchLimit: batch,
+			// The Locking feature buys thread safety plus the pipelined
+			// group commit; single-threaded products deselect it and
+			// keep the lock-free plain path (GroupCommit implies it).
+			Locking:  cfg.Has("Locking"),
+			Recovery: cfg.Has("Recovery"),
+			// Checkpointing = flush the cache, then atomically refresh
+			// the shadow copy the next recovery will restore from.
+			SyncStore: func() error {
+				if err := inst.pager.Sync(); err != nil {
+					return err
+				}
+				if cfg.Has("Recovery") {
+					return writeCheckpoint(inst.fs)
+				}
+				return nil
+			},
+			Metrics: inst.stats.Txn(),
+			Tracer:  inst.tracer,
+			// The WAL shares the page path's retry policy and degraded
+			// latch: a dying log device poisons the same engine-wide
+			// health the pagers consult.
+			Health: inst.health,
+			Retry:  retry,
+			Fault:  inst.stats.Fault(),
+			// MVCC feature: Begin pins the newest committed version and
+			// every commit batch installs the next one.
+			Versions: versions,
+		})
+		if err != nil {
+			return nil, err
+		}
+		if inst.SQL != nil {
+			inst.SQL.SetJournal(inst.Txn)
 		}
 	}
 

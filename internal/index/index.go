@@ -191,6 +191,9 @@ func (b *BTree) PageVisits() int64 { return b.tree.PageVisits() }
 // Name implements Index.
 func (b *BTree) Name() string { return "BPlusTree" }
 
+// Drop frees every page of the index; it must not be used afterwards.
+func (b *BTree) Drop() error { return b.tree.Drop() }
+
 // Insert implements Index.
 func (b *BTree) Insert(key, value []byte) error { return b.InsertIn(nil, key, value) }
 
@@ -402,3 +405,6 @@ func (l *List) Scan(from, to []byte, fn func(key, value []byte) bool) error {
 
 // Len implements Index.
 func (l *List) Len() (uint64, error) { return l.count, nil }
+
+// Drop frees every page of the index; it must not be used afterwards.
+func (l *List) Drop() error { return l.heap.Drop() }

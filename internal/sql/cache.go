@@ -25,24 +25,26 @@ const cacheShards = 8
 // configure a size.
 const defaultPlanCacheEntries = 256
 
-// normalize rewrites a statement into its shape — literals replaced by
-// `?`, tokens joined canonically — plus the extracted literals in
-// binding order. ok is false when the statement should bypass the
-// cache: DDL (CREATE/DROP change the catalog, caching buys nothing),
-// statements that already contain placeholders, and anything that does
-// not lex (let the parser produce the real error on the original text).
-func normalize(query string) (shape string, args []types.Value, ok bool) {
+// normalize lexes a statement once into its shape — literals replaced
+// by `?`, tokens joined canonically — plus the extracted literals in
+// binding order. The shape is both the plan-cache key and the
+// QueryStats profile key; it is empty only when the text does not lex
+// (such statements fail before execution and are never profiled).
+// cacheable is false when the plan cache must not keep the plan: DDL
+// and EXPLAIN (caching buys nothing), statements that already contain
+// placeholders (they belong to Prepare), a literal the parser would
+// refuse, and anything that does not lex (let the parser produce the
+// real error on the original text).
+func normalize(query string) (shape string, args []types.Value, cacheable bool) {
 	toks, err := lex(query)
 	if err != nil {
 		return "", nil, false
 	}
-	if len(toks) == 0 || toks[0].kind != tokKeyword {
-		return "", nil, false
-	}
-	switch toks[0].text {
-	case "SELECT", "INSERT", "UPDATE", "DELETE":
-	default:
-		return "", nil, false
+	if len(toks) > 0 && toks[0].kind == tokKeyword {
+		switch toks[0].text {
+		case "SELECT", "INSERT", "UPDATE", "DELETE":
+			cacheable = true
+		}
 	}
 	nlit := 0
 	for _, t := range toks {
@@ -64,55 +66,19 @@ func normalize(query string) (shape string, args []types.Value, ok bool) {
 		case tokNumber:
 			// Same conversion the parser applies to literals.
 			v, err := numberValue(t.text)
-			if err != nil {
-				return "", nil, false
-			}
+			cacheable = cacheable && err == nil
 			args = append(args, v)
 			sb.WriteByte('?')
 		case tokString:
 			args = append(args, types.Str(t.text))
 			sb.WriteByte('?')
-		case tokSymbol:
-			if t.text == "?" {
-				// Explicit placeholders belong to Prepare, not the cache.
-				return "", nil, false
-			}
-			sb.WriteString(t.text)
 		default:
+			// An explicit placeholder passes through into the shape.
+			cacheable = cacheable && t.text != "?"
 			sb.WriteString(t.text)
 		}
 	}
-	return sb.String(), args, true
-}
-
-// shapeOf normalizes a statement for the QueryStats profile registry:
-// literals become `?` and tokens join canonically, like normalize, but
-// every verb qualifies (DDL and EXPLAIN too) and existing placeholders
-// pass through — a profile key, not a plan-cache key. ok is false only
-// when the text does not lex; such statements fail before execution and
-// are never profiled.
-func shapeOf(query string) (shape string, ok bool) {
-	toks, err := lex(query)
-	if err != nil {
-		return "", false
-	}
-	var sb strings.Builder
-	sb.Grow(len(query) + len(toks))
-	for i, t := range toks {
-		if t.kind == tokEOF {
-			break
-		}
-		if i > 0 {
-			sb.WriteByte(' ')
-		}
-		switch t.kind {
-		case tokNumber, tokString:
-			sb.WriteByte('?')
-		default:
-			sb.WriteString(t.text)
-		}
-	}
-	return sb.String(), true
+	return sb.String(), args, cacheable
 }
 
 // cacheEntry is one cached compiled plan.
@@ -218,15 +184,10 @@ func (pc *planCache) len() int {
 	return n
 }
 
-// execCached tries to run a statement through the plan cache. handled
-// is false when the statement bypassed the cache (DDL, lex error,
-// explicit placeholders, or a shape that does not parse) and Exec
-// should build a one-shot plan instead.
-func (e *Engine) execCached(query string) (res *Result, handled bool, err error) {
-	shape, args, ok := normalize(query)
-	if !ok {
-		return nil, false, nil
-	}
+// execCached runs a cacheable statement, given as its shape and
+// arguments, through the plan cache. handled is false when the shape
+// does not parse and Exec should build a one-shot plan instead.
+func (e *Engine) execCached(shape string, args []types.Value) (res *Result, handled bool, err error) {
 	m := e.cfg.Metrics
 	q := e.cfg.Query
 	if c := e.cache.get(shape); c != nil {
@@ -252,7 +213,7 @@ func (e *Engine) execCached(query string) (res *Result, handled bool, err error)
 	// then publish and run. Compile errors (unknown table/column, type
 	// conflicts) are real statement errors — report them.
 	e.latch.RLock()
-	c, cerr := e.compile(nil, stmt)
+	c, cerr := e.compileRead(stmt)
 	e.latch.RUnlock()
 	if cerr != nil {
 		return nil, true, cerr

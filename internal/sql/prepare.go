@@ -48,14 +48,14 @@ func (e *Engine) Prepare(query string) (*Stmt, error) {
 		return nil, err
 	}
 	e.latch.RLock()
-	c, err := e.compile(nil, stmt)
+	c, err := e.compileRead(stmt)
 	e.latch.RUnlock()
 	if err != nil {
 		return nil, err
 	}
 	c.prepared = true
 	if e.cfg.Query != nil {
-		c.shape, _ = shapeOf(query)
+		c.shape, _, _ = normalize(query)
 	}
 	e.cfg.Metrics.Prepare()
 	s := &Stmt{e: e, query: query, nparams: nparams}
@@ -99,5 +99,16 @@ func (e *Engine) compile(parent *trace.Span, stmt Statement) (*compiled, error) 
 	e.cfg.Metrics.Compile()
 	sp.Fail(err)
 	sp.End()
+	return c, err
+}
+
+// compileRead is compile for Prepare and the plan cache, outside any
+// statement: it reads the catalog under the journal's read lock, so a
+// replica's applier never changes the catalog under it.
+func (e *Engine) compileRead(stmt Statement) (c *compiled, err error) {
+	err = e.read(func() error {
+		c, err = e.compile(nil, stmt)
+		return err
+	})
 	return c, err
 }

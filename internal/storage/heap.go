@@ -248,5 +248,21 @@ func (h *HeapFile) Truncate() error {
 	return nil
 }
 
+// Drop frees every page of the heap, its head included; the heap must
+// not be used afterwards.
+func (h *HeapFile) Drop() error {
+	for id := h.head; id != InvalidPage; {
+		if err := h.pager.ReadPage(id, h.buf); err != nil {
+			return err
+		}
+		next := AsSlotted(h.buf).Next()
+		if err := h.pager.Free(id); err != nil {
+			return err
+		}
+		id = next
+	}
+	return nil
+}
+
 // Head returns the heap's head page ID (persist it to reopen the heap).
 func (h *HeapFile) Head() PageID { return h.head }

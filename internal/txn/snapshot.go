@@ -91,15 +91,23 @@ func (t *Txn) SnapshotSeq() (uint64, bool) {
 
 // visible is the single visibility check every transactional read
 // shares: the write set wins, then the pinned snapshot (no lock), and
-// only without MVCC the store under the manager's read lock. The
-// returned value aliases the write set or the index copy; callers that
-// hand it out copy it.
-func (t *Txn) visible(key []byte) ([]byte, bool, error) {
-	if w, ok := t.lookupWriteSet(key); ok {
+// only without MVCC the store under the manager's read lock. Snapshots
+// and that lock cover tree 0; any other tree is read from its store
+// under the caller's lock (see TreeTxn). The returned value aliases the
+// write set or the index copy; callers that hand it out copy it.
+func (t *Txn) visible(tree uint64, key []byte) ([]byte, bool, error) {
+	if w, ok := t.lookupWriteSet(tree, key); ok {
 		if w.remove {
 			return nil, false, nil
 		}
 		return w.value, true, nil
+	}
+	if tree != 0 {
+		s, err := t.m.storeOf(tree)
+		if err != nil {
+			return nil, false, err
+		}
+		return s.Index().Get(key)
 	}
 	if t.snap != nil {
 		return t.snap.Get(key)
@@ -206,14 +214,18 @@ func (t *Txn) Scan(from, to []byte, fn func(key, value []byte) bool) error {
 	return nil
 }
 
-// overlayRange returns the write set's latest entry per key within
-// [from, to), sorted by key.
+// overlayRange returns the write set's latest entry per key of tree 0
+// within [from, to), sorted by key.
 func (t *Txn) overlayRange(from, to []byte) []writeOp {
 	if len(t.widx) == 0 {
 		return nil
 	}
 	out := make([]writeOp, 0, len(t.widx))
-	for k, i := range t.widx {
+	for wk, i := range t.widx {
+		k := wk.key
+		if wk.tree != 0 {
+			continue
+		}
 		if from != nil && k < string(from) {
 			continue
 		}

@@ -26,11 +26,16 @@ import (
 	"famedb/internal/trace"
 )
 
-// WAL record types.
+// WAL record types. A write to tree 0, the manager's store, is a
+// recPut or recRemove frame; a write to any other tree is a recTreePut
+// or recTreeRemove frame, which carries the tree id after the
+// transaction id.
 const (
-	recPut    = 1
-	recRemove = 2
-	recCommit = 3
+	recPut        = 1
+	recRemove     = 2
+	recCommit     = 3
+	recTreePut    = 4
+	recTreeRemove = 5
 )
 
 const walMagic = "FAMEWAL1"
@@ -86,8 +91,26 @@ type WAL struct {
 type logRecord struct {
 	typ   byte
 	txnID uint64
+	// tree is the id of the tree a recTreePut or recTreeRemove writes;
+	// every other record type writes tree 0 or no tree.
+	tree  uint64
 	key   []byte
 	value []byte
+}
+
+// treeFrame reports whether frames of type typ carry a tree id.
+func treeFrame(typ byte) bool { return typ == recTreePut || typ == recTreeRemove }
+
+// write reports whether r is a write, the tree it writes and whether it
+// removes.
+func (r logRecord) write() (tree uint64, remove, ok bool) {
+	switch r.typ {
+	case recPut, recRemove:
+		return 0, r.typ == recRemove, true
+	case recTreePut, recTreeRemove:
+		return r.tree, r.typ == recTreeRemove, true
+	}
+	return 0, false, false
 }
 
 // frameScratch pools encode buffers so committing does not allocate two
@@ -120,6 +143,9 @@ func encodeFrame(dst []byte, r logRecord) []byte {
 	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0)
 	dst = append(dst, r.typ)
 	dst = binary.AppendUvarint(dst, r.txnID)
+	if treeFrame(r.typ) {
+		dst = binary.AppendUvarint(dst, r.tree)
+	}
 	dst = binary.AppendUvarint(dst, uint64(len(r.key)))
 	dst = append(dst, r.key...)
 	dst = binary.AppendUvarint(dst, uint64(len(r.value)))
@@ -269,6 +295,12 @@ func decodeFrame(b []byte) (logRecord, int, error) {
 		return bad()
 	}
 	p = p[1+n:]
+	if treeFrame(r.typ) {
+		if r.tree, n = binary.Uvarint(p); n <= 0 {
+			return bad()
+		}
+		p = p[n:]
+	}
 	for _, field := range []*[]byte{&r.key, &r.value} {
 		u, n := binary.Uvarint(p)
 		if n <= 0 || uint64(len(p)-n) < u {
