@@ -52,6 +52,7 @@ const (
 	replSnapKV    = byte(35) // key value (one dump entry)
 	replSnapEnd   = byte(36) // raw WAL image
 	replAck       = byte(37) // uvarint durable, uvarint applied replica WAL offset
+	replSnapTree  = byte(38) // uvarint tree id: the replSnapKV entries after it dump that tree
 )
 
 // ErrProto is wrapped by every malformed-frame error.

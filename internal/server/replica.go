@@ -305,8 +305,22 @@ func (r *Replica) session(conn net.Conn, forceSnap bool) (progress, nextSnap boo
 			if err != nil {
 				return progress, false
 			}
-			snap.Keys = append(snap.Keys, k)
-			snap.Vals = append(snap.Vals, v)
+			if n := len(snap.Trees); n > 0 {
+				d := &snap.Trees[n-1]
+				d.Keys, d.Vals = append(d.Keys, k), append(d.Vals, v)
+			} else {
+				snap.Keys = append(snap.Keys, k)
+				snap.Vals = append(snap.Vals, v)
+			}
+		case replSnapTree:
+			if snap == nil {
+				return progress, false
+			}
+			id, rest, err := takeUvarint(payload)
+			if err != nil || len(rest) != 0 {
+				return progress, false
+			}
+			snap.Trees = append(snap.Trees, txn.TreeDump{ID: id})
 		case replSnapEnd:
 			if snap == nil {
 				return progress, false

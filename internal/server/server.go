@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -403,6 +404,16 @@ func (s *Server) serveRepl(conn net.Conn, br *bufio.Reader, payload []byte) {
 		for i := range snap.Keys {
 			if err := s.writeRepl(conn, replSnapKV, encodeKV(snap.Keys[i], snap.Vals[i])); err != nil {
 				return
+			}
+		}
+		for _, d := range snap.Trees {
+			if err := s.writeRepl(conn, replSnapTree, binary.AppendUvarint(nil, d.ID)); err != nil {
+				return
+			}
+			for i := range d.Keys {
+				if err := s.writeRepl(conn, replSnapKV, encodeKV(d.Keys[i], d.Vals[i])); err != nil {
+					return
+				}
 			}
 		}
 		if err := s.writeRepl(conn, replSnapEnd, snap.WALImage); err != nil {

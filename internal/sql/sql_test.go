@@ -398,3 +398,95 @@ func TestLargeTableScanAndRange(t *testing.T) {
 		t.Fatalf("grp rows = %d", len(r.Rows))
 	}
 }
+
+// TestOpenCatalogWithoutTreeIDs opens a catalog whose entries carry no
+// tree id, the format written before tables were journaled as trees:
+// each table takes a fresh id at open, the same one on every open, and
+// keeps its rows, its rowid counter and its DROP.
+func TestOpenCatalogWithoutTreeIDs(t *testing.T) {
+	f, _ := osal.NewMemFS().Create("old.db")
+	pf, _ := storage.CreatePageFile(f, 4096)
+	cfg := Config{Pager: pf, Factory: BTreeFactory(index.AllBTreeOps()),
+		Ops: access.AllOps(), Optimizer: true}
+	e, meta, err := Create(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seedUsers(t, e)
+	mustExec(t, e, "CREATE TABLE events (msg TEXT)")
+	mustExec(t, e, "INSERT INTO events VALUES ('boot'), ('up')")
+	// Rewrite every entry as the older format wrote it: the same values
+	// without the trailing tree id.
+	var keys, recs [][]byte
+	if err := e.catalog.Scan(nil, nil, func(k, v []byte) bool {
+		vals, err := types.DecodeRow(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, append([]byte(nil), k...))
+		recs = append(recs, types.EncodeRow(vals[:len(vals)-1]))
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for i := range keys {
+		if err := e.catalog.Insert(keys[i], recs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	treeIDs := func(e *Engine) map[string]uint64 {
+		ids := map[string]uint64{}
+		if err := e.catalog.Scan(nil, nil, func(_, v []byte) bool {
+			m, err := decodeTableMeta(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids[m.name] = m.tree
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return ids
+	}
+	if ids := treeIDs(e); ids["users"] != 0 || ids["events"] != 0 {
+		t.Fatalf("rewritten entries name trees %v", ids)
+	}
+
+	e2, err := Open(cfg, meta)
+	if err != nil {
+		t.Fatalf("open older catalog: %v", err)
+	}
+	// Fresh ids in catalog (key) order: a crash before the rewritten
+	// entries reach the device makes the next open pick the same ids.
+	ids := treeIDs(e2)
+	if ids["events"] != firstTableTree || ids["users"] != firstTableTree+1 {
+		t.Fatalf("upgraded tree ids %v", ids)
+	}
+	if again := treeIDs(mustOpen(t, cfg, meta)); fmt.Sprint(again) != fmt.Sprint(ids) {
+		t.Fatalf("reopen reads %v, first open wrote %v", again, ids)
+	}
+	if r := mustExec(t, e2, "SELECT name FROM users WHERE id = 3"); len(r.Rows) != 1 || r.Rows[0][0].Str != "carol" {
+		t.Fatalf("users after upgrade = %v", r.Rows)
+	}
+	mustExec(t, e2, "INSERT INTO events VALUES ('later')")
+	if r := mustExec(t, e2, "SELECT msg FROM events"); len(r.Rows) != 3 {
+		t.Fatalf("events after upgrade = %v", r.Rows)
+	}
+	mustExec(t, e2, "CREATE TABLE fresh (x INT)")
+	if id := treeIDs(e2)["fresh"]; id == ids["users"] || id == ids["events"] {
+		t.Fatalf("new table reuses tree %d of %v", id, ids)
+	}
+	mustExec(t, e2, "DROP TABLE users")
+	if _, err := e2.Exec("SELECT * FROM users"); !errors.Is(err, ErrNoTable) {
+		t.Fatalf("select after drop = %v", err)
+	}
+}
+
+func mustOpen(t *testing.T, cfg Config, meta storage.PageID) *Engine {
+	t.Helper()
+	e, err := Open(cfg, meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}

@@ -31,6 +31,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"sync/atomic"
+
+	"famedb/internal/index"
 )
 
 // Ship errors. Both force the caller into a full snapshot resync.
@@ -111,16 +113,35 @@ func (m *Manager) ReadWALRange(from, to int64) ([]byte, error) {
 	return buf, nil
 }
 
-// ShipSnap is a full-resync payload: a consistent key/value dump of the
-// store plus the log image the dump is no newer than. Replaying the
-// image's committed records over the dump is idempotent and converges
-// on exactly the state at WAL offset len(WALImage).
+// ShipSnap is a full-resync payload: a consistent key/value dump of
+// every tree the manager journals plus the log image the dump is no
+// newer than. Replaying the image's committed records over the dump is
+// idempotent and converges on exactly the state at WAL offset
+// len(WALImage).
 type ShipSnap struct {
 	// WALImage is the whole log file [0, end), magic included.
 	WALImage []byte
-	// Keys and Vals are the dump, pairwise.
+	// Keys and Vals are the dump of tree 0, the store, pairwise.
 	Keys [][]byte
 	Vals [][]byte
+	// Trees dumps every other tree, in the order of the resolver's IDs.
+	Trees []TreeDump
+}
+
+// TreeDump is one tree of a snapshot besides tree 0.
+type TreeDump struct {
+	ID   uint64
+	Keys [][]byte
+	Vals [][]byte
+}
+
+// dumpIndex appends every entry of idx to keys and vals.
+func dumpIndex(idx index.Index, keys, vals *[][]byte) error {
+	return idx.Scan(nil, nil, func(k, v []byte) bool {
+		*keys = append(*keys, append([]byte(nil), k...))
+		*vals = append(*vals, append([]byte(nil), v...))
+		return true
+	})
 }
 
 // ShipSnapshot captures a snapshot for a full replica resync. It holds
@@ -136,12 +157,26 @@ func (m *Manager) ShipSnapshot() (*ShipSnap, error) {
 		return nil, err
 	}
 	s := &ShipSnap{WALImage: img}
-	if err := m.store.Index().Scan(nil, nil, func(k, v []byte) bool {
-		s.Keys = append(s.Keys, append([]byte(nil), k...))
-		s.Vals = append(s.Vals, append([]byte(nil), v...))
-		return true
-	}); err != nil {
+	if err := dumpIndex(m.store.Index(), &s.Keys, &s.Vals); err != nil {
 		return nil, err
+	}
+	if m.trees == nil {
+		return s, nil
+	}
+	ids, err := m.trees.IDs()
+	if err != nil {
+		return nil, err
+	}
+	for _, id := range ids {
+		st, err := m.trees.Tree(id)
+		if err != nil {
+			return nil, err
+		}
+		d := TreeDump{ID: id}
+		if err := dumpIndex(st.Index(), &d.Keys, &d.Vals); err != nil {
+			return nil, err
+		}
+		s.Trees = append(s.Trees, d)
 	}
 	return s, nil
 }
@@ -334,6 +369,11 @@ func (a *ShipApplier) InstallSnapshot(snap *ShipSnap) error {
 	if len(snap.Keys) != len(snap.Vals) {
 		return ErrShipDiverged
 	}
+	for _, d := range snap.Trees {
+		if d.ID == 0 || len(d.Keys) != len(d.Vals) || a.m.trees == nil {
+			return ErrShipDiverged
+		}
+	}
 	m := a.m
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -379,6 +419,9 @@ func (a *ShipApplier) InstallSnapshot(snap *ShipSnap) error {
 			return err
 		}
 	}
+	if err := m.rebuildTrees(snap.Trees); err != nil {
+		return err
+	}
 	if m.opts.SyncStore != nil {
 		if err := m.opts.SyncStore(); err != nil {
 			return err
@@ -391,9 +434,50 @@ func (a *ShipApplier) InstallSnapshot(snap *ShipSnap) error {
 	// 5. Redo the image's committed records: the dump may lag the image
 	// by an applied-but-not-dumped tail, and redo is idempotent.
 	m.tail = map[uint64][]logRecord{}
-	if err := a.redo(recs); err != nil {
+	m.resyncing = true
+	err = a.redo(recs)
+	m.resyncing = false
+	if err != nil {
 		return err
 	}
 	// 6. Done: drop the marker.
 	return m.fs.Remove(a.resyncMarker())
+}
+
+// rebuildTrees replaces every tree but 0 with dumps. It empties the
+// local trees, each after the trees its entries create, then applies
+// the dumps in order, all through the resolver's Apply, so a tree a
+// front end derives from another (the SQL catalog's tables) is freed
+// and created as a committed write would. Must run under m.mu.
+func (m *Manager) rebuildTrees(dumps []TreeDump) error {
+	if m.trees == nil {
+		return nil
+	}
+	ids, err := m.trees.IDs()
+	if err != nil {
+		return err
+	}
+	for i := len(ids) - 1; i >= 0; i-- {
+		st, err := m.trees.Tree(ids[i])
+		if err != nil {
+			return err
+		}
+		var keys, vals [][]byte
+		if err := dumpIndex(st.Index(), &keys, &vals); err != nil {
+			return err
+		}
+		for _, k := range keys {
+			if err := m.trees.Apply(nil, ids[i], k, nil, true); err != nil {
+				return err
+			}
+		}
+	}
+	for _, d := range dumps {
+		for i := range d.Keys {
+			if err := m.trees.Apply(nil, d.ID, d.Keys[i], d.Vals[i], false); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
