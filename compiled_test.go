@@ -31,7 +31,7 @@ func TestPrepareRequiresCompiledQueries(t *testing.T) {
 }
 
 func TestPrepareViaFacade(t *testing.T) {
-	db, err := Open(Options{PlanCacheSize: 8}, sqlFeatures(true)...)
+	db, err := Open(Options{}, sqlFeatures(true)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestPrepareViaFacade(t *testing.T) {
 // Exec of one statement shape shows up as plan-cache hits.
 func TestPlanCacheViaFacade(t *testing.T) {
 	feats := append(sqlFeatures(true), "Statistics")
-	db, err := Open(Options{PlanCacheSize: 8}, feats...)
+	db, err := Open(Options{}, feats...)
 	if err != nil {
 		t.Fatal(err)
 	}

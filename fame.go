@@ -24,7 +24,6 @@ package fame
 
 import (
 	"fmt"
-	"time"
 
 	"famedb/internal/access"
 	"famedb/internal/analysis"
@@ -33,7 +32,6 @@ import (
 	"famedb/internal/footprint"
 	"famedb/internal/monitor"
 	"famedb/internal/nfp"
-	"famedb/internal/osal"
 	"famedb/internal/server"
 	"famedb/internal/solver"
 	"famedb/internal/sql"
@@ -102,6 +100,15 @@ type (
 	Replica = server.Replica
 	// Client speaks the Server feature's wire protocol (see DialServer).
 	Client = server.Client
+	// Options tune composition beyond the feature selection: where the
+	// product lives (Dir) and the few values callers size per
+	// deployment. The zero value composes an in-memory product with
+	// every default.
+	Options = composer.Options
+	// RetryPolicy bounds how hard the engine fights a transient device
+	// fault before it degrades to read-only (see Options.Retry); the
+	// zero value composes the default policy.
+	RetryPolicy = storage.RetryPolicy
 )
 
 // The measurable non-functional properties of the feedback approach.
@@ -146,64 +153,6 @@ func BerkeleyDBModel() *Model { return core.BDBModel() }
 // ParseModel parses a feature model from the textual DSL.
 func ParseModel(text string) (*Model, error) { return core.ParseModel(text) }
 
-// Options tune instance composition beyond the feature selection.
-type Options struct {
-	// Dir persists the instance in a directory; empty keeps it in
-	// memory.
-	Dir string
-	// CachePages overrides the BufferManager capacity.
-	CachePages int
-	// CacheShards overrides the ShardedBuffer feature's lock-stripe
-	// count; ignored unless ShardedBuffer is selected.
-	CacheShards int
-	// GroupCommitBatch tunes the GroupCommit protocol.
-	GroupCommitBatch int
-	// TraceSpans overrides the Tracing feature's span-ring capacity;
-	// ignored unless Tracing is selected.
-	TraceSpans int
-	// TraceSlowOp overrides the slow-operation threshold: completed
-	// root spans at least this slow are kept (with their subtree) in
-	// the slow-op log.
-	TraceSlowOp time.Duration
-	// TraceDisabled composes the Tracing feature with recording off;
-	// enable later with DB.SetTracing(true).
-	TraceDisabled bool
-	// RetryAttempts bounds the total tries per device operation on a
-	// transient fault (including the first); 0 composes the default
-	// policy of 3. After exhaustion the engine degrades to read-only.
-	RetryAttempts int
-	// RetryBackoff is the sleep before the first retry, doubling each
-	// further retry; 0 composes the default of 1ms.
-	RetryBackoff time.Duration
-	// MonitorInterval is the Monitor feature's sampler period (default
-	// 1s); ignored unless Monitor is selected.
-	MonitorInterval time.Duration
-	// MonitorWindow is how much history the Monitor feature's sample
-	// ring spans (default 60 intervals); ignored unless Monitor is
-	// selected.
-	MonitorWindow time.Duration
-	// MonitorRules are the Monitor feature's watchdog thresholds; the
-	// zero value watches only the degraded health latch. Ignored unless
-	// Monitor is selected.
-	MonitorRules MonitorThresholds
-	// MonitorOnAlert, when set, receives every watchdog event (alerts
-	// and clears) as the Monitor feature emits it.
-	MonitorOnAlert func(MonitorEvent)
-	// PlanCacheSize bounds the CompiledQueries feature's plan cache in
-	// entries (default 256); ignored unless CompiledQueries is selected.
-	PlanCacheSize int
-	// QueryStatsShapes bounds the QueryStats feature's per-shape profile
-	// registry (default 128); ignored unless QueryStats is selected.
-	QueryStatsShapes int
-	// SlowQueryThreshold is the statement latency at which the QueryStats
-	// feature records an execution into the slow-query ring (default
-	// 1ms); ignored unless QueryStats is selected.
-	SlowQueryThreshold time.Duration
-	// SlowQueryCap bounds the slow-query ring in entries (default 32);
-	// ignored unless QueryStats is selected.
-	SlowQueryCap int
-}
-
 // DB is a derived FAME-DBMS instance.
 type DB struct {
 	inst *composer.Instance
@@ -239,34 +188,7 @@ func Open(opts Options, features ...string) (*DB, error) {
 // OpenConfig composes a prepared configuration (e.g. one produced by
 // Analyze or Optimize, then completed).
 func OpenConfig(cfg *Configuration, opts Options) (*DB, error) {
-	copts := composer.Options{
-		CachePages:       opts.CachePages,
-		CacheShards:      opts.CacheShards,
-		GroupCommitBatch: opts.GroupCommitBatch,
-		TraceSpans:       opts.TraceSpans,
-		TraceSlowOp:      opts.TraceSlowOp,
-		TraceDisabled:    opts.TraceDisabled,
-		Retry: storage.RetryPolicy{
-			Attempts: opts.RetryAttempts,
-			Backoff:  opts.RetryBackoff,
-		},
-		MonitorInterval:    opts.MonitorInterval,
-		MonitorWindow:      opts.MonitorWindow,
-		MonitorRules:       opts.MonitorRules,
-		MonitorOnAlert:     opts.MonitorOnAlert,
-		PlanCacheSize:      opts.PlanCacheSize,
-		QueryStatsShapes:   opts.QueryStatsShapes,
-		SlowQueryThreshold: opts.SlowQueryThreshold,
-		SlowQueryCap:       opts.SlowQueryCap,
-	}
-	if opts.Dir != "" {
-		fs, err := osal.NewDirFS(opts.Dir)
-		if err != nil {
-			return nil, err
-		}
-		copts.FS = fs
-	}
-	inst, err := composer.Compose(cfg, copts)
+	inst, err := composer.Compose(cfg, opts)
 	if err != nil {
 		return nil, err
 	}

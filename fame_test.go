@@ -290,7 +290,7 @@ func ExampleOpen() {
 }
 
 func TestVerifyAndDegradedViaFacade(t *testing.T) {
-	db, err := Open(Options{RetryAttempts: 2},
+	db, err := Open(Options{},
 		"Linux", "BPlusTree", "Put", "Get", "Checksums",
 		"BufferManager", "LRU", "Transaction", "ForceCommit")
 	if err != nil {

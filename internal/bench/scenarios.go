@@ -24,6 +24,7 @@ import (
 	"famedb/internal/sql"
 	"famedb/internal/stats"
 	"famedb/internal/storage"
+	"famedb/internal/trace"
 	"famedb/internal/types"
 )
 
@@ -484,7 +485,7 @@ func b3(ops int) Scenario {
 // pay for, and the NFP machinery prices it.
 func b4(ops int) Scenario {
 	ops = atLeast(ops, 2048)
-	const traceSpans = 4096 // ring capacity of the traced product
+	const traceSpans = trace.DefaultCapacity // ring capacity of the traced product
 	keys := atLeast(ops/8, 256)
 	value := payload(64)
 	return Scenario{
@@ -513,7 +514,7 @@ func b4(ops int) Scenario {
 		// timed phase is the concurrent read path the overhead numbers
 		// quote.
 		Run: func(c Cell) (Metrics, error) {
-			inst, err := composer.ComposeProduct(composer.Options{TraceSpans: traceSpans}, c.Variant.Features...)
+			inst, err := composer.ComposeProduct(composer.Options{}, c.Variant.Features...)
 			if err != nil {
 				return nil, err
 			}

@@ -29,10 +29,17 @@ import (
 	"famedb/internal/txn"
 )
 
-// Options tune composition beyond the feature selection.
+// Options are a product's deployment settings plus the few tuning
+// values callers set to different values. Everything else a feature
+// needs is a constant of its package. The zero value composes an
+// in-memory product with every default.
 type Options struct {
-	// FS is the backing filesystem; nil composes over a fresh MemFS.
+	// FS is the backing filesystem; nil opens Dir, or composes over a
+	// fresh MemFS when Dir is empty too.
 	FS osal.FS
+	// Dir persists the instance in a directory of the host filesystem;
+	// ignored when FS is set.
+	Dir string
 	// CachePages overrides the buffer capacity derived from the
 	// platform's RAM budget.
 	CachePages int
@@ -42,15 +49,6 @@ type Options struct {
 	CacheShards int
 	// GroupCommitBatch tunes the GroupCommit protocol (default 8).
 	GroupCommitBatch int
-	// TraceSpans overrides the Tracing feature's ring capacity in spans
-	// (default 4096). Ignored without Tracing.
-	TraceSpans int
-	// TraceSlowOp overrides the Tracing feature's slow-op threshold
-	// (default 1ms). Ignored without Tracing.
-	TraceSlowOp time.Duration
-	// TraceDisabled composes the tracer switched off; recording can be
-	// enabled later with Instance.SetTracing. Ignored without Tracing.
-	TraceDisabled bool
 	// Retry bounds how hard the engine fights transient device faults
 	// before poisoning into degraded read-only mode. The zero value
 	// (Attempts == 0) composes storage.DefaultRetryPolicy.
@@ -58,29 +56,9 @@ type Options struct {
 	// MonitorInterval is the Monitor feature's sampler period (default
 	// 1s). Ignored without Monitor.
 	MonitorInterval time.Duration
-	// MonitorWindow is how much history the monitor's sample ring spans
-	// (default 60 intervals). Ignored without Monitor.
-	MonitorWindow time.Duration
 	// MonitorRules are the watchdog thresholds; the zero value watches
 	// only the degraded latch. Ignored without Monitor.
 	MonitorRules monitor.Thresholds
-	// MonitorOnAlert, when set, receives every watchdog event (alerts
-	// and clears) as it is emitted. Ignored without Monitor.
-	MonitorOnAlert func(monitor.Event)
-	// PlanCacheSize bounds the CompiledQueries feature's plan cache in
-	// entries (default 256). Ignored without CompiledQueries.
-	PlanCacheSize int
-	// QueryStatsShapes bounds the QueryStats feature's per-shape profile
-	// registry (default 128); excess shapes collapse into the overflow
-	// pseudo-shape. Ignored without QueryStats.
-	QueryStatsShapes int
-	// SlowQueryThreshold is the statement latency at which QueryStats
-	// records an execution into the slow-query ring (default 1ms).
-	// Ignored without QueryStats.
-	SlowQueryThreshold time.Duration
-	// SlowQueryCap bounds the slow-query ring in entries (default 32).
-	// Ignored without QueryStats.
-	SlowQueryCap int
 }
 
 // Instance is a derived FAME-DBMS product.
@@ -198,11 +176,7 @@ func Compose(cfg *core.Configuration, opts Options) (*Instance, error) {
 	// carry the bucket their duration landed in (the stats/trace
 	// bridge).
 	if cfg.Has("Tracing") {
-		inst.tracer = trace.New(trace.Config{
-			Capacity:      opts.TraceSpans,
-			SlowThreshold: opts.TraceSlowOp,
-			Disabled:      opts.TraceDisabled,
-		})
+		inst.tracer = trace.New(trace.Config{})
 		if inst.stats != nil {
 			inst.tracer.SetLatencyBounds(stats.LatencyBounds())
 		}
@@ -215,6 +189,13 @@ func Compose(cfg *core.Configuration, opts Options) (*Instance, error) {
 		}
 	}
 	inst.fs = opts.FS
+	if inst.fs == nil && opts.Dir != "" {
+		dir, err := osal.NewDirFS(opts.Dir)
+		if err != nil {
+			return nil, err
+		}
+		inst.fs = dir
+	}
 	if inst.fs == nil {
 		inst.fs = osal.NewMemFS()
 	}
@@ -452,21 +433,16 @@ func Compose(cfg *core.Configuration, opts Options) (*Instance, error) {
 			Optimizer: cfg.Has("Optimizer"),
 			// CompiledQueries feature: Prepare/Stmt plus the shape-keyed
 			// plan cache on the unprepared Exec path.
-			Compiled:      cfg.Has("CompiledQueries"),
-			PlanCacheSize: opts.PlanCacheSize,
-			Metrics:       inst.stats.SQL(),
-			Tracer:        inst.tracer,
+			Compiled: cfg.Has("CompiledQueries"),
+			Metrics:  inst.stats.SQL(),
+			Tracer:   inst.tracer,
 		}
 		// QueryStats feature: the per-shape statement profile registry,
 		// the slow-query ring and EXPLAIN support. The model requires
 		// Statistics alongside it, so inst.stats is non-nil here and the
 		// registry rides on its snapshot/encoding surfaces.
 		if cfg.Has("QueryStats") {
-			qs := stats.NewQueryStats(stats.QueryStatsConfig{
-				MaxShapes:     opts.QueryStatsShapes,
-				SlowThreshold: opts.SlowQueryThreshold,
-				SlowCap:       opts.SlowQueryCap,
-			})
+			qs := stats.NewQueryStats(stats.QueryStatsConfig{})
 			inst.stats.SetQueryStats(qs)
 			sqlCfg.Query = qs
 		}
@@ -541,7 +517,7 @@ func Compose(cfg *core.Configuration, opts Options) (*Instance, error) {
 	// blocks it — a slow or dead subscriber gets its feed broken and
 	// must snapshot-resync. The model guarantees Transaction here.
 	if cfg.Has("Replication") {
-		inst.shipper = repl.NewShipper(repl.DefaultFeedDepth, inst.stats.Repl())
+		inst.shipper = repl.NewShipper(inst.stats.Repl())
 		inst.Txn.SetOnShip(inst.shipper.OnShip)
 	}
 
@@ -570,9 +546,7 @@ func Compose(cfg *core.Configuration, opts Options) (*Instance, error) {
 		}
 		inst.mon = monitor.New(monitor.Config{
 			Interval: opts.MonitorInterval,
-			Window:   opts.MonitorWindow,
 			Rules:    opts.MonitorRules,
-			OnAlert:  opts.MonitorOnAlert,
 		}, src)
 		inst.mon.Start()
 	}

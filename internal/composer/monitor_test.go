@@ -195,22 +195,15 @@ func parsePrometheus(t *testing.T, body string) {
 // TestMonitorDegradedAlert drives the engine into degraded mode via
 // transient-fault exhaustion (the osal fault schedule) and asserts the
 // full observability chain: the watchdog's degraded rule fires into the
-// event log and the OnAlert hook, and /healthz flips to 503 with the
+// event log as its first event, and /healthz flips to 503 with the
 // poison reason.
 func TestMonitorDegradedAlert(t *testing.T) {
 	ffs := osal.NewFaultFS(osal.NewMemFS())
-	var hookMu sync.Mutex
-	var hooked []monitor.Event
 	inst, err := ComposeProduct(Options{
 		FS:              ffs,
 		CachePages:      4,
 		Retry:           storage.RetryPolicy{Attempts: 2, Sleep: func(time.Duration) {}},
 		MonitorInterval: time.Hour, // tick manually for determinism
-		MonitorOnAlert: func(e monitor.Event) {
-			hookMu.Lock()
-			hooked = append(hooked, e)
-			hookMu.Unlock()
-		},
 	}, monitorFeatures...)
 	if err != nil {
 		t.Fatal(err)
@@ -270,11 +263,8 @@ func TestMonitorDegradedAlert(t *testing.T) {
 	if !found {
 		t.Fatalf("events = %+v, want a degraded alert", events)
 	}
-	hookMu.Lock()
-	hookFired := len(hooked) > 0 && hooked[0].Rule == "degraded"
-	hookMu.Unlock()
-	if !hookFired {
-		t.Fatal("OnAlert hook did not see the degraded alert")
+	if events[0].Rule != "degraded" || !events[0].Alert() {
+		t.Fatalf("first event = %+v, want the degraded alert", events[0])
 	}
 
 	if code, body := httpGet(t, srv.URL()+"/healthz"); code != 503 ||

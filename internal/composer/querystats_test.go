@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"famedb/internal/access"
+	"famedb/internal/osal"
+	"famedb/internal/stats"
 )
 
 // querystatsFeatures is the canonical observed-SQL product; QueryStats
@@ -16,12 +18,13 @@ var querystatsFeatures = []string{
 	"Optimizer", "SQLEngine", "Statistics", "QueryStats",
 }
 
+// slowWrites is a device whose every page write takes 2ms, above the
+// QueryStats feature's 1ms slow-query threshold: each statement that
+// writes lands in the slow ring.
+func slowWrites() osal.FS { return osal.NewDelayFS(osal.NewMemFS(), 2*time.Millisecond, 0) }
+
 func TestComposeQueryStats(t *testing.T) {
-	inst, err := ComposeProduct(Options{
-		QueryStatsShapes:   16,
-		SlowQueryThreshold: time.Nanosecond,
-		SlowQueryCap:       8,
-	}, querystatsFeatures...)
+	inst, err := ComposeProduct(Options{FS: slowWrites()}, querystatsFeatures...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,8 +56,8 @@ func TestComposeQueryStats(t *testing.T) {
 	if snap.Queries == nil {
 		t.Fatal("snapshot has no query section")
 	}
-	if snap.Queries.MaxShapes != 16 || snap.Queries.SlowThresholdNs != 1 {
-		t.Fatalf("options not applied: %+v", snap.Queries)
+	if snap.Queries.MaxShapes != stats.DefaultMaxShapes || snap.Queries.SlowThresholdNs != int64(time.Millisecond) {
+		t.Fatalf("sizing is not the feature's constants: %+v", snap.Queries)
 	}
 	var count int64
 	for _, sh := range snap.Queries.Shapes {
@@ -63,10 +66,10 @@ func TestComposeQueryStats(t *testing.T) {
 	if count != 6 { // CREATE + 4 INSERTs + EXPLAIN ANALYZE
 		t.Fatalf("profiled %d executions, want 6", count)
 	}
-	// Every statement crossed the 1ns threshold: the bounded ring (cap
-	// 8) retained some of them.
+	// Every statement that wrote a page crossed the 1ms threshold: the
+	// bounded ring retained them.
 	if len(snap.Queries.Slow) == 0 {
-		t.Fatal("slow ring empty despite 1ns threshold")
+		t.Fatal("slow ring empty despite 2ms page writes")
 	}
 }
 
@@ -103,7 +106,7 @@ func TestQueryStatsNotComposed(t *testing.T) {
 // slow log into the span ring.
 func TestQueryStatsTraceLink(t *testing.T) {
 	feats := append(append([]string{}, querystatsFeatures...), "Tracing")
-	inst, err := ComposeProduct(Options{SlowQueryThreshold: time.Nanosecond}, feats...)
+	inst, err := ComposeProduct(Options{FS: slowWrites()}, feats...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +120,7 @@ func TestQueryStatsTraceLink(t *testing.T) {
 	}
 	slow, _ := inst.StatsRegistry().Query().SlowQueries()
 	if len(slow) == 0 {
-		t.Fatal("no slow entries despite 1ns threshold")
+		t.Fatal("no slow entries despite 2ms page writes")
 	}
 	for _, s := range slow {
 		if s.TraceRoot == 0 {

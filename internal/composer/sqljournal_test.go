@@ -317,8 +317,15 @@ func TestSQLJournalSnapshotCarriesTables(t *testing.T) {
 	if !rep.WaitFor(primary.Txn.WALEnd(), 10*time.Second) {
 		t.Fatalf("replica stuck at %d of %d", rep.Offset(), primary.Txn.WALEnd())
 	}
-	if snap, _ := primary.Stats(); snap.Repl.Snapshots == 0 {
-		t.Fatal("the replica caught up without a snapshot install")
+	// The primary counts a resync once its last snapshot frame is
+	// written, which may be after the replica has applied it.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		if snap, _ := primary.Stats(); snap.Repl.Snapshots > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the replica caught up without a snapshot install")
+		}
 	}
 	if got := column(mustExec(t, replica, "SELECT id FROM t"), 0); strings.Join(got, ",") != "1,2" {
 		t.Fatalf("replica t = %v", got)

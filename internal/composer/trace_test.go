@@ -85,25 +85,29 @@ func TestTracePutDecomposesAcrossLayers(t *testing.T) {
 }
 
 func TestTraceStatsBridge(t *testing.T) {
-	inst, err := ComposeProduct(Options{TraceSpans: 64},
+	inst, err := ComposeProduct(Options{},
 		"Linux", "BPlusTree", "Put", "Get", "Statistics", "Tracing")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer inst.Close()
-	for i := 0; i < 300; i++ {
-		if err := inst.Store.Put([]byte(fmt.Sprintf("k%04d", i)), []byte("v")); err != nil {
+	// Put until the ring has wrapped.
+	for i := 0; i < 1<<16; i++ {
+		if err := inst.Store.Put([]byte(fmt.Sprintf("k%06d", i)), []byte("v")); err != nil {
 			t.Fatal(err)
+		}
+		if capacity, _, recorded, _, _, _ := inst.Tracer().RingStats(); recorded > uint64(capacity) {
+			break
 		}
 	}
 	snap, err := inst.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.Trace.RingCapacity != 64 {
-		t.Fatalf("ring capacity gauge = %d, want 64", snap.Trace.RingCapacity)
+	if snap.Trace.RingCapacity != trace.DefaultCapacity {
+		t.Fatalf("ring capacity gauge = %d, want %d", snap.Trace.RingCapacity, trace.DefaultCapacity)
 	}
-	if snap.Trace.RingOccupancy != 64 || snap.Trace.DroppedSpans == 0 {
+	if snap.Trace.RingOccupancy != trace.DefaultCapacity || snap.Trace.DroppedSpans == 0 {
 		t.Fatalf("occupancy=%d dropped=%d, want full ring with drops",
 			snap.Trace.RingOccupancy, snap.Trace.DroppedSpans)
 	}
@@ -125,13 +129,13 @@ func TestTraceStatsBridge(t *testing.T) {
 // handoffs must name a real leader, and the ring must have evicted
 // strictly oldest-first.
 func TestTraceRaceStress(t *testing.T) {
-	// The ring holds the whole commit phase, so follower spans cannot be
-	// evicted before the attribution checks; a later get phase overflows
-	// it for the eviction check. Syncs are slowed so the leader's fsync
+	// The default ring holds the whole commit phase (about seven spans a
+	// commit), so follower spans cannot be evicted before the attribution
+	// checks; a later get phase overflows it for the eviction check. Syncs are slowed so the leader's fsync
 	// opens a batching window — on an instant MemFS every commit drains
 	// alone and no follower handoffs would form.
 	fs := osal.NewDelayFS(osal.NewMemFS(), 0, 200*time.Microsecond)
-	inst, err := ComposeProduct(Options{FS: fs, TraceSpans: 16384, GroupCommitBatch: 8},
+	inst, err := ComposeProduct(Options{FS: fs, GroupCommitBatch: 8},
 		"Linux", "BPlusTree", "BufferManager", "LRU", "DynamicAlloc",
 		"ShardedBuffer", "Put", "Get", "Transaction", "GroupCommit",
 		"Locking", "Statistics", "Tracing")
@@ -141,7 +145,7 @@ func TestTraceRaceStress(t *testing.T) {
 	defer inst.Close()
 
 	const workers = 16
-	const txPerWorker = 40
+	const txPerWorker = 20
 	var mu sync.Mutex
 	committed := map[uint64]bool{} // every txn ID any worker committed
 	var wg sync.WaitGroup
@@ -180,6 +184,10 @@ func TestTraceRaceStress(t *testing.T) {
 	snap, err := inst.Trace()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if snap.Dropped != 0 {
+		t.Fatalf("commit phase overflowed the %d-span ring by %d spans; the attribution checks need it whole",
+			snap.Capacity, snap.Dropped)
 	}
 	byID := map[uint64]trace.SpanRecord{}
 	for _, r := range snap.Spans {
@@ -306,7 +314,7 @@ func TestTraceRaceStress(t *testing.T) {
 // access.get → btree.get → one buffer.read per tree level, and every
 // commit's tree holds only its own transaction.
 func TestTraceConcurrentOpsKeepTheirOwnTrees(t *testing.T) {
-	inst, err := ComposeProduct(Options{TraceSpans: 1 << 16, CachePages: 4096, GroupCommitBatch: 4},
+	inst, err := ComposeProduct(Options{CachePages: 4096, GroupCommitBatch: 4},
 		"Linux", "BPlusTree", "BufferManager", "LRU", "DynamicAlloc",
 		"ShardedBuffer", "Put", "Get", "Transaction", "GroupCommit",
 		"Locking", "Statistics", "Tracing")
@@ -336,96 +344,117 @@ func TestTraceConcurrentOpsKeepTheirOwnTrees(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// phase runs one phase and checks the span trees it recorded,
+	// returning how many access.get trees it holds.
+	phase := func(run func()) (gets int) {
+		t.Helper()
+		start := inst.Tracer().Snapshot().Recorded
+		run()
+		snap, err := inst.Trace()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if snap.Recorded-start > uint64(snap.Capacity) {
+			t.Fatalf("phase recorded %d spans into a %d-span ring; the test needs every tree whole",
+				snap.Recorded-start, snap.Capacity)
+		}
+		kept := snap.Spans[:0]
+		for _, r := range snap.Spans {
+			if r.Seq >= start {
+				kept = append(kept, r)
+			}
+		}
+		snap.Spans = kept
+		byID := map[uint64]trace.SpanRecord{}
+		for _, r := range snap.Spans {
+			byID[r.ID] = r
+		}
+		for _, r := range snap.Spans {
+			if r.Dur < 0 {
+				t.Fatalf("span %d: Dur = %d", r.ID, r.Dur)
+			}
+			// Root is the top of the span's own parent chain.
+			top := r
+			for top.Parent != 0 {
+				p, ok := byID[top.Parent]
+				if !ok {
+					t.Fatalf("span %d: parent %d was never recorded", top.ID, top.Parent)
+				}
+				top = p
+			}
+			if r.Root != top.ID {
+				t.Fatalf("%s.%s span %d names root %d, its parent chain ends at %d", r.Layer, r.Op, r.ID, r.Root, top.ID)
+			}
+		}
+		for _, tree := range snap.Trees() {
+			switch {
+			case tree.Root.Layer == trace.LayerAccess && tree.Root.Op == "get":
+				gets++
+				// access.get → btree.get → buffer.read per level; the cache
+				// holds the whole tree, so a miss adds at most a pager.read
+				// under its buffer.read.
+				var btreeGet trace.SpanRecord
+				reads := 0
+				for _, r := range tree.Spans {
+					p := byID[r.Parent]
+					switch {
+					case r.Layer == trace.LayerBTree && r.Op == "get" && r.Parent == tree.Root.ID && btreeGet.ID == 0:
+						btreeGet = r
+					case r.Layer == trace.LayerBuffer && r.Op == "read" && p.Layer == trace.LayerBTree:
+						reads++
+					case r.Layer == trace.LayerPager && r.Op == "read" && p.Layer == trace.LayerBuffer:
+					default:
+						t.Fatalf("access.get tree %d holds a stray %s.%s span %d under %s.%s",
+							tree.Root.ID, r.Layer, r.Op, r.ID, p.Layer, p.Op)
+					}
+				}
+				if btreeGet.ID == 0 || reads < 1 || reads > 4 {
+					t.Fatalf("access.get tree %d: btree.get=%d, %d buffer reads; want one descent of 1-4 levels",
+						tree.Root.ID, btreeGet.ID, reads)
+				}
+			case tree.Root.Layer == trace.LayerTxn && tree.Root.Op == "commit":
+				for _, r := range tree.Spans {
+					if r.Layer == trace.LayerTxn && r.Txn != tree.Root.Txn {
+						t.Fatalf("commit tree of txn %d holds txn.%s span %d of txn %d",
+							tree.Root.Txn, r.Op, r.ID, r.Txn)
+					}
+				}
+			}
+		}
+		return gets
+	}
 	// The tree is not safe for unsynchronized readers next to a
 	// committing leader, so puts and gets alternate in rounds; within a
 	// round all eight goroutines run the same kind of op concurrently.
+	// The ring is read after every phase, and only that phase's spans
+	// are checked: each phase fits in the default ring whole.
+	gets := 0
 	for round := 0; round < 3; round++ {
 		lo, hi := round*perWorker/3, (round+1)*perWorker/3
-		each(func(w int) error {
-			for i := lo; i < hi; i++ {
-				tx := inst.Txn.Begin()
-				if err := tx.Put(key(w, i), []byte("v")); err != nil {
-					return err
+		phase(func() {
+			each(func(w int) error {
+				for i := lo; i < hi; i++ {
+					tx := inst.Txn.Begin()
+					if err := tx.Put(key(w, i), []byte("v")); err != nil {
+						return err
+					}
+					if err := tx.Commit(); err != nil {
+						return err
+					}
 				}
-				if err := tx.Commit(); err != nil {
-					return err
-				}
-			}
-			return nil
+				return nil
+			})
 		})
-		each(func(w int) error {
-			for i := 0; i < hi; i++ {
-				if _, err := inst.Store.Get(key(w, i)); err != nil {
-					return err
+		gets += phase(func() {
+			each(func(w int) error {
+				for i := 0; i < hi; i++ {
+					if _, err := inst.Store.Get(key(w, i)); err != nil {
+						return err
+					}
 				}
-			}
-			return nil
+				return nil
+			})
 		})
-	}
-
-	snap, err := inst.Trace()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.Dropped != 0 {
-		t.Fatalf("ring dropped %d spans; the test needs every tree whole", snap.Dropped)
-	}
-	byID := map[uint64]trace.SpanRecord{}
-	for _, r := range snap.Spans {
-		byID[r.ID] = r
-	}
-	for _, r := range snap.Spans {
-		if r.Dur < 0 {
-			t.Fatalf("span %d: Dur = %d", r.ID, r.Dur)
-		}
-		// Root is the top of the span's own parent chain.
-		top := r
-		for top.Parent != 0 {
-			p, ok := byID[top.Parent]
-			if !ok {
-				t.Fatalf("span %d: parent %d was never recorded", top.ID, top.Parent)
-			}
-			top = p
-		}
-		if r.Root != top.ID {
-			t.Fatalf("%s.%s span %d names root %d, its parent chain ends at %d", r.Layer, r.Op, r.ID, r.Root, top.ID)
-		}
-	}
-	gets := 0
-	for _, tree := range snap.Trees() {
-		switch {
-		case tree.Root.Layer == trace.LayerAccess && tree.Root.Op == "get":
-			gets++
-			// access.get → btree.get → buffer.read per level; the cache
-			// holds the whole tree, so a miss adds at most a pager.read
-			// under its buffer.read.
-			var btreeGet trace.SpanRecord
-			reads := 0
-			for _, r := range tree.Spans {
-				p := byID[r.Parent]
-				switch {
-				case r.Layer == trace.LayerBTree && r.Op == "get" && r.Parent == tree.Root.ID && btreeGet.ID == 0:
-					btreeGet = r
-				case r.Layer == trace.LayerBuffer && r.Op == "read" && p.Layer == trace.LayerBTree:
-					reads++
-				case r.Layer == trace.LayerPager && r.Op == "read" && p.Layer == trace.LayerBuffer:
-				default:
-					t.Fatalf("access.get tree %d holds a stray %s.%s span %d under %s.%s",
-						tree.Root.ID, r.Layer, r.Op, r.ID, p.Layer, p.Op)
-				}
-			}
-			if btreeGet.ID == 0 || reads < 1 || reads > 4 {
-				t.Fatalf("access.get tree %d: btree.get=%d, %d buffer reads; want one descent of 1-4 levels",
-					tree.Root.ID, btreeGet.ID, reads)
-			}
-		case tree.Root.Layer == trace.LayerTxn && tree.Root.Op == "commit":
-			for _, r := range tree.Spans {
-				if r.Layer == trace.LayerTxn && r.Txn != tree.Root.Txn {
-					t.Fatalf("commit tree of txn %d holds txn.%s span %d of txn %d",
-						tree.Root.Txn, r.Op, r.ID, r.Txn)
-				}
-			}
-		}
 	}
 	want := 0
 	for round := 1; round <= 3; round++ {

@@ -10,8 +10,7 @@
 //     the last minute, commit-stall p99 over the last minute — come
 //     from histogram differences instead of lifetime aggregates;
 //   - a watchdog evaluates declarative threshold rules against every
-//     fresh window and records transitions in a bounded event log,
-//     fanning alerts out through an OnAlert hook;
+//     fresh window and records transitions in a bounded event log;
 //   - an HTTP endpoint (http.go) serves /metrics, /healthz, /varz,
 //     /events and /trace for scrapers and operators.
 //
@@ -35,31 +34,28 @@ import (
 type Config struct {
 	// Interval is the sampler period (default 1s).
 	Interval time.Duration
-	// Window is how much history the sample ring covers (default 60 *
-	// Interval). The ring holds Window/Interval samples, minimum 2.
-	Window time.Duration
-	// EventCap bounds the operational event log (default 128); older
-	// events are dropped oldest-first, with the drop count kept.
-	EventCap int
 	// Rules are the watchdog thresholds.
 	Rules Thresholds
-	// ExtraRules appends product-specific watchdog rules to the
-	// threshold-derived ones.
-	ExtraRules []Rule
-	// OnAlert, when set, is called for every event the watchdog emits
-	// (alerts and clears), outside the monitor's lock.
-	OnAlert func(Event)
+	// window is how much history the sample ring covers: windowTicks
+	// intervals, lowered only by this package's tests. The ring holds
+	// window/Interval samples, minimum 2.
+	window time.Duration
 }
+
+// windowTicks is how many sampler intervals the sample ring spans, and
+// eventCap how many operational events the log keeps before it drops
+// the oldest (counting the drops).
+const (
+	windowTicks = 60
+	eventCap    = 128
+)
 
 func (c Config) withDefaults() Config {
 	if c.Interval <= 0 {
 		c.Interval = time.Second
 	}
-	if c.Window <= 0 {
-		c.Window = 60 * c.Interval
-	}
-	if c.EventCap <= 0 {
-		c.EventCap = 128
+	if c.window <= 0 {
+		c.window = windowTicks * c.Interval
 	}
 	return c
 }
@@ -174,7 +170,7 @@ type Monitor struct {
 // Tick can drive it manually (tests, on-demand reads).
 func New(cfg Config, src Source) *Monitor {
 	cfg = cfg.withDefaults()
-	n := int(cfg.Window / cfg.Interval)
+	n := int(cfg.window / cfg.Interval)
 	if n < 2 {
 		n = 2
 	}
@@ -183,11 +179,11 @@ func New(cfg Config, src Source) *Monitor {
 		src:     src,
 		ring:    make([]Sample, n),
 		started: time.Now(),
-		events:  newEventLog(cfg.EventCap),
+		events:  newEventLog(eventCap),
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}
-	m.watchdog = newWatchdog(cfg.Rules, cfg.ExtraRules)
+	m.watchdog = newWatchdog(cfg.Rules)
 	return m
 }
 
@@ -232,8 +228,7 @@ func (m *Monitor) Stop() {
 }
 
 // Tick takes one sample now: snapshot, delta, ring insertion, then a
-// watchdog pass over the fresh window. Alert hooks run after the lock
-// is released.
+// watchdog pass over the fresh window.
 func (m *Monitor) Tick() {
 	now := time.Now()
 	cum := m.src.Snapshot()
@@ -263,17 +258,10 @@ func (m *Monitor) Tick() {
 	}
 	m.ticks++
 	w := m.windowLocked()
-	events := m.watchdog.evaluate(now, w)
-	for _, e := range events {
+	for _, e := range m.watchdog.evaluate(now, w) {
 		m.events.add(e)
 	}
 	m.mu.Unlock()
-
-	if m.cfg.OnAlert != nil {
-		for _, e := range events {
-			m.cfg.OnAlert(e)
-		}
-	}
 }
 
 // newestLocked returns the most recent sample; filled must be > 0.

@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -31,7 +30,7 @@ func stall(r *stats.Registry, d time.Duration) {
 
 func TestWindowRatesAndQuantiles(t *testing.T) {
 	r := stats.New()
-	m := New(Config{Interval: time.Hour, Window: 4 * time.Hour}, testSource(r, nil))
+	m := New(Config{Interval: time.Hour, window: 4 * time.Hour}, testSource(r, nil))
 
 	m.Tick() // baseline
 	for i := 0; i < 10; i++ {
@@ -87,18 +86,11 @@ func TestWindowDegradedLatch(t *testing.T) {
 	}
 }
 
-func TestWatchdogTransitionsAndOnAlert(t *testing.T) {
+func TestWatchdogTransitions(t *testing.T) {
 	r := stats.New()
-	var mu sync.Mutex
-	var hooked []Event
 	m := New(Config{
 		Interval: time.Hour,
 		Rules:    Thresholds{CommitStallP99: 2 * time.Millisecond},
-		OnAlert: func(e Event) {
-			mu.Lock()
-			hooked = append(hooked, e)
-			mu.Unlock()
-		},
 	}, testSource(r, nil))
 
 	m.Tick() // baseline: nothing firing
@@ -131,11 +123,6 @@ func TestWatchdogTransitionsAndOnAlert(t *testing.T) {
 	}
 	if len(m.Active()) != 0 {
 		t.Fatalf("active = %+v, want empty after clear", m.Active())
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(hooked) != len(events) {
-		t.Fatalf("OnAlert saw %d events, log has %d", len(hooked), len(events))
 	}
 }
 

@@ -79,7 +79,7 @@ type watchdog struct {
 	alerts uint64
 }
 
-func newWatchdog(t Thresholds, extra []Rule) *watchdog {
+func newWatchdog(t Thresholds) *watchdog {
 	rules := []Rule{{
 		// The degraded rule is always on: the storage layer poisoned
 		// itself (retries exhausted, checksum mismatch, ...) and fell
@@ -166,7 +166,7 @@ func newWatchdog(t Thresholds, extra []Rule) *watchdog {
 		})
 	}
 	return &watchdog{
-		rules:  append(rules, extra...),
+		rules:  rules,
 		firing: make(map[string]*ActiveRule),
 	}
 }

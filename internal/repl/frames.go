@@ -28,8 +28,8 @@ import (
 	"famedb/internal/stats"
 )
 
-// DefaultFeedDepth is a Feed's buffered frame count.
-const DefaultFeedDepth = 256
+// feedDepth is a Feed's buffered frame count.
+const feedDepth = 256
 
 // Frame is one shipped WAL chunk: the raw bytes of one durable append.
 type Frame struct {
@@ -71,17 +71,16 @@ type Shipper struct {
 	subs    map[*Feed]struct{}
 	seq     uint64
 	lastEnd int64 // -1 until the first chunk
+	// depth is each feed's buffered frame count: feedDepth, lowered
+	// only by this package's tests to force overflow.
 	depth   int
 	metrics *stats.Repl
 }
 
-// NewShipper returns a shipper whose feeds buffer depth frames each
-// (DefaultFeedDepth if depth <= 0). metrics may be nil.
-func NewShipper(depth int, metrics *stats.Repl) *Shipper {
-	if depth <= 0 {
-		depth = DefaultFeedDepth
-	}
-	return &Shipper{subs: map[*Feed]struct{}{}, lastEnd: -1, depth: depth, metrics: metrics}
+// NewShipper returns a shipper whose feeds buffer feedDepth frames
+// each. metrics may be nil.
+func NewShipper(metrics *stats.Repl) *Shipper {
+	return &Shipper{subs: map[*Feed]struct{}{}, lastEnd: -1, depth: feedDepth, metrics: metrics}
 }
 
 // Subscribe registers a new feed that will receive every chunk shipped

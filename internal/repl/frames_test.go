@@ -8,7 +8,7 @@ import (
 )
 
 func TestShipperFansOutInOrder(t *testing.T) {
-	s := NewShipper(8, nil)
+	s := NewShipper(nil)
 	f1, f2 := s.Subscribe(), s.Subscribe()
 	s.OnShip(8, []byte("aaaa"))
 	s.OnShip(12, []byte("bb"))
@@ -34,7 +34,8 @@ func TestShipperFansOutInOrder(t *testing.T) {
 
 func TestShipperOverflowBreaksFeedNotCommit(t *testing.T) {
 	reg := stats.New()
-	s := NewShipper(2, reg.Repl())
+	s := NewShipper(reg.Repl())
+	s.depth = 2
 	f := s.Subscribe()
 	// Nobody drains: the third chunk overflows; shipping never blocks.
 	s.OnShip(8, []byte("a"))
@@ -62,7 +63,7 @@ func TestShipperOverflowBreaksFeedNotCommit(t *testing.T) {
 }
 
 func TestShipperRewindBreaksFeeds(t *testing.T) {
-	s := NewShipper(8, nil)
+	s := NewShipper(nil)
 	f := s.Subscribe()
 	s.OnShip(8, []byte("aaaa")) // end now 12
 	if f.Broken() {

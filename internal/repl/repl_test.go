@@ -59,7 +59,7 @@ func TestReplicationThroughTxnManager(t *testing.T) {
 	}
 	pidx, ridx := newIdx(t), newIdx(t)
 	primary, replica := open(pidx), open(ridx)
-	s := NewShipper(8, nil)
+	s := NewShipper(nil)
 	primary.SetOnShip(s.OnShip)
 	feed := s.Subscribe()
 	applier := replica.ShipApplier()

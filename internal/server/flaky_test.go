@@ -60,9 +60,9 @@ func TestReplicaResyncUnderFlakyConn(t *testing.T) {
 		Addr:        srv.Addr(),
 		Applier:     rn.mgr.ShipApplier(),
 		Dial:        dialer.dial,
-		Seed:        7,
-		BaseBackoff: time.Millisecond,
-		MaxBackoff:  10 * time.Millisecond,
+		seed:        7,
+		baseBackoff: time.Millisecond,
+		maxBackoff:  10 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -114,9 +114,9 @@ func TestReplicaPartitionedThenHeals(t *testing.T) {
 		Addr:        srv.Addr(),
 		Applier:     rn.mgr.ShipApplier(),
 		Dial:        dialer.dial,
-		Seed:        8,
-		BaseBackoff: time.Millisecond,
-		MaxBackoff:  10 * time.Millisecond,
+		seed:        8,
+		baseBackoff: time.Millisecond,
+		maxBackoff:  10 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -152,7 +152,7 @@ func TestServerStress(t *testing.T) {
 
 	// Replica 1: clean transport. Replica 2: drops on a schedule.
 	r1n := newNode(t)
-	r1, err := StartReplica(ReplicaConfig{Addr: srv.Addr(), Applier: r1n.mgr.ShipApplier(), Seed: 11})
+	r1, err := StartReplica(ReplicaConfig{Addr: srv.Addr(), Applier: r1n.mgr.ShipApplier(), seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,9 +168,9 @@ func TestServerStress(t *testing.T) {
 		Addr:        srv.Addr(),
 		Applier:     r2n.mgr.ShipApplier(),
 		Dial:        dialer.dial,
-		Seed:        12,
-		BaseBackoff: time.Millisecond,
-		MaxBackoff:  10 * time.Millisecond,
+		seed:        12,
+		baseBackoff: time.Millisecond,
+		maxBackoff:  10 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

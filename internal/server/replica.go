@@ -12,11 +12,14 @@ import (
 	"famedb/internal/txn"
 )
 
-// Replica-client defaults.
+// Replica-client timing: the reconnect backoff's bounds, and the
+// keepalive cadence at which the replica re-acks its current offset
+// even when no frames arrive, so the primary's read deadline does not
+// reap an idle-but-healthy session.
 const (
 	DefaultBaseBackoff = 10 * time.Millisecond
 	DefaultMaxBackoff  = time.Second
-	DefaultAckInterval = 5 * time.Second
+	ackInterval        = 5 * time.Second
 )
 
 // ReplicaConfig wires a replica client to a primary.
@@ -29,38 +32,16 @@ type ReplicaConfig struct {
 	// Dial opens the transport; nil means plain TCP. Tests inject a
 	// FlakyConn-wrapping dialer here.
 	Dial func(addr string) (net.Conn, error)
-	// Seed drives the reconnect jitter, so fault tests replay exactly.
-	Seed int64
-	// BaseBackoff and MaxBackoff bound the capped exponential reconnect
+
+	// The reconnect timing below is fixed outside this package's tests,
+	// which seed it to replay exactly and shorten it to reconnect fast.
+	//
+	// seed drives the reconnect jitter.
+	seed int64
+	// baseBackoff and maxBackoff bound the capped exponential reconnect
 	// backoff. Zero means the defaults.
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
-	// AckInterval is the keepalive cadence: the replica re-acks its
-	// current offset even when no frames arrive, so the primary's read
-	// deadline does not reap an idle-but-healthy session. Zero means
-	// DefaultAckInterval.
-	AckInterval time.Duration
-}
-
-func (c ReplicaConfig) base() time.Duration {
-	if c.BaseBackoff > 0 {
-		return c.BaseBackoff
-	}
-	return DefaultBaseBackoff
-}
-
-func (c ReplicaConfig) max() time.Duration {
-	if c.MaxBackoff > 0 {
-		return c.MaxBackoff
-	}
-	return DefaultMaxBackoff
-}
-
-func (c ReplicaConfig) ackEvery() time.Duration {
-	if c.AckInterval > 0 {
-		return c.AckInterval
-	}
-	return DefaultAckInterval
+	baseBackoff time.Duration
+	maxBackoff  time.Duration
 }
 
 // Replica is a running replica client: it dials the primary, handshakes
@@ -97,9 +78,15 @@ func StartReplica(cfg ReplicaConfig) (*Replica, error) {
 			return net.DialTimeout("tcp", addr, 5*time.Second)
 		}
 	}
+	if cfg.baseBackoff <= 0 {
+		cfg.baseBackoff = DefaultBaseBackoff
+	}
+	if cfg.maxBackoff <= 0 {
+		cfg.maxBackoff = DefaultMaxBackoff
+	}
 	r := &Replica{
 		cfg:  cfg,
-		rng:  rand.New(rand.NewSource(cfg.Seed)),
+		rng:  rand.New(rand.NewSource(cfg.seed)),
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}
@@ -204,12 +191,12 @@ func (r *Replica) loop() {
 // sleep applies the capped exponential backoff with seeded jitter
 // (half fixed, half random) and reports false when Stop fired.
 func (r *Replica) sleep(attempt int) bool {
-	d := r.cfg.base()
-	for i := 1; i < attempt && d < r.cfg.max(); i++ {
+	d := r.cfg.baseBackoff
+	for i := 1; i < attempt && d < r.cfg.maxBackoff; i++ {
 		d *= 2
 	}
-	if d > r.cfg.max() {
-		d = r.cfg.max()
+	if d > r.cfg.maxBackoff {
+		d = r.cfg.maxBackoff
 	}
 	d = d/2 + time.Duration(r.rng.Int63n(int64(d/2)+1))
 	select {
@@ -252,7 +239,7 @@ func (r *Replica) session(conn net.Conn, forceSnap bool) (progress, nextSnap boo
 	kaDone := make(chan struct{})
 	defer close(kaDone)
 	go func() {
-		t := time.NewTicker(r.cfg.ackEvery())
+		t := time.NewTicker(ackInterval)
 		defer t.Stop()
 		for {
 			select {

@@ -32,43 +32,32 @@ type Config struct {
 	Shipper *repl.Shipper
 	// Metrics is the stats Repl section; nil-safe.
 	Metrics *stats.Repl
-	// MaxInflight bounds how many pipelined requests one connection may
+
+	// The session limits below are the Default constants, lowered only
+	// by this package's tests.
+	//
+	// maxInflight bounds how many pipelined requests one connection may
 	// stage ahead of execution. The reader stops pulling frames once
 	// the bound is hit, so backpressure reaches the client through TCP.
-	MaxInflight int
-	// ReadTimeout bounds the wait for each inbound frame once a session
-	// is active; an idle or wedged peer is cut off. Zero means
-	// DefaultReadTimeout; negative disables the deadline.
-	ReadTimeout time.Duration
-	// WriteTimeout bounds each outbound frame write.
-	WriteTimeout time.Duration
+	maxInflight int
+	// readTimeout bounds the wait for each inbound frame once a session
+	// is active; an idle or wedged peer is cut off.
+	readTimeout time.Duration
+	// writeTimeout bounds each outbound frame write.
+	writeTimeout time.Duration
 }
 
-func (c Config) inflight() int {
-	if c.MaxInflight > 0 {
-		return c.MaxInflight
+func (c Config) withDefaults() Config {
+	if c.maxInflight <= 0 {
+		c.maxInflight = DefaultMaxInflight
 	}
-	return DefaultMaxInflight
-}
-
-func (c Config) readTimeout() time.Duration {
-	if c.ReadTimeout == 0 {
-		return DefaultReadTimeout
+	if c.readTimeout <= 0 {
+		c.readTimeout = DefaultReadTimeout
 	}
-	if c.ReadTimeout < 0 {
-		return 0
+	if c.writeTimeout <= 0 {
+		c.writeTimeout = DefaultWriteTimeout
 	}
-	return c.ReadTimeout
-}
-
-func (c Config) writeTimeout() time.Duration {
-	if c.WriteTimeout == 0 {
-		return DefaultWriteTimeout
-	}
-	if c.WriteTimeout < 0 {
-		return 0
-	}
-	return c.WriteTimeout
+	return c
 }
 
 // Server accepts client and replication sessions on one listener. The
@@ -98,7 +87,7 @@ func Serve(addr string, cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("server: listen %s: %w", addr, err)
 	}
 	s := &Server{
-		cfg:   cfg,
+		cfg:   cfg.withDefaults(),
 		ln:    ln,
 		conns: make(map[net.Conn]struct{}),
 		acked: make(map[*replSession]int64),
@@ -168,9 +157,7 @@ func (s *Server) dropConn(conn net.Conn) {
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer s.dropConn(conn)
-	if d := s.cfg.readTimeout(); d > 0 {
-		conn.SetReadDeadline(time.Now().Add(d))
-	}
+	conn.SetReadDeadline(time.Now().Add(s.cfg.readTimeout))
 	br := bufio.NewReader(conn)
 	typ, payload, err := readFrame(br)
 	if err != nil {
@@ -192,19 +179,17 @@ type request struct {
 // serveClient runs a client session: a reader goroutine stages frames
 // into a bounded queue (the admission bound) while the session
 // goroutine executes them in order and buffers in-order responses, so a
-// client may pipeline up to MaxInflight requests ahead. Responses go
+// client may pipeline up to maxInflight requests ahead. Responses go
 // out when the queue runs dry — one write per pipelined window — and
 // before any command that commits: answered requests must not wait
 // behind a later write's device sync.
 func (s *Server) serveClient(conn net.Conn, br *bufio.Reader, typ byte, payload []byte) {
-	queue := make(chan request, s.cfg.inflight())
+	queue := make(chan request, s.cfg.maxInflight)
 	queue <- request{typ, payload}
 	go func() {
 		defer close(queue)
 		for {
-			if d := s.cfg.readTimeout(); d > 0 {
-				conn.SetReadDeadline(time.Now().Add(d))
-			}
+			conn.SetReadDeadline(time.Now().Add(s.cfg.readTimeout))
 			typ, payload, err := readFrame(br)
 			if err != nil {
 				return
@@ -223,9 +208,7 @@ func (s *Server) serveClient(conn net.Conn, br *bufio.Reader, typ byte, payload 
 		if bw.Buffered() == 0 {
 			// The window's first response: one deadline covers every
 			// write up to and including its flush.
-			if d := s.cfg.writeTimeout(); d > 0 {
-				conn.SetWriteDeadline(time.Now().Add(d))
-			}
+			conn.SetWriteDeadline(time.Now().Add(s.cfg.writeTimeout))
 		}
 		if err := writeFrame(bw, rtyp, rpayload); err != nil {
 			break
@@ -440,9 +423,7 @@ func (s *Server) serveRepl(conn net.Conn, br *bufio.Reader, payload []byte) {
 	go func() {
 		defer close(ackDone)
 		for {
-			if d := s.cfg.readTimeout(); d > 0 {
-				conn.SetReadDeadline(time.Now().Add(d))
-			}
+			conn.SetReadDeadline(time.Now().Add(s.cfg.readTimeout))
 			typ, p, err := readFrame(br)
 			if err != nil {
 				conn.Close()
@@ -510,8 +491,6 @@ func (s *Server) serveRepl(conn net.Conn, br *bufio.Reader, payload []byte) {
 }
 
 func (s *Server) writeRepl(conn net.Conn, typ byte, payload []byte) error {
-	if d := s.cfg.writeTimeout(); d > 0 {
-		conn.SetWriteDeadline(time.Now().Add(d))
-	}
+	conn.SetWriteDeadline(time.Now().Add(s.cfg.writeTimeout))
 	return writeFrame(conn, typ, payload)
 }

@@ -68,7 +68,7 @@ func newNodeOver(t *testing.T, wrap func(index.Index) index.Index) *node {
 func primaryNode(t *testing.T, reg *stats.Registry) (*node, *Server, *repl.Shipper) {
 	t.Helper()
 	n := newNode(t)
-	shipper := repl.NewShipper(repl.DefaultFeedDepth, reg.Repl())
+	shipper := repl.NewShipper(reg.Repl())
 	n.mgr.SetOnShip(shipper.OnShip)
 	srv, err := Serve("127.0.0.1:0", Config{
 		Mgr:     n.mgr,
@@ -240,7 +240,7 @@ func TestClientServerBasic(t *testing.T) {
 
 func TestClientPipelining(t *testing.T) {
 	n := newNode(t)
-	srv, err := Serve("127.0.0.1:0", Config{Mgr: n.mgr, MaxInflight: 8})
+	srv, err := Serve("127.0.0.1:0", Config{Mgr: n.mgr, maxInflight: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestClientPipelining(t *testing.T) {
 	defer c.Close()
 	c.Timeout = 10 * time.Second
 
-	// Queue far more than MaxInflight: the admission bound must
+	// Queue far more than maxInflight: the admission bound must
 	// backpressure, not drop or deadlock.
 	const N = 200
 	for i := 0; i < N; i++ {
@@ -297,7 +297,7 @@ func TestClientPipelining(t *testing.T) {
 func TestPipelinedMixedWindowInOrder(t *testing.T) {
 	const inflight = 8
 	n := newNode(t)
-	srv, err := Serve("127.0.0.1:0", Config{Mgr: n.mgr, MaxInflight: inflight})
+	srv, err := Serve("127.0.0.1:0", Config{Mgr: n.mgr, maxInflight: inflight})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,7 +407,7 @@ func TestPipelinedMixedWindowInOrder(t *testing.T) {
 
 func TestServerReadDeadlineReapsIdleClient(t *testing.T) {
 	n := newNode(t)
-	srv, err := Serve("127.0.0.1:0", Config{Mgr: n.mgr, ReadTimeout: 50 * time.Millisecond})
+	srv, err := Serve("127.0.0.1:0", Config{Mgr: n.mgr, readTimeout: 50 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,12 +441,12 @@ func TestReplicationEndToEnd(t *testing.T) {
 	}
 
 	r1n, r2n := newNode(t), newNode(t)
-	r1, err := StartReplica(ReplicaConfig{Addr: srv.Addr(), Applier: r1n.mgr.ShipApplier(), Seed: 1})
+	r1, err := StartReplica(ReplicaConfig{Addr: srv.Addr(), Applier: r1n.mgr.ShipApplier(), seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r1.Stop()
-	r2, err := StartReplica(ReplicaConfig{Addr: srv.Addr(), Applier: r2n.mgr.ShipApplier(), Seed: 2})
+	r2, err := StartReplica(ReplicaConfig{Addr: srv.Addr(), Applier: r2n.mgr.ShipApplier(), seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -540,7 +540,7 @@ func TestWaitForMeansApplied(t *testing.T) {
 		return gate
 	})
 	ap := rn.mgr.ShipApplier()
-	r, err := StartReplica(ReplicaConfig{Addr: srv.Addr(), Applier: ap, Seed: 4})
+	r, err := StartReplica(ReplicaConfig{Addr: srv.Addr(), Applier: ap, seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -602,7 +602,7 @@ func TestReplicaSnapshotResyncOnDivergence(t *testing.T) {
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	r, err := StartReplica(ReplicaConfig{Addr: srv.Addr(), Applier: rn.mgr.ShipApplier(), Seed: 3})
+	r, err := StartReplica(ReplicaConfig{Addr: srv.Addr(), Applier: rn.mgr.ShipApplier(), seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -677,7 +677,7 @@ func TestReplicaSeqGapForcesSnapshot(t *testing.T) {
 	}()
 
 	rn := newNode(t)
-	r, err := StartReplica(ReplicaConfig{Addr: ln.Addr().String(), Applier: rn.mgr.ShipApplier(), Seed: 4})
+	r, err := StartReplica(ReplicaConfig{Addr: ln.Addr().String(), Applier: rn.mgr.ShipApplier(), seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

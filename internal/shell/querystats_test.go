@@ -6,13 +6,16 @@ import (
 	"time"
 
 	fame "famedb"
+	"famedb/internal/osal"
 )
 
-// observedShell builds a console over a product with QueryStats and a
-// 1ns slow threshold, so every statement lands in the slow ring.
+// observedShell builds a console over a product with QueryStats whose
+// every page write takes 2ms, above the 1ms slow-query threshold, so
+// every statement that writes lands in the slow ring.
 func observedShell(t *testing.T) (*Shell, *strings.Builder) {
 	t.Helper()
-	db, err := fame.Open(fame.Options{SlowQueryThreshold: time.Nanosecond},
+	fs := osal.NewDelayFS(osal.NewMemFS(), 2*time.Millisecond, 0)
+	db, err := fame.Open(fame.Options{FS: fs},
 		"Linux", "BPlusTree", "BTreeUpdate", "BTreeRemove",
 		"Put", "Get", "Remove", "Update",
 		"SQLEngine", "Optimizer", "Statistics", "QueryStats")
@@ -65,7 +68,7 @@ func TestShellExplainAndQueries(t *testing.T) {
 
 	out.Reset()
 	s.Execute(".queries slow")
-	if got := out.String(); !strings.Contains(got, "SELECT") {
+	if got := out.String(); !strings.Contains(got, "INSERT INTO t VALUES") {
 		t.Fatalf(".queries slow printed no entries:\n%s", got)
 	}
 

@@ -21,9 +21,8 @@ import (
 // cacheShards stripes the plan cache; shard = FNV-1a(shape) % shards.
 const cacheShards = 8
 
-// defaultPlanCacheEntries bounds the cache when the product does not
-// configure a size.
-const defaultPlanCacheEntries = 256
+// planCacheEntries bounds the cache of every CompiledQueries product.
+const planCacheEntries = 256
 
 // normalize lexes a statement once into its shape — literals replaced
 // by `?`, tokens joined canonically — plus the extracted literals in
@@ -102,9 +101,6 @@ type planCache struct {
 }
 
 func newPlanCache(size int) *planCache {
-	if size <= 0 {
-		size = defaultPlanCacheEntries
-	}
 	per := size / cacheShards
 	if per < 1 {
 		per = 1

@@ -14,12 +14,16 @@ import (
 
 // newCompiledEngine builds an engine with the CompiledQueries feature
 // (and the Optimizer, so access paths specialize) plus a metrics
-// registry to observe the plan-cache counters.
+// registry to observe the plan-cache counters. A cacheSize above zero
+// replaces the plan cache with one of that many entries.
 func newCompiledEngine(t *testing.T, cacheSize int) (*Engine, *stats.Registry) {
 	t.Helper()
 	reg := stats.New()
-	return createEngine(t, Config{Optimizer: true, Compiled: true,
-		PlanCacheSize: cacheSize, Metrics: reg.SQL()}), reg
+	e := createEngine(t, Config{Optimizer: true, Compiled: true, Metrics: reg.SQL()})
+	if cacheSize > 0 {
+		e.cache = newPlanCache(cacheSize)
+	}
+	return e, reg
 }
 
 func TestPrepareNeedsCompiledQueries(t *testing.T) {

@@ -87,9 +87,6 @@ type Config struct {
 	// the unprepared Exec path reuse a plan. Without it every Exec
 	// compiles its statement and drops the plan.
 	Compiled bool
-	// PlanCacheSize bounds the plan cache in entries; 0 composes the
-	// default of 256. Ignored without the CompiledQueries feature.
-	PlanCacheSize int
 	// Metrics receives statement and plan counters when the Statistics
 	// feature is composed; nil otherwise (recording is then a no-op).
 	Metrics *stats.SQL
@@ -185,7 +182,7 @@ func initEngine(cfg Config, cat index.Index, meta storage.PageID) (*Engine, erro
 	e := &Engine{cfg: cfg, catalog: index.SeamOf(cat), catStore: access.New(cat, access.AllOps()),
 		meta: meta, tables: map[string]*table{}, byTree: map[uint64]*table{}, nextTree: firstTableTree}
 	if cfg.Compiled {
-		e.cache = newPlanCache(cfg.PlanCacheSize)
+		e.cache = newPlanCache(planCacheEntries)
 	}
 	// New tables take ids past every id the catalog holds.
 	var untreed []*table

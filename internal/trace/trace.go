@@ -119,9 +119,14 @@ func (sp *Span) ID() uint64 {
 // slow-op log; further descendants are counted, not kept.
 const slowTreeCap = 64
 
+// DefaultCapacity is the ring's span count when Config.Capacity is
+// zero: the capacity of every composed product's tracer.
+const DefaultCapacity = 4096
+
 // Config sizes the tracer. Zero values take the defaults.
 type Config struct {
-	// Capacity is the ring buffer's span count (default 4096); memory
+	// Capacity is the ring buffer's span count (default
+	// DefaultCapacity); memory
 	// is Capacity * sizeof(SpanRecord), preallocated.
 	Capacity int
 	// Stripes is the ring's lock-stripe count (default 8).
@@ -159,7 +164,7 @@ type Tracer struct {
 // method no-ops.
 func New(cfg Config) *Tracer {
 	if cfg.Capacity <= 0 {
-		cfg.Capacity = 4096
+		cfg.Capacity = DefaultCapacity
 	}
 	if cfg.Stripes <= 0 {
 		cfg.Stripes = 8

@@ -92,9 +92,11 @@ func (t *Txn) SnapshotSeq() (uint64, bool) {
 // visible is the single visibility check every transactional read
 // shares: the write set wins, then the pinned snapshot (no lock), and
 // only without MVCC the store under the manager's read lock. Snapshots
-// and that lock cover tree 0; any other tree is read from its store
-// under the caller's lock (see TreeTxn). The returned value aliases the
-// write set or the index copy; callers that hand it out copy it.
+// and that lock cover tree 0. A read-write transaction reads any other
+// tree from its live store under the caller's lock (see TreeTxn); a
+// snapshot transaction refuses, because the live store would show it
+// commits made after its pin. The returned value aliases the write set
+// or the index copy; callers that hand it out copy it.
 func (t *Txn) visible(tree uint64, key []byte) ([]byte, bool, error) {
 	if w, ok := t.lookupWriteSet(tree, key); ok {
 		if w.remove {
@@ -103,6 +105,9 @@ func (t *Txn) visible(tree uint64, key []byte) ([]byte, bool, error) {
 		return w.value, true, nil
 	}
 	if tree != 0 {
+		if t.readOnly {
+			return nil, false, fmt.Errorf("snapshot read of tree %d: %w", tree, access.ErrNotComposed)
+		}
 		s, err := t.m.storeOf(tree)
 		if err != nil {
 			return nil, false, err

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"famedb/internal/access"
+	"famedb/internal/btree"
 	"famedb/internal/index"
 	"famedb/internal/osal"
 	"famedb/internal/storage"
@@ -300,4 +301,47 @@ func encodeRaw(p []byte) []byte {
 	out := binary.LittleEndian.AppendUint32(nil, uint32(len(p)))
 	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(p))
 	return append(out, p...)
+}
+
+// TestSnapshotRefusesOtherTrees: a snapshot pins tree 0 only, so its
+// read of any other tree fails with the composition error instead of
+// answering from the live store, which holds commits made after the
+// pin. A read-write transaction on the same manager keeps reading the
+// other trees.
+func TestSnapshotRefusesOtherTrees(t *testing.T) {
+	e := newEnv(t)
+	trees := newMemTrees(t, 5)
+	vt := btree.NewVersionTable(e.store.Index().(*index.BTree).Tree())
+	m, err := OpenTrees(e.fs, "wal.log", e.store, trees,
+		Options{Locking: true, Versions: testVersions{vt: vt}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	commit := func(value string) {
+		t.Helper()
+		tx := m.Begin()
+		if err := tx.Tree(5).Put([]byte("k"), []byte(value)); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	commit("old")
+	snap, err := m.BeginSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Abort()
+	commit("new")
+
+	if v, err := snap.Tree(5).Get([]byte("k")); !errors.Is(err, access.ErrNotComposed) {
+		t.Fatalf("snapshot read of tree 5 = %q, %v; want ErrNotComposed", v, err)
+	}
+	tx := m.Begin()
+	defer tx.Abort()
+	if v, err := tx.Tree(5).Get([]byte("k")); err != nil || string(v) != "new" {
+		t.Fatalf("read-write read of tree 5 = %q, %v; want new", v, err)
+	}
 }

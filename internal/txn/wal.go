@@ -226,14 +226,15 @@ func (w *WAL) appendEncoded(parent *trace.Span, buf []byte, records, commits int
 }
 
 // readRecordAt decodes the frame at offset, returning its record and
-// the next offset.
-func (w *WAL) readRecordAt(off int64) (logRecord, int64, error) {
+// the next offset. A frame that would end past limit is corrupt: its
+// length field is torn, so nothing is read or allocated for it.
+func (w *WAL) readRecordAt(off, limit int64) (logRecord, int64, error) {
 	var hdr [8]byte
 	if _, err := w.f.ReadAt(hdr[:], off); err != nil {
 		return logRecord{}, 0, err
 	}
 	length := binary.LittleEndian.Uint32(hdr[0:4])
-	if length == 0 || length > maxFrame {
+	if length == 0 || length > maxFrame || off+8+int64(length) > limit {
 		return logRecord{}, 0, ErrLogCorrupt
 	}
 	frame := make([]byte, 8+length)
@@ -255,7 +256,7 @@ func (w *WAL) readRecordAt(off int64) (logRecord, int64, error) {
 func (w *WAL) walk(limit int64, fn func(logRecord) error) (int64, error) {
 	off := int64(len(walMagic))
 	for off < limit {
-		r, next, err := w.readRecordAt(off)
+		r, next, err := w.readRecordAt(off, limit)
 		if errors.Is(err, ErrLogCorrupt) || err == io.EOF {
 			break
 		}

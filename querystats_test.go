@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"famedb/internal/osal"
 )
 
 // observedFeatures is the smallest SQL product with statement
@@ -32,11 +34,10 @@ func TestExplainRequiresQueryStats(t *testing.T) {
 }
 
 func TestQueryStatsViaFacade(t *testing.T) {
-	db, err := Open(Options{
-		QueryStatsShapes:   16,
-		SlowQueryThreshold: time.Nanosecond, // retain everything
-		SlowQueryCap:       8,
-	}, observedFeatures()...)
+	// Every page write takes 2ms, above the 1ms slow-query threshold,
+	// so each statement that writes lands in the slow ring.
+	db, err := Open(Options{FS: osal.NewDelayFS(osal.NewMemFS(), 2*time.Millisecond, 0)},
+		observedFeatures()...)
 	if err != nil {
 		t.Fatal(err)
 	}
