@@ -38,7 +38,7 @@ type Store struct {
 	ops Ops
 	// metrics observes per-operation latency when the Statistics feature
 	// is composed; nil otherwise (recording is then a no-op).
-	metrics *stats.Access
+	metrics *stats.Registry
 	// tracer records record operations as spans when the Tracing
 	// feature is composed; nil otherwise. Each operation's In variant
 	// takes the caller's span as parent; the plain method is the same
@@ -47,12 +47,7 @@ type Store struct {
 }
 
 // SetMetrics attaches the Statistics feature's record-access metrics.
-func (s *Store) SetMetrics(m *stats.Access) { s.metrics = m }
-
-// Metrics returns the attached record-access metrics, nil without
-// Statistics. A transactional product's auto-commit Put records into
-// them, so its puts count wherever the store's would.
-func (s *Store) Metrics() *stats.Access { return s.metrics }
+func (s *Store) SetMetrics(m *stats.Registry) { s.metrics = m }
 
 // SetTracer attaches the Tracing feature's span recorder.
 func (s *Store) SetTracer(t *trace.Tracer) { s.tracer = t }
@@ -86,7 +81,7 @@ func (s *Store) PutIn(parent *trace.Span, key, value []byte) error {
 	sp := s.tracer.Start(parent, trace.LayerAccess, "put")
 	start := s.metrics.Start()
 	err := s.idx.InsertIn(sp, key, value)
-	s.metrics.DonePut(start)
+	s.metrics.Done(stats.AccessPutLatency, start)
 	sp.Fail(err)
 	sp.End()
 	return err
@@ -104,7 +99,7 @@ func (s *Store) GetIn(parent *trace.Span, key []byte) ([]byte, error) {
 	sp := s.tracer.Start(parent, trace.LayerAccess, "get")
 	start := s.metrics.Start()
 	v, found, err := s.idx.GetIn(sp, key)
-	s.metrics.DoneGet(start)
+	s.metrics.Done(stats.AccessGetLatency, start)
 	sp.Fail(err)
 	sp.End()
 	if err != nil {

@@ -111,7 +111,7 @@ func TestScanAndLen(t *testing.T) {
 func TestCounters(t *testing.T) {
 	s := newStore(t, AllOps())
 	reg := stats.New()
-	s.SetMetrics(reg.Access())
+	s.SetMetrics(reg)
 	s.Put([]byte("k"), []byte("v"))
 	s.Put([]byte("k2"), []byte("v"))
 	s.Get([]byte("k"))

@@ -18,7 +18,7 @@ import (
 // enough to fault pages through the decorator, and returns the spans.
 func tracedStack(t *testing.T, decorate func(*storage.PageFile) storage.Pager) []trace.SpanRecord {
 	t.Helper()
-	tr := trace.New(trace.Config{Capacity: 1 << 15})
+	tr := trace.New()
 	f, err := osal.NewMemFS().Create("seam.db")
 	if err != nil {
 		t.Fatal(err)
@@ -51,7 +51,11 @@ func tracedStack(t *testing.T, decorate func(*storage.PageFile) storage.Pager) [
 			t.Fatal(err)
 		}
 	}
-	return tr.Snapshot().Spans
+	snap := tr.Snapshot()
+	if snap.Dropped != 0 {
+		t.Fatalf("the ring dropped %d of %d spans; the checks need every parent", snap.Dropped, snap.Recorded)
+	}
+	return snap.Spans
 }
 
 // TestSpanSeamThroughPagerDecorators pins the contract of the span

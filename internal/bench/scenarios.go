@@ -485,7 +485,7 @@ func b3(ops int) Scenario {
 // pay for, and the NFP machinery prices it.
 func b4(ops int) Scenario {
 	ops = atLeast(ops, 2048)
-	const traceSpans = trace.DefaultCapacity // ring capacity of the traced product
+	const traceSpans = trace.Capacity // ring capacity of the traced product
 	keys := atLeast(ops/8, 256)
 	value := payload(64)
 	return Scenario{

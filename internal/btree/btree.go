@@ -32,7 +32,7 @@ type Tree struct {
 	maxEntry int
 	// metrics counts structural events when the Statistics feature is
 	// composed; nil otherwise (recording is then a no-op).
-	metrics *stats.BTree
+	metrics *stats.Registry
 	// tracer records tree operations as spans when the Tracing feature
 	// is composed; nil otherwise.
 	tracer *trace.Tracer
@@ -96,13 +96,13 @@ func (t *Tree) SetTracer(tr *trace.Tracer) { t.tracer = tr }
 
 // SetMetrics attaches the Statistics feature's tree metrics and reports
 // the current height so the gauge is meaningful before the first split.
-func (t *Tree) SetMetrics(m *stats.BTree) {
+func (t *Tree) SetMetrics(m *stats.Registry) {
 	t.metrics = m
 	if m == nil {
 		return
 	}
 	if h, err := t.height(nil); err == nil {
-		m.ObserveHeight(h)
+		m.Max(stats.BTreeHeight, int64(h))
 	}
 }
 
@@ -386,9 +386,9 @@ func (t *Tree) write(parent *trace.Span, op string, key, value []byte, onlyExist
 		}
 		t.root = newRootID
 		if t.metrics != nil {
-			t.metrics.RootSplit()
+			t.metrics.Add(stats.BTreeRootSplits, 1)
 			if h, err := t.height(sp); err == nil {
-				t.metrics.ObserveHeight(h)
+				t.metrics.Max(stats.BTreeHeight, int64(h))
 			}
 		}
 	}
@@ -449,7 +449,7 @@ func (t *Tree) insertAt(sp *trace.Span, id storage.PageID, key, value []byte, on
 		return n.id, nil, found, t.writeNode(sp, n)
 	}
 	// Inner split: rebuild both halves from the combined entry list.
-	t.metrics.InnerSplit()
+	t.metrics.Add(stats.BTreeInnerSplits, 1)
 	es := t.innerEntries(n)
 	es = append(es[:idx:idx], append([]entry{{key: split.sep, child: split.right}}, es[idx:]...)...)
 	// es[mid] moves up and the right node keeps es[mid+1:], so an append
@@ -519,7 +519,7 @@ func (t *Tree) insertLeaf(sp *trace.Span, n node, key, value []byte, onlyExistin
 		return n.id, nil, found, t.writeNode(sp, n)
 	}
 	// Leaf split.
-	t.metrics.LeafSplit()
+	t.metrics.Add(stats.BTreeLeafSplits, 1)
 	es := t.leafEntries(n)
 	es = append(es[:idx:idx], append([]entry{{key: key, val: value}}, es[idx:]...)...)
 	mid := splitPoint(es, leafCellSize2, idx == len(es)-1, len(es)-1)
@@ -792,7 +792,8 @@ func (t *Tree) Compact() error {
 			}
 		}
 	}
-	t.metrics.Compaction(len(old))
+	t.metrics.Add(stats.BTreeCompactions, 1)
+	t.metrics.Add(stats.BTreePagesFreed, int64(len(old)))
 	return nil
 }
 

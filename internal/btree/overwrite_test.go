@@ -35,7 +35,7 @@ func newSizedTree(t *testing.T) sizedTree {
 		t.Fatal(err)
 	}
 	reg := stats.New()
-	tr.SetMetrics(reg.BTree())
+	tr.SetMetrics(reg)
 	return sizedTree{Tree: tr, pf: pf, reg: reg}
 }
 

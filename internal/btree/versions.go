@@ -62,7 +62,7 @@ type VersionTable struct {
 	// the next reclamation pass.
 	retry     []storage.PageID
 	reclaimed uint64
-	metrics   *stats.MVCC
+	metrics   *stats.Registry
 }
 
 // NewVersionTable switches t to copy-on-write mutations and seeds the
@@ -77,7 +77,7 @@ func NewVersionTable(t *Tree) *VersionTable {
 }
 
 // SetMetrics attaches the Statistics feature's version-table metrics.
-func (vt *VersionTable) SetMetrics(m *stats.MVCC) { vt.metrics = m }
+func (vt *VersionTable) SetMetrics(m *stats.Registry) { vt.metrics = m }
 
 // Install publishes the tree's current root as a new version — the
 // single atomic root swap at the end of a commit batch. The caller
@@ -98,7 +98,7 @@ func (vt *VersionTable) Install() error {
 	v := &Version{seq: vt.nextSeq, root: vt.t.root, count: vt.t.count}
 	vt.versions = append(vt.versions, v)
 	vt.current.Store(v)
-	vt.metrics.Install()
+	vt.metrics.Add(stats.MVCCVersionsInstalled, 1)
 	pages := vt.collectLocked()
 	vt.updateGaugesLocked()
 	vt.mu.Unlock()
@@ -147,7 +147,7 @@ func (vt *VersionTable) freePages(pages []storage.PageID) error {
 	vt.reclaimed += uint64(freed)
 	vt.retry = append(vt.retry, failed...)
 	vt.mu.Unlock()
-	vt.metrics.Reclaimed(freed)
+	vt.metrics.Add(stats.MVCCPagesReclaimed, int64(freed))
 	return firstErr
 }
 
@@ -164,7 +164,9 @@ func (vt *VersionTable) updateGaugesLocked() {
 		}
 	}
 	age := vt.versions[len(vt.versions)-1].seq - oldestPinned
-	vt.metrics.Gauges(int64(len(vt.versions)), int64(open), int64(age))
+	vt.metrics.Set(stats.MVCCVersionsLive, int64(len(vt.versions)))
+	vt.metrics.Set(stats.MVCCSnapshotsOpen, int64(open))
+	vt.metrics.Set(stats.MVCCSnapshotAge, int64(age))
 }
 
 // Pin opens a snapshot of the newest committed version. The returned

@@ -285,7 +285,7 @@ type Manager struct {
 	closed atomic.Bool
 	// metrics mirrors the counters into the Statistics feature's
 	// registry when composed; nil otherwise (recording is a no-op).
-	metrics *stats.Buffer
+	metrics *stats.Registry
 	// tracer records cache accesses as spans when the Tracing feature
 	// is composed; nil otherwise.
 	tracer *trace.Tracer
@@ -304,10 +304,10 @@ func (m *Manager) ShardCount() int { return len(m.shards) }
 
 // SetMetrics attaches the Statistics feature's buffer metrics, labeled
 // with the replacement policy and the shard count.
-func (m *Manager) SetMetrics(b *stats.Buffer) {
-	m.metrics = b
-	b.SetPolicy(m.PolicyName())
-	b.SetShards(len(m.shards))
+func (m *Manager) SetMetrics(r *stats.Registry) {
+	m.metrics = r
+	r.SetPolicy(m.PolicyName())
+	r.Set(stats.BufferShards, int64(len(m.shards)))
 }
 
 // SetTracer attaches the Tracing feature's span recorder.

@@ -38,7 +38,7 @@ func checkCounters(t *testing.T, reg *stats.Registry, policy string, hits, misse
 func TestMetricsLRUTrace(t *testing.T) {
 	m, _ := newMgr(t, 2, NewLRU())
 	reg := stats.New()
-	m.SetMetrics(reg.Buffer())
+	m.SetMetrics(reg)
 	p := allocPages(t, m, 3)
 	buf := make([]byte, 128)
 
@@ -74,7 +74,7 @@ func TestMetricsLRUTrace(t *testing.T) {
 func TestMetricsLFUTrace(t *testing.T) {
 	m, _ := newMgr(t, 2, NewLFU())
 	reg := stats.New()
-	m.SetMetrics(reg.Buffer())
+	m.SetMetrics(reg)
 	p := allocPages(t, m, 4)
 	buf := make([]byte, 128)
 
@@ -134,7 +134,7 @@ func TestMetricsNilIsNoOp(t *testing.T) {
 func TestMetricsWriteBackOnFlush(t *testing.T) {
 	m, _ := newMgr(t, 4, NewLRU())
 	reg := stats.New()
-	m.SetMetrics(reg.Buffer())
+	m.SetMetrics(reg)
 	p := allocPages(t, m, 2)
 	for i, id := range p {
 		if err := m.WritePage(id, fill(byte('A'+i), 128)); err != nil {

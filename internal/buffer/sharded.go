@@ -97,13 +97,13 @@ func (s *shard) resident() int {
 // access serves one read (write=false) or write-allocate (write=true).
 // sp is the manager's span for this access: the parent of the shard's
 // wait spans and of the base-pager I/O a fault issues.
-func (s *shard) access(sp *trace.Span, base storage.Seam, m *stats.Buffer, id storage.PageID, buf []byte, write bool) error {
+func (s *shard) access(sp *trace.Span, base storage.Seam, m *stats.Registry, id storage.PageID, buf []byte, write bool) error {
 	s.mu.Lock()
 	for {
 		if f, ok := s.frames[id]; ok {
 			if f.loaded {
 				s.hits.Add(1)
-				m.Hit()
+				m.Add(stats.BufferHits, 1)
 				s.policy.Touched(id)
 				if write {
 					copy(f.data, buf)
@@ -148,7 +148,7 @@ func (s *shard) access(sp *trace.Span, base storage.Seam, m *stats.Buffer, id st
 // retry=true, where the latch is still held and the caller's access
 // loop must re-evaluate the page's state (the fault found it changed
 // while waiting for a free slot).
-func (s *shard) fault(sp *trace.Span, base storage.Seam, m *stats.Buffer, id storage.PageID, buf []byte, write bool) (retry bool, err error) {
+func (s *shard) fault(sp *trace.Span, base storage.Seam, m *stats.Registry, id storage.PageID, buf []byte, write bool) (retry bool, err error) {
 	// Make room. Only published frames can be evicted (the policy knows
 	// nothing else); when every slot is a placeholder, wait for one to
 	// publish.
@@ -193,7 +193,7 @@ func (s *shard) fault(sp *trace.Span, base storage.Seam, m *stats.Buffer, id sto
 
 	// Point of no return: this access is a miss.
 	s.misses.Add(1)
-	m.Miss()
+	m.Add(stats.BufferMisses, 1)
 
 	f := &sframe{done: make(chan struct{})}
 	s.frames[id] = f
@@ -226,13 +226,13 @@ func (s *shard) fault(sp *trace.Span, base storage.Seam, m *stats.Buffer, id sto
 			return false, werr
 		}
 		s.evictions.Add(1)
-		m.Eviction()
+		m.Add(stats.BufferEvictions, 1)
 		s.writeBacks.Add(1)
-		m.WriteBack()
+		m.Add(stats.BufferWriteBacks, 1)
 		s.alloc.FreeFrame(victim.data)
 	} else if victim != nil {
 		s.evictions.Add(1)
-		m.Eviction()
+		m.Add(stats.BufferEvictions, 1)
 		s.alloc.FreeFrame(victim.data)
 	}
 
@@ -331,7 +331,7 @@ func (s *shard) drop(id storage.PageID) {
 // during the I/O: pages re-dirtied behind the scan stay dirty for the
 // next pass. One scratch image serves the whole pass; the base pager
 // does not keep the buffer it is handed.
-func (s *shard) flushFuzzy(base storage.Seam, m *stats.Buffer) error {
+func (s *shard) flushFuzzy(base storage.Seam, m *stats.Registry) error {
 	var img []byte
 	s.mu.Lock()
 	ids := make([]storage.PageID, 0, len(s.frames))
@@ -371,7 +371,7 @@ func (s *shard) flushFuzzy(base storage.Seam, m *stats.Buffer) error {
 				return werr
 			}
 			s.writeBacks.Add(1)
-			m.WriteBack()
+			m.Add(stats.BufferWriteBacks, 1)
 			break
 		}
 	}

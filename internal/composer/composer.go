@@ -176,7 +176,7 @@ func Compose(cfg *core.Configuration, opts Options) (*Instance, error) {
 	// carry the bucket their duration landed in (the stats/trace
 	// bridge).
 	if cfg.Has("Tracing") {
-		inst.tracer = trace.New(trace.Config{})
+		inst.tracer = trace.New()
 		if inst.stats != nil {
 			inst.tracer.SetLatencyBounds(stats.LatencyBounds())
 		}
@@ -227,7 +227,7 @@ func Compose(cfg *core.Configuration, opts Options) (*Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	inst.pf.SetMetrics(inst.stats.Pager())
+	inst.pf.SetMetrics(inst.stats)
 	inst.pf.SetTracer(inst.tracer)
 	inst.pager = inst.pf
 
@@ -239,7 +239,7 @@ func Compose(cfg *core.Configuration, opts Options) (*Instance, error) {
 		if err != nil {
 			return nil, err
 		}
-		ck.SetMetrics(inst.stats.Fault())
+		ck.SetMetrics(inst.stats)
 		inst.ck = ck
 		inst.pager = ck
 	}
@@ -259,10 +259,10 @@ func Compose(cfg *core.Configuration, opts Options) (*Instance, error) {
 		}
 	}
 	rp := storage.NewRetryPager(inst.pager, retry, inst.health)
-	rp.SetMetrics(inst.stats.Fault())
+	rp.SetMetrics(inst.stats)
 	inst.pager = rp
 	inst.health.OnDegrade(func(reason error) {
-		inst.stats.Fault().Degrade(reason.Error())
+		inst.stats.Degrade(reason.Error())
 		if inst.tracer != nil {
 			sp := inst.tracer.Start(nil, trace.LayerPager, "degrade")
 			sp.Fail(reason)
@@ -316,7 +316,7 @@ func Compose(cfg *core.Configuration, opts Options) (*Instance, error) {
 		if err != nil {
 			return nil, err
 		}
-		inst.cache.SetMetrics(inst.stats.Buffer())
+		inst.cache.SetMetrics(inst.stats)
 		inst.cache.SetTracer(inst.tracer)
 		inst.pager = inst.cache
 	}
@@ -381,9 +381,7 @@ func Compose(cfg *core.Configuration, opts Options) (*Instance, error) {
 	}
 
 	if bt, ok := idx.(*index.BTree); ok {
-		if inst.stats != nil {
-			bt.Tree().SetMetrics(inst.stats.BTree())
-		}
+		bt.Tree().SetMetrics(inst.stats)
 		bt.Tree().SetTracer(inst.tracer)
 	}
 
@@ -398,7 +396,7 @@ func Compose(cfg *core.Configuration, opts Options) (*Instance, error) {
 			return nil, fmt.Errorf("composer: MVCC requires the BPlusTree index")
 		}
 		inst.versions = btree.NewVersionTable(bt.Tree())
-		inst.versions.SetMetrics(inst.stats.MVCC())
+		inst.versions.SetMetrics(inst.stats)
 	}
 
 	// Access feature: exactly the selected operations.
@@ -409,7 +407,7 @@ func Compose(cfg *core.Configuration, opts Options) (*Instance, error) {
 		Update: cfg.Has("Update"),
 	}
 	inst.Store = access.New(idx, ops)
-	inst.Store.SetMetrics(inst.stats.Access())
+	inst.Store.SetMetrics(inst.stats)
 	inst.Store.SetTracer(inst.tracer)
 
 	// SQL engine and optimizer features. The engine comes up before the
@@ -434,7 +432,7 @@ func Compose(cfg *core.Configuration, opts Options) (*Instance, error) {
 			// CompiledQueries feature: Prepare/Stmt plus the shape-keyed
 			// plan cache on the unprepared Exec path.
 			Compiled: cfg.Has("CompiledQueries"),
-			Metrics:  inst.stats.SQL(),
+			Metrics:  inst.stats,
 			Tracer:   inst.tracer,
 		}
 		// QueryStats feature: the per-shape statement profile registry,
@@ -442,7 +440,7 @@ func Compose(cfg *core.Configuration, opts Options) (*Instance, error) {
 		// Statistics alongside it, so inst.stats is non-nil here and the
 		// registry rides on its snapshot/encoding surfaces.
 		if cfg.Has("QueryStats") {
-			qs := stats.NewQueryStats(stats.QueryStatsConfig{})
+			qs := stats.NewQueryStats()
 			inst.stats.SetQueryStats(qs)
 			sqlCfg.Query = qs
 		}
@@ -492,14 +490,13 @@ func Compose(cfg *core.Configuration, opts Options) (*Instance, error) {
 				}
 				return nil
 			},
-			Metrics: inst.stats.Txn(),
+			Metrics: inst.stats,
 			Tracer:  inst.tracer,
 			// The WAL shares the page path's retry policy and degraded
 			// latch: a dying log device poisons the same engine-wide
 			// health the pagers consult.
 			Health: inst.health,
 			Retry:  retry,
-			Fault:  inst.stats.Fault(),
 			// MVCC feature: Begin pins the newest committed version and
 			// every commit batch installs the next one.
 			Versions: versions,
@@ -517,7 +514,7 @@ func Compose(cfg *core.Configuration, opts Options) (*Instance, error) {
 	// blocks it — a slow or dead subscriber gets its feed broken and
 	// must snapshot-resync. The model guarantees Transaction here.
 	if cfg.Has("Replication") {
-		inst.shipper = repl.NewShipper(inst.stats.Repl())
+		inst.shipper = repl.NewShipper(inst.stats)
 		inst.Txn.SetOnShip(inst.shipper.OnShip)
 	}
 
@@ -577,9 +574,7 @@ func instrumentFactory(base sql.IndexFactory, reg *stats.Registry, tr *trace.Tra
 		if !ok {
 			return
 		}
-		if reg != nil {
-			bt.Tree().SetMetrics(reg.BTree())
-		}
+		bt.Tree().SetMetrics(reg)
 		bt.Tree().SetTracer(tr)
 	}
 	wrapped := base
@@ -753,7 +748,12 @@ func (i *Instance) Stats() (stats.Snapshot, error) {
 	}
 	if i.tracer != nil {
 		capacity, occ, recorded, dropped, slowOps, slowEvicted := i.tracer.RingStats()
-		i.stats.Trace().Set(int64(capacity), int64(occ), int64(recorded), int64(dropped), int64(slowOps), slowEvicted)
+		i.stats.Set(stats.TraceRingCapacity, int64(capacity))
+		i.stats.Set(stats.TraceRingOccupancy, int64(occ))
+		i.stats.Set(stats.TraceRecordedSpans, int64(recorded))
+		i.stats.Set(stats.TraceDroppedSpans, int64(dropped))
+		i.stats.Set(stats.TraceSlowOps, int64(slowOps))
+		i.stats.Set(stats.TraceSlowEvicted, slowEvicted)
 	}
 	return i.stats.Snapshot(), nil
 }
@@ -863,7 +863,7 @@ func (i *Instance) Serve(addr string) (*server.Server, error) {
 	srv, err := server.Serve(addr, server.Config{
 		Mgr:     i.Txn,
 		Shipper: i.shipper,
-		Metrics: i.stats.Repl(),
+		Metrics: i.stats,
 	})
 	if err != nil {
 		return nil, err

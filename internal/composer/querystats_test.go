@@ -8,7 +8,6 @@ import (
 
 	"famedb/internal/access"
 	"famedb/internal/osal"
-	"famedb/internal/stats"
 )
 
 // querystatsFeatures is the canonical observed-SQL product; QueryStats
@@ -56,7 +55,7 @@ func TestComposeQueryStats(t *testing.T) {
 	if snap.Queries == nil {
 		t.Fatal("snapshot has no query section")
 	}
-	if snap.Queries.MaxShapes != stats.DefaultMaxShapes || snap.Queries.SlowThresholdNs != int64(time.Millisecond) {
+	if snap.Queries.MaxShapes != 128 || snap.Queries.SlowThresholdNs != int64(time.Millisecond) {
 		t.Fatalf("sizing is not the feature's constants: %+v", snap.Queries)
 	}
 	var count int64

@@ -5,12 +5,14 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"famedb/internal/osal"
 	"famedb/internal/sql"
 	"famedb/internal/txn"
+	"famedb/internal/types"
 )
 
 // sqlRecoveryFeatures is a transactional SQL product whose reopen
@@ -389,5 +391,125 @@ func TestSQLJournalDropFreesPages(t *testing.T) {
 				t.Fatalf("page file grew across CREATE/INSERT/DROP cycles: %v pages", pages)
 			}
 		})
+	}
+}
+
+// syncGate is a file system whose file Syncs wait while the gate is
+// shut, so a test can hold a commit inside its log sync.
+type syncGate struct {
+	osal.FS
+	shut    atomic.Bool
+	waiting chan struct{} // one send per Sync that waits
+	open    chan struct{} // closed to let the waiting Syncs go
+}
+
+func newSyncGate() *syncGate {
+	return &syncGate{FS: osal.NewMemFS(), waiting: make(chan struct{}, 16), open: make(chan struct{})}
+}
+
+func (g *syncGate) Open(name string) (osal.File, error) {
+	f, err := g.FS.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	return gatedFile{f, g}, nil
+}
+
+func (g *syncGate) Create(name string) (osal.File, error) {
+	f, err := g.FS.Create(name)
+	if err != nil {
+		return nil, err
+	}
+	return gatedFile{f, g}, nil
+}
+
+type gatedFile struct {
+	osal.File
+	g *syncGate
+}
+
+func (f gatedFile) Sync() error {
+	if f.g.shut.Load() {
+		f.g.waiting <- struct{}{}
+		<-f.g.open
+	}
+	return f.File.Sync()
+}
+
+// TestSQLJournalReadsDoNotWaitForSync: on a product with Transaction and
+// Locking the journal's read lock isolates reads from every commit's
+// apply, so a text SELECT, a prepared SELECT, a Prepare and a plan-cache
+// miss's compile each finish while a writing statement sits in its log
+// sync.
+func TestSQLJournalReadsDoNotWaitForSync(t *testing.T) {
+	gate := newSyncGate()
+	inst, err := ComposeProduct(Options{FS: gate},
+		append(append([]string{}, sqlRecoveryFeatures...), "Locking", "CompiledQueries")...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer inst.Close()
+	mustExec(t, inst, "CREATE TABLE t (id INT PRIMARY KEY, v TEXT)")
+	mustExec(t, inst, "INSERT INTO t VALUES (1, 'a')")
+	mustExec(t, inst, "SELECT v FROM t WHERE id = 1") // caches the shape
+	stmt, err := inst.SQL.Prepare("SELECT v FROM t WHERE id = ?")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	gate.shut.Store(true)
+	var opened sync.Once
+	release := func() { opened.Do(func() { gate.shut.Store(false); close(gate.open) }) }
+	defer release()
+	inserted := make(chan error, 1)
+	go func() {
+		_, err := inst.SQL.Exec("INSERT INTO t VALUES (2, 'b')")
+		inserted <- err
+	}()
+	select {
+	case <-gate.waiting:
+	case err := <-inserted:
+		t.Fatalf("INSERT finished (%v) without syncing", err)
+	case <-time.After(5 * time.Second):
+		t.Fatal("INSERT never reached its log sync")
+	}
+
+	committed := func(res *sql.Result, err error) error {
+		if err == nil && (len(res.Rows) != 1 || res.Rows[0][0].Str != "a") {
+			err = fmt.Errorf("rows = %v, want the committed row only", res.Rows)
+		}
+		return err
+	}
+	reads := []struct {
+		name string
+		run  func() error
+	}{
+		{"text SELECT", func() error { return committed(inst.SQL.Exec("SELECT v FROM t WHERE id = 1")) }},
+		{"prepared SELECT", func() error { return committed(stmt.Exec(types.Int(1))) }},
+		{"Prepare", func() error {
+			_, err := inst.SQL.Prepare("SELECT id FROM t WHERE v = ?")
+			return err
+		}},
+		{"plan-cache miss", func() error { return committed(inst.SQL.Exec("SELECT v FROM t WHERE id > 0")) }},
+	}
+	for _, r := range reads {
+		done := make(chan error, 1)
+		go func() { done <- r.run() }()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("%s: %v", r.name, err)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%s waited for the INSERT's log sync", r.name)
+		}
+	}
+
+	release()
+	if err := <-inserted; err != nil {
+		t.Fatal(err)
+	}
+	if got := column(mustExec(t, inst, "SELECT v FROM t ORDER BY id"), 0); strings.Join(got, ",") != "'a','b'" {
+		t.Fatalf("rows after the commit = %v, want 'a','b'", got)
 	}
 }

@@ -104,10 +104,10 @@ func TestTraceStatsBridge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.Trace.RingCapacity != trace.DefaultCapacity {
-		t.Fatalf("ring capacity gauge = %d, want %d", snap.Trace.RingCapacity, trace.DefaultCapacity)
+	if snap.Trace.RingCapacity != trace.Capacity {
+		t.Fatalf("ring capacity gauge = %d, want %d", snap.Trace.RingCapacity, trace.Capacity)
 	}
-	if snap.Trace.RingOccupancy != trace.DefaultCapacity || snap.Trace.DroppedSpans == 0 {
+	if snap.Trace.RingOccupancy != trace.Capacity || snap.Trace.DroppedSpans == 0 {
 		t.Fatalf("occupancy=%d dropped=%d, want full ring with drops",
 			snap.Trace.RingOccupancy, snap.Trace.DroppedSpans)
 	}

@@ -25,7 +25,7 @@ func testSource(r *stats.Registry, h *storage.Health) Source {
 // stall injects a synthetic commit stall of duration d into the
 // registry's stall histogram.
 func stall(r *stats.Registry, d time.Duration) {
-	r.Txn().DoneStall(time.Now().UnixNano() - d.Nanoseconds())
+	r.Done(stats.TxnCommitStall, time.Now().UnixNano()-d.Nanoseconds())
 }
 
 func TestWindowRatesAndQuantiles(t *testing.T) {
@@ -34,11 +34,11 @@ func TestWindowRatesAndQuantiles(t *testing.T) {
 
 	m.Tick() // baseline
 	for i := 0; i < 10; i++ {
-		r.Buffer().Hit()
+		r.Add(stats.BufferHits, 1)
 	}
-	r.Buffer().Miss()
-	r.Txn().Commit()
-	r.Txn().Commit()
+	r.Add(stats.BufferMisses, 1)
+	r.Add(stats.TxnCommits, 1)
+	r.Add(stats.TxnCommits, 1)
 	stall(r, 50*time.Millisecond)
 	m.Tick()
 
@@ -138,9 +138,9 @@ func TestWatchdogHitRateFloor(t *testing.T) {
 	if len(m.Active()) != 0 {
 		t.Fatalf("idle window fired: %+v", m.Active())
 	}
-	r.Buffer().Hit()
+	r.Add(stats.BufferHits, 1)
 	for i := 0; i < 9; i++ {
-		r.Buffer().Miss()
+		r.Add(stats.BufferMisses, 1)
 	}
 	m.Tick()
 	if active := m.Active(); len(active) != 1 || active[0].Rule != "hit-rate" {
@@ -191,7 +191,7 @@ func TestHTTPEndpoints(t *testing.T) {
 	r := stats.New()
 	h := storage.NewHealth()
 	m := New(Config{Interval: time.Hour}, testSource(r, h))
-	r.Buffer().Hit()
+	r.Add(stats.BufferHits, 1)
 	m.Tick()
 
 	srv, err := m.Serve("127.0.0.1:0")

@@ -16,9 +16,9 @@ import (
 // drain the ring.
 func TestQueryStatsEndpoint(t *testing.T) {
 	r := stats.New()
-	q := stats.NewQueryStats(stats.QueryStatsConfig{SlowThreshold: time.Nanosecond})
+	q := stats.NewQueryStats()
 	r.SetQueryStats(q)
-	q.Observe(stats.QueryExec{Shape: "SELECT v FROM t WHERE id = ?", Verb: "select", DurNs: 500})
+	q.Observe(stats.QueryExec{Shape: "SELECT v FROM t WHERE id = ?", Verb: "select", DurNs: int64(2 * time.Millisecond)})
 	q.CacheHit("SELECT v FROM t WHERE id = ?")
 
 	m := New(Config{Interval: time.Hour}, testSource(r, nil))
@@ -51,7 +51,7 @@ func TestQueryStatsEndpoint(t *testing.T) {
 			t.Fatalf("pass %d: shapes = %+v", pass, snap.Shapes)
 		}
 		if len(snap.Slow) != 1 {
-			t.Fatalf("pass %d: slow = %+v, want the 500ns entry retained", pass, snap.Slow)
+			t.Fatalf("pass %d: slow = %+v, want the 2ms entry retained", pass, snap.Slow)
 		}
 	}
 }

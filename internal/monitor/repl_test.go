@@ -19,13 +19,15 @@ func TestWatchdogReplicaRules(t *testing.T) {
 	}, testSource(r, nil))
 
 	// Healthy: 2 replicas connected, no lag.
-	r.Repl().Gauges(2, 0)
+	r.Set(stats.ReplConnected, 2)
+	r.Set(stats.ReplMaxLagBytes, 0)
 	m.Tick()
 	if got := m.Active(); len(got) != 0 {
 		t.Fatalf("healthy replicas fired %v", got)
 	}
 	// One replica lost, the other far behind.
-	r.Repl().Gauges(1, 4096)
+	r.Set(stats.ReplConnected, 1)
+	r.Set(stats.ReplMaxLagBytes, 4096)
 	m.Tick()
 	active := m.Active()
 	names := map[string]bool{}
@@ -36,7 +38,8 @@ func TestWatchdogReplicaRules(t *testing.T) {
 		t.Fatalf("active = %v, want replica-lag and replica-lost", active)
 	}
 	// Recovery clears both.
-	r.Repl().Gauges(2, 10)
+	r.Set(stats.ReplConnected, 2)
+	r.Set(stats.ReplMaxLagBytes, 10)
 	m.Tick()
 	if got := m.Active(); len(got) != 0 {
 		t.Fatalf("recovered replicas still firing %v", got)

@@ -74,12 +74,12 @@ type Shipper struct {
 	// depth is each feed's buffered frame count: feedDepth, lowered
 	// only by this package's tests to force overflow.
 	depth   int
-	metrics *stats.Repl
+	metrics *stats.Registry
 }
 
 // NewShipper returns a shipper whose feeds buffer feedDepth frames
 // each. metrics may be nil.
-func NewShipper(metrics *stats.Repl) *Shipper {
+func NewShipper(metrics *stats.Registry) *Shipper {
 	return &Shipper{subs: map[*Feed]struct{}{}, lastEnd: -1, depth: feedDepth, metrics: metrics}
 }
 
@@ -131,14 +131,15 @@ func (s *Shipper) OnShip(base int64, buf []byte) {
 		// each subscriber heals with a snapshot resync.
 		for f := range s.subs {
 			if f.broken.CompareAndSwap(false, true) {
-				s.metrics.StaleMark()
+				s.metrics.Add(stats.ReplStaleMarks, 1)
 			}
 		}
 	}
 	s.lastEnd = base + int64(len(cp))
 	s.seq++
 	fr := Frame{Seq: s.seq, Base: base, Bytes: cp}
-	s.metrics.Shipped(len(cp))
+	s.metrics.Add(stats.ReplShippedChunks, 1)
+	s.metrics.Add(stats.ReplShippedBytes, int64(len(cp)))
 	for f := range s.subs {
 		if f.broken.Load() {
 			continue
@@ -150,8 +151,8 @@ func (s *Shipper) OnShip(base int64, buf []byte) {
 			// than stall the commit path.
 			f.dropped.Add(1)
 			f.broken.Store(true)
-			s.metrics.Dropped(1)
-			s.metrics.StaleMark()
+			s.metrics.Add(stats.ReplDrops, 1)
+			s.metrics.Add(stats.ReplStaleMarks, 1)
 		}
 	}
 }

@@ -34,7 +34,7 @@ func TestShipperFansOutInOrder(t *testing.T) {
 
 func TestShipperOverflowBreaksFeedNotCommit(t *testing.T) {
 	reg := stats.New()
-	s := NewShipper(reg.Repl())
+	s := NewShipper(reg)
 	s.depth = 2
 	f := s.Subscribe()
 	// Nobody drains: the third chunk overflows; shipping never blocks.

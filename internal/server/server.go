@@ -30,8 +30,9 @@ type Config struct {
 	// Shipper fans shipped WAL frames out to replication sessions. Nil
 	// disables replication sessions (Server without Replication).
 	Shipper *repl.Shipper
-	// Metrics is the stats Repl section; nil-safe.
-	Metrics *stats.Repl
+	// Metrics receives the replication counters and gauges when the
+	// Statistics feature is composed; nil otherwise.
+	Metrics *stats.Registry
 
 	// The session limits below are the Default constants, lowered only
 	// by this package's tests.
@@ -330,7 +331,8 @@ func (s *Server) updateGauges() {
 		}
 	}
 	s.mu.Unlock()
-	s.cfg.Metrics.Gauges(connected, maxLag)
+	s.cfg.Metrics.Set(stats.ReplConnected, connected)
+	s.cfg.Metrics.Set(stats.ReplMaxLagBytes, maxLag)
 }
 
 // serveRepl runs a replication session. Ordering matters and mirrors
@@ -402,7 +404,7 @@ func (s *Server) serveRepl(conn net.Conn, br *bufio.Reader, payload []byte) {
 		if err := s.writeRepl(conn, replSnapEnd, snap.WALImage); err != nil {
 			return
 		}
-		s.cfg.Metrics.SnapshotResync()
+		s.cfg.Metrics.Add(stats.ReplSnapshots, 1)
 	} else if end := s.cfg.Mgr.WALEnd(); end > h.Offset {
 		chunk, err := s.cfg.Mgr.ReadWALRange(h.Offset, end)
 		if err != nil {
@@ -413,7 +415,7 @@ func (s *Server) serveRepl(conn net.Conn, br *bufio.Reader, payload []byte) {
 		if err := s.writeRepl(conn, replFrames, msg); err != nil {
 			return
 		}
-		s.cfg.Metrics.CatchUp()
+		s.cfg.Metrics.Add(stats.ReplCatchUps, 1)
 	}
 
 	// Ack reader: consumes replAck frames until the peer goes away,
@@ -447,7 +449,7 @@ func (s *Server) serveRepl(conn net.Conn, br *bufio.Reader, payload []byte) {
 			s.mu.Lock()
 			s.acked[sess] = int64(applied)
 			s.mu.Unlock()
-			s.cfg.Metrics.Ack()
+			s.cfg.Metrics.Add(stats.ReplAcks, 1)
 			s.updateGauges()
 		}
 	}()

@@ -68,12 +68,12 @@ func newNodeOver(t *testing.T, wrap func(index.Index) index.Index) *node {
 func primaryNode(t *testing.T, reg *stats.Registry) (*node, *Server, *repl.Shipper) {
 	t.Helper()
 	n := newNode(t)
-	shipper := repl.NewShipper(reg.Repl())
+	shipper := repl.NewShipper(reg)
 	n.mgr.SetOnShip(shipper.OnShip)
 	srv, err := Serve("127.0.0.1:0", Config{
 		Mgr:     n.mgr,
 		Shipper: shipper,
-		Metrics: reg.Repl(),
+		Metrics: reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -615,8 +615,14 @@ func TestReplicaSnapshotResyncOnDivergence(t *testing.T) {
 	if _, ok, _ := rn.idx.Get([]byte("junk")); ok {
 		t.Fatal("snapshot resync left divergent key behind")
 	}
-	if reg.Snapshot().Repl.Snapshots == 0 {
-		t.Fatal("no snapshot resync recorded")
+	// The primary counts the resync once its last frame is written, which
+	// can be after the replica has applied it, so poll the counter.
+	snapDeadline := time.Now().Add(5 * time.Second)
+	for reg.Snapshot().Repl.Snapshots == 0 {
+		if time.Now().After(snapDeadline) {
+			t.Fatal("no snapshot resync recorded")
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 
 	// And the resynced replica streams live traffic afterwards.

@@ -3,6 +3,7 @@ package sql
 import (
 	"fmt"
 
+	"famedb/internal/stats"
 	"famedb/internal/types"
 )
 
@@ -145,27 +146,50 @@ func (Update) stmt()      {}
 func (Delete) stmt()      {}
 func (Explain) stmt()     {}
 
-// stmtVerb names a statement for metrics, tracing and latching.
-func stmtVerb(s Statement) (string, error) {
+// verb is a statement's kind: it picks the statement's latch mode, its
+// span and profile name (String) and its Statistics counter.
+type verb uint8
+
+const (
+	verbCreate verb = iota
+	verbDrop
+	verbInsert
+	verbSelect
+	verbUpdate
+	verbDelete
+	// verbExplain latches exclusively, since ANALYZE executes the inner
+	// statement, which may be DML; it has no counter of its own, the
+	// plan it runs counts its access path.
+	verbExplain
+)
+
+var verbNames = [...]string{"create", "drop", "insert", "select", "update", "delete", "explain"}
+
+// verbCounters are the statement counters, one per verb but EXPLAIN.
+var verbCounters = [...]stats.ID{stats.SQLCreates, stats.SQLDrops, stats.SQLInserts,
+	stats.SQLSelects, stats.SQLUpdates, stats.SQLDeletes}
+
+func (v verb) String() string { return verbNames[v] }
+
+// stmtVerb is a statement's verb.
+func stmtVerb(s Statement) (verb, error) {
 	switch s.(type) {
 	case CreateTable:
-		return "create", nil
+		return verbCreate, nil
 	case DropTable:
-		return "drop", nil
+		return verbDrop, nil
 	case Insert:
-		return "insert", nil
+		return verbInsert, nil
 	case Select:
-		return "select", nil
+		return verbSelect, nil
 	case Update:
-		return "update", nil
+		return verbUpdate, nil
 	case Delete:
-		return "delete", nil
+		return verbDelete, nil
 	case Explain:
-		// EXPLAIN latches exclusively: ANALYZE executes the inner
-		// statement, which may be DML.
-		return "explain", nil
+		return verbExplain, nil
 	}
-	return "", fmt.Errorf("sql: unhandled statement %T", s)
+	return 0, fmt.Errorf("sql: unhandled statement %T", s)
 }
 
 // opHolds applies a comparison operator to a three-way compare result.

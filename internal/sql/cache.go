@@ -15,6 +15,7 @@ import (
 	"strings"
 	"sync"
 
+	"famedb/internal/stats"
 	"famedb/internal/types"
 )
 
@@ -187,14 +188,14 @@ func (e *Engine) execCached(shape string, args []types.Value) (res *Result, hand
 	m := e.cfg.Metrics
 	q := e.cfg.Query
 	if c := e.cache.get(shape); c != nil {
-		m.CacheHit()
+		m.Add(stats.SQLPlanHits, 1)
 		q.CacheHit(shape)
 		res, err = e.runCompiled(c, args, func(nc *compiled) {
 			e.recordEvicts(e.cache.put(shape, nc))
 		})
 		return res, true, err
 	}
-	m.CacheMiss()
+	m.Add(stats.SQLPlanMisses, 1)
 	q.CacheMiss(shape)
 	stmt, _, perr := parse(shape)
 	if perr != nil {
@@ -208,9 +209,9 @@ func (e *Engine) execCached(shape string, args []types.Value) (res *Result, hand
 	// Compile under the read latch (compilation resolves the catalog),
 	// then publish and run. Compile errors (unknown table/column, type
 	// conflicts) are real statement errors — report them.
-	e.latch.RLock()
+	e.readLatch()
 	c, cerr := e.compileRead(stmt)
-	e.latch.RUnlock()
+	e.readUnlatch()
 	if cerr != nil {
 		return nil, true, cerr
 	}
@@ -227,7 +228,7 @@ func (e *Engine) execCached(shape string, args []types.Value) (res *Result, hand
 // global total always equals the per-shape sum.
 func (e *Engine) recordEvicts(shapes []string) {
 	for _, sh := range shapes {
-		e.cfg.Metrics.CacheEvict()
+		e.cfg.Metrics.Add(stats.SQLPlanEvictions, 1)
 		e.cfg.Query.CacheEvict(sh)
 	}
 }

@@ -33,7 +33,7 @@ type runFn func(sp *trace.Span, w writer, args []types.Value, ctr *execCounters)
 // compiled is one closure-compiled plan: the chain of closures plus
 // what runCompiled needs to wrap, latch and invalidate it.
 type compiled struct {
-	verb string
+	verb verb
 	ast  Statement // kept for transparent recompilation
 	// shape is the statement's normalized profile key (QueryStats
 	// feature); empty when profiling is off, which also disables the
@@ -83,12 +83,12 @@ func (e *Engine) compileStmt(sp *trace.Span, stmt Statement) (*compiled, error) 
 	case CreateTable:
 		// DDL has nothing to resolve ahead of time and can never go
 		// stale: it IS what moves the epoch.
-		return &compiled{verb: "create", ast: s, epoch: epochAlways,
+		return &compiled{verb: verbCreate, ast: s, epoch: epochAlways,
 			run: func(sp *trace.Span, w writer, _ []types.Value, _ *execCounters) (*Result, error) {
 				return e.execCreate(sp, w, s)
 			}}, nil
 	case DropTable:
-		return &compiled{verb: "drop", ast: s, epoch: epochAlways,
+		return &compiled{verb: verbDrop, ast: s, epoch: epochAlways,
 			run: func(sp *trace.Span, w writer, _ []types.Value, _ *execCounters) (*Result, error) {
 				return e.execDrop(sp, w, s)
 			}}, nil
@@ -132,11 +132,24 @@ func compilePred(schema []ColumnDef, where []Condition) (rowPred, error) {
 	}, nil
 }
 
-// boundsFn computes scan bounds and the access-path label from the
-// bound arguments.
-type boundsFn func(args []types.Value) (lo, hi []byte, plan string)
+// accessPath is a scan's access path: the name Result.Plan, EXPLAIN and
+// the query profile report, and the Statistics counter it is counted
+// under. A point lookup is not a scan; seek counts it.
+type accessPath struct {
+	name    string
+	counter stats.ID
+}
 
-func fullScan([]types.Value) (lo, hi []byte, plan string) { return nil, nil, "full-scan" }
+var (
+	fullScanPath  = accessPath{"full-scan", stats.SQLFullScans}
+	indexScanPath = accessPath{"index-scan", stats.SQLIndexScans}
+)
+
+// boundsFn computes scan bounds and the access path from the bound
+// arguments.
+type boundsFn func(args []types.Value) (lo, hi []byte, path accessPath)
+
+func fullScan([]types.Value) (lo, hi []byte, path accessPath) { return nil, nil, fullScanPath }
 
 // scanPlan is what every scanning statement compiles the same way: the
 // fused predicate and the access path over one table — a point lookup
@@ -146,7 +159,7 @@ type scanPlan struct {
 	pred   rowPred
 	point  pointKey
 	bounds boundsFn
-	m      *stats.SQL
+	m      *stats.Registry
 }
 
 func (e *Engine) compileScan(t *table, where []Condition) (scanPlan, error) {
@@ -167,8 +180,8 @@ func (p *scanPlan) path(args []types.Value) string {
 	if _, ok := p.point.keyFor(args); ok {
 		return "point-lookup"
 	}
-	_, _, plan := p.bounds(args)
-	return plan
+	_, _, ap := p.bounds(args)
+	return ap.name
 }
 
 // scan streams the rows the plan selects for args to visit, through
@@ -182,14 +195,14 @@ func (p *scanPlan) scan(sp *trace.Span, args []types.Value, mask []bool, ctr *ex
 		}
 		return "point-lookup", err
 	}
-	lo, hi, plan := p.bounds(args)
-	p.m.Plan(plan)
-	ctr.setPlan(plan)
+	lo, hi, ap := p.bounds(args)
+	p.m.Add(ap.counter, 1)
+	ctr.setPlan(ap.name)
 	pred := func(row []types.Value) bool { return p.pred == nil || p.pred(row, args) }
 	t0 := ctr.now()
 	err = scanWhere(sp, p.t, lo, hi, mask, ctr, pred, visit)
 	ctr.addScan(t0)
-	return plan, err
+	return ap.name, err
 }
 
 // collect materializes the matching rows with copies of their keys, for
@@ -315,7 +328,7 @@ func (e *Engine) compileSelect(sp *trace.Span, s Select) (*compiled, error) {
 			}
 		}
 	}
-	return &compiled{verb: "select", ast: s, epoch: e.epoch.Load(), run: p.run, desc: desc}, nil
+	return &compiled{verb: verbSelect, ast: s, epoch: e.epoch.Load(), run: p.run, desc: desc}, nil
 }
 
 // run is the SELECT driver: point lookup, bounded or full scan,
@@ -393,7 +406,7 @@ func (e *Engine) compileAggregates(t *table, s Select) (*compiled, error) {
 		}
 		return &Result{Columns: cols, Rows: out, Plan: plan}, nil
 	}
-	return &compiled{verb: "select", ast: s, epoch: e.epoch.Load(), run: run,
+	return &compiled{verb: verbSelect, ast: s, epoch: e.epoch.Load(), run: run,
 		desc: planDesc{t: t, access: &scan, nPred: len(s.Where)}}, nil
 }
 
@@ -456,7 +469,7 @@ func (e *Engine) compileInsert(sp *trace.Span, s Insert) (*compiled, error) {
 		}
 		return &Result{Affected: affected}, nil
 	}
-	return &compiled{verb: "insert", ast: s, epoch: e.epoch.Load(), run: run,
+	return &compiled{verb: verbInsert, ast: s, epoch: e.epoch.Load(), run: run,
 		desc: planDesc{t: t}}, nil
 }
 
@@ -510,7 +523,7 @@ func (e *Engine) compileUpdate(sp *trace.Span, s Update) (*compiled, error) {
 		}
 		return &Result{Affected: n, Plan: plan}, nil
 	}
-	return &compiled{verb: "update", ast: s, epoch: e.epoch.Load(), run: run,
+	return &compiled{verb: verbUpdate, ast: s, epoch: e.epoch.Load(), run: run,
 		desc: planDesc{t: t, access: &scan, nPred: len(s.Where)}}, nil
 }
 
@@ -535,6 +548,6 @@ func (e *Engine) compileDelete(sp *trace.Span, s Delete) (*compiled, error) {
 		}
 		return &Result{Affected: n, Plan: plan}, nil
 	}
-	return &compiled{verb: "delete", ast: s, epoch: e.epoch.Load(), run: run,
+	return &compiled{verb: verbDelete, ast: s, epoch: e.epoch.Load(), run: run,
 		desc: planDesc{t: t, access: &scan, nPred: len(s.Where)}}, nil
 }

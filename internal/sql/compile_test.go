@@ -19,7 +19,7 @@ import (
 func newCompiledEngine(t *testing.T, cacheSize int) (*Engine, *stats.Registry) {
 	t.Helper()
 	reg := stats.New()
-	e := createEngine(t, Config{Optimizer: true, Compiled: true, Metrics: reg.SQL()})
+	e := createEngine(t, Config{Optimizer: true, Compiled: true, Metrics: reg})
 	if cacheSize > 0 {
 		e.cache = newPlanCache(cacheSize)
 	}
@@ -445,7 +445,7 @@ func TestAllocsPreparedPointSelect(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts do not hold under the race detector")
 	}
-	e, _ := newObservedEngine(t, true, stats.QueryStatsConfig{})
+	e, _ := newObservedEngine(t, true)
 	seedUsers(t, e)
 	stmt, err := e.Prepare("SELECT name FROM users WHERE id = ?")
 	if err != nil {

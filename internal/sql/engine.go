@@ -89,7 +89,7 @@ type Config struct {
 	Compiled bool
 	// Metrics receives statement and plan counters when the Statistics
 	// feature is composed; nil otherwise (recording is then a no-op).
-	Metrics *stats.SQL
+	Metrics *stats.Registry
 	// Tracer records statements as root spans when the Tracing feature
 	// is composed; nil otherwise.
 	Tracer *trace.Tracer
@@ -121,8 +121,15 @@ type Engine struct {
 
 	// latch is the statement-level lock: SELECTs (and compilation)
 	// share it, DML and DDL take it exclusively. It makes one *Stmt
-	// safe to share across goroutines.
+	// safe to share across goroutines. With a locking journal reads
+	// and compiles hold the journal's read lock in place of the shared
+	// side (see readLatch), which "holding the latch" below includes,
+	// and the latch serializes writing statements alone.
 	latch sync.RWMutex
+	// journalLocks is set when the journal's read lock isolates reads
+	// from every commit's apply (a product with Transaction and
+	// Locking).
+	journalLocks bool
 	// tmu guards the tables and byTree maps and nextTree, so concurrent
 	// SELECTs under the read latch can fault tables in without racing
 	// each other.
@@ -228,7 +235,27 @@ func (e *Engine) Meta() storage.PageID { return e.meta }
 // read lock, so a replica's applier never moves a tree under them.
 // Call it once, before the first statement; without it statements write
 // their trees directly.
-func (e *Engine) SetJournal(m *txn.Manager) { e.journal = m }
+func (e *Engine) SetJournal(m *txn.Manager) {
+	e.journal = m
+	e.journalLocks = m.Locking()
+}
+
+// readLatch and readUnlatch bracket a reading statement or a compile.
+// They take the latch's shared side, except on a product whose journal
+// locks: its read lock already isolates the read from every commit's
+// apply, and the DDL epoch moves only inside an apply, so a read never
+// waits out a writing statement's log sync.
+func (e *Engine) readLatch() {
+	if !e.journalLocks {
+		e.latch.RLock()
+	}
+}
+
+func (e *Engine) readUnlatch() {
+	if !e.journalLocks {
+		e.latch.RUnlock()
+	}
+}
 
 // read runs a statement that only reads: under the journal's read lock,
 // or directly on a product without Transaction.
@@ -423,14 +450,16 @@ func (e *Engine) runCompiled(c *compiled, args []types.Value, onSwap func(*compi
 		ctr = &execCounters{}
 		t0 = time.Now().UnixNano()
 	}
-	m.Statement(c.verb)
-	sp := e.cfg.Tracer.Start(nil, trace.LayerSQL, c.verb)
+	if c.verb != verbExplain {
+		m.Add(verbCounters[c.verb], 1)
+	}
+	sp := e.cfg.Tracer.Start(nil, trace.LayerSQL, c.verb.String())
 	start := m.Start()
 	// SELECTs share the engine; everything else (DML mutates trees,
 	// DDL mutates the catalog) is exclusive.
-	shared := c.verb == "select"
+	shared := c.verb == verbSelect
 	if shared {
-		e.latch.RLock()
+		e.readLatch()
 	} else {
 		e.latch.Lock()
 	}
@@ -451,18 +480,18 @@ func (e *Engine) runCompiled(c *compiled, args []types.Value, onSwap func(*compi
 		res = nil
 	}
 	if shared {
-		e.latch.RUnlock()
+		e.readUnlatch()
 	} else {
 		e.latch.Unlock()
 	}
-	m.Done(start)
+	m.Done(stats.SQLStmtLatency, start)
 	sp.Fail(err)
 	spanID := sp.ID() // must precede End: span handles are pooled
 	sp.End()
 	if ctr != nil {
 		q.Observe(stats.QueryExec{
 			Shape:        c.shape,
-			Verb:         c.verb,
+			Verb:         c.verb.String(),
 			Plan:         ctr.plan,
 			DurNs:        time.Now().UnixNano() - t0,
 			RowsScanned:  ctr.rowsScanned,
@@ -494,10 +523,10 @@ func (e *Engine) execute(sp *trace.Span, c *compiled, w writer, args []types.Val
 		c = nc
 	case c.epoch != epochAlways && c.epoch != e.epoch.Load():
 		// DDL invalidated the plan: recompile against the current
-		// catalog before running. The latch (and on a replica the
-		// journal's read lock) is held, so the epoch cannot move again
-		// underneath us.
-		e.cfg.Metrics.PlanInvalidate()
+		// catalog before running. The latch (and with a journal its
+		// read lock) is held, so the epoch cannot move again underneath
+		// us.
+		e.cfg.Metrics.Add(stats.SQLPlanInvalidated, 1)
 		nc, err := e.compile(sp, c.ast)
 		if err != nil {
 			return nil, err
@@ -860,8 +889,8 @@ func (e *Engine) armVisitCounter(t *table, idx index.Index) {
 
 // Tables lists the table names in the catalog.
 func (e *Engine) Tables() ([]string, error) {
-	e.latch.RLock()
-	defer e.latch.RUnlock()
+	e.readLatch()
+	defer e.readUnlatch()
 	var names []string
 	err := e.read(func() error {
 		return e.catalog.Scan(nil, nil, func(k, v []byte) bool {

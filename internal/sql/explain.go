@@ -28,7 +28,7 @@ import (
 // unknown tables/columns fail at Prepare exactly like preparing the
 // statement itself would; each execution renders — and for ANALYZE,
 // runs — that inner plan with the bound operands. The statement latch is
-// held exclusively ("explain" verb): ANALYZE may execute DML.
+// held exclusively (verbExplain): ANALYZE may execute DML.
 func (e *Engine) compileExplain(sp *trace.Span, s Explain) (*compiled, error) {
 	if e.cfg.Query == nil {
 		return nil, fmt.Errorf("sql: EXPLAIN needs the QueryStats feature: %w",
@@ -38,7 +38,7 @@ func (e *Engine) compileExplain(sp *trace.Span, s Explain) (*compiled, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &compiled{verb: "explain", ast: s, epoch: e.epoch.Load()}
+	c := &compiled{verb: verbExplain, ast: s, epoch: e.epoch.Load()}
 	// The run closure late-binds c: the profile shape and the surface are
 	// assigned to the plan only after compileStmt returns.
 	c.run = func(sp *trace.Span, w writer, args []types.Value, ctr *execCounters) (*Result, error) {

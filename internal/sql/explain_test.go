@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"famedb/internal/access"
+	"famedb/internal/osal"
 	"famedb/internal/stats"
 	"famedb/internal/types"
 )
@@ -17,12 +18,18 @@ import (
 // a metrics registry, so the per-shape cache attribution can be
 // reconciled against the global counters). compiled additionally
 // composes CompiledQueries.
-func newObservedEngine(t *testing.T, compiled bool, qcfg stats.QueryStatsConfig) (*Engine, *stats.Registry) {
+func newObservedEngine(t *testing.T, compiled bool) (*Engine, *stats.Registry) {
+	t.Helper()
+	return newObservedEngineOn(t, osal.NewMemFS(), compiled)
+}
+
+// newObservedEngineOn is newObservedEngine over the file system fs.
+func newObservedEngineOn(t *testing.T, fs osal.FS, compiled bool) (*Engine, *stats.Registry) {
 	t.Helper()
 	reg := stats.New()
-	reg.SetQueryStats(stats.NewQueryStats(qcfg))
-	return createEngine(t, Config{Optimizer: true, Compiled: compiled,
-		Metrics: reg.SQL(), Query: reg.Query()}), reg
+	reg.SetQueryStats(stats.NewQueryStats())
+	return createEngineOn(t, fs, Config{Optimizer: true, Compiled: compiled,
+		Metrics: reg, Query: reg.Query()}), reg
 }
 
 // planLines flattens an EXPLAIN result into its text lines.
@@ -68,7 +75,7 @@ func TestExplainNeedsQueryStats(t *testing.T) {
 }
 
 func TestExplainRejectsNestedAndUnknown(t *testing.T) {
-	e, _ := newObservedEngine(t, false, stats.QueryStatsConfig{})
+	e, _ := newObservedEngine(t, false)
 	seedUsers(t, e)
 	if _, err := e.Exec("EXPLAIN EXPLAIN SELECT * FROM users"); err == nil ||
 		!strings.Contains(err.Error(), "cannot EXPLAIN an EXPLAIN") {
@@ -86,7 +93,7 @@ func TestExplainRejectsNestedAndUnknown(t *testing.T) {
 // TestExplainDescribesSelect checks the static plan tree: access path,
 // predicate residue, projection/decode mask, and provenance.
 func TestExplainDescribesSelect(t *testing.T) {
-	e, reg := newObservedEngine(t, false, stats.QueryStatsConfig{})
+	e, reg := newObservedEngine(t, false)
 	seedUsers(t, e)
 
 	r := mustExec(t, e, "EXPLAIN SELECT name FROM users WHERE id >= 2 AND id < 4")
@@ -130,7 +137,7 @@ func TestExplainDescribesSelect(t *testing.T) {
 // and checks the reported counters against externally-known ground
 // truth: the seeded table has 4 rows, 2 of them with age 25.
 func TestExplainAnalyzeCountersTruthful(t *testing.T) {
-	e, _ := newObservedEngine(t, false, stats.QueryStatsConfig{})
+	e, _ := newObservedEngine(t, false)
 	seedUsers(t, e)
 
 	lines := planLines(t, mustExec(t, e, "EXPLAIN ANALYZE SELECT name FROM users WHERE age = 25"))
@@ -157,7 +164,7 @@ func TestExplainAnalyzeCountersTruthful(t *testing.T) {
 // report: access line, Result.Plan, and counters equal to what one
 // plain execution adds to the shape's profile.
 func TestExplainAnalyzeRunsThePlanThatRuns(t *testing.T) {
-	e, reg := newObservedEngine(t, true, stats.QueryStatsConfig{})
+	e, reg := newObservedEngine(t, true)
 	seedUsers(t, e)
 
 	for _, c := range []struct {
@@ -206,7 +213,7 @@ func TestExplainAnalyzeRunsThePlanThatRuns(t *testing.T) {
 // surface: the inner statement's placeholders bind per execution and
 // the provenance cites the prepared surface.
 func TestExplainPrepared(t *testing.T) {
-	e, _ := newObservedEngine(t, true, stats.QueryStatsConfig{})
+	e, _ := newObservedEngine(t, true)
 	seedUsers(t, e)
 
 	stmt, err := e.Prepare("EXPLAIN ANALYZE SELECT name FROM users WHERE age = ?")
@@ -245,7 +252,7 @@ func TestExplainPrepared(t *testing.T) {
 // without touching it: the inner shape flips to "cached" only once a
 // real execution populated it.
 func TestExplainCacheProvenance(t *testing.T) {
-	e, _ := newObservedEngine(t, true, stats.QueryStatsConfig{})
+	e, _ := newObservedEngine(t, true)
 	seedUsers(t, e)
 
 	const q = "EXPLAIN SELECT name FROM users WHERE id = 3"
@@ -282,8 +289,8 @@ func queryShape(t *testing.T, reg *stats.Registry, shape string) stats.QueryShap
 // test-side ground truth — and that pages visited matches the B+-tree's
 // own independent visit counter.
 func TestProfileTruthfulnessAcrossDrivers(t *testing.T) {
-	ei, regI := newObservedEngine(t, false, stats.QueryStatsConfig{})
-	ec, regC := newObservedEngine(t, true, stats.QueryStatsConfig{})
+	ei, regI := newObservedEngine(t, false)
+	ec, regC := newObservedEngine(t, true)
 	seedUsers(t, ei)
 	seedUsers(t, ec)
 
@@ -354,8 +361,8 @@ func TestProfileTruthfulnessAcrossDrivers(t *testing.T) {
 // with one row scanned per hit, and that the profiled pages add up to
 // the B+-tree's own visit counter.
 func profilePointDML(t *testing.T) {
-	ei, regI := newObservedEngine(t, false, stats.QueryStatsConfig{})
-	ec, regC := newObservedEngine(t, true, stats.QueryStatsConfig{})
+	ei, regI := newObservedEngine(t, false)
+	ec, regC := newObservedEngine(t, true)
 	seedUsers(t, ei)
 	seedUsers(t, ec)
 	upd, err := ec.Prepare("UPDATE users SET age = ? WHERE id = ?")
@@ -460,7 +467,7 @@ func profilePointDML(t *testing.T) {
 // through a tiny plan cache and checks the per-shape attribution sums
 // exactly to the global Statistics counters.
 func TestPerShapeCacheCountersReconcile(t *testing.T) {
-	e, reg := newObservedEngine(t, true, stats.QueryStatsConfig{})
+	e, reg := newObservedEngine(t, true)
 	e.cache = newPlanCache(2) // tiny: force evictions
 	seedUsers(t, e)
 
@@ -492,15 +499,13 @@ func TestPerShapeCacheCountersReconcile(t *testing.T) {
 	}
 }
 
-// TestQueryStatsRaceStress runs 16 executing goroutines against a
-// scraper reading snapshots and a drainer consuming the slow ring.
+// TestQueryStatsRaceStress runs 16 executing goroutines, whose UPDATEs
+// are slow queries, against a scraper reading snapshots and a drainer
+// consuming the slow ring.
 // Meaningful under -race; the final reconciliation still runs without.
 func TestQueryStatsRaceStress(t *testing.T) {
-	e, reg := newObservedEngine(t, true, stats.QueryStatsConfig{
-		MaxShapes:     8,
-		SlowThreshold: time.Nanosecond, // every statement is "slow"
-		SlowCap:       16,
-	})
+	// Every page write takes 1ms, so every UPDATE is a slow query.
+	e, reg := newObservedEngineOn(t, osal.NewDelayFS(osal.NewMemFS(), time.Millisecond, 0), true)
 	seedUsers(t, e)
 
 	const workers, per = 16, 50
@@ -546,11 +551,13 @@ func TestQueryStatsRaceStress(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				var err error
-				switch i % 3 {
+				switch i % 4 {
 				case 0:
 					_, err = e.Exec(fmt.Sprintf("SELECT name FROM users WHERE id = %d", i%4+1))
 				case 1:
 					_, err = e.Exec("SELECT * FROM users WHERE age > 20")
+				case 2:
+					_, err = e.Exec(fmt.Sprintf("UPDATE users SET age = %d WHERE id = %d", 30+w, w%4+1))
 				default:
 					_, err = e.Exec(fmt.Sprintf("EXPLAIN ANALYZE SELECT * FROM users WHERE id = %d", i%4+1))
 				}
@@ -580,6 +587,6 @@ func TestQueryStatsRaceStress(t *testing.T) {
 	}
 	slow, dropped := reg.Query().SlowQueries()
 	if drainedTotal == 0 && len(slow) == 0 && dropped == 0 {
-		t.Fatal("slow ring saw no traffic despite 1ns threshold")
+		t.Fatal("slow ring saw no traffic despite 1ms page writes")
 	}
 }

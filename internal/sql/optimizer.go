@@ -10,6 +10,7 @@ import (
 	"errors"
 
 	"famedb/internal/access"
+	"famedb/internal/stats"
 	"famedb/internal/trace"
 	"famedb/internal/types"
 )
@@ -38,8 +39,8 @@ func (e *Engine) compileBounds(t *table, where []Condition) boundsFn {
 	if len(conds) == 0 {
 		return fullScan
 	}
-	return func(args []types.Value) (lo, hi []byte, plan string) {
-		plan = "full-scan"
+	return func(args []types.Value) (lo, hi []byte, path accessPath) {
+		path = fullScanPath
 		for _, c := range conds {
 			v, err := coerce(c.rhs.resolve(args), pkKind)
 			if err != nil {
@@ -51,14 +52,14 @@ func (e *Engine) compileBounds(t *table, where []Condition) boundsFn {
 				// Point range [key, key+0x00).
 				lo = key
 				hi = append(append([]byte(nil), key...), 0)
-				return lo, hi, "index-scan"
+				return lo, hi, indexScanPath
 			case OpGt, OpGe:
 				if lo == nil || bytesCompare(key, lo) > 0 {
 					lo = key
 					if c.op == OpGt {
 						lo = append(append([]byte(nil), key...), 0)
 					}
-					plan = "index-scan"
+					path = indexScanPath
 				}
 			case OpLt, OpLe:
 				if hi == nil || bytesCompare(key, hi) < 0 {
@@ -66,11 +67,11 @@ func (e *Engine) compileBounds(t *table, where []Condition) boundsFn {
 					if c.op == OpLe {
 						hi = append(append([]byte(nil), key...), 0)
 					}
-					plan = "index-scan"
+					path = indexScanPath
 				}
 			}
 		}
-		return lo, hi, plan
+		return lo, hi, path
 	}
 }
 
@@ -124,7 +125,7 @@ func (pk pointKey) keyFor(args []types.Value) (key []byte, ok bool) {
 // record decoded through mask and checked against the predicate. hit
 // is false when the key is absent or the predicate rejects the row.
 func (p *scanPlan) seek(sp *trace.Span, key []byte, args []types.Value, mask []bool, ctr *execCounters) (row []types.Value, hit bool, err error) {
-	p.m.Plan("point-lookup")
+	p.m.Add(stats.SQLPointLookups, 1)
 	ctr.setPlan("point-lookup")
 	rec, err := p.t.store.GetIn(sp, key)
 	if errors.Is(err, access.ErrNotFound) {

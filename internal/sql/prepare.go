@@ -18,6 +18,7 @@ import (
 	"sync/atomic"
 
 	"famedb/internal/access"
+	"famedb/internal/stats"
 	"famedb/internal/trace"
 	"famedb/internal/types"
 )
@@ -47,9 +48,9 @@ func (e *Engine) Prepare(query string) (*Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.latch.RLock()
+	e.readLatch()
 	c, err := e.compileRead(stmt)
-	e.latch.RUnlock()
+	e.readUnlatch()
 	if err != nil {
 		return nil, err
 	}
@@ -57,7 +58,7 @@ func (e *Engine) Prepare(query string) (*Stmt, error) {
 	if e.cfg.Query != nil {
 		c.shape, _, _ = normalize(query)
 	}
-	e.cfg.Metrics.Prepare()
+	e.cfg.Metrics.Add(stats.SQLPrepares, 1)
 	s := &Stmt{e: e, query: query, nparams: nparams}
 	s.plan.Store(c)
 	return s, nil
@@ -96,7 +97,7 @@ func (s *Stmt) Close() error {
 func (e *Engine) compile(parent *trace.Span, stmt Statement) (*compiled, error) {
 	sp := e.cfg.Tracer.Start(parent, trace.LayerSQL, "compile")
 	c, err := e.compileStmt(sp, stmt)
-	e.cfg.Metrics.Compile()
+	e.cfg.Metrics.Add(stats.SQLCompiles, 1)
 	sp.Fail(err)
 	sp.End()
 	return c, err

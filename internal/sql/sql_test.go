@@ -17,7 +17,13 @@ import (
 // file with every access operation; cfg supplies the feature selection.
 func createEngine(t *testing.T, cfg Config) *Engine {
 	t.Helper()
-	f, err := osal.NewMemFS().Create("sql.db")
+	return createEngineOn(t, osal.NewMemFS(), cfg)
+}
+
+// createEngineOn is createEngine with its page file on fs.
+func createEngineOn(t *testing.T, fs osal.FS, cfg Config) *Engine {
+	t.Helper()
+	f, err := fs.Create("sql.db")
 	if err != nil {
 		t.Fatal(err)
 	}

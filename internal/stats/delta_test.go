@@ -63,21 +63,21 @@ func TestHistogramSnapshotSubZeroPrev(t *testing.T) {
 
 func TestSnapshotSubCountersAndGauges(t *testing.T) {
 	r := New()
-	r.Buffer().SetPolicy("LRU")
-	r.Buffer().SetShards(4)
-	r.Buffer().Hit()
-	r.Buffer().Miss()
-	r.Txn().Begin()
-	r.Txn().Commit()
-	r.BTree().ObserveHeight(2)
+	r.SetPolicy("LRU")
+	r.Set(BufferShards, 4)
+	r.Add(BufferHits, 1)
+	r.Add(BufferMisses, 1)
+	r.Add(TxnBegins, 1)
+	r.Add(TxnCommits, 1)
+	r.Max(BTreeHeight, 2)
 	prev := r.Snapshot()
 
-	r.Buffer().Hit()
-	r.Buffer().Hit()
-	r.Txn().Begin()
-	r.Txn().Commit()
-	r.Txn().Commit()
-	r.BTree().ObserveHeight(3)
+	r.Add(BufferHits, 1)
+	r.Add(BufferHits, 1)
+	r.Add(TxnBegins, 1)
+	r.Add(TxnCommits, 1)
+	r.Add(TxnCommits, 1)
+	r.Max(BTreeHeight, 3)
 	d := r.Snapshot().Sub(prev)
 
 	if d.Buffer.Hits != 2 || d.Buffer.Misses != 0 {
@@ -124,10 +124,10 @@ func TestSnapshotSubUnderflowGuard(t *testing.T) {
 // "window since composition" case.
 func TestSnapshotSubZeroBaseline(t *testing.T) {
 	r := New()
-	start := r.Access().Start()
+	start := r.Start()
 	time.Sleep(time.Microsecond)
-	r.Access().DoneGet(start)
-	r.SQL().Statement("select")
+	r.Done(AccessGetLatency, start)
+	r.Add(SQLSelects, 1)
 	cur := r.Snapshot()
 
 	d := cur.Sub(Snapshot{})

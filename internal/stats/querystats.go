@@ -18,7 +18,7 @@ import (
 //
 // The registry is lock-striped: a shape's profile lives in the stripe
 // its hash selects, so concurrent executors of different shapes do not
-// contend. The shape population is bounded (MaxShapes); once the bound
+// contend. The shape population is bounded (queryShapes); once the bound
 // is reached, new shapes accumulate into the shared overflow profile
 // (shape QueryOverflowShape) instead of growing the map, which keeps
 // per-shape sums reconcilable with the global counters even under
@@ -41,11 +41,14 @@ const qsStripes = 8
 // statements beyond the registry's shape bound.
 const QueryOverflowShape = "~overflow"
 
-// Default sizing for the QueryStats feature.
+// The QueryStats feature's sizes: distinct shapes profiled (later
+// shapes share the overflow profile), the latency at or above which an
+// execution enters the slow-query ring, and the ring's entry count (a
+// full ring overwrites oldest-first and counts the overwrites).
 const (
-	DefaultMaxShapes     = 128
-	DefaultSlowQueryCap  = 32
-	defaultSlowThreshold = time.Millisecond
+	queryShapes = 128
+	slowQueryNs = int64(time.Millisecond)
+	slowQueries = 32
 )
 
 type qsStripe struct {
@@ -62,38 +65,13 @@ type shapeProfile struct {
 	latency *Histogram
 }
 
-// QueryStatsConfig sizes a QueryStats registry; zero values compose
-// the defaults.
-type QueryStatsConfig struct {
-	// MaxShapes bounds the number of distinct shapes profiled
-	// (default DefaultMaxShapes); later shapes share the overflow
-	// profile.
-	MaxShapes int
-	// SlowThreshold is the latency at or above which an execution is
-	// retained in the slow-query ring (default 1ms).
-	SlowThreshold time.Duration
-	// SlowCap bounds the slow-query ring in entries (default
-	// DefaultSlowQueryCap); a full ring overwrites oldest-first and
-	// counts the overwrites.
-	SlowCap int
-}
-
 // NewQueryStats creates a registry for the QueryStats feature.
-func NewQueryStats(cfg QueryStatsConfig) *QueryStats {
-	if cfg.MaxShapes <= 0 {
-		cfg.MaxShapes = DefaultMaxShapes
-	}
-	if cfg.SlowThreshold <= 0 {
-		cfg.SlowThreshold = defaultSlowThreshold
-	}
-	if cfg.SlowCap <= 0 {
-		cfg.SlowCap = DefaultSlowQueryCap
-	}
-	q := &QueryStats{maxShapes: cfg.MaxShapes, slowNs: int64(cfg.SlowThreshold)}
+func NewQueryStats() *QueryStats {
+	q := &QueryStats{maxShapes: queryShapes, slowNs: slowQueryNs}
 	for i := range q.stripes {
 		q.stripes[i].m = make(map[string]*shapeProfile)
 	}
-	q.slow.buf = make([]SlowQuery, cfg.SlowCap)
+	q.slow.buf = make([]SlowQuery, slowQueries)
 	return q
 }
 

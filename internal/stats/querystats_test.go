@@ -5,13 +5,12 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 )
 
 // TestQueryStatsObserveAccumulates checks one shape's profile folds
 // every counter of its executions.
 func TestQueryStatsObserveAccumulates(t *testing.T) {
-	q := NewQueryStats(QueryStatsConfig{})
+	q := NewQueryStats()
 	for i := 0; i < 3; i++ {
 		q.Observe(QueryExec{
 			Shape:        "SELECT v FROM t WHERE id = ?",
@@ -53,7 +52,8 @@ func TestQueryStatsObserveAccumulates(t *testing.T) {
 // the excess so per-shape sums still equal the work done.
 func TestQueryStatsOverflowKeepsSumsExact(t *testing.T) {
 	const bound, total = 4, 20
-	q := NewQueryStats(QueryStatsConfig{MaxShapes: bound})
+	q := NewQueryStats()
+	q.maxShapes = bound
 	for i := 0; i < total; i++ {
 		q.Observe(QueryExec{Shape: fmt.Sprintf("SELECT %d", i), DurNs: 1, RowsScanned: 3})
 	}
@@ -85,7 +85,8 @@ func TestQueryStatsOverflowKeepsSumsExact(t *testing.T) {
 // TestQueryStatsSlowRing checks threshold gating, bounded retention
 // with drop counting, and that drain clears exactly once.
 func TestQueryStatsSlowRing(t *testing.T) {
-	q := NewQueryStats(QueryStatsConfig{SlowThreshold: 100, SlowCap: 4})
+	q := NewQueryStats()
+	q.slowNs, q.slow.buf = 100, make([]SlowQuery, 4)
 	q.Observe(QueryExec{Shape: "fast", DurNs: 99})
 	for i := 0; i < 6; i++ {
 		q.Observe(QueryExec{Shape: fmt.Sprintf("slow-%d", i), DurNs: 100 + int64(i), TraceRoot: uint64(i + 1)})
@@ -117,7 +118,7 @@ func TestQueryStatsSlowRing(t *testing.T) {
 // TestQueryStatsCacheAttribution checks hit/miss/evict land on the
 // right shape profiles.
 func TestQueryStatsCacheAttribution(t *testing.T) {
-	q := NewQueryStats(QueryStatsConfig{})
+	q := NewQueryStats()
 	q.CacheMiss("a")
 	q.CacheHit("a")
 	q.CacheHit("a")
@@ -159,11 +160,30 @@ func TestQueryStatsNilSafe(t *testing.T) {
 	}
 }
 
-// TestQueryStatsConcurrentObserve hammers the striped registry from
-// many goroutines (run under -race) and checks nothing is lost.
+// TestQueryStatsConcurrentObserve hammers the striped registry and the
+// slow ring from many goroutines while a drainer empties the ring and a
+// reader snapshots it (run under -race), and checks nothing is lost:
+// every slow execution is drained, retained or counted as overwritten.
 func TestQueryStatsConcurrentObserve(t *testing.T) {
-	q := NewQueryStats(QueryStatsConfig{MaxShapes: 8, SlowThreshold: time.Nanosecond})
+	q := NewQueryStats()
+	q.maxShapes, q.slowNs = 8, 1
 	const workers, per = 8, 200
+	stop := make(chan struct{})
+	drained := make(chan int)
+	go func() {
+		n := 0
+		for {
+			select {
+			case <-stop:
+				drained <- n
+				return
+			default:
+				slow, _ := q.DrainSlowQueries()
+				n += len(slow)
+				_ = q.snapshot()
+			}
+		}
+	}()
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -177,6 +197,8 @@ func TestQueryStatsConcurrentObserve(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+	close(stop)
+	n := <-drained
 	snap := q.snapshot()
 	var count, hits int64
 	for _, sh := range snap.Shapes {
@@ -185,5 +207,9 @@ func TestQueryStatsConcurrentObserve(t *testing.T) {
 	}
 	if count != workers*per || hits != workers*per {
 		t.Fatalf("count = %d hits = %d, want %d", count, hits, workers*per)
+	}
+	if got := n + len(snap.Slow) + int(snap.SlowDropped); got != workers*per {
+		t.Fatalf("slow ring: %d drained + %d retained + %d overwritten = %d, want %d",
+			n, len(snap.Slow), snap.SlowDropped, got, workers*per)
 	}
 }

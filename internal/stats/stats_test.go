@@ -99,48 +99,25 @@ func TestHistogramQuantileEdge(t *testing.T) {
 	}
 }
 
-// TestNilSafety exercises every recording method through nil receivers —
-// the deselected-Statistics configuration — and checks none allocates.
+// recordAll calls every recording entry point of a Registry once.
+func recordAll(r *Registry) {
+	r.Add(BufferHits, 1)
+	r.Set(BufferShards, 4)
+	r.Max(BTreeHeight, 5)
+	r.Observe(TxnCommitBatch, 4)
+	r.Done(AccessGetLatency, r.Start())
+	r.SetPolicy("LRU")
+	r.Degrade("device gone")
+	r.SetQueryStats(r.Query())
+}
+
+// TestNilSafety exercises every recording method through a nil
+// registry — the deselected-Statistics configuration — and checks none
+// allocates.
 func TestNilSafety(t *testing.T) {
 	var r *Registry
-	if r.Buffer() != nil || r.Pager() != nil || r.BTree() != nil ||
-		r.Txn() != nil || r.SQL() != nil || r.Access() != nil {
-		t.Fatal("nil registry must hand out nil layer metrics")
-	}
 	allocs := testing.AllocsPerRun(100, func() {
-		var b *Buffer
-		b.SetPolicy("LRU")
-		b.Hit()
-		b.Miss()
-		b.Eviction()
-		b.WriteBack()
-		var p *Pager
-		p.Read()
-		p.Write()
-		p.Alloc()
-		p.Free()
-		p.Sync()
-		var bt *BTree
-		bt.LeafSplit()
-		bt.InnerSplit()
-		bt.RootSplit()
-		bt.Compaction(3)
-		bt.ObserveHeight(5)
-		var tx *Txn
-		tx.Begin()
-		tx.Commit()
-		tx.Abort()
-		tx.Checkpoint()
-		tx.WalAppend()
-		tx.WalSync(4)
-		tx.DoneCommit(tx.StartCommit())
-		var s *SQL
-		s.Statement("select")
-		s.Plan("index-scan")
-		s.Done(s.Start())
-		var a *Access
-		a.DoneGet(a.Start())
-		a.DonePut(a.Start())
+		recordAll(r)
 		var h *Histogram
 		h.Observe(42)
 	})
@@ -148,18 +125,14 @@ func TestNilSafety(t *testing.T) {
 		t.Errorf("nil-receiver recording allocated %v times per run, want 0", allocs)
 	}
 	snap := r.Snapshot()
-	if snap.Buffer.Hits != 0 || snap.Access.GetLatency.Count != 0 {
+	if snap.Buffer.Hits != 0 || snap.Access.GetLatency.Count != 0 || r.Query() != nil {
 		t.Error("nil registry snapshot must be zero")
 	}
 }
 
 func TestEnabledRecordingAllocates(t *testing.T) {
 	r := New()
-	allocs := testing.AllocsPerRun(100, func() {
-		r.Buffer().Hit()
-		r.Pager().Read()
-		r.Access().DoneGet(r.Access().Start())
-	})
+	allocs := testing.AllocsPerRun(100, func() { recordAll(r) })
 	if allocs != 0 {
 		t.Errorf("enabled recording allocated %v times per run, want 0 (atomics only)", allocs)
 	}
@@ -167,25 +140,27 @@ func TestEnabledRecordingAllocates(t *testing.T) {
 
 func TestRegistrySnapshot(t *testing.T) {
 	r := New()
-	r.Buffer().SetPolicy("LFU")
-	for i := 0; i < 3; i++ {
-		r.Buffer().Hit()
-	}
-	r.Buffer().Miss()
-	r.Buffer().Eviction()
-	r.BTree().LeafSplit()
-	r.BTree().ObserveHeight(2)
-	r.BTree().ObserveHeight(3)
-	r.BTree().ObserveHeight(1) // gauge keeps the max
-	r.Txn().Begin()
-	r.Txn().Commit()
-	r.Txn().WalAppend()
-	r.Txn().WalSync(4)
-	r.SQL().Statement("insert")
-	r.SQL().Statement("select")
-	r.SQL().Statement("select")
-	r.SQL().Plan("index-scan")
-	r.SQL().Plan("full-scan")
+	r.SetPolicy("LFU")
+	r.Add(BufferHits, 3)
+	r.Add(BufferMisses, 1)
+	r.Add(BufferEvictions, 1)
+	r.Add(BTreeLeafSplits, 1)
+	r.Max(BTreeHeight, 2)
+	r.Max(BTreeHeight, 3)
+	r.Max(BTreeHeight, 1) // gauge keeps the max
+	r.Add(TxnBegins, 1)
+	r.Add(TxnCommits, 1)
+	r.Add(TxnWalAppends, 1)
+	r.Add(TxnWalSyncs, 1)
+	r.Observe(TxnCommitBatch, 4)
+	r.Add(SQLInserts, 1)
+	r.Add(SQLSelects, 2)
+	r.Add(SQLIndexScans, 1)
+	r.Add(SQLFullScans, 1)
+	r.Set(ReplConnected, 2)
+	r.Set(ReplConnected, 1) // gauge keeps the last value
+	r.Degrade("first")
+	r.Degrade("second") // the first reason wins
 
 	s := r.Snapshot()
 	if s.Buffer.Policy != "LFU" {
@@ -206,15 +181,32 @@ func TestRegistrySnapshot(t *testing.T) {
 	if s.SQL.Inserts != 1 || s.SQL.Selects != 2 || s.SQL.IndexScans != 1 || s.SQL.FullScans != 1 {
 		t.Errorf("sql counters = %+v", s.SQL)
 	}
+	if s.Repl.Connected != 1 {
+		t.Errorf("replicas connected = %d, want 1", s.Repl.Connected)
+	}
+	if !s.Fault.Degraded || s.Fault.DegradedReason != "first" {
+		t.Errorf("degraded = %v %q, want true \"first\"", s.Fault.Degraded, s.Fault.DegradedReason)
+	}
+}
+
+// TestHistogramRowsUseTheirBounds: the commit-batch histogram counts
+// commits per sync, every other histogram nanoseconds.
+func TestHistogramRowsUseTheirBounds(t *testing.T) {
+	s := New().Snapshot()
+	if got := s.Txn.CommitBatch.Bounds; len(got) != len(BatchBounds()) || got[0] != 1 {
+		t.Errorf("commit batch bounds = %v, want BatchBounds", got)
+	}
+	if got := s.Access.PutLatency.Bounds; len(got) != len(LatencyBounds()) || got[0] != 250 {
+		t.Errorf("put latency bounds = %v, want LatencyBounds", got)
+	}
 }
 
 func TestWritePrometheus(t *testing.T) {
 	r := New()
-	r.Buffer().SetPolicy("LRU")
-	r.Buffer().Hit()
-	r.Buffer().Hit()
-	r.Access().GetLatency.Observe(100)
-	r.Access().GetLatency.Observe(300)
+	r.SetPolicy("LRU")
+	r.Add(BufferHits, 2)
+	r.Observe(AccessGetLatency, 100)
+	r.Observe(AccessGetLatency, 300)
 
 	var b strings.Builder
 	if err := r.Snapshot().WritePrometheus(&b); err != nil {
@@ -240,7 +232,7 @@ func TestWritePrometheus(t *testing.T) {
 
 func TestWriteJSON(t *testing.T) {
 	r := New()
-	r.Pager().Alloc()
+	r.Add(PagerAllocs, 1)
 	var b strings.Builder
 	if err := r.Snapshot().WriteJSON(&b); err != nil {
 		t.Fatal(err)

@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"strings"
-	"sync/atomic"
-)
+import "strings"
 
 // kind is what a metric measures, and so how Sub differences it and
 // which Prometheus TYPE it is exported as.
@@ -19,9 +16,9 @@ const (
 func (k kind) String() string { return [...]string{"counter", "gauge", "histogram"}[k] }
 
 // metric is one row of the metrics table: the single declaration of an
-// exported metric. Counter and gauge rows bind a live atomic.Int64 and
-// an int64 Snapshot field; histogram rows bind a *Histogram and a
-// HistogramSnapshot field.
+// exported metric. Counter and gauge rows bind an int64 Snapshot field;
+// histogram rows bind a HistogramSnapshot field and the histogram's
+// bucket bounds. The row's ID indexes the live value in a Registry.
 type metric struct {
 	// name is the Prometheus family, famedb_<section>_...; the section
 	// groups rows under one Format heading.
@@ -30,24 +27,22 @@ type metric struct {
 	help  string
 	kind  kind
 
-	live  func(*Registry) *atomic.Int64
-	field func(*Snapshot) *int64
-
-	hlive  func(*Registry) *Histogram
+	field  func(*Snapshot) *int64
 	hfield func(*Snapshot) *HistogramSnapshot
+	bounds func() []int64
 }
 
 // counter, gauge and histogram build one table row of their kind.
-func counter(name, help string, live func(*Registry) *atomic.Int64, field func(*Snapshot) *int64) metric {
-	return metric{name: name, help: help, kind: counterKind, live: live, field: field}
+func counter(name, help string, field func(*Snapshot) *int64) metric {
+	return metric{name: name, help: help, kind: counterKind, field: field}
 }
 
-func gauge(name, help string, live func(*Registry) *atomic.Int64, field func(*Snapshot) *int64) metric {
-	return metric{name: name, help: help, kind: gaugeKind, live: live, field: field}
+func gauge(name, help string, field func(*Snapshot) *int64) metric {
+	return metric{name: name, help: help, kind: gaugeKind, field: field}
 }
 
-func histogram(name, help string, live func(*Registry) *Histogram, field func(*Snapshot) *HistogramSnapshot) metric {
-	return metric{name: name, help: help, kind: histogramKind, hlive: live, hfield: field}
+func histogram(name, help string, bounds func() []int64, field func(*Snapshot) *HistogramSnapshot) metric {
+	return metric{name: name, help: help, kind: histogramKind, hfield: field, bounds: bounds}
 }
 
 // by sets the row's sample label.
@@ -57,86 +52,86 @@ func (m metric) by(label string) metric {
 }
 
 // metrics declares every counter, gauge and histogram of a Snapshot,
-// once. Rows of one section are adjacent, and rows of one family are
-// adjacent so the family's HELP/TYPE header is written once. Adding a
-// metric means adding its live field, its Snapshot field and one row.
-var metrics = []metric{
-	gauge("famedb_buffer_shards", "Buffer pool lock stripes.", func(r *Registry) *atomic.Int64 { return &r.buffer.shards }, func(s *Snapshot) *int64 { return &s.Buffer.Shards }),
-	counter("famedb_buffer_hits_total", "Buffer cache hits.", func(r *Registry) *atomic.Int64 { return &r.buffer.hits }, func(s *Snapshot) *int64 { return &s.Buffer.Hits }),
-	counter("famedb_buffer_misses_total", "Buffer cache misses.", func(r *Registry) *atomic.Int64 { return &r.buffer.misses }, func(s *Snapshot) *int64 { return &s.Buffer.Misses }),
-	counter("famedb_buffer_evictions_total", "Buffer cache evictions.", func(r *Registry) *atomic.Int64 { return &r.buffer.evictions }, func(s *Snapshot) *int64 { return &s.Buffer.Evictions }),
-	counter("famedb_buffer_write_backs_total", "Dirty pages written back.", func(r *Registry) *atomic.Int64 { return &r.buffer.writeBacks }, func(s *Snapshot) *int64 { return &s.Buffer.WriteBacks }),
+// once, at its ID. Rows of one section are adjacent, and rows of one
+// family are adjacent so the family's HELP/TYPE header is written once.
+// Adding a metric means adding its ID, its Snapshot field and one row.
+var metrics = [numMetrics]metric{
+	BufferShards:     gauge("famedb_buffer_shards", "Buffer pool lock stripes.", func(s *Snapshot) *int64 { return &s.Buffer.Shards }),
+	BufferHits:       counter("famedb_buffer_hits_total", "Buffer cache hits.", func(s *Snapshot) *int64 { return &s.Buffer.Hits }),
+	BufferMisses:     counter("famedb_buffer_misses_total", "Buffer cache misses.", func(s *Snapshot) *int64 { return &s.Buffer.Misses }),
+	BufferEvictions:  counter("famedb_buffer_evictions_total", "Buffer cache evictions.", func(s *Snapshot) *int64 { return &s.Buffer.Evictions }),
+	BufferWriteBacks: counter("famedb_buffer_write_backs_total", "Dirty pages written back.", func(s *Snapshot) *int64 { return &s.Buffer.WriteBacks }),
 
-	counter("famedb_pager_reads_total", "Physical page reads.", func(r *Registry) *atomic.Int64 { return &r.pager.reads }, func(s *Snapshot) *int64 { return &s.Pager.Reads }),
-	counter("famedb_pager_writes_total", "Physical page writes.", func(r *Registry) *atomic.Int64 { return &r.pager.writes }, func(s *Snapshot) *int64 { return &s.Pager.Writes }),
-	counter("famedb_pager_allocs_total", "Pages allocated.", func(r *Registry) *atomic.Int64 { return &r.pager.allocs }, func(s *Snapshot) *int64 { return &s.Pager.Allocs }),
-	counter("famedb_pager_frees_total", "Pages freed.", func(r *Registry) *atomic.Int64 { return &r.pager.frees }, func(s *Snapshot) *int64 { return &s.Pager.Frees }),
-	counter("famedb_pager_syncs_total", "Page file syncs.", func(r *Registry) *atomic.Int64 { return &r.pager.syncs }, func(s *Snapshot) *int64 { return &s.Pager.Syncs }),
+	PagerReads:  counter("famedb_pager_reads_total", "Physical page reads.", func(s *Snapshot) *int64 { return &s.Pager.Reads }),
+	PagerWrites: counter("famedb_pager_writes_total", "Physical page writes.", func(s *Snapshot) *int64 { return &s.Pager.Writes }),
+	PagerAllocs: counter("famedb_pager_allocs_total", "Pages allocated.", func(s *Snapshot) *int64 { return &s.Pager.Allocs }),
+	PagerFrees:  counter("famedb_pager_frees_total", "Pages freed.", func(s *Snapshot) *int64 { return &s.Pager.Frees }),
+	PagerSyncs:  counter("famedb_pager_syncs_total", "Page file syncs.", func(s *Snapshot) *int64 { return &s.Pager.Syncs }),
 
-	counter("famedb_btree_leaf_splits_total", "B+-tree leaf splits.", func(r *Registry) *atomic.Int64 { return &r.btree.leafSplits }, func(s *Snapshot) *int64 { return &s.BTree.LeafSplits }),
-	counter("famedb_btree_inner_splits_total", "B+-tree inner splits.", func(r *Registry) *atomic.Int64 { return &r.btree.innerSplits }, func(s *Snapshot) *int64 { return &s.BTree.InnerSplits }),
-	counter("famedb_btree_root_splits_total", "B+-tree root splits.", func(r *Registry) *atomic.Int64 { return &r.btree.rootSplits }, func(s *Snapshot) *int64 { return &s.BTree.RootSplits }),
-	counter("famedb_btree_compactions_total", "B+-tree compactions.", func(r *Registry) *atomic.Int64 { return &r.btree.compactions }, func(s *Snapshot) *int64 { return &s.BTree.Compactions }),
-	counter("famedb_btree_pages_freed_total", "Pages freed by compaction.", func(r *Registry) *atomic.Int64 { return &r.btree.pagesFreed }, func(s *Snapshot) *int64 { return &s.BTree.PagesFreed }),
-	gauge("famedb_btree_height", "Tallest instrumented B+-tree.", func(r *Registry) *atomic.Int64 { return &r.btree.height }, func(s *Snapshot) *int64 { return &s.BTree.Height }),
+	BTreeLeafSplits:  counter("famedb_btree_leaf_splits_total", "B+-tree leaf splits.", func(s *Snapshot) *int64 { return &s.BTree.LeafSplits }),
+	BTreeInnerSplits: counter("famedb_btree_inner_splits_total", "B+-tree inner splits.", func(s *Snapshot) *int64 { return &s.BTree.InnerSplits }),
+	BTreeRootSplits:  counter("famedb_btree_root_splits_total", "B+-tree root splits.", func(s *Snapshot) *int64 { return &s.BTree.RootSplits }),
+	BTreeCompactions: counter("famedb_btree_compactions_total", "B+-tree compactions.", func(s *Snapshot) *int64 { return &s.BTree.Compactions }),
+	BTreePagesFreed:  counter("famedb_btree_pages_freed_total", "Pages freed by compaction.", func(s *Snapshot) *int64 { return &s.BTree.PagesFreed }),
+	BTreeHeight:      gauge("famedb_btree_height", "Tallest instrumented B+-tree.", func(s *Snapshot) *int64 { return &s.BTree.Height }),
 
-	counter("famedb_txn_begins_total", "Transactions begun.", func(r *Registry) *atomic.Int64 { return &r.txn.begins }, func(s *Snapshot) *int64 { return &s.Txn.Begins }),
-	counter("famedb_txn_commits_total", "Transactions committed.", func(r *Registry) *atomic.Int64 { return &r.txn.commits }, func(s *Snapshot) *int64 { return &s.Txn.Commits }),
-	counter("famedb_txn_aborts_total", "Transactions aborted.", func(r *Registry) *atomic.Int64 { return &r.txn.aborts }, func(s *Snapshot) *int64 { return &s.Txn.Aborts }),
-	counter("famedb_txn_checkpoints_total", "Checkpoints taken.", func(r *Registry) *atomic.Int64 { return &r.txn.checkpoints }, func(s *Snapshot) *int64 { return &s.Txn.Checkpoints }),
-	histogram("famedb_txn_commit_latency_ns", "Commit latency in nanoseconds.", func(r *Registry) *Histogram { return r.txn.CommitLatency }, func(s *Snapshot) *HistogramSnapshot { return &s.Txn.CommitLatency }),
-	histogram("famedb_txn_commit_batch", "Commits per durable sync.", func(r *Registry) *Histogram { return r.txn.CommitBatch }, func(s *Snapshot) *HistogramSnapshot { return &s.Txn.CommitBatch }),
-	histogram("famedb_txn_commit_stall_ns", "Follower wait on the group-commit leader in nanoseconds.", func(r *Registry) *Histogram { return r.txn.CommitStall }, func(s *Snapshot) *HistogramSnapshot { return &s.Txn.CommitStall }),
-	counter("famedb_wal_appends_total", "WAL records appended.", func(r *Registry) *atomic.Int64 { return &r.txn.walAppends }, func(s *Snapshot) *int64 { return &s.Txn.WalAppends }),
-	counter("famedb_wal_syncs_total", "Durable WAL syncs.", func(r *Registry) *atomic.Int64 { return &r.txn.walSyncs }, func(s *Snapshot) *int64 { return &s.Txn.WalSyncs }),
+	TxnBegins:        counter("famedb_txn_begins_total", "Transactions begun.", func(s *Snapshot) *int64 { return &s.Txn.Begins }),
+	TxnCommits:       counter("famedb_txn_commits_total", "Transactions committed.", func(s *Snapshot) *int64 { return &s.Txn.Commits }),
+	TxnAborts:        counter("famedb_txn_aborts_total", "Transactions aborted.", func(s *Snapshot) *int64 { return &s.Txn.Aborts }),
+	TxnCheckpoints:   counter("famedb_txn_checkpoints_total", "Checkpoints taken.", func(s *Snapshot) *int64 { return &s.Txn.Checkpoints }),
+	TxnCommitLatency: histogram("famedb_txn_commit_latency_ns", "Commit latency in nanoseconds.", LatencyBounds, func(s *Snapshot) *HistogramSnapshot { return &s.Txn.CommitLatency }),
+	TxnCommitBatch:   histogram("famedb_txn_commit_batch", "Commits per durable sync.", BatchBounds, func(s *Snapshot) *HistogramSnapshot { return &s.Txn.CommitBatch }),
+	TxnCommitStall:   histogram("famedb_txn_commit_stall_ns", "Follower wait on the group-commit leader in nanoseconds.", LatencyBounds, func(s *Snapshot) *HistogramSnapshot { return &s.Txn.CommitStall }),
+	TxnWalAppends:    counter("famedb_wal_appends_total", "WAL records appended.", func(s *Snapshot) *int64 { return &s.Txn.WalAppends }),
+	TxnWalSyncs:      counter("famedb_wal_syncs_total", "Durable WAL syncs.", func(s *Snapshot) *int64 { return &s.Txn.WalSyncs }),
 
-	counter("famedb_sql_statements_total", "SQL statements by verb.", func(r *Registry) *atomic.Int64 { return &r.sql.creates }, func(s *Snapshot) *int64 { return &s.SQL.Creates }).by(`verb="create"`),
-	counter("famedb_sql_statements_total", "SQL statements by verb.", func(r *Registry) *atomic.Int64 { return &r.sql.drops }, func(s *Snapshot) *int64 { return &s.SQL.Drops }).by(`verb="drop"`),
-	counter("famedb_sql_statements_total", "SQL statements by verb.", func(r *Registry) *atomic.Int64 { return &r.sql.inserts }, func(s *Snapshot) *int64 { return &s.SQL.Inserts }).by(`verb="insert"`),
-	counter("famedb_sql_statements_total", "SQL statements by verb.", func(r *Registry) *atomic.Int64 { return &r.sql.selects }, func(s *Snapshot) *int64 { return &s.SQL.Selects }).by(`verb="select"`),
-	counter("famedb_sql_statements_total", "SQL statements by verb.", func(r *Registry) *atomic.Int64 { return &r.sql.updates }, func(s *Snapshot) *int64 { return &s.SQL.Updates }).by(`verb="update"`),
-	counter("famedb_sql_statements_total", "SQL statements by verb.", func(r *Registry) *atomic.Int64 { return &r.sql.deletes }, func(s *Snapshot) *int64 { return &s.SQL.Deletes }).by(`verb="delete"`),
-	counter("famedb_sql_plans_total", "Chosen access paths.", func(r *Registry) *atomic.Int64 { return &r.sql.indexScans }, func(s *Snapshot) *int64 { return &s.SQL.IndexScans }).by(`plan="index-scan"`),
-	counter("famedb_sql_plans_total", "Chosen access paths.", func(r *Registry) *atomic.Int64 { return &r.sql.fullScans }, func(s *Snapshot) *int64 { return &s.SQL.FullScans }).by(`plan="full-scan"`),
-	counter("famedb_sql_plans_total", "Chosen access paths.", func(r *Registry) *atomic.Int64 { return &r.sql.pointLookups }, func(s *Snapshot) *int64 { return &s.SQL.PointLookups }).by(`plan="point-lookup"`),
-	counter("famedb_sql_prepares_total", "Prepared statements created.", func(r *Registry) *atomic.Int64 { return &r.sql.prepares }, func(s *Snapshot) *int64 { return &s.SQL.Prepares }),
-	counter("famedb_sql_compiles_total", "Plan compilations (initial and after invalidation).", func(r *Registry) *atomic.Int64 { return &r.sql.compiles }, func(s *Snapshot) *int64 { return &s.SQL.Compiles }),
-	counter("famedb_sql_plan_cache_total", "Plan-cache lookups by outcome.", func(r *Registry) *atomic.Int64 { return &r.sql.planHits }, func(s *Snapshot) *int64 { return &s.SQL.PlanHits }).by(`outcome="hit"`),
-	counter("famedb_sql_plan_cache_total", "Plan-cache lookups by outcome.", func(r *Registry) *atomic.Int64 { return &r.sql.planMisses }, func(s *Snapshot) *int64 { return &s.SQL.PlanMisses }).by(`outcome="miss"`),
-	counter("famedb_sql_plan_cache_evictions_total", "Plans evicted from the bounded cache.", func(r *Registry) *atomic.Int64 { return &r.sql.planEvicts }, func(s *Snapshot) *int64 { return &s.SQL.PlanEvictions }),
-	counter("famedb_sql_plans_invalidated_total", "Stale compiled plans recompiled after DDL.", func(r *Registry) *atomic.Int64 { return &r.sql.planInvalid }, func(s *Snapshot) *int64 { return &s.SQL.PlanInvalidated }),
-	histogram("famedb_sql_stmt_latency_ns", "Statement latency in nanoseconds.", func(r *Registry) *Histogram { return r.sql.StmtLatency }, func(s *Snapshot) *HistogramSnapshot { return &s.SQL.StmtLatency }),
+	SQLCreates:         counter("famedb_sql_statements_total", "SQL statements by verb.", func(s *Snapshot) *int64 { return &s.SQL.Creates }).by(`verb="create"`),
+	SQLDrops:           counter("famedb_sql_statements_total", "SQL statements by verb.", func(s *Snapshot) *int64 { return &s.SQL.Drops }).by(`verb="drop"`),
+	SQLInserts:         counter("famedb_sql_statements_total", "SQL statements by verb.", func(s *Snapshot) *int64 { return &s.SQL.Inserts }).by(`verb="insert"`),
+	SQLSelects:         counter("famedb_sql_statements_total", "SQL statements by verb.", func(s *Snapshot) *int64 { return &s.SQL.Selects }).by(`verb="select"`),
+	SQLUpdates:         counter("famedb_sql_statements_total", "SQL statements by verb.", func(s *Snapshot) *int64 { return &s.SQL.Updates }).by(`verb="update"`),
+	SQLDeletes:         counter("famedb_sql_statements_total", "SQL statements by verb.", func(s *Snapshot) *int64 { return &s.SQL.Deletes }).by(`verb="delete"`),
+	SQLIndexScans:      counter("famedb_sql_plans_total", "Chosen access paths.", func(s *Snapshot) *int64 { return &s.SQL.IndexScans }).by(`plan="index-scan"`),
+	SQLFullScans:       counter("famedb_sql_plans_total", "Chosen access paths.", func(s *Snapshot) *int64 { return &s.SQL.FullScans }).by(`plan="full-scan"`),
+	SQLPointLookups:    counter("famedb_sql_plans_total", "Chosen access paths.", func(s *Snapshot) *int64 { return &s.SQL.PointLookups }).by(`plan="point-lookup"`),
+	SQLPrepares:        counter("famedb_sql_prepares_total", "Prepared statements created.", func(s *Snapshot) *int64 { return &s.SQL.Prepares }),
+	SQLCompiles:        counter("famedb_sql_compiles_total", "Plan compilations (initial and after invalidation).", func(s *Snapshot) *int64 { return &s.SQL.Compiles }),
+	SQLPlanHits:        counter("famedb_sql_plan_cache_total", "Plan-cache lookups by outcome.", func(s *Snapshot) *int64 { return &s.SQL.PlanHits }).by(`outcome="hit"`),
+	SQLPlanMisses:      counter("famedb_sql_plan_cache_total", "Plan-cache lookups by outcome.", func(s *Snapshot) *int64 { return &s.SQL.PlanMisses }).by(`outcome="miss"`),
+	SQLPlanEvictions:   counter("famedb_sql_plan_cache_evictions_total", "Plans evicted from the bounded cache.", func(s *Snapshot) *int64 { return &s.SQL.PlanEvictions }),
+	SQLPlanInvalidated: counter("famedb_sql_plans_invalidated_total", "Stale compiled plans recompiled after DDL.", func(s *Snapshot) *int64 { return &s.SQL.PlanInvalidated }),
+	SQLStmtLatency:     histogram("famedb_sql_stmt_latency_ns", "Statement latency in nanoseconds.", LatencyBounds, func(s *Snapshot) *HistogramSnapshot { return &s.SQL.StmtLatency }),
 
-	histogram("famedb_access_get_latency_ns", "Get latency in nanoseconds.", func(r *Registry) *Histogram { return r.access.GetLatency }, func(s *Snapshot) *HistogramSnapshot { return &s.Access.GetLatency }),
-	histogram("famedb_access_put_latency_ns", "Put latency in nanoseconds.", func(r *Registry) *Histogram { return r.access.PutLatency }, func(s *Snapshot) *HistogramSnapshot { return &s.Access.PutLatency }),
+	AccessGetLatency: histogram("famedb_access_get_latency_ns", "Get latency in nanoseconds.", LatencyBounds, func(s *Snapshot) *HistogramSnapshot { return &s.Access.GetLatency }),
+	AccessPutLatency: histogram("famedb_access_put_latency_ns", "Put latency in nanoseconds.", LatencyBounds, func(s *Snapshot) *HistogramSnapshot { return &s.Access.PutLatency }),
 
-	gauge("famedb_trace_ring_capacity", "Trace ring slot count.", func(r *Registry) *atomic.Int64 { return &r.trace.ringCapacity }, func(s *Snapshot) *int64 { return &s.Trace.RingCapacity }),
-	gauge("famedb_trace_ring_occupancy", "Spans currently held in the trace ring.", func(r *Registry) *atomic.Int64 { return &r.trace.ringOccupancy }, func(s *Snapshot) *int64 { return &s.Trace.RingOccupancy }),
-	counter("famedb_trace_recorded_spans_total", "Spans ever recorded.", func(r *Registry) *atomic.Int64 { return &r.trace.recordedSpans }, func(s *Snapshot) *int64 { return &s.Trace.RecordedSpans }),
-	counter("famedb_trace_dropped_spans_total", "Spans overwritten (oldest-first) in the trace ring.", func(r *Registry) *atomic.Int64 { return &r.trace.droppedSpans }, func(s *Snapshot) *int64 { return &s.Trace.DroppedSpans }),
-	gauge("famedb_trace_slow_ops", "Span trees held in the slow-op log.", func(r *Registry) *atomic.Int64 { return &r.trace.slowOps }, func(s *Snapshot) *int64 { return &s.Trace.SlowOps }),
-	counter("famedb_trace_slow_evicted_total", "Slow-op trees evicted by worse ones.", func(r *Registry) *atomic.Int64 { return &r.trace.slowEvicted }, func(s *Snapshot) *int64 { return &s.Trace.SlowEvicted }),
+	TraceRingCapacity:  gauge("famedb_trace_ring_capacity", "Trace ring slot count.", func(s *Snapshot) *int64 { return &s.Trace.RingCapacity }),
+	TraceRingOccupancy: gauge("famedb_trace_ring_occupancy", "Spans currently held in the trace ring.", func(s *Snapshot) *int64 { return &s.Trace.RingOccupancy }),
+	TraceRecordedSpans: counter("famedb_trace_recorded_spans_total", "Spans ever recorded.", func(s *Snapshot) *int64 { return &s.Trace.RecordedSpans }),
+	TraceDroppedSpans:  counter("famedb_trace_dropped_spans_total", "Spans overwritten (oldest-first) in the trace ring.", func(s *Snapshot) *int64 { return &s.Trace.DroppedSpans }),
+	TraceSlowOps:       gauge("famedb_trace_slow_ops", "Span trees held in the slow-op log.", func(s *Snapshot) *int64 { return &s.Trace.SlowOps }),
+	TraceSlowEvicted:   counter("famedb_trace_slow_evicted_total", "Slow-op trees evicted by worse ones.", func(s *Snapshot) *int64 { return &s.Trace.SlowEvicted }),
 
-	counter("famedb_fault_transients_total", "Transient storage faults observed.", func(r *Registry) *atomic.Int64 { return &r.fault.transients }, func(s *Snapshot) *int64 { return &s.Fault.Transients }),
-	counter("famedb_fault_retries_total", "Retries spent on transient faults.", func(r *Registry) *atomic.Int64 { return &r.fault.retries }, func(s *Snapshot) *int64 { return &s.Fault.Retries }),
-	counter("famedb_fault_checksum_failures_total", "Pages failing CRC verification.", func(r *Registry) *atomic.Int64 { return &r.fault.checksumFailures }, func(s *Snapshot) *int64 { return &s.Fault.ChecksumFailures }),
-	counter("famedb_fault_scrubbed_pages_total", "Pages checked by verify passes.", func(r *Registry) *atomic.Int64 { return &r.fault.scrubbedPages }, func(s *Snapshot) *int64 { return &s.Fault.ScrubbedPages }),
+	FaultTransients:       counter("famedb_fault_transients_total", "Transient storage faults observed.", func(s *Snapshot) *int64 { return &s.Fault.Transients }),
+	FaultRetries:          counter("famedb_fault_retries_total", "Retries spent on transient faults.", func(s *Snapshot) *int64 { return &s.Fault.Retries }),
+	FaultChecksumFailures: counter("famedb_fault_checksum_failures_total", "Pages failing CRC verification.", func(s *Snapshot) *int64 { return &s.Fault.ChecksumFailures }),
+	FaultScrubbedPages:    counter("famedb_fault_scrubbed_pages_total", "Pages checked by verify passes.", func(s *Snapshot) *int64 { return &s.Fault.ScrubbedPages }),
 
-	counter("famedb_mvcc_versions_installed_total", "Committed roots installed in the version table.", func(r *Registry) *atomic.Int64 { return &r.mvcc.versionsInstalled }, func(s *Snapshot) *int64 { return &s.MVCC.VersionsInstalled }),
-	counter("famedb_mvcc_pages_reclaimed_total", "Superseded pages returned to the free list.", func(r *Registry) *atomic.Int64 { return &r.mvcc.pagesReclaimed }, func(s *Snapshot) *int64 { return &s.MVCC.PagesReclaimed }),
-	gauge("famedb_mvcc_versions_live", "Versions retained for pinned readers.", func(r *Registry) *atomic.Int64 { return &r.mvcc.versionsLive }, func(s *Snapshot) *int64 { return &s.MVCC.VersionsLive }),
-	gauge("famedb_mvcc_snapshots_open", "Snapshots currently pinned.", func(r *Registry) *atomic.Int64 { return &r.mvcc.snapshotsOpen }, func(s *Snapshot) *int64 { return &s.MVCC.SnapshotsOpen }),
-	gauge("famedb_mvcc_snapshot_age", "Versions the oldest pinned snapshot lags the current root.", func(r *Registry) *atomic.Int64 { return &r.mvcc.snapshotAge }, func(s *Snapshot) *int64 { return &s.MVCC.SnapshotAge }),
+	MVCCVersionsInstalled: counter("famedb_mvcc_versions_installed_total", "Committed roots installed in the version table.", func(s *Snapshot) *int64 { return &s.MVCC.VersionsInstalled }),
+	MVCCPagesReclaimed:    counter("famedb_mvcc_pages_reclaimed_total", "Superseded pages returned to the free list.", func(s *Snapshot) *int64 { return &s.MVCC.PagesReclaimed }),
+	MVCCVersionsLive:      gauge("famedb_mvcc_versions_live", "Versions retained for pinned readers.", func(s *Snapshot) *int64 { return &s.MVCC.VersionsLive }),
+	MVCCSnapshotsOpen:     gauge("famedb_mvcc_snapshots_open", "Snapshots currently pinned.", func(s *Snapshot) *int64 { return &s.MVCC.SnapshotsOpen }),
+	MVCCSnapshotAge:       gauge("famedb_mvcc_snapshot_age", "Versions the oldest pinned snapshot lags the current root.", func(s *Snapshot) *int64 { return &s.MVCC.SnapshotAge }),
 
-	counter("famedb_repl_shipped_chunks_total", "WAL chunks shipped to replica feeds.", func(r *Registry) *atomic.Int64 { return &r.repl.shippedChunks }, func(s *Snapshot) *int64 { return &s.Repl.ShippedChunks }),
-	counter("famedb_repl_shipped_bytes_total", "WAL bytes shipped to replica feeds.", func(r *Registry) *atomic.Int64 { return &r.repl.shippedBytes }, func(s *Snapshot) *int64 { return &s.Repl.ShippedBytes }),
-	counter("famedb_repl_acks_total", "Replica acknowledgements received.", func(r *Registry) *atomic.Int64 { return &r.repl.acks }, func(s *Snapshot) *int64 { return &s.Repl.Acks }),
-	counter("famedb_repl_catchups_total", "Incremental catch-ups served from the WAL.", func(r *Registry) *atomic.Int64 { return &r.repl.catchups }, func(s *Snapshot) *int64 { return &s.Repl.CatchUps }),
-	counter("famedb_repl_snapshot_resyncs_total", "Full snapshot resyncs served.", func(r *Registry) *atomic.Int64 { return &r.repl.snapshots }, func(s *Snapshot) *int64 { return &s.Repl.Snapshots }),
-	counter("famedb_repl_drops_total", "Ops or chunks dropped on bounded replica feeds.", func(r *Registry) *atomic.Int64 { return &r.repl.drops }, func(s *Snapshot) *int64 { return &s.Repl.Drops }),
-	counter("famedb_repl_stale_marks_total", "Replicas marked stale by feed overflow.", func(r *Registry) *atomic.Int64 { return &r.repl.staleMarks }, func(s *Snapshot) *int64 { return &s.Repl.StaleMarks }),
-	gauge("famedb_repl_replicas_connected", "Replicas currently connected.", func(r *Registry) *atomic.Int64 { return &r.repl.connected }, func(s *Snapshot) *int64 { return &s.Repl.Connected }),
-	gauge("famedb_repl_max_lag_bytes", "Worst per-replica lag in WAL bytes.", func(r *Registry) *atomic.Int64 { return &r.repl.maxLagBytes }, func(s *Snapshot) *int64 { return &s.Repl.MaxLagBytes }),
+	ReplShippedChunks: counter("famedb_repl_shipped_chunks_total", "WAL chunks shipped to replica feeds.", func(s *Snapshot) *int64 { return &s.Repl.ShippedChunks }),
+	ReplShippedBytes:  counter("famedb_repl_shipped_bytes_total", "WAL bytes shipped to replica feeds.", func(s *Snapshot) *int64 { return &s.Repl.ShippedBytes }),
+	ReplAcks:          counter("famedb_repl_acks_total", "Replica acknowledgements received.", func(s *Snapshot) *int64 { return &s.Repl.Acks }),
+	ReplCatchUps:      counter("famedb_repl_catchups_total", "Incremental catch-ups served from the WAL.", func(s *Snapshot) *int64 { return &s.Repl.CatchUps }),
+	ReplSnapshots:     counter("famedb_repl_snapshot_resyncs_total", "Full snapshot resyncs served.", func(s *Snapshot) *int64 { return &s.Repl.Snapshots }),
+	ReplDrops:         counter("famedb_repl_drops_total", "Ops or chunks dropped on bounded replica feeds.", func(s *Snapshot) *int64 { return &s.Repl.Drops }),
+	ReplStaleMarks:    counter("famedb_repl_stale_marks_total", "Replicas marked stale by feed overflow.", func(s *Snapshot) *int64 { return &s.Repl.StaleMarks }),
+	ReplConnected:     gauge("famedb_repl_replicas_connected", "Replicas currently connected.", func(s *Snapshot) *int64 { return &s.Repl.Connected }),
+	ReplMaxLagBytes:   gauge("famedb_repl_max_lag_bytes", "Worst per-replica lag in WAL bytes.", func(s *Snapshot) *int64 { return &s.Repl.MaxLagBytes }),
 }
 
 // section is the layer a row belongs to: the token after "famedb_".
@@ -180,25 +175,4 @@ func (s *Snapshot) sections(fn func(sec string, rows []metric, active bool)) {
 		fn(metrics[i].section(), metrics[i:j], active)
 		i = j
 	}
-}
-
-// Snapshot copies every metric. Safe on a nil registry (zero snapshot).
-func (r *Registry) Snapshot() Snapshot {
-	var s Snapshot
-	if r == nil {
-		return s
-	}
-	for i := range metrics {
-		m := &metrics[i]
-		if m.kind == histogramKind {
-			*m.hfield(&s) = m.hlive(r).Snapshot()
-		} else {
-			*m.field(&s) = m.live(r).Load()
-		}
-	}
-	s.Buffer.Policy, _ = r.buffer.policy.Load().(string)
-	s.Fault.Degraded = r.fault.degraded.Load() != 0
-	s.Fault.DegradedReason, _ = r.fault.reason.Load().(string)
-	s.Queries = r.query.snapshot()
-	return s
 }

@@ -58,11 +58,30 @@ func TestPrometheusOneHeaderPerFamily(t *testing.T) {
 	}
 }
 
-// TestEveryMetricHasOneRow: every int64 and histogram field of a
-// Snapshot is declared by exactly one row of the metrics table, and
-// every row is differenced by Sub according to its kind and appears in
-// both exports.
+// TestEveryMetricHasOneRow: every ID indexes a whole row of its own,
+// every int64 and histogram field of a Snapshot is declared by exactly
+// one row of the metrics table, and every row is differenced by Sub
+// according to its kind and appears in both exports.
 func TestEveryMetricHasOneRow(t *testing.T) {
+	series := map[string]int{}
+	for id := range metrics {
+		m := &metrics[id]
+		hist := m.kind == histogramKind
+		if m.name == "" || m.help == "" || (m.field != nil) == hist ||
+			(m.hfield != nil) != hist || (m.bounds != nil) != hist {
+			t.Errorf("ID %d indexes a zero or incomplete row: %q %v", id, m.name, m.kind)
+			continue
+		}
+		key := m.name + "{" + m.label + "}"
+		if prev, ok := series[key]; ok {
+			t.Errorf("IDs %d and %d index the same row %s", prev, id, key)
+		}
+		series[key] = id
+	}
+	if t.Failed() {
+		t.FailNow()
+	}
+
 	var s Snapshot
 	rows := map[any]int{}
 	for i := range metrics {

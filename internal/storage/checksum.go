@@ -41,7 +41,7 @@ type ChecksumPager struct {
 	scratch sync.Pool
 	// metrics observes checksum failures and scrub traffic when the
 	// Statistics feature is composed; nil otherwise.
-	metrics *stats.Fault
+	metrics *stats.Registry
 }
 
 // NewChecksumPager layers CRC32 trailers over base. The logical page
@@ -57,7 +57,7 @@ func NewChecksumPager(base *PageFile) (*ChecksumPager, error) {
 }
 
 // SetMetrics attaches the Statistics feature's fault counters.
-func (cp *ChecksumPager) SetMetrics(m *stats.Fault) { cp.metrics = m }
+func (cp *ChecksumPager) SetMetrics(m *stats.Registry) { cp.metrics = m }
 
 // Base returns the wrapped page file (the scrub pass and the composer
 // need the free list and page count).
@@ -101,7 +101,7 @@ func (cp *ChecksumPager) verify(id PageID, phys []byte) error {
 	if stored == 0 && zeroPage(payload) {
 		return nil // fresh page, never sealed
 	}
-	cp.metrics.ChecksumFailure()
+	cp.metrics.Add(stats.FaultChecksumFailures, 1)
 	return pageErr("read", id, fmt.Errorf("crc stored %08x, computed %08x: %w", stored, want, ErrPageCorrupt))
 }
 
@@ -197,6 +197,6 @@ func (cp *ChecksumPager) Verify() (VerifyReport, error) {
 			rep.Corrupt = append(rep.Corrupt, id)
 		}
 	}
-	cp.metrics.Scrubbed(int64(rep.PagesChecked))
+	cp.metrics.Add(stats.FaultScrubbedPages, int64(rep.PagesChecked))
 	return rep, nil
 }

@@ -128,14 +128,14 @@ type PageFile struct {
 	scratch  []byte
 	// metrics observes physical page traffic when the Statistics
 	// feature is composed; nil otherwise (recording is then a no-op).
-	metrics *stats.Pager
+	metrics *stats.Registry
 	// tracer records per-I/O spans when the Tracing feature is
 	// composed; nil otherwise.
 	tracer *trace.Tracer
 }
 
 // SetMetrics attaches the Statistics feature's page-traffic metrics.
-func (pf *PageFile) SetMetrics(m *stats.Pager) { pf.metrics = m }
+func (pf *PageFile) SetMetrics(m *stats.Registry) { pf.metrics = m }
 
 // SetTracer attaches the Tracing feature's span recorder.
 func (pf *PageFile) SetTracer(t *trace.Tracer) { pf.tracer = t }
@@ -215,7 +215,7 @@ func (pf *PageFile) Alloc() (PageID, error) {
 	if pf.closed {
 		return 0, errors.New("storage: page file is closed")
 	}
-	pf.metrics.Alloc()
+	pf.metrics.Add(stats.PagerAllocs, 1)
 	if pf.freeHead != InvalidPage {
 		id := pf.freeHead
 		var next [4]byte
@@ -254,7 +254,7 @@ func (pf *PageFile) Free(id PageID) error {
 	if err := pf.check("free", id); err != nil {
 		return err
 	}
-	pf.metrics.Free()
+	pf.metrics.Add(stats.PagerFrees, 1)
 	var next [4]byte
 	binary.LittleEndian.PutUint32(next[:], uint32(pf.freeHead))
 	if _, err := pf.f.WriteAt(next[:], pf.offset(id)); err != nil {
@@ -317,7 +317,7 @@ func (pf *PageFile) ReadPageIn(parent *trace.Span, id PageID, buf []byte) error 
 	if len(buf) != pf.pageSize {
 		return fmt.Errorf("storage: buffer size %d != page size %d", len(buf), pf.pageSize)
 	}
-	pf.metrics.Read()
+	pf.metrics.Add(stats.PagerReads, 1)
 	sp := pf.tracer.Start(parent, trace.LayerPager, "read")
 	sp.Page(uint32(id))
 	if _, err := pf.f.ReadAt(buf, pf.offset(id)); err != nil {
@@ -342,7 +342,7 @@ func (pf *PageFile) WritePageIn(parent *trace.Span, id PageID, buf []byte) error
 	if len(buf) != pf.pageSize {
 		return fmt.Errorf("storage: buffer size %d != page size %d", len(buf), pf.pageSize)
 	}
-	pf.metrics.Write()
+	pf.metrics.Add(stats.PagerWrites, 1)
 	sp := pf.tracer.Start(parent, trace.LayerPager, "write")
 	sp.Page(uint32(id))
 	if _, err := pf.f.WriteAt(buf, pf.offset(id)); err != nil {
@@ -371,7 +371,7 @@ func (pf *PageFile) syncLocked() error {
 			return err
 		}
 	}
-	pf.metrics.Sync()
+	pf.metrics.Add(stats.PagerSyncs, 1)
 	sp := pf.tracer.Start(nil, trace.LayerPager, "sync")
 	err := pf.f.Sync()
 	sp.Fail(err)

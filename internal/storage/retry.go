@@ -168,7 +168,7 @@ type RetryPager struct {
 	health *Health
 	// metrics observes transients and retries when Statistics is
 	// composed; nil otherwise.
-	metrics *stats.Fault
+	metrics *stats.Registry
 }
 
 // NewRetryPager wraps base. health may be nil (no degraded gate — every
@@ -178,7 +178,7 @@ func NewRetryPager(base Pager, policy RetryPolicy, health *Health) *RetryPager {
 }
 
 // SetMetrics attaches the Statistics feature's fault counters.
-func (rp *RetryPager) SetMetrics(m *stats.Fault) { rp.metrics = m }
+func (rp *RetryPager) SetMetrics(m *stats.Registry) { rp.metrics = m }
 
 // Health returns the shared degraded-mode latch.
 func (rp *RetryPager) Health() *Health { return rp.health }
@@ -189,7 +189,7 @@ func (rp *RetryPager) Base() Pager { return rp.base.Pager }
 // Retry runs fn under the policy: transient errors are retried with
 // doubling backoff; exhaustion poisons health. Exported so the WAL can
 // share the exact policy semantics on its append/sync path.
-func Retry(policy RetryPolicy, health *Health, metrics *stats.Fault, op string, fn func() error) error {
+func Retry(policy RetryPolicy, health *Health, metrics *stats.Registry, op string, fn func() error) error {
 	backoff := policy.Backoff
 	tries := policy.attempts()
 	var err error
@@ -198,11 +198,11 @@ func Retry(policy RetryPolicy, health *Health, metrics *stats.Fault, op string, 
 		if err == nil || !errors.Is(err, osal.ErrTransient) {
 			return err
 		}
-		metrics.Transient()
+		metrics.Add(stats.FaultTransients, 1)
 		if attempt >= tries {
 			break
 		}
-		metrics.Retry()
+		metrics.Add(stats.FaultRetries, 1)
 		policy.sleep(backoff)
 		backoff *= 2
 	}

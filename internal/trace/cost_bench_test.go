@@ -3,7 +3,7 @@ package trace
 import "testing"
 
 func BenchmarkSpan(b *testing.B) {
-	t := New(Config{})
+	t := New()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -13,7 +13,7 @@ func BenchmarkSpan(b *testing.B) {
 }
 
 func BenchmarkSpanNested(b *testing.B) {
-	t := New(Config{})
+	t := New()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

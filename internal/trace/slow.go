@@ -26,10 +26,6 @@ type slowLog struct {
 	evicted int64
 }
 
-func newSlowLog(threshold int64, max int) *slowLog {
-	return &slowLog{threshold: threshold, max: max}
-}
-
 // add offers a qualifying root and its retained descendants. The tree
 // is copied — the caller's slices go back to the span pool.
 func (l *slowLog) add(root SpanRecord, kids []SpanRecord, dropped int) {

@@ -119,28 +119,16 @@ func (sp *Span) ID() uint64 {
 // slow-op log; further descendants are counted, not kept.
 const slowTreeCap = 64
 
-// DefaultCapacity is the ring's span count when Config.Capacity is
-// zero: the capacity of every composed product's tracer.
-const DefaultCapacity = 4096
-
-// Config sizes the tracer. Zero values take the defaults.
-type Config struct {
-	// Capacity is the ring buffer's span count (default
-	// DefaultCapacity); memory
-	// is Capacity * sizeof(SpanRecord), preallocated.
-	Capacity int
-	// Stripes is the ring's lock-stripe count (default 8).
-	Stripes int
-	// SlowThreshold marks root spans at least this long as slow ops
-	// (default 1ms).
-	SlowThreshold time.Duration
-	// SlowOps is how many worst span trees the slow-op log keeps
-	// (default 8).
-	SlowOps int
-	// Disabled starts the tracer switched off; recording can be toggled
-	// at runtime with SetEnabled.
-	Disabled bool
-}
+// The tracer's sizes: the ring's span count (memory is Capacity *
+// sizeof(SpanRecord), preallocated) and lock-stripe count, the duration
+// at which a root span is a slow op, and how many worst span trees the
+// slow-op log keeps.
+const (
+	Capacity    = 4096
+	ringStripes = 8
+	slowRootNs  = int64(time.Millisecond)
+	slowTrees   = 8
+)
 
 // Tracer records spans for one composed product.
 type Tracer struct {
@@ -160,29 +148,17 @@ type Tracer struct {
 	bounds []int64
 }
 
-// New creates a tracer. A nil *Tracer is itself valid (and free): every
-// method no-ops.
-func New(cfg Config) *Tracer {
-	if cfg.Capacity <= 0 {
-		cfg.Capacity = DefaultCapacity
-	}
-	if cfg.Stripes <= 0 {
-		cfg.Stripes = 8
-	}
-	if cfg.SlowThreshold <= 0 {
-		cfg.SlowThreshold = time.Millisecond
-	}
-	if cfg.SlowOps <= 0 {
-		cfg.SlowOps = 8
-	}
+// New creates a tracer, recording. A nil *Tracer is itself valid (and
+// free): every method no-ops.
+func New() *Tracer {
 	t := &Tracer{
-		ring: newRing(cfg.Capacity, cfg.Stripes),
-		slow: newSlowLog(cfg.SlowThreshold.Nanoseconds(), cfg.SlowOps),
+		ring: newRing(Capacity, ringStripes),
+		slow: &slowLog{threshold: slowRootNs, max: slowTrees},
 	}
 	t.pool.New = func() any { return new(Span) }
 	t.base = time.Now()
 	t.wall = t.base.UnixNano()
-	t.enabled.Store(!cfg.Disabled)
+	t.enabled.Store(true)
 	return t
 }
 

@@ -31,7 +31,8 @@ func TestNilTracerIsFreeAndAllocationFree(t *testing.T) {
 }
 
 func TestDisabledTracerRecordsNothing(t *testing.T) {
-	tr := New(Config{Disabled: true})
+	tr := New()
+	tr.SetEnabled(false)
 	if tr.Enabled() {
 		t.Fatal("disabled tracer reports enabled")
 	}
@@ -52,7 +53,7 @@ func TestDisabledTracerRecordsNothing(t *testing.T) {
 }
 
 func TestSpanParentingFollowsTheExplicitParent(t *testing.T) {
-	tr := New(Config{})
+	tr := New()
 	root := tr.Start(nil, LayerSQL, "insert")
 	child := tr.Start(root, LayerAccess, "put")
 	grand := tr.Start(child, LayerBTree, "insert")
@@ -89,7 +90,7 @@ func TestSpanParentingFollowsTheExplicitParent(t *testing.T) {
 // root, however their spans interleave — and a child started from an
 // explicit parent on another goroutine links to that parent.
 func TestSpansOnDifferentGoroutinesDoNotNest(t *testing.T) {
-	tr := New(Config{})
+	tr := New()
 	const workers, ops = 2, 200
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -126,7 +127,8 @@ func TestSpansOnDifferentGoroutinesDoNotNest(t *testing.T) {
 		}
 	}
 
-	tr = New(Config{SlowThreshold: time.Nanosecond})
+	tr = New()
+	tr.slow.threshold = 1
 	root := tr.Start(nil, LayerSQL, "select")
 	rootID := root.ID()
 	for i := 0; i < 4; i++ {
@@ -155,9 +157,11 @@ func TestSpansOnDifferentGoroutinesDoNotNest(t *testing.T) {
 // and a nil one.
 func TestSpanPathDoesNotAllocate(t *testing.T) {
 	var nilTracer *Tracer
+	disabled := New()
+	disabled.SetEnabled(false)
 	for name, tr := range map[string]*Tracer{
-		"enabled":  New(Config{}),
-		"disabled": New(Config{Disabled: true}),
+		"enabled":  New(),
+		"disabled": disabled,
 		"nil":      nilTracer,
 	} {
 		allocs := testing.AllocsPerRun(1000, func() {
@@ -177,7 +181,8 @@ func TestSpanPathDoesNotAllocate(t *testing.T) {
 // is never negative under concurrent load, and Start still exports as a
 // wall timestamp.
 func TestDurationsAreMonotonic(t *testing.T) {
-	tr := New(Config{Capacity: 1 << 15})
+	tr := New()
+	tr.ring = newRing(1<<15, ringStripes)
 	before := time.Now().UnixNano()
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -216,7 +221,8 @@ func TestDurationsAreMonotonic(t *testing.T) {
 }
 
 func TestRingEvictsStrictlyOldestFirst(t *testing.T) {
-	tr := New(Config{Capacity: 64, Stripes: 4})
+	tr := New()
+	tr.ring = newRing(64, 4)
 	const total = 200
 	for i := 0; i < total; i++ {
 		tr.Start(nil, LayerPager, "write").End()
@@ -243,7 +249,8 @@ func TestRingEvictsStrictlyOldestFirst(t *testing.T) {
 }
 
 func TestSlowLogKeepsWorstTrees(t *testing.T) {
-	tr := New(Config{SlowThreshold: time.Nanosecond, SlowOps: 2})
+	tr := New()
+	tr.slow.threshold, tr.slow.max = 1, 2
 	durs := []time.Duration{3 * time.Millisecond, time.Millisecond, 5 * time.Millisecond}
 	for _, d := range durs {
 		sp := tr.Start(nil, LayerSQL, "insert")
@@ -271,14 +278,14 @@ func TestSlowLogKeepsWorstTrees(t *testing.T) {
 }
 
 func TestLatencyBoundsBridgeSetsBucket(t *testing.T) {
-	tr := New(Config{})
+	tr := New()
 	sp := tr.Start(nil, LayerAccess, "get")
 	sp.End()
 	if got := tr.Snapshot().Spans[0].Bucket; got != -1 {
 		t.Fatalf("bucket without bounds = %d, want -1", got)
 	}
 
-	tr = New(Config{})
+	tr = New()
 	tr.SetLatencyBounds([]int64{1_000, 1_000_000, 1_000_000_000})
 	sp = tr.Start(nil, LayerAccess, "get")
 	sp.rec.Start -= (2 * time.Millisecond).Nanoseconds()
@@ -292,7 +299,8 @@ func TestLatencyBoundsBridgeSetsBucket(t *testing.T) {
 }
 
 func TestExporters(t *testing.T) {
-	tr := New(Config{SlowThreshold: time.Nanosecond})
+	tr := New()
+	tr.slow.threshold = 1
 	sp := tr.Start(nil, LayerAccess, "put")
 	sp.Page(3)
 	kid := tr.Start(sp, LayerPager, "write")
@@ -363,7 +371,7 @@ func TestExporters(t *testing.T) {
 }
 
 func TestTreesRegroupsByRoot(t *testing.T) {
-	tr := New(Config{})
+	tr := New()
 	a := tr.Start(nil, LayerSQL, "insert")
 	tr.Start(a, LayerAccess, "put").End()
 	a.End()

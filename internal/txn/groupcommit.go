@@ -3,6 +3,7 @@ package txn
 import (
 	"sync"
 
+	"famedb/internal/stats"
 	"famedb/internal/trace"
 )
 
@@ -103,7 +104,7 @@ func (g *groupCommit) commit(sp *trace.Span, t *Txn, buf []byte, records int) er
 		// The leader's own batch was drained by the loop above (it
 		// cannot exit while any batch is open or ready).
 	} else {
-		stall := g.m.opts.Metrics.StartStall()
+		stall := g.m.opts.Metrics.Start()
 		wsp := g.m.opts.Tracer.Start(sp, trace.LayerTxn, "follower-wait")
 		wsp.Txn(t.id)
 		<-b.done
@@ -111,7 +112,7 @@ func (g *groupCommit) commit(sp *trace.Span, t *Txn, buf []byte, records int) er
 		// leader are final.
 		wsp.Handoff(len(b.txns), b.leaderID)
 		wsp.End()
-		g.m.opts.Metrics.DoneStall(stall)
+		g.m.opts.Metrics.Done(stats.TxnCommitStall, stall)
 		return b.errs[idx]
 	}
 	<-b.done

@@ -16,6 +16,7 @@ import (
 	"fmt"
 
 	"famedb/internal/access"
+	"famedb/internal/stats"
 )
 
 // SnapshotReader is a pinned, immutable view of the store at one
@@ -59,7 +60,7 @@ func (m *Manager) BeginSnapshot() (*Txn, error) {
 		return nil, fmt.Errorf("BeginSnapshot: %w", access.ErrNotComposed)
 	}
 	id := m.nextTxn.Add(1)
-	m.opts.Metrics.Begin()
+	m.opts.Metrics.Add(stats.TxnBegins, 1)
 	return &Txn{m: m, id: id, snap: m.pinVersion(), readOnly: true}, nil
 }
 

@@ -45,10 +45,10 @@ type Options struct {
 	// SyncStore makes the underlying store durable; used by
 	// Checkpoint. Optional: checkpointing is skipped when nil.
 	SyncStore func() error
-	// Metrics receives transactional and WAL counters when the
+	// Metrics receives transactional, WAL and retry counters when the
 	// Statistics feature is composed; nil otherwise (recording is then a
 	// no-op).
-	Metrics *stats.Txn
+	Metrics *stats.Registry
 	// Tracer records commit, WAL and group-commit handoff spans when
 	// the Tracing feature is composed; nil otherwise.
 	Tracer *trace.Tracer
@@ -60,9 +60,6 @@ type Options struct {
 	// Retry bounds WAL append/sync retries on transient device errors
 	// (osal.ErrTransient); the zero value means single attempts.
 	Retry storage.RetryPolicy
-	// Fault receives retry/degraded counters when the Statistics
-	// feature is composed; nil otherwise.
-	Fault *stats.Fault
 	// Versions is the MVCC version table when that feature is composed;
 	// nil otherwise. With it set, Begin pins the newest committed
 	// version so transactional reads never take the manager lock, and
@@ -199,7 +196,6 @@ func OpenTrees(fs osal.FS, logName string, store *access.Store, trees Trees, opt
 	w.tracer = opts.Tracer
 	w.retry = opts.Retry
 	w.health = opts.Health
-	w.fault = opts.Fault
 	if opts.Locking {
 		m.mu = &sync.RWMutex{}
 		m.gc = newGroupCommit(m)
@@ -326,8 +322,7 @@ func (m *Manager) Do(fn func(*Txn) error) error {
 // Put stores value under key in its own transaction. Its latency, the
 // commit included, is recorded as the product's put latency.
 func (m *Manager) Put(key, value []byte) error {
-	a := m.store.Metrics()
-	defer a.DonePut(a.Start())
+	defer m.opts.Metrics.Done(stats.AccessPutLatency, m.opts.Metrics.Start())
 	return m.Do(func(t *Txn) error { return t.Put(key, value) })
 }
 
@@ -403,7 +398,7 @@ type Txn struct {
 // transaction's own writes.
 func (m *Manager) Begin() *Txn {
 	id := m.nextTxn.Add(1)
-	m.opts.Metrics.Begin()
+	m.opts.Metrics.Add(stats.TxnBegins, 1)
 	t := &Txn{m: m, id: id}
 	if m.opts.Versions != nil {
 		t.snap = m.pinVersion()
@@ -584,7 +579,7 @@ func (m *Manager) applyLocked(sp *trace.Span, t *Txn) error {
 			return err
 		}
 	}
-	m.opts.Metrics.Commit()
+	m.opts.Metrics.Add(stats.TxnCommits, 1)
 	return nil
 }
 
@@ -599,10 +594,10 @@ func (t *Txn) Commit() error {
 	t.done = true
 	t.releaseSnap()
 	m := t.m
-	start := m.opts.Metrics.StartCommit()
+	start := m.opts.Metrics.Start()
 	if len(t.writes) == 0 {
-		m.opts.Metrics.Commit()
-		m.opts.Metrics.DoneCommit(start)
+		m.opts.Metrics.Add(stats.TxnCommits, 1)
+		m.opts.Metrics.Done(stats.TxnCommitLatency, start)
 		return nil
 	}
 	sp := m.opts.Tracer.Start(nil, trace.LayerTxn, "commit")
@@ -626,7 +621,7 @@ func (t *Txn) Commit() error {
 	*scratch = buf
 	putScratch(scratch)
 	if err == nil {
-		m.opts.Metrics.DoneCommit(start)
+		m.opts.Metrics.Done(stats.TxnCommitLatency, start)
 	}
 	sp.Fail(err)
 	return err
@@ -680,7 +675,7 @@ func (m *Manager) commitBatch(sp *trace.Span, buf []byte, records int, txns []*T
 // Abort discards the transaction's writes.
 func (t *Txn) Abort() {
 	if !t.done {
-		t.m.opts.Metrics.Abort()
+		t.m.opts.Metrics.Add(stats.TxnAborts, 1)
 	}
 	t.done = true
 	t.releaseSnap()
@@ -732,7 +727,7 @@ func (m *Manager) Checkpoint() error {
 	if err := m.wal.reset(); err != nil {
 		return err
 	}
-	m.opts.Metrics.Checkpoint()
+	m.opts.Metrics.Add(stats.TxnCheckpoints, 1)
 	return nil
 }
 
@@ -752,6 +747,10 @@ func (m *Manager) LogSyncs() int64 { return m.wal.SyncCount() }
 
 // LogSize returns the current log size in bytes.
 func (m *Manager) LogSize() int64 { return m.wal.offset() }
+
+// Locking reports whether the manager was opened with the Locking
+// feature: only then does Read keep every commit's apply out.
+func (m *Manager) Locking() bool { return m.opts.Locking }
 
 // Close flushes and closes the log.
 func (m *Manager) Close() error {

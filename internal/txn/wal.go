@@ -58,9 +58,10 @@ type WAL struct {
 	// syncs counts durable flushes, exposed via SyncCount for the
 	// commit-protocol ablation.
 	syncs int64
-	// metrics mirrors log activity into the Statistics feature's
-	// registry when composed; nil otherwise (recording is a no-op).
-	metrics *stats.Txn
+	// metrics mirrors log activity, retries included, into the
+	// Statistics feature's registry when composed; nil otherwise
+	// (recording is a no-op).
+	metrics *stats.Registry
 	// tracer records appends and syncs as spans when the Tracing
 	// feature is composed; nil otherwise.
 	tracer *trace.Tracer
@@ -68,12 +69,11 @@ type WAL struct {
 	// sync: the commit body's sync decision reads it against the batch
 	// limit, and the next Sync reports it as the group-commit batch size.
 	commitsSince int
-	// retry/health/fault make the append and sync paths survive
-	// transient device errors with the same bounded policy as the page
-	// path; zero/nil values mean single attempts and no degraded latch.
+	// retry/health make the append and sync paths survive transient
+	// device errors with the same bounded policy as the page path;
+	// zero/nil values mean single attempts and no degraded latch.
 	retry  storage.RetryPolicy
 	health *storage.Health
-	fault  *stats.Fault
 	// onShip, when set, observes every successful append for the
 	// Replication feature: base is the log offset the bytes landed at.
 	// It runs once the bytes are written and before they are synced:
@@ -202,7 +202,7 @@ func (w *WAL) appendEncoded(parent *trace.Span, buf []byte, records, commits int
 	end := w.end
 	w.mu.Unlock()
 	sp := w.tracer.Start(parent, trace.LayerWAL, "append")
-	if err := storage.Retry(w.retry, w.health, w.fault, "wal-append", func() error {
+	if err := storage.Retry(w.retry, w.health, w.metrics, "wal-append", func() error {
 		_, err := w.f.WriteAt(buf, end)
 		return err
 	}); err != nil {
@@ -217,7 +217,7 @@ func (w *WAL) appendEncoded(parent *trace.Span, buf []byte, records, commits int
 	ship := w.onShip
 	w.mu.Unlock()
 	for i := 0; i < records; i++ {
-		w.metrics.WalAppend()
+		w.metrics.Add(stats.TxnWalAppends, 1)
 	}
 	if ship != nil {
 		ship(end, buf)
@@ -327,7 +327,7 @@ func (w *WAL) syncIn(parent *trace.Span) error {
 	batch := w.commitsSince
 	w.mu.Unlock()
 	sp := w.tracer.Start(parent, trace.LayerWAL, "sync")
-	if err := storage.Retry(w.retry, w.health, w.fault, "wal-sync", func() error {
+	if err := storage.Retry(w.retry, w.health, w.metrics, "wal-sync", func() error {
 		return w.f.Sync()
 	}); err != nil {
 		sp.Fail(err)
@@ -340,7 +340,7 @@ func (w *WAL) syncIn(parent *trace.Span) error {
 	w.syncs++
 	w.commitsSince -= batch
 	w.mu.Unlock()
-	w.metrics.WalSync(batch)
+	w.countSync(batch)
 	return nil
 }
 
@@ -385,8 +385,16 @@ func (w *WAL) reset() error {
 	w.syncs++
 	w.commitsSince -= batch
 	w.mu.Unlock()
-	w.metrics.WalSync(batch)
+	w.countSync(batch)
 	return nil
+}
+
+// countSync records one durable log sync covering batch commits.
+func (w *WAL) countSync(batch int) {
+	w.metrics.Add(stats.TxnWalSyncs, 1)
+	if batch > 0 {
+		w.metrics.Observe(stats.TxnCommitBatch, int64(batch))
+	}
 }
 
 // LogVerifyReport summarizes a WAL scrub: every frame of the valid
