@@ -1473,12 +1473,18 @@ func b9(ops int) Scenario {
 // store, the fitted table prices the feature, and the footprint side
 // prices Replication's closure (its implied Transaction and Recovery).
 func b10(ops int) Scenario {
-	ops = atLeast(ops, 4096)
 	const (
 		clients      = 16 // concurrent wire clients
 		window       = 32 // pipelined requests in flight per client
 		crashCommits = 16 // committed transactions the crash sweeps ship
 	)
+	// The dead replica's feed must overflow. It buffers one frame per
+	// shipped chunk, and a chunk is one commit batch, which holds
+	// whatever the clients' windows staged while the previous batch
+	// drained: up to a whole burst of clients×window commits. Every row
+	// runs enough bursts to ship one chunk more than a feed holds even
+	// when each burst is one batch, so the rows compare like for like.
+	ops = atLeast(ops, (repl.FeedDepth+1)*clients*window)
 	value := payload(64)
 	// The concurrent group-commit stack behind the TCP front end, with or
 	// without WAL shipping.

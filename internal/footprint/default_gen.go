@@ -25,7 +25,7 @@ func loadDefault(model string) (*Table, error) {
 			"LRU":             960,
 			"Linux":           2231,
 			"ListIndex":       2902,
-			"Locking":         5651,
+			"Locking":         6664,
 			"MVCC":            13896,
 			"Monitor":         27135,
 			"NutOS":           254,
@@ -34,14 +34,14 @@ func loadDefault(model string) (*Table, error) {
 			"QueryStats":      18697,
 			"Recovery":        787,
 			"Remove":          454,
-			"Replication":     21443,
+			"Replication":     21514,
 			"SQLEngine":       61492,
-			"Server":          34624,
+			"Server":          37026,
 			"ShardedBuffer":   917,
 			"StaticAlloc":     778,
 			"Statistics":      37625,
 			"Tracing":         20189,
-			"Transaction":     27531,
+			"Transaction":     28352,
 			"Update":          472,
 			"Win32":           254,
 		}}, nil
@@ -60,8 +60,8 @@ func loadDefault(model string) (*Table, error) {
 			"Events":        101,
 			"Hash":          9002,
 			"Join":          774,
-			"Locking":       5771,
-			"Logging":       24073,
+			"Locking":       6784,
+			"Logging":       24826,
 			"Queue":         5149,
 			"Recno":         913,
 			"Recovery":      110,

@@ -175,13 +175,14 @@ func FAMESources() map[string][]SourceSpec {
 			funcs("internal/txn/txn.go",
 				"Open", "OpenTrees", "Manager.seeTxn", "Manager.redo", "Manager.apply",
 				"Manager.storeOf", "Manager.Read",
-				"Manager.Do", "Manager.Put", "Manager.Update", "Manager.Remove",
+				"Manager.Do", "Manager.DoAsync", "Manager.Put", "Manager.Update", "Manager.Remove",
 				"Manager.Get", "Manager.Scan", "Manager.Len", "Manager.Begin",
 				"Txn.lookupWriteSet", "Txn.record", "Txn.Tree",
 				"Txn.Get", "Txn.writable", "Txn.exists", "Txn.Put", "Txn.Update", "Txn.Remove",
 				"TreeTxn.Get", "TreeTxn.Put", "TreeTxn.Update", "TreeTxn.Remove",
 				"Txn.encodeWriteSet", "Manager.applyLocked",
-				"Txn.Commit", "Manager.commitBatch", "Txn.Abort", "Manager.Flush",
+				"Txn.Commit", "Txn.CommitAsync", "resolved", "Staged.Ready", "Staged.Wait",
+				"Manager.commitBatch", "Txn.Abort", "Manager.Flush",
 				"Manager.Checkpoint", "Manager.LogSyncs", "Manager.LogSize",
 				"Manager.quiesce", "Manager.Close",
 				"nullLocker.Lock", "nullLocker.Unlock", "nullLocker.RLock",
@@ -386,8 +387,9 @@ func BDBSources() map[string][]SourceSpec {
 		"Logging": {
 			file("internal/txn/wal.go"),
 			funcs("internal/txn/txn.go", "Open", "OpenTrees", "Manager.seeTxn", "Manager.redo",
-				"Manager.apply", "Manager.storeOf", "Manager.Do", "Manager.Begin",
-				"Txn.Tree", "TreeTxn.Put", "TreeTxn.Remove", "Txn.Commit", "Manager.commitBatch",
+				"Manager.apply", "Manager.storeOf", "Manager.Do", "Manager.DoAsync", "Manager.Begin",
+				"Txn.Tree", "TreeTxn.Put", "TreeTxn.Remove", "Txn.Commit", "Txn.CommitAsync",
+				"resolved", "Staged.Wait", "Manager.commitBatch",
 				"Txn.Abort", "Txn.lookupWriteSet", "Txn.record", "Txn.writable", "Txn.exists",
 				"Txn.encodeWriteSet", "Manager.applyLocked", "Manager.quiesce",
 				"Manager.Flush", "Manager.LogSyncs", "Manager.LogSize",

@@ -28,8 +28,9 @@ import (
 	"famedb/internal/stats"
 )
 
-// feedDepth is a Feed's buffered frame count.
-const feedDepth = 256
+// FeedDepth is a Feed's buffered frame count: a subscriber that falls
+// this many shipped chunks behind is broken.
+const FeedDepth = 256
 
 // Frame is one shipped WAL chunk: the raw bytes of one durable append.
 type Frame struct {
@@ -71,16 +72,16 @@ type Shipper struct {
 	subs    map[*Feed]struct{}
 	seq     uint64
 	lastEnd int64 // -1 until the first chunk
-	// depth is each feed's buffered frame count: feedDepth, lowered
+	// depth is each feed's buffered frame count: FeedDepth, lowered
 	// only by this package's tests to force overflow.
 	depth   int
 	metrics *stats.Registry
 }
 
-// NewShipper returns a shipper whose feeds buffer feedDepth frames
+// NewShipper returns a shipper whose feeds buffer FeedDepth frames
 // each. metrics may be nil.
 func NewShipper(metrics *stats.Registry) *Shipper {
-	return &Shipper{subs: map[*Feed]struct{}{}, lastEnd: -1, depth: feedDepth, metrics: metrics}
+	return &Shipper{subs: map[*Feed]struct{}{}, lastEnd: -1, depth: FeedDepth, metrics: metrics}
 }
 
 // Subscribe registers a new feed that will receive every chunk shipped
@@ -117,7 +118,7 @@ func (s *Shipper) Close() {
 
 // OnShip ingests one WAL chunk as soon as it is written to the
 // primary's log, before any sync: the chunk is appended, not yet
-// durable. Under GroupCommit a lone commit is not synced until later
+// durable. Under GroupCommit a batch is not synced until the unsynced
 // commits reach the batch limit, so a replica can apply commits that a
 // power cut on the primary then loses. Pass this method to
 // txn.Manager.SetOnShip; buf is copied before the hook returns.

@@ -23,9 +23,10 @@ const (
 
 // Config wires a Server to a composed product.
 type Config struct {
-	// Mgr executes every client command through its record API: a write
-	// is an auto-commit transaction through the WAL (and group commit,
-	// when composed), a get a read under the manager's read lock.
+	// Mgr executes every client command: a write is an auto-commit
+	// transaction staged through the WAL (and group commit, when
+	// composed) by Manager.DoAsync, a get a read under the manager's
+	// read lock.
 	Mgr *txn.Manager
 	// Shipper fans shipped WAL frames out to replication sessions. Nil
 	// disables replication sessions (Server without Replication).
@@ -38,8 +39,9 @@ type Config struct {
 	// by this package's tests.
 	//
 	// maxInflight bounds how many pipelined requests one connection may
-	// stage ahead of execution. The reader stops pulling frames once
-	// the bound is hit, so backpressure reaches the client through TCP.
+	// queue ahead of execution, and how many executed ones may wait for
+	// their answer. The reader stops pulling frames once the bounds are
+	// hit, so backpressure reaches the client through TCP.
 	maxInflight int
 	// readTimeout bounds the wait for each inbound frame once a session
 	// is active; an idle or wedged peer is cut off.
@@ -171,19 +173,38 @@ func (s *Server) serveConn(conn net.Conn) {
 	s.serveClient(conn, br, typ, payload)
 }
 
-// request is one staged client frame.
+// request is one admitted client frame.
 type request struct {
 	typ     byte
 	payload []byte
 }
 
-// serveClient runs a client session: a reader goroutine stages frames
-// into a bounded queue (the admission bound) while the session
-// goroutine executes them in order and buffers in-order responses, so a
-// client may pipeline up to maxInflight requests ahead. Responses go
-// out when the queue runs dry — one write per pipelined window — and
-// before any command that commits: answered requests must not wait
-// behind a later write's device sync.
+// reply is one response in the making: a frame known at once, or a
+// write's staged commit, answered once it resolves.
+type reply struct {
+	typ     byte
+	payload []byte
+	// commit is a write's staged auto-commit; nil when typ and payload
+	// are the answer.
+	commit *txn.Staged
+	// batch marks a cmdBatch commit, which answers only respOK or
+	// respErr; put marks a cmdPut, whose latency is the product's put
+	// latency, timed from start.
+	batch, put bool
+	start      int64
+}
+
+// serveClient runs a client session in three goroutines, so a
+// pipelined window's writes share group-commit batches instead of
+// syncing one by one. A reader admits frames into a bounded queue (the
+// admission bound). The session goroutine takes them in order: it
+// stages each write as an auto-commit (Manager.DoAsync) without waiting
+// for the device, and runs each get at once — unless the frame touches
+// a key that one of the session's staged writes has not resolved yet,
+// which it waits for first, so a session always reads its own writes.
+// A responder answers strictly in order: it waits for each write's
+// commit, flushes the responses it already holds before it blocks on an
+// unresolved one, and flushes whenever it runs out of answers.
 func (s *Server) serveClient(conn net.Conn, br *bufio.Reader, typ byte, payload []byte) {
 	queue := make(chan request, s.cfg.maxInflight)
 	queue <- request{typ, payload}
@@ -198,111 +219,154 @@ func (s *Server) serveClient(conn net.Conn, br *bufio.Reader, typ byte, payload 
 			queue <- request{typ, payload}
 		}
 	}()
-	bw := bufio.NewWriter(conn)
+	out := make(chan reply, s.cfg.maxInflight)
+	answered := make(chan struct{})
+	go func() {
+		defer close(answered)
+		s.respond(conn, out)
+	}()
+	// staged maps a key to the session's latest staged commit that
+	// writes it; resolved entries are swept once the map outgrows the
+	// commits the session can hold unresolved.
+	staged := map[string]*txn.Staged{}
 	for req := range queue {
-		if bw.Buffered() > 0 && commits(req.typ) {
-			if bw.Flush() != nil {
-				break
+		r := s.execute(req.typ, req.payload, staged)
+		if r.commit != nil && len(staged) > 4*s.cfg.maxInflight {
+			for k, c := range staged {
+				if c.Ready() {
+					delete(staged, k)
+				}
 			}
 		}
-		rtyp, rpayload := s.execute(req.typ, req.payload)
+		out <- r
+	}
+	close(out)
+	<-answered
+}
+
+// respond writes the session's replies in order until out closes. A
+// transport failure severs the connection, which stops the reader, but
+// the responder keeps waiting on every staged commit, so the session
+// ends with none unresolved.
+func (s *Server) respond(conn net.Conn, out <-chan reply) {
+	bw := bufio.NewWriter(conn)
+	broken := false
+	fail := func() {
+		broken = true
+		conn.Close()
+	}
+	for r := range out {
+		if r.commit != nil {
+			if !broken && bw.Buffered() > 0 && !r.commit.Ready() && bw.Flush() != nil {
+				fail()
+			}
+			err := r.commit.Wait()
+			if r.put {
+				s.cfg.Metrics.Done(stats.AccessPutLatency, r.start)
+			}
+			if r.typ, r.payload = outcome(err); r.batch && err != nil {
+				r.typ, r.payload = respErr, []byte(err.Error())
+			}
+		}
+		if broken {
+			continue
+		}
 		if bw.Buffered() == 0 {
 			// The window's first response: one deadline covers every
 			// write up to and including its flush.
 			conn.SetWriteDeadline(time.Now().Add(s.cfg.writeTimeout))
 		}
-		if err := writeFrame(bw, rtyp, rpayload); err != nil {
-			break
+		if writeFrame(bw, r.typ, r.payload) != nil || len(out) == 0 && bw.Flush() != nil {
+			fail()
 		}
-		if len(queue) == 0 && bw.Flush() != nil {
-			break
-		}
-	}
-	// Sever the transport, then drain the queue: the reader may be
-	// blocked on a full queue send, and draining unblocks it so its next
-	// read fails and it closes the channel.
-	conn.Close()
-	for range queue {
 	}
 }
 
-// commits reports whether a command runs a committing transaction,
-// which may wait on the device.
-func commits(typ byte) bool {
-	switch typ {
-	case cmdPut, cmdUpdate, cmdRemove, cmdBatch:
-		return true
-	}
-	return false
-}
-
-// execute runs one client command through the manager's record API —
-// a get is a locked read, a write an auto-commit transaction — and
-// returns the response frame. Protocol-level garbage gets a respErr; the
-// connection survives unless the transport itself failed.
-func (s *Server) execute(typ byte, payload []byte) (byte, []byte) {
+// execute runs one client command and returns its reply: a get is a
+// read under the manager's read lock, answered at once; a write is an
+// auto-commit transaction staged through Manager.DoAsync and answered
+// when its commit resolves. staged holds the session's staged commits
+// by key: a command first waits for those that write its keys, and a
+// write records itself there. Protocol-level garbage gets a respErr;
+// the connection survives unless the transport itself failed.
+func (s *Server) execute(typ byte, payload []byte, staged map[string]*txn.Staged) reply {
 	mgr := s.cfg.Mgr
-	var err error
+	var ops []Op
+	var r reply
 	switch typ {
 	case cmdPing:
+		return reply{typ: respOK}
 	case cmdGet:
 		key, rest, derr := takeBytes(payload)
 		if derr != nil || len(rest) != 0 {
-			return respErr, []byte("malformed get")
+			return reply{typ: respErr, payload: []byte("malformed get")}
 		}
+		awaitKey(staged, key)
 		val, err := mgr.Get(key)
 		if err == nil {
-			return respValue, val
+			return reply{typ: respValue, payload: val}
 		}
-		return respond(err)
+		typ, payload := outcome(err)
+		return reply{typ: typ, payload: payload}
 	case cmdPut, cmdUpdate:
 		key, val, derr := decodeKV(payload)
 		if derr != nil {
-			return respErr, []byte("malformed put")
+			return reply{typ: respErr, payload: []byte("malformed put")}
 		}
-		if typ == cmdPut {
-			err = mgr.Put(key, val)
-		} else {
-			err = mgr.Update(key, val)
-		}
+		ops = []Op{{Key: key, Value: val}}
+		r.put, r.start = typ == cmdPut, s.cfg.Metrics.Start()
 	case cmdRemove:
 		key, rest, derr := takeBytes(payload)
 		if derr != nil || len(rest) != 0 {
-			return respErr, []byte("malformed remove")
+			return reply{typ: respErr, payload: []byte("malformed remove")}
 		}
-		err = mgr.Remove(key)
+		ops = []Op{{Remove: true, Key: key}}
 	case cmdBatch:
-		ops, derr := decodeBatch(payload)
-		if derr != nil {
-			return respErr, []byte("malformed batch")
+		var derr error
+		if ops, derr = decodeBatch(payload); derr != nil {
+			return reply{typ: respErr, payload: []byte("malformed batch")}
 		}
-		err = mgr.Do(func(tx *txn.Txn) error {
-			for _, op := range ops {
-				var err error
-				if op.Remove {
-					err = tx.Remove(op.Key)
-				} else {
-					err = tx.Put(op.Key, op.Value)
-				}
-				if err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			// A batch answers only respOK or respErr: a missing key
-			// fails the whole transaction.
-			return respErr, []byte(err.Error())
-		}
+		r.batch = true
 	default:
-		return respErr, []byte(fmt.Sprintf("unknown command %d", typ))
+		return reply{typ: respErr, payload: []byte(fmt.Sprintf("unknown command %d", typ))}
 	}
-	return respond(err)
+	for _, op := range ops {
+		awaitKey(staged, op.Key)
+	}
+	r.commit = mgr.DoAsync(func(tx *txn.Txn) error {
+		for _, op := range ops {
+			var err error
+			switch {
+			case op.Remove:
+				err = tx.Remove(op.Key)
+			case typ == cmdUpdate:
+				err = tx.Update(op.Key, op.Value)
+			default:
+				err = tx.Put(op.Key, op.Value)
+			}
+			if err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	for _, op := range ops {
+		staged[string(op.Key)] = r.commit
+	}
+	return r
 }
 
-// respond maps a command's outcome to its response frame.
-func respond(err error) (byte, []byte) {
+// awaitKey waits for the session's staged commit that writes key, if it
+// has not resolved yet, and forgets it.
+func awaitKey(staged map[string]*txn.Staged, key []byte) {
+	if c, ok := staged[string(key)]; ok {
+		c.Wait()
+		delete(staged, string(key))
+	}
+}
+
+// outcome maps a command's outcome to its response frame.
+func outcome(err error) (byte, []byte) {
 	switch {
 	case err == nil:
 		return respOK, nil

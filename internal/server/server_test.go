@@ -64,6 +64,36 @@ func newNodeOver(t *testing.T, wrap func(index.Index) index.Index) *node {
 	return &node{fs: fs, idx: idx, mgr: mgr}
 }
 
+// newGroupNode builds a node with the group-commit pipeline (a batch
+// limit of 8) whose log lives on logFS, and whose Checkpoint works.
+func newGroupNode(t *testing.T, logFS osal.FS) *node {
+	t.Helper()
+	fs := osal.NewMemFS()
+	f, err := fs.Create("p.db")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pf, err := storage.CreatePageFile(f, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bt, _, err := index.CreateBTree(pf, index.AllBTreeOps())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr, err := txn.Open(logFS, "wal.log", access.New(bt, access.AllOps()), txn.Options{
+		BatchLimit: txn.GroupCommit(0),
+		Locking:    true,
+		Recovery:   true,
+		SyncStore:  pf.Sync,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { mgr.Close() })
+	return &node{fs: logFS, idx: bt, mgr: mgr}
+}
+
 // primaryNode wires a node to a Shipper and serves it.
 func primaryNode(t *testing.T, reg *stats.Registry) (*node, *Server, *repl.Shipper) {
 	t.Helper()
@@ -291,9 +321,10 @@ func TestClientPipelining(t *testing.T) {
 // TestPipelinedMixedWindowInOrder sends windows of 2×MaxInflight frames
 // mixing every command — reads, commits that may wait on the device,
 // pings, batches that abort — in one flush each. Every response must
-// match a sequential model in order: the server buffers responses and
-// flushes them before each commit and when its queue runs dry, so a
-// missing or reordered flush shows up as a wrong or stalled answer.
+// match a sequential model in order: the session stages writes and runs
+// gets at once, so a get that overtook the staged write of its own key,
+// or a response answered out of order or never flushed, shows up as a
+// wrong or stalled answer.
 func TestPipelinedMixedWindowInOrder(t *testing.T) {
 	const inflight = 8
 	n := newNode(t)
@@ -302,13 +333,42 @@ func TestPipelinedMixedWindowInOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	c, err := DialClient(srv.Addr())
+	mixedWindows(t, srv.Addr(), inflight, 5, "k")
+}
+
+// TestPipelinedMixedWindowInOrderTwoClients runs the mixed windows from
+// two sessions at once on disjoint keys over a group-commit product, so
+// the sessions' staged writes share batches.
+func TestPipelinedMixedWindowInOrderTwoClients(t *testing.T) {
+	const inflight = 8
+	n := newGroupNode(t, osal.NewDelayFS(osal.NewMemFS(), 0, 200*time.Microsecond))
+	srv, err := Serve("127.0.0.1:0", Config{Mgr: n.mgr, maxInflight: inflight})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer srv.Close()
+	var wg sync.WaitGroup
+	for c := 0; c < 2; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			mixedWindows(t, srv.Addr(), inflight, int64(5+c), fmt.Sprintf("c%d-k", c))
+		}(c)
+	}
+	wg.Wait()
+}
+
+// mixedWindows drives one session through 20 mixed windows of
+// 2×inflight frames on keys prefix00..prefix11, checking every response
+// against a sequential model, then reads the model back.
+func mixedWindows(t *testing.T, addr string, inflight int, seed int64, prefix string) {
+	c, err := DialClient(addr)
+	if err != nil {
+		t.Error(err)
+		return
+	}
 	defer c.Close()
 	c.Timeout = 10 * time.Second
-
 	type expect struct {
 		get    bool
 		value  string // get: the value; empty with notFound
@@ -316,8 +376,8 @@ func TestPipelinedMixedWindowInOrder(t *testing.T) {
 	}
 	errRemote := errors.New("remote error")
 	model := map[string]string{}
-	rng := rand.New(rand.NewSource(5))
-	key := func() []byte { return fmt.Appendf(nil, "k%02d", rng.Intn(12)) }
+	rng := rand.New(rand.NewSource(seed))
+	key := func() []byte { return fmt.Appendf(nil, "%s%02d", prefix, rng.Intn(12)) }
 	missing := func(k []byte) error {
 		if _, ok := model[string(k)]; ok {
 			return nil
@@ -374,11 +434,13 @@ func TestPipelinedMixedWindowInOrder(t *testing.T) {
 				want = append(want, expect{})
 			}
 			if err != nil {
-				t.Fatal(err)
+				t.Error(err)
+				return
 			}
 		}
 		if err := c.Flush(); err != nil {
-			t.Fatal(err)
+			t.Error(err)
+			return
 		}
 		for i, w := range want {
 			var got []byte
@@ -393,15 +455,63 @@ func TestPipelinedMixedWindowInOrder(t *testing.T) {
 				err = errRemote
 			}
 			if err != w.status || string(got) != w.value {
-				t.Fatalf("window %d frame %d: got %q, %v; want %q, %v", window, i, got, err, w.value, w.status)
+				t.Errorf("window %d frame %d: got %q, %v; want %q, %v", window, i, got, err, w.value, w.status)
+				return
 			}
 		}
 	}
 	for k, v := range model {
 		got, err := c.Get([]byte(k))
 		if err != nil || string(got) != v {
-			t.Fatalf("final Get(%s) = %q, %v; want %q", k, got, err, v)
+			t.Errorf("final Get(%s) = %q, %v; want %q", k, got, err, v)
+			return
 		}
+	}
+}
+
+// TestSessionEndWithStagedCommits drops a session right after it sent
+// a window of writes to a slow log device, so its commits are staged
+// and unresolved when the session ends: Checkpoint, the server's Close
+// and the manager's Close must all return.
+func TestSessionEndWithStagedCommits(t *testing.T) {
+	n := newGroupNode(t, osal.NewDelayFS(osal.NewMemFS(), 0, 2*time.Millisecond))
+	srv, err := Serve("127.0.0.1:0", Config{Mgr: n.mgr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	for round := 0; round < 3; round++ {
+		c, err := DialClient(srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 32; i++ {
+			if err := c.QueuePut(fmt.Appendf(nil, "r%d-%02d", round, i), []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := c.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		c.Close()
+		returns(t, "Checkpoint", n.mgr.Checkpoint)
+	}
+	returns(t, "Server.Close", srv.Close)
+	returns(t, "Manager.Close", n.mgr.Close)
+}
+
+// returns fails the test unless fn returns nil within five seconds.
+func returns(t *testing.T, what string, fn func() error) {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- fn() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%s did not return with a session's commits staged", what)
 	}
 }
 

@@ -418,8 +418,8 @@ func (s *Shell) printSnapStatus(verb string) {
 }
 
 func (s *Shell) cmdFlush(fields []string) bool {
-	// Under GroupCommit a singleton commit may sit in the deferred
-	// durability window; .flush quiesces the pipeline and syncs.
+	// Under GroupCommit up to batch-limit-1 commits may sit in the
+	// deferred durability window; .flush quiesces the pipeline and syncs.
 	if err := s.db.Sync(); err != nil {
 		fmt.Fprintln(s.out, "error:", err)
 		return false

@@ -146,30 +146,46 @@ func groupEnv(t *testing.T, logFS osal.FS, batch int) (*Manager, *access.Store) 
 
 func TestGroupSyncFaultFailsWholeBatch(t *testing.T) {
 	logFS := osal.NewFaultFS(osal.NewMemFS())
-	m, store := groupEnv(t, logFS, 4)
-	// Stage two transactions into one batch by hand so the batch is
-	// deterministically multi-transaction — such a batch always syncs
-	// before waking its followers, which is the failure we want.
-	b := &gcBatch{done: make(chan struct{})}
-	keys := []string{"a", "b"}
-	for _, k := range keys {
+	const limit = 4
+	m, store := groupEnv(t, logFS, limit)
+	// Stage a batch of limit commits: nobody waits until all are staged,
+	// so the first waiter drains them as one batch, and a batch that
+	// brings the unsynced commits to the limit syncs before any of its
+	// committers learns its outcome — the failure we want.
+	var staged []*Staged
+	var keys []string
+	for i := 0; i < limit; i++ {
+		k := fmt.Sprintf("k%d", i)
 		tx := m.Begin()
 		if err := tx.Put([]byte(k), []byte("v")); err != nil {
 			t.Fatal(err)
 		}
-		buf, records := tx.encodeWriteSet(b.buf)
-		b.buf = buf
-		b.txns = append(b.txns, tx)
-		b.errs = append(b.errs, nil)
-		b.records += records
+		keys = append(keys, k)
+		staged = append(staged, tx.CommitAsync())
+	}
+	for i, s := range staged {
+		if s.Ready() {
+			t.Fatalf("commit %d resolved before anyone waited", i)
+		}
 	}
 	base := m.wal.offset()
 	// The batch body is ONE coalesced WriteAt (op 1); fail the Sync
 	// (op 2).
 	logFS.SetSchedule(dieAt(2))
-	m.gc.drain(nil, b, 0)
-	<-b.done
-	for i, err := range b.errs {
+	errs := make([]error, limit)
+	var wg sync.WaitGroup
+	for i, s := range staged {
+		wg.Add(1)
+		go func(i int, s *Staged) {
+			defer wg.Done()
+			errs[i] = s.Wait()
+		}(i, s)
+	}
+	wg.Wait()
+	if got := m.LogSyncs(); got != 0 {
+		t.Fatalf("LogSyncs = %d after a failed sync, want 0", got)
+	}
+	for i, err := range errs {
 		if !errors.Is(err, osal.ErrInjected) {
 			t.Fatalf("waiter %d: err = %v, want injected fault", i, err)
 		}
@@ -241,7 +257,8 @@ func TestConcurrentCommitFaultFailsEveryWaiter(t *testing.T) {
 }
 
 func TestCrashWindowSkipsUnsyncedCommits(t *testing.T) {
-	// GroupCommit defers the sync of uncontended commits; a power loss
+	// GroupCommit defers the sync of every batch, whatever its size,
+	// until the unsynced commits reach the batch limit; a power loss
 	// inside that durability window must lose exactly the deferred
 	// transactions — recovery may not replay records that never hit the
 	// device.
@@ -277,7 +294,8 @@ func TestCrashWindowSkipsUnsyncedCommits(t *testing.T) {
 		t.Fatal(err)
 	}
 	// ...and two more left inside the deferred durability window (the
-	// batch budget of 8 is not reached, so no sync happens).
+	// unsynced commits stay below the batch limit of 8, so no sync
+	// happens).
 	commit("k2")
 	commit("k3")
 	syncs := m1.LogSyncs()

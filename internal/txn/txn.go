@@ -31,9 +31,10 @@ type Options struct {
 	// BatchLimit is the CommitProtocol alternative (Fig. 2) as a number:
 	// how many commits one log sync may cover — ForceCommit() or
 	// GroupCommit(n); less than 1 means 1.
-	// A batch of several commits always syncs before its committers
-	// return; a batch of one defers its sync until BatchLimit commits
-	// are unsynced (call Manager.Flush to force it).
+	// A batch of any size syncs before its committers return once
+	// BatchLimit commits are unsynced, and defers its sync otherwise
+	// (call Manager.Flush to force it), so fewer than BatchLimit
+	// acknowledged commits are ever unsynced.
 	BatchLimit int
 	// Locking serializes transactions and guards reads against
 	// concurrent applies; products used from a single goroutine can
@@ -304,13 +305,17 @@ func (m *Manager) Read(fn func() error) error {
 
 // Do is the one auto-commit: it begins a transaction, runs fn in it and
 // commits, or aborts when fn fails.
-func (m *Manager) Do(fn func(*Txn) error) error {
+func (m *Manager) Do(fn func(*Txn) error) error { return m.DoAsync(fn).Wait() }
+
+// DoAsync is Do with a staged commit: it returns the commit's handle,
+// resolved to fn's error when fn fails and the transaction aborts.
+func (m *Manager) DoAsync(fn func(*Txn) error) *Staged {
 	t := m.Begin()
 	if err := fn(t); err != nil {
 		t.Abort()
-		return err
+		return &Staged{err: err}
 	}
-	return t.Commit()
+	return t.CommitAsync()
 }
 
 // The record API of a transactional product: each write is an
@@ -389,6 +394,9 @@ type Txn struct {
 	snap SnapshotReader
 	// readOnly marks snapshot transactions: mutations are refused.
 	readOnly bool
+	// start is when the commit was staged, for the commit-latency
+	// histogram.
+	start int64
 }
 
 // Begin starts a transaction. Allocating the ID is a single atomic, so
@@ -583,58 +591,113 @@ func (m *Manager) applyLocked(sp *trace.Span, t *Txn) error {
 	return nil
 }
 
+// Staged is a commit handed to the commit pipeline by CommitAsync. It
+// resolves once the batch holding it is logged, made durable per the
+// batch limit and applied to the store, or failed. Wait and Ready may
+// be called from several goroutines.
+type Staged struct {
+	t *Txn
+	// b is the group-commit batch holding the commit; nil when the
+	// outcome, err, was decided at staging.
+	b   *gcBatch
+	idx int
+	err error
+	// mu guards sp, the commit span, and waiters: the span stays open
+	// while any waiter's spans hang under it and ends when the last
+	// waiter leaves a resolved commit.
+	mu      sync.Mutex
+	sp      *trace.Span
+	waiters int
+}
+
+// Ready reports, without blocking, whether the commit is resolved.
+func (s *Staged) Ready() bool { return s.b == nil || s.b.drained() }
+
+// Wait returns the commit's outcome once it is resolved. A waiter that
+// finds no group-commit leader drains the open batch itself.
+func (s *Staged) Wait() error {
+	if s.b == nil {
+		return s.err
+	}
+	s.mu.Lock()
+	s.waiters++
+	sp := s.sp
+	s.mu.Unlock()
+	if !s.b.drained() {
+		s.t.m.gc.wait(sp, s.t.id, s.b)
+	}
+	err := s.b.errs[s.idx]
+	s.mu.Lock()
+	if s.waiters--; s.waiters == 0 && s.sp != nil {
+		s.sp.Fail(err)
+		s.sp.End()
+		s.sp = nil
+	}
+	s.mu.Unlock()
+	return err
+}
+
 // Commit logs the write set, makes it durable per the batch limit, and
-// applies it to the store. Without Locking the transaction is a batch of
-// one through the commit body; with Locking it is staged into the
-// group-commit pipeline, whose leader runs the same body once per batch.
-func (t *Txn) Commit() error {
+// applies it to the store: it stages the commit and waits for it.
+func (t *Txn) Commit() error { return t.CommitAsync().Wait() }
+
+// CommitAsync stages the commit and returns its handle without waiting
+// for the device. Without Locking there is no pipeline: the
+// transaction runs through the commit body as a batch of one and the
+// handle is resolved on return. With Locking its encoded write set
+// joins the group-commit pipeline's open batch, which a waiter drains.
+func (t *Txn) CommitAsync() *Staged {
 	if t.done {
-		return ErrTxnDone
+		return &Staged{err: ErrTxnDone}
 	}
 	t.done = true
 	t.releaseSnap()
 	m := t.m
-	start := m.opts.Metrics.Start()
+	t.start = m.opts.Metrics.Start()
 	if len(t.writes) == 0 {
 		m.opts.Metrics.Add(stats.TxnCommits, 1)
-		m.opts.Metrics.Done(stats.TxnCommitLatency, start)
-		return nil
+		m.opts.Metrics.Done(stats.TxnCommitLatency, t.start)
+		return &Staged{}
 	}
 	sp := m.opts.Tracer.Start(nil, trace.LayerTxn, "commit")
 	sp.Txn(t.id)
-	defer sp.End()
 	// Degraded read-only mode refuses the commit before any log I/O.
 	if err := m.opts.Health.Err(); err != nil {
-		sp.Fail(err)
-		return err
+		return resolved(sp, err)
 	}
 	scratch := getScratch()
 	buf, records := t.encodeWriteSet(*scratch)
-	var err error
-	if m.gc != nil {
-		err = m.gc.commit(sp, t, buf, records)
-	} else {
+	defer func() {
+		*scratch = buf
+		putScratch(scratch)
+	}()
+	if m.gc == nil {
 		txns, errs := [1]*Txn{t}, [1]error{}
 		m.commitBatch(sp, buf, records, txns[:], errs[:])
-		err = errs[0]
+		return resolved(sp, errs[0])
 	}
-	*scratch = buf
-	putScratch(scratch)
-	if err == nil {
-		m.opts.Metrics.Done(stats.TxnCommitLatency, start)
+	b, idx, err := m.gc.stage(t, buf, records)
+	if err != nil {
+		return resolved(sp, err)
 	}
+	return &Staged{t: t, b: b, idx: idx, sp: sp}
+}
+
+// resolved ends the commit span sp and returns a handle resolved to err.
+func resolved(sp *trace.Span, err error) *Staged {
 	sp.Fail(err)
-	return err
+	sp.End()
+	return &Staged{err: err}
 }
 
 // commitBatch is the one commit body. It refuses the batch on a closed
 // manager or an attached replica, appends its encoded frames (txns in
-// log order) in one write, syncs when the batch holds several commits or
-// the unsynced commits reach the batch limit, cuts a failed tail off the
-// log so recovery can never replay a commit whose committer saw an
-// error, and only then applies the batch to the store under m.mu and
-// publishes one version for it. errs, parallel to txns, receives each
-// committer's outcome. The caller must not hold m.mu.
+// log order) in one write, syncs when the unsynced commits reach the
+// batch limit, cuts a failed tail off the log so recovery can never
+// replay a commit whose committer saw an error, and only then applies
+// the batch to the store under m.mu and publishes one version for it.
+// errs, parallel to txns, receives each committer's outcome. The caller
+// must not hold m.mu.
 func (m *Manager) commitBatch(sp *trace.Span, buf []byte, records int, txns []*Txn, errs []error) {
 	var err error
 	m.mu.RLock()
@@ -647,7 +710,7 @@ func (m *Manager) commitBatch(sp *trace.Span, buf []byte, records int, txns []*T
 	if err == nil {
 		base := m.wal.offset()
 		err = m.wal.appendEncoded(sp, buf, records, len(txns))
-		if err == nil && (len(txns) > 1 || m.wal.unsyncedCommits() >= m.opts.BatchLimit) {
+		if err == nil && m.wal.unsyncedCommits() >= m.opts.BatchLimit {
 			err = m.wal.syncIn(sp)
 		}
 		if err != nil {
@@ -670,13 +733,21 @@ func (m *Manager) commitBatch(sp *trace.Span, buf []byte, records int, txns []*T
 	// a commit failure: the batch is durable and applied.
 	_ = m.installVersion()
 	m.mu.Unlock()
+	for i, t := range txns {
+		if errs[i] == nil {
+			m.opts.Metrics.Done(stats.TxnCommitLatency, t.start)
+		}
+	}
 }
 
-// Abort discards the transaction's writes.
+// Abort discards the transaction's writes. On a finished transaction it
+// does nothing: a staged commit keeps its writes until its batch
+// applies them.
 func (t *Txn) Abort() {
-	if !t.done {
-		t.m.opts.Metrics.Add(stats.TxnAborts, 1)
+	if t.done {
+		return
 	}
+	t.m.opts.Metrics.Add(stats.TxnAborts, 1)
 	t.done = true
 	t.releaseSnap()
 	t.writes = nil

@@ -78,7 +78,8 @@ type WAL struct {
 	// Replication feature: base is the log offset the bytes landed at.
 	// It runs once the bytes are written and before they are synced:
 	// commitBatch syncs after appendEncoded returns, and under
-	// GroupCommit a lone commit stays unsynced until the batch limit.
+	// GroupCommit a batch stays unsynced until the unsynced commits
+	// reach the batch limit.
 	// Appends are serial (see mu), so calls arrive in base order, and
 	// bases chain contiguously until the log rewinds (truncateTo after a
 	// failed batch, or reset after a checkpoint) — consumers detect a
