@@ -96,11 +96,11 @@ func BenchmarkE4Products(b *testing.B) {
 				Seed: 11, Keys: 1000, ValueSize: 32,
 				Mix: map[workload.OpKind]int{workload.OpGet: 9, workload.OpPut: 1},
 			}
-			step, cleanup, err := bench.SetupFAME(p.Features, cfg, composer.Options{})
+			step, inst, err := bench.SetupFAME(p.Features, cfg, composer.Options{})
 			if err != nil {
 				b.Fatal(err)
 			}
-			defer cleanup()
+			defer inst.Close()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if err := step(); err != nil {
@@ -157,11 +157,11 @@ func BenchmarkAblationReplacement(b *testing.B) {
 					Seed: 3, Keys: 20000, ValueSize: 64, Distribution: dist,
 					Mix: map[workload.OpKind]int{workload.OpGet: 1},
 				}
-				step, cleanup, err := bench.SetupFAME(features, cfg, composer.Options{CachePages: 16})
+				step, inst, err := bench.SetupFAME(features, cfg, composer.Options{CachePages: 16})
 				if err != nil {
 					b.Fatal(err)
 				}
-				defer cleanup()
+				defer inst.Close()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					if err := step(); err != nil {
@@ -186,11 +186,11 @@ func BenchmarkAblationAlloc(b *testing.B) {
 				Seed: 5, Keys: 5000, ValueSize: 64,
 				Mix: map[workload.OpKind]int{workload.OpGet: 4, workload.OpPut: 1},
 			}
-			step, cleanup, err := bench.SetupFAME(features, cfg, composer.Options{CachePages: 32})
+			step, inst, err := bench.SetupFAME(features, cfg, composer.Options{CachePages: 32})
 			if err != nil {
 				b.Fatal(err)
 			}
-			defer cleanup()
+			defer inst.Close()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if err := step(); err != nil {
@@ -241,12 +241,12 @@ func BenchmarkAblationIndex(b *testing.B) {
 					Seed: 9, Keys: keys, ValueSize: 16,
 					Mix: map[workload.OpKind]int{workload.OpGet: 1},
 				}
-				step, cleanup, err := bench.SetupFAME(
+				step, inst, err := bench.SetupFAME(
 					[]string{"Linux", idx, "Put", "Get"}, cfg, composer.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}
-				defer cleanup()
+				defer inst.Close()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					if err := step(); err != nil {

@@ -41,12 +41,14 @@
 // pipelined put throughput over loopback TCP against the Server
 // product with 0/1/2 live replicas, without the Replication feature,
 // and with one dead replica (proving replica failure never blocks
-// commits), plus both replica crash-point sweeps (every shipped-frame
-// boundary and every torn device write), closing the feedback loop by
-// pricing Replication's latency and ROM closure. CP runs the crash-point recovery
-// harness: the
-// same workload crashed at every write-class op index under both the
-// clean-cut and torn-write models, reopened, and scrubbed.
+// commits), closing the feedback loop by pricing Replication's latency
+// and ROM closure, then the crash sweep's replica family: a replica
+// applying the primary's shipped chunks, crashed at every device op
+// under the cut and torn models, must recover a byte-exact log prefix
+// and catch up, and the cut sweep's recovered log ends must cover every
+// chunk boundary. CP runs the crash sweep's primary family: committed
+// transactions with a checkpoint, crashed at every device op under
+// both models, reopened, and scrubbed.
 //
 // -out names the machine-readable reports with a literal "N" standing
 // for the benchmark number: -out BENCH_N.json writes BENCH_1.json ..

@@ -156,21 +156,8 @@ func ParseModel(text string) (*Model, error) { return core.ParseModel(text) }
 // DB is a derived FAME-DBMS instance.
 type DB struct {
 	inst *composer.Instance
-	// rec is the product's one record path, picked from its feature
-	// selection: the transaction manager when Transaction is composed,
-	// the store otherwise.
-	rec records
-}
-
-// records is the record API both *txn.Manager and *access.Store
-// implement.
-type records interface {
-	Put(key, value []byte) error
-	Get(key []byte) ([]byte, error)
-	Remove(key []byte) error
-	Update(key, value []byte) error
-	Scan(from, to []byte, fn func(key, value []byte) bool) error
-	Len() (uint64, error)
+	// rec is the product's one record path (composer.Instance.Records).
+	rec composer.Records
 }
 
 // Open derives a product from the feature names and composes it. The
@@ -195,14 +182,8 @@ func OpenConfig(cfg *Configuration, opts Options) (*DB, error) {
 	return newDB(inst), nil
 }
 
-// newDB wraps a composed instance and picks its record path.
-func newDB(inst *composer.Instance) *DB {
-	db := &DB{inst: inst, rec: inst.Store}
-	if inst.Txn != nil {
-		db.rec = inst.Txn
-	}
-	return db
-}
+// newDB wraps a composed instance on its record path.
+func newDB(inst *composer.Instance) *DB { return &DB{inst: inst, rec: inst.Records()} }
 
 // Features returns the product's selected feature names.
 func (db *DB) Features() []string { return db.inst.Configuration.SelectedNames() }

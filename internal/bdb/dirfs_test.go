@@ -22,7 +22,7 @@ func TestDirFSPersistence(t *testing.T) {
 		FS:         fs,
 		Mode:       core.ModeComposed,
 		Features:   feats,
-		PageSize:   512,
+		pageSize:   512,
 		Passphrase: []byte("disk-secret"),
 	}
 	env, err := Open(cfg)

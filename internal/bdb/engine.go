@@ -86,20 +86,21 @@ type Config struct {
 	// so required features (e.g. Logging under Transactions) are pulled
 	// in automatically.
 	Features []string
-	// PageSize defaults to 4096.
-	PageSize int
-	// CachePages and CachePolicy ("LRU"/"LFU") are honored only with
-	// the CacheTuning feature; otherwise the engine uses 32 LRU pages.
-	CachePages  int
-	CachePolicy string
 	// Passphrase enables page encryption (required with Crypto).
 	Passphrase []byte
-	// GroupCommitBatch tunes the Logging journal's group commit; 0
-	// means force-commit on every operation.
-	GroupCommitBatch int
-	// OnEvent receives notifications (Events feature).
-	OnEvent func(Event)
+
+	// Only this package's tests set the rest: a smaller page than
+	// defaultPageSize; the CacheTuning feature's cache size and policy
+	// ("LRU"/"LFU", without the feature the engine uses 32 LRU pages);
+	// and the Events feature's receiver.
+	pageSize    int
+	cachePages  int
+	cachePolicy string
+	onEvent     func(Event)
 }
+
+// defaultPageSize is the data file's page size.
+const defaultPageSize = 4096
 
 // Stats are the Statistics feature's counters.
 type Stats struct {
@@ -154,8 +155,8 @@ func Open(cfg Config) (*Env, error) {
 	if cfg.FS == nil {
 		return nil, errors.New("bdb: Config.FS is required")
 	}
-	if cfg.PageSize == 0 {
-		cfg.PageSize = 4096
+	if cfg.pageSize == 0 {
+		cfg.pageSize = defaultPageSize
 	}
 	model := core.BDBModel()
 	product, err := model.Product(cfg.Features...)
@@ -181,7 +182,7 @@ func Open(cfg Config) (*Env, error) {
 	if existing {
 		e.pf, err = storage.OpenPageFile(f)
 	} else {
-		e.pf, err = storage.CreatePageFile(f, cfg.PageSize)
+		e.pf, err = storage.CreatePageFile(f, cfg.pageSize)
 	}
 	if err != nil {
 		return nil, err
@@ -196,14 +197,14 @@ func Open(cfg Config) (*Env, error) {
 	}
 	capacity, policy := 32, buffer.Policy(buffer.NewLRU())
 	if e.has("CacheTuning") {
-		if cfg.CachePages > 0 {
-			capacity = cfg.CachePages
+		if cfg.cachePages > 0 {
+			capacity = cfg.cachePages
 		}
-		if cfg.CachePolicy == "LFU" {
+		if cfg.cachePolicy == "LFU" {
 			policy = buffer.NewLFU()
 		}
 	}
-	e.cache, err = buffer.NewManager(base, capacity, policy, buffer.NewDynamicAllocator(cfg.PageSize))
+	e.cache, err = buffer.NewManager(base, capacity, policy, buffer.NewDynamicAllocator(cfg.pageSize))
 	if err != nil {
 		return nil, err
 	}
@@ -230,8 +231,7 @@ func Open(cfg Config) (*Env, error) {
 	// a log that writes it (see unjournaled).
 	if e.has("Logging") {
 		opts := txn.Options{
-			// 0 or 1 is ForceCommit.
-			BatchLimit: cfg.GroupCommitBatch,
+			BatchLimit: txn.ForceCommit(),
 			Locking:    e.has("Locking"),
 			Recovery:   e.has("Recovery"),
 			SyncStore:  e.pager.Sync,
@@ -253,8 +253,8 @@ func Open(cfg Config) (*Env, error) {
 func (e *Env) has(feature string) bool { return e.features[feature] }
 
 func (e *Env) emit(ev Event) {
-	if e.has("Events") && e.cfg.OnEvent != nil {
-		e.cfg.OnEvent(ev)
+	if e.has("Events") && e.cfg.onEvent != nil {
+		e.cfg.onEvent(ev)
 	}
 }
 

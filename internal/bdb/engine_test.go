@@ -19,8 +19,8 @@ func openEnv(t *testing.T, cfg Config) *Env {
 	if cfg.FS == nil {
 		cfg.FS = osal.NewMemFS()
 	}
-	if cfg.PageSize == 0 {
-		cfg.PageSize = 512
+	if cfg.pageSize == 0 {
+		cfg.pageSize = 512
 	}
 	if len(cfg.Passphrase) == 0 {
 		cfg.Passphrase = []byte("test-passphrase")
@@ -213,7 +213,7 @@ func TestCryptoEncryptsPages(t *testing.T) {
 	e2.Close()
 
 	// Wrong passphrase: unreadable.
-	if e3, err := Open(Config{FS: fs, PageSize: 512, Features: []string{"Btree", "Crypto"}, Passphrase: []byte("WRONG")}); err == nil {
+	if e3, err := Open(Config{FS: fs, pageSize: 512, Features: []string{"Btree", "Crypto"}, Passphrase: []byte("WRONG")}); err == nil {
 		if _, oerr := e3.OpenDB("main"); oerr == nil {
 			t.Fatal("wrong passphrase opened the database")
 		}
@@ -439,7 +439,7 @@ func TestEventsFeature(t *testing.T) {
 	var events []string
 	e := openEnv(t, Config{
 		Features: []string{"Btree", "Events", "Truncate"},
-		OnEvent:  func(ev Event) { events = append(events, ev.Kind) },
+		onEvent:  func(ev Event) { events = append(events, ev.Kind) },
 	})
 	db, _ := e.CreateDB("main", MethodBtree)
 	db.Put([]byte("k"), []byte("v"))
@@ -455,7 +455,7 @@ func TestEventsFeature(t *testing.T) {
 	}
 	// Without the feature no events fire even with a callback.
 	var silent []string
-	e2 := openEnv(t, Config{Features: []string{"Btree"}, OnEvent: func(ev Event) { silent = append(silent, ev.Kind) }})
+	e2 := openEnv(t, Config{Features: []string{"Btree"}, onEvent: func(ev Event) { silent = append(silent, ev.Kind) }})
 	e2.CreateDB("x", MethodBtree)
 	if len(silent) != 0 {
 		t.Fatalf("events without feature: %v", silent)
@@ -543,7 +543,7 @@ func TestCacheTuningFeature(t *testing.T) {
 	// With CacheTuning a tiny cache forces evictions; the untuned
 	// default (32 pages) absorbs the same workload.
 	run := func(features []string, cachePages int) int64 {
-		e := openEnv(t, Config{Features: features, CachePages: cachePages, CachePolicy: "LFU"})
+		e := openEnv(t, Config{Features: features, cachePages: cachePages, cachePolicy: "LFU"})
 		db, _ := e.CreateDB("main", MethodBtree)
 		for i := 0; i < 100; i++ {
 			db.Put([]byte(fmt.Sprintf("k%03d", i)), bytes.Repeat([]byte("v"), 50))

@@ -53,7 +53,7 @@ func TestRoutedJournalRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, err = Open(Config{FS: fs, Features: feats, PageSize: 512})
+	_, err = Open(Config{FS: fs, Features: feats, pageSize: 512})
 	if !errors.Is(err, errRoutedJournal) {
 		t.Fatalf("open over a routed journal = %v, want %v", err, errRoutedJournal)
 	}

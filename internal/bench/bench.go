@@ -3,10 +3,14 @@
 // Fig. 2's products, Sec. 3.1's detection experiment, Sec. 3.2's
 // solver comparison), the feedback table B1–B10 (scenarios.go: one row
 // per priced feature, run by the one driver in scenario.go and closed
-// by Price), and the crash-point harnesses. registry.go maps experiment
-// ids to runners; cmd/fame-bench prints the tables; bench_test.go wraps
-// the E runners in testing.B benchmarks; EXPERIMENTS.md records the
-// measured outcomes.
+// by Price), and the crash sweep (crash.go: one sweep, two families —
+// CP's committing primary and B10's replica applying shipped chunks —
+// each crashed at every device op under the cut and torn models).
+// bench.go holds one runner per engine: SetupBDB and SetupFAME build a
+// preloaded product and its workload step, and RunBDB and RunFAME time
+// that step. registry.go maps experiment ids to runners; cmd/fame-bench
+// prints the tables; bench_test.go wraps the E runners in testing.B
+// benchmarks; EXPERIMENTS.md records the measured outcomes.
 package bench
 
 import (
@@ -20,103 +24,136 @@ import (
 	"famedb/internal/workload"
 )
 
-// RunBDB measures a Berkeley DB case-study configuration: an engine is
-// opened in the given mode with the given features, preloaded, and the
-// Fig. 1 benchmark mix is executed n times. It returns achieved
-// operations per second.
-func RunBDB(mode core.BDBMode, features []string, method bdb.Method, n int, seed int64) (float64, error) {
+// Step executes one pre-generated workload operation.
+type Step func() error
+
+// runSteps runs step n times on one goroutine and returns the wall time.
+func runSteps(n int, step Step) (time.Duration, error) {
+	start := time.Now()
+	for i := 0; i < n; i++ {
+		if err := step(); err != nil {
+			return 0, err
+		}
+	}
+	return time.Since(start), nil
+}
+
+// SetupBDB opens a preloaded Berkeley DB case-study engine in the given
+// mode with the given features and returns a step executing the Fig. 1
+// benchmark mix and the engine's close.
+func SetupBDB(mode core.BDBMode, features []string, method bdb.Method, seed int64) (Step, func() error, error) {
 	env, err := bdb.Open(bdb.Config{
 		FS:         osal.NewMemFS(),
 		Mode:       mode,
 		Features:   features,
-		PageSize:   4096,
 		Passphrase: []byte("bench"),
 	})
 	if err != nil {
-		return 0, err
+		return nil, nil, err
 	}
-	defer env.Close()
 	db, err := env.CreateDB("bench", method)
 	if err != nil {
-		return 0, err
+		env.Close()
+		return nil, nil, err
 	}
 	gen := workload.New(workload.Fig1Config(seed))
 	for _, op := range gen.Preload() {
 		if err := db.Put(op.Key, op.Value); err != nil {
-			return 0, err
+			env.Close()
+			return nil, nil, err
 		}
 	}
-	start := time.Now()
-	for i := 0; i < n; i++ {
+	step := func() error {
 		op := gen.Next()
 		switch op.Kind {
 		case workload.OpGet:
-			if _, _, err := db.Get(op.Key); err != nil {
-				return 0, err
-			}
+			_, _, err := db.Get(op.Key)
+			return err
 		case workload.OpPut:
-			if err := db.Put(op.Key, op.Value); err != nil {
-				return 0, err
-			}
+			return db.Put(op.Key, op.Value)
 		}
+		return nil
 	}
-	elapsed := time.Since(start)
-	return float64(n) / elapsed.Seconds(), nil
+	return step, env.Close, nil
 }
 
-// runMix composes a product, preloads it and runs the standard 9:1
-// get/put mix over it on one goroutine — the "measure generated
-// products" step of the paper's feedback approach. It returns the
-// instance, for the caller to read the Statistics feature's
-// instrumentation off (B1) and to close, and the mix's wall time.
-func runMix(features []string, n int, seed int64) (*composer.Instance, time.Duration, error) {
-	inst, err := composer.ComposeProduct(composer.Options{}, features...)
+// RunBDB runs SetupBDB's step n times and returns operations per
+// second.
+func RunBDB(mode core.BDBMode, features []string, method bdb.Method, n int, seed int64) (float64, error) {
+	step, closeEnv, err := SetupBDB(mode, features, method, seed)
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
-	gen := workload.New(workload.Config{
+	defer closeEnv()
+	elapsed, err := runSteps(n, step)
+	if err != nil {
+		return 0, err
+	}
+	return perSecond(n, elapsed), nil
+}
+
+// mix is the standard 9:1 get/put workload over 2,000 keys.
+func mix(seed int64) workload.Config {
+	return workload.Config{
 		Seed:      seed,
 		Keys:      2000,
 		ValueSize: 32,
 		Mix:       map[workload.OpKind]int{workload.OpGet: 9, workload.OpPut: 1},
-	})
+	}
+}
+
+// SetupFAME composes a FAME-DBMS product, preloads it and returns a
+// step executing the workload on the product's record path (a
+// Transaction product journals every write, as it was generated to),
+// and the instance, for the caller to read its instrumentation off and
+// to close. The preload is setup and writes the store directly.
+func SetupFAME(features []string, cfg workload.Config, opts composer.Options) (Step, *composer.Instance, error) {
+	inst, err := composer.ComposeProduct(opts, features...)
+	if err != nil {
+		return nil, nil, err
+	}
+	gen := workload.New(cfg)
 	for _, op := range gen.Preload() {
 		if err := inst.Store.Put(op.Key, op.Value); err != nil {
 			inst.Close()
-			return nil, 0, err
+			return nil, nil, err
 		}
 	}
-	elapsed, err := fanOut(1, n, func(_, n int) error {
-		for i := 0; i < n; i++ {
-			op := gen.Next()
-			switch op.Kind {
-			case workload.OpGet:
-				if _, err := inst.Store.Get(op.Key); err != nil {
-					return err
-				}
-			case workload.OpPut:
-				if err := inst.Store.Put(op.Key, op.Value); err != nil {
-					return err
-				}
-			}
+	rec := inst.Records()
+	step := func() error {
+		op := gen.Next()
+		switch op.Kind {
+		case workload.OpGet:
+			_, err := rec.Get(op.Key)
+			return err
+		case workload.OpPut:
+			return rec.Put(op.Key, op.Value)
+		case workload.OpUpdate:
+			return rec.Update(op.Key, op.Value)
+		case workload.OpScan:
+			n := 0
+			return rec.Scan(op.Key, nil, func(k, v []byte) bool {
+				n++
+				return n < 20
+			})
 		}
 		return nil
-	})
-	if err != nil {
-		inst.Close()
-		return nil, 0, err
 	}
-	return inst, elapsed, nil
+	return step, inst, nil
 }
 
-// RunFAME measures a FAME-DBMS product: compose, preload, run a
-// put/get mix, return operations per second.
+// RunFAME measures a FAME-DBMS product: SetupFAME's standard mix run n
+// times, in operations per second.
 func RunFAME(features []string, n int, seed int64) (float64, error) {
-	inst, elapsed, err := runMix(features, n, seed)
+	step, inst, err := SetupFAME(features, mix(seed), composer.Options{})
 	if err != nil {
 		return 0, err
 	}
 	defer inst.Close()
+	elapsed, err := runSteps(n, step)
+	if err != nil {
+		return 0, err
+	}
 	return perSecond(n, elapsed), nil
 }
 

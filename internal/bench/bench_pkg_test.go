@@ -3,6 +3,9 @@ package bench
 import (
 	"strings"
 	"testing"
+
+	"famedb/internal/composer"
+	"famedb/internal/core"
 )
 
 // The experiment tests run with small op counts: they assert the
@@ -208,6 +211,27 @@ func TestRunFAMEWorks(t *testing.T) {
 	}
 	if ops <= 0 {
 		t.Fatalf("ops = %f", ops)
+	}
+}
+
+// The runner measures a product as it was generated: the writes of a
+// Transaction product go through its journal.
+func TestRunnerJournalsTransactionalProducts(t *testing.T) {
+	for _, p := range core.FAMEProducts() {
+		if p.Name != "calendar-app" && p.Name != "full" {
+			continue
+		}
+		step, inst, err := SetupFAME(p.Features, mix(benchSeed), composer.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := runSteps(1000, step); err != nil {
+			t.Fatal(err)
+		}
+		if syncs := inst.Txn.LogSyncs(); syncs == 0 {
+			t.Errorf("%s: the journal never synced during the mix", p.Name)
+		}
+		inst.Close()
 	}
 }
 

@@ -25,7 +25,7 @@ func textOnly(run func(ops int) (string, error)) func(int) (string, *Report, err
 
 // Experiments is every experiment fame-bench can run, in print order:
 // the paper's figures and claims (E1–E7), the feedback table (B1–B10),
-// and the crash-point harness (CP).
+// and the crash sweep's primary family (CP).
 func Experiments() []Experiment {
 	exps := []Experiment{
 		{"E1", textOnly(func(int) (string, error) {
@@ -93,20 +93,16 @@ func Experiments() []Experiment {
 			return r.Format(), r, err
 		}})
 	}
-	// CP sweeps the crash-point harness under both crash models.
+	// CP sweeps the primary family under both crash models.
 	return append(exps, Experiment{"CP", textOnly(func(int) (string, error) {
-		var b strings.Builder
-		for _, torn := range []bool{false, true} {
-			r, err := CrashPoints(CrashPointConfig{Commits: 8, Torn: torn, Seed: benchSeed})
-			if err != nil {
-				return b.String(), err
+		reps, err := crashSweeps("primary", 8)
+		var texts []string
+		for _, r := range reps {
+			texts = append(texts, r.Format())
+			if err == nil && !r.Ok() {
+				err = fmt.Errorf("%d crash points violated invariants", len(r.Failures))
 			}
-			b.WriteString(FormatCrashPoints(r))
-			if !r.Ok() {
-				return b.String(), fmt.Errorf("%d crash points violated invariants", len(r.Failures))
-			}
-			b.WriteByte('\n')
 		}
-		return strings.TrimSuffix(b.String(), "\n"), nil
+		return strings.Join(texts, "\n"), err
 	})})
 }

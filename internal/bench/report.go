@@ -68,8 +68,8 @@ type Report struct {
 	// per-shape attribution).
 	Ratios   []Point  `json:"ratios"`
 	Feedback Feedback `json:"feedback"`
-	// Crash holds B10's replica crash-point sweeps.
-	Crash []*ReplicaCrashReport `json:"crash,omitempty"`
+	// Crash holds B10's crash sweeps of the replica family.
+	Crash []*CrashReport `json:"crash,omitempty"`
 }
 
 // Ok reports whether the run's own invariants held: every cell that
@@ -166,7 +166,7 @@ func (r *Report) Format() string {
 	fmt.Fprintf(&b, "  ROM: base %d B, requiring %s +%d B; under a %d B budget infeasible: %v\n",
 		fb.BaseROM, fb.Feature, fb.FeatureROM, fb.TightROMBudget, fb.InfeasibleWhenRequired)
 	for _, c := range r.Crash {
-		b.WriteString(FormatReplicaCrashPoints(c))
+		b.WriteString(c.Format())
 	}
 	return b.String()
 }

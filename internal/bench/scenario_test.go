@@ -126,7 +126,7 @@ var rowChecks = map[string]func(t *testing.T, r *Report){
 		if len(r.Crash) != 2 || !r.Ok() {
 			t.Fatalf("crash sweeps: %+v", r.Crash)
 		}
-		if !strings.Contains(r.Format(), "crash-point harness") {
+		if !strings.Contains(r.Format(), "crash sweep (replica, cut)") {
 			t.Errorf("format misses the crash sweeps:\n%s", r.Format())
 		}
 	},

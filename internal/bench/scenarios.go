@@ -100,11 +100,15 @@ func b1(ops int) Scenario {
 		Variants: variants,
 		Sweep:    []Position{{Workers: 1}},
 		Run: func(c Cell) (Metrics, error) {
-			inst, elapsed, err := runMix(c.Variant.Features, ops, benchSeed)
+			step, inst, err := SetupFAME(c.Variant.Features, mix(benchSeed), composer.Options{})
 			if err != nil {
 				return nil, err
 			}
 			defer inst.Close()
+			elapsed, err := runSteps(ops, step)
+			if err != nil {
+				return nil, err
+			}
 			snap, err := inst.Stats()
 			if err != nil {
 				return nil, err
@@ -143,11 +147,14 @@ func b1(ops int) Scenario {
 // (the fame-bench -stats flag).
 func StatsDump(n int) (string, error) {
 	products := core.FAMEProducts()
-	inst, _, err := runMix(withStatistics(products[len(products)-1].Features), n, benchSeed)
+	step, inst, err := SetupFAME(withStatistics(products[len(products)-1].Features), mix(benchSeed), composer.Options{})
 	if err != nil {
 		return "", err
 	}
 	defer inst.Close()
+	if _, err := runSteps(n, step); err != nil {
+		return "", err
+	}
 	snap, err := inst.Stats()
 	if err != nil {
 		return "", err
@@ -1452,8 +1459,8 @@ func b9(ops int) Scenario {
 }
 
 // ---------------------------------------------------------------------
-// B10: the Replication + Server features' cost, and the replica
-// crash-point harness (replicacrash.go).
+// B10: the Replication + Server features' cost, and the crash sweep's
+// replica family (crash.go).
 //
 // The same pipelined put workload — 16 wire clients, each keeping a
 // window of requests in flight over loopback TCP — runs against five
@@ -1665,17 +1672,10 @@ func b10(ops int) Scenario {
 				nfp.LatencyP99: m["commit_p99_ns"],
 			}
 		},
-		// Both replica crash-point sweeps: every shipped-frame boundary,
-		// then every torn device write.
-		After: func(r *Report) error {
-			for _, torn := range []bool{false, true} {
-				sweep, err := ReplicaCrashPoints(ReplicaCrashConfig{Commits: crashCommits, Torn: torn, Seed: benchSeed})
-				if err != nil {
-					return err
-				}
-				r.Crash = append(r.Crash, sweep)
-			}
-			return nil
+		// The replica family of the crash sweep, cut then torn.
+		After: func(r *Report) (err error) {
+			r.Crash, err = crashSweeps("replica", crashCommits)
+			return err
 		},
 	}
 }

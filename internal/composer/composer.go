@@ -834,6 +834,28 @@ func (i *Instance) ServeMonitor(addr string) (*monitor.Server, error) {
 	return i.mon.Serve(addr)
 }
 
+// Records is the record API both *txn.Manager and *access.Store
+// implement.
+type Records interface {
+	Put(key, value []byte) error
+	Get(key []byte) ([]byte, error)
+	Remove(key []byte) error
+	Update(key, value []byte) error
+	Scan(from, to []byte, fn func(key, value []byte) bool) error
+	Len() (uint64, error)
+}
+
+// Records returns the product's one record path, picked from its
+// feature selection: the transaction manager when Transaction is
+// composed (every write an auto-commit transaction, logged and shipped
+// like any commit), the store otherwise.
+func (i *Instance) Records() Records {
+	if i.Txn != nil {
+		return i.Txn
+	}
+	return i.Store
+}
+
 // Shipper returns the Replication feature's WAL fan-out, or nil when
 // the feature is not composed. In-process replicas subscribe to it
 // directly; network replication sessions subscribe through Serve.
